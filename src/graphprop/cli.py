@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: rank-sweep, missing-sweep, overlap-sim, blogs, complete,
-bound-report, convert-raster. Exit codes: 0 success, 2 configuration
-error, 3 data error. Logs go to stderr.
+bound-report, convert-raster. Exit codes: 0 success, 1 any other
+package error (such as a violated bound), 2 configuration error, 3 data
+error. Logs go to stderr.
 """
 from __future__ import annotations
 

@@ -50,6 +50,10 @@ class AllMissing(GraphPropError):
     """Completion requires at least one observed entry."""
 
 
+class BoundViolation(GraphPropError):
+    """A measured completion error exceeds its computed bound psi/(2 - phi)."""
+
+
 class MaxItersExceeded(RuntimeWarning):
     """Iterative diffusion hit the iteration cap; best iterate returned."""
 

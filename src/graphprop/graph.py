@@ -21,6 +21,12 @@ from .tensor import FiberMatrix
 # blocked brute-force path is used.
 KDTREE_MAX_CHANNELS = 16
 
+# Distance-matrix block of the brute-force path, in doubles (8 MB).
+_BRUTE_BLOCK = 1_000_000
+
+# Relative gap under which two kd-tree distances count as tied.
+_TIE_RTOL = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class ObservationSet:
@@ -78,7 +84,9 @@ class EdgeSet:
                 raise ValueError("self-loops are not allowed")
             lo = np.minimum(arr[:, 0], arr[:, 1])
             hi = np.maximum(arr[:, 0], arr[:, 1])
-            arr = np.unique(np.column_stack([lo, hi]), axis=0)
+            # hi < n, so sorting lo * n + hi sorts (lo, hi) lexicographically
+            key = np.unique(lo * n + hi)
+            arr = np.column_stack(np.divmod(key, n))
         arr.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", arr)
@@ -99,11 +107,38 @@ class EdgeSet:
         return {(int(u), int(v)) for u, v in self.edges}
 
 
+def _nearest_k(
+    pts: np.ndarray, rows: np.ndarray, cands: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pick k candidates per row by (exact distance, smaller id).
+
+    ``rows`` and ``cands`` are flat, equally long arrays of point indices,
+    each row given at least k candidates other than itself. The exact
+    distance is the Euclidean norm of the feature difference, summed
+    channel by channel, so identical differences give identical values.
+    Memory is a few arrays of the pair count; the feature rows of the
+    pairs are never materialised.
+    """
+    dist2 = np.zeros(rows.size)
+    for ch in range(pts.shape[1]):
+        diff = pts[cands, ch] - pts[rows, ch]
+        dist2 += diff * diff
+    order = np.lexsort((cands, np.sqrt(dist2), rows))
+    rows, cands = rows[order], cands[order]
+    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    counts = np.diff(np.r_[starts, rows.size])
+    rank = np.arange(rows.size) - np.repeat(starts, counts)
+    keep = rank < k
+    return rows[keep], cands[keep]
+
+
 def _knn_neighbors_tree(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Directed kNN relations via an exact kd-tree query.
 
-    Ties at the k-th distance are resolved by smaller index through an
-    exact ball query around the boundary radius.
+    A row whose k-th and (k+1)-th tree distances are equal up to rounding
+    is a tie row: its candidates are every point in a ball slightly wider
+    than the k-th distance, chosen by :func:`_nearest_k` (exact distance,
+    then smaller id).
     """
     n_obs = pts.shape[0]
     tree = cKDTree(pts)
@@ -113,45 +148,71 @@ def _knn_neighbors_tree(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     # Distances to *other* points, ascending (self pushed to the end).
     other_d = np.sort(np.where(self_mask, np.inf, dists), axis=1)
     dk = other_d[:, k - 1]
-    strict = other_d[:, k] > other_d[:, k - 1]
+    # The tree's distances and the exact ones differ by rounding, so a gap
+    # below _TIE_RTOL does not certify the boundary.
+    tied = other_d[:, k] <= dk * (1.0 + _TIE_RTOL)
 
-    src = []
-    dst = []
-    cheap = np.nonzero(strict)[0]
-    if cheap.size:
-        sel = (~self_mask[cheap]) & (dists[cheap] <= dk[cheap, None])
-        rows, cols = np.nonzero(sel)
-        src.append(cheap[rows])
-        dst.append(idxs[cheap][rows, cols])
-    for i in np.nonzero(~strict)[0]:
-        radius = dk[i] * (1.0 + 1e-12) + 1e-300
-        cand = np.asarray(tree.query_ball_point(pts[i], radius), dtype=np.int64)
-        cand = cand[cand != i]
-        dd = np.linalg.norm(pts[cand] - pts[i], axis=1)
-        order = np.lexsort((cand, dd))
-        chosen = cand[order[:k]]
-        src.append(np.full(chosen.size, i, dtype=np.int64))
-        dst.append(chosen)
+    strict = np.nonzero(~tied)[0]
+    sel = (~self_mask[strict]) & (dists[strict] <= dk[strict, None])
+    rows, cols = np.nonzero(sel)
+    src = [strict[rows]]
+    dst = [idxs[strict[rows], cols]]
+    tie = np.nonzero(tied)[0]
+    if tie.size:
+        radius = dk[tie] * (1.0 + 2.0 * _TIE_RTOL) + 1e-300
+        balls = tree.query_ball_point(pts[tie], radius)
+        counts = np.fromiter(map(len, balls), dtype=np.int64, count=tie.size)
+        rows = np.repeat(tie, counts)
+        cands = np.concatenate(balls)
+        other = cands != rows
+        rows, cands = _nearest_k(pts, rows[other], cands[other], k)
+        src.append(rows)
+        dst.append(cands)
     return np.concatenate(src), np.concatenate(dst)
 
 
 def _knn_neighbors_brute(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Directed kNN relations by blocked brute force; ties broken by
-    smaller index via a per-row lexicographic sort."""
-    n_obs = pts.shape[0]
-    sq = np.einsum("ij,ij->i", pts, pts)
-    ids = np.arange(n_obs, dtype=np.int64)
-    block = max(1, int(2e7) // max(1, n_obs))
+    """Directed kNN relations by blocked brute force, shortlist then refine.
+
+    Per block of rows, the Gram expansion of the squared distances gives
+    each row's k-th smallest value in O(n) (``np.partition``); every column
+    within a rigorous rounding allowance of it is shortlisted, and
+    :func:`_nearest_k` picks k by exact distance, then smaller id.
+    Working memory is two blocks of ``_BRUTE_BLOCK`` doubles (8 MB each)
+    plus a few arrays of the block's shortlist length, which is about k
+    per row and at most one block, whatever the point count.
+    """
+    n_obs, m = pts.shape
+    # Distances do not change under translation; centring keeps the
+    # squared norms, and with them the rounding allowance, small.
+    centred = pts - pts.mean(axis=0)
+    sq = np.einsum("ij,ij->i", centred, centred)
+    # Rounding allowance: the expanded value and the squared exact
+    # distance each stray from the true squared distance by at most about
+    # (m + 5) * eps * (sq_i + sq_j), and c is twice their sum. Shrinking the
+    # column term by c * sq_j charges each pair its own share, so one
+    # far-off point cannot widen every row's shortlist. A true neighbour j
+    # of row i then has d2_ij <= kth_i + 2c * (sq_i + sq_l) for some l among
+    # the k smallest, and sq_l <= 3 * (sq_i + max(kth_i, 0)).
+    c = 4.0 * (m + 5) * np.finfo(np.float64).eps
+    col_sq = (1.0 - c) * sq
+    rows_per_block = max(1, _BRUTE_BLOCK // n_obs)
     src = []
     dst = []
-    for start in range(0, n_obs, block):
-        stop = min(start + block, n_obs)
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (pts[start:stop] @ pts.T)
-        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        keys = np.broadcast_to(ids, d2.shape)
-        order = np.lexsort((keys, d2), axis=-1)[:, :k]
-        src.append(np.repeat(np.arange(start, stop, dtype=np.int64), k))
-        dst.append(order.ravel())
+    for start in range(0, n_obs, rows_per_block):
+        stop = min(start + rows_per_block, n_obs)
+        d2 = centred[start:stop] @ centred.T
+        d2 *= -2.0
+        d2 += sq[start:stop, None]
+        d2 += col_sq
+        local = np.arange(stop - start)
+        d2[local, local + start] = np.inf
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+        bound = kth + c * (8.0 * sq[start:stop] + 6.0 * np.maximum(kth, 0.0))
+        rows, cands = np.divmod(np.flatnonzero(d2 <= bound[:, None]), n_obs)
+        rows, cands = _nearest_k(pts, rows + start, cands, k)
+        src.append(rows)
+        dst.append(cands)
     return np.concatenate(src), np.concatenate(dst)
 
 
@@ -159,9 +220,11 @@ def knn_edges(features: FiberMatrix, observed: ObservationSet, k: int) -> EdgeSe
     """Connect each observed fiber to its k nearest observed fibers by
     Euclidean distance, symmetrised by union of the directed relations.
 
-    Distance ties are broken by smaller node id; duplicate feature rows
-    are legal neighbours (distance zero) but a node is never its own
-    neighbour.
+    Nearness is the exact Euclidean distance of the feature difference;
+    ties go to the smaller node id. Both search paths (kd-tree up to
+    ``KDTREE_MAX_CHANNELS`` channels, blocked brute force above) apply
+    this rule and give the same edges. Duplicate feature rows are legal
+    neighbours (distance zero) but a node is never its own neighbour.
     """
     if features.n != observed.n:
         raise ValueError(

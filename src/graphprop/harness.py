@@ -37,7 +37,13 @@ from .datagen import (
     smooth_raster_pair,
     two_block_graph,
 )
-from .errors import ConfigError, DataError, InfeasibleFraction, NoMissingEntries
+from .errors import (
+    BoundViolation,
+    ConfigError,
+    DataError,
+    InfeasibleFraction,
+    NoMissingEntries,
+)
 from .graph import ObservationSet, build_graph, knn_edges, load_edge_list, union_edges
 from .metrics import MPSNR_VARIANTS, ErrorField, accuracy, mae, mpsnr, mse, rmse
 from .propagation import classify_by_median, graphprop, median_threshold, solve_steady_state
@@ -796,8 +802,8 @@ def run_complete(cfg: ExperimentConfig, *, write: bool = True):
 
 def run_bound_report(cfg: ExperimentConfig, *, write: bool = True):
     """Bound quantities and measured errors on one synthetic instance;
-    raises if a computed bound is violated (it never should be on
-    noiseless observations)."""
+    raises :class:`BoundViolation` if a computed bound is violated (it
+    never should be on noiseless observations)."""
     seed_gen = _derived_seed(cfg.seed, _KIND_TAGS["bound-report"], 0)
     seed_obs = _derived_seed(cfg.seed, _KIND_TAGS["bound-report"], 1)
     spec = SynthSpec(cfg.i1, cfg.i2, cfg.i3, r=cfg.rank, lambda_count=2,
@@ -815,7 +821,7 @@ def run_bound_report(cfg: ExperimentConfig, *, write: bool = True):
     for om, f, res in zip(omegas, fibers, results):
         report = evaluate_bounds(graph, om, f, res.completed)
         if report.applicable and report.measured_error > report.bound + 1e-9:
-            raise RuntimeError(
+            raise BoundViolation(
                 f"bound violated: measured {report.measured_error} > bound {report.bound}"
             )
         reports.append(report)

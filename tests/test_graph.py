@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphprop import (
@@ -14,6 +14,7 @@ from graphprop import (
     save_edge_list,
     union_edges,
 )
+from graphprop import graph
 from graphprop.errors import DataError, NonFiniteInput, TooFewObserved
 
 
@@ -84,22 +85,47 @@ def test_knn_preconditions():
         knn_edges(masked, all_observed(3), 1)
 
 
-@given(
-    st.integers(0, 2**31 - 1),
-    st.integers(1, 4),
-    st.integers(1, 3),
-    st.booleans(),
-)
-@settings(max_examples=60, deadline=None)
-def test_knn_matches_brute_force(seed, k, channels, quantize):
+def tie_points(seed, k, channels, quantize, duplicate):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(k + 1, 40))
     points = rng.standard_normal((n, channels))
     if quantize:
         # integer grids force exact distance ties
         points = np.floor(points * 2.0)
+    if duplicate:
+        # exact copies tie at distance zero; the dyadic scale and offset
+        # move them off the integer grid while keeping every tie exact
+        copies = rng.integers(0, n, size=int(rng.integers(1, n + 1)))
+        points = np.concatenate([points, points[copies]]) * 0.75 + 0.5
+    return points
+
+
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 4),
+    st.one_of(st.integers(1, 3), st.integers(17, 24)),
+    st.booleans(),
+    st.booleans(),
+)
+@example(seed=5, k=2, channels=20, quantize=False, duplicate=True)
+@settings(max_examples=60, deadline=None)
+def test_knn_matches_brute_force(seed, k, channels, quantize, duplicate):
+    points = tie_points(seed, k, channels, quantize, duplicate)
+    n = len(points)
     e = knn_edges(FiberMatrix(points), all_observed(n), k)
     assert e.to_set() == brute_force_knn(points, k)
+
+
+@pytest.mark.parametrize("seed", range(4, 10))
+def test_knn_tree_and_brute_force_paths_agree(monkeypatch, seed):
+    points = tie_points(seed, 2, 20, quantize=seed % 2 == 1, duplicate=True)
+    feats, omega = FiberMatrix(points), all_observed(len(points))
+    # 20 channels take the tree path under a limit of 20, brute force under 19
+    monkeypatch.setattr(graph, "KDTREE_MAX_CHANNELS", 20)
+    tree = knn_edges(feats, omega, 2)
+    monkeypatch.setattr(graph, "KDTREE_MAX_CHANNELS", 19)
+    brute = knn_edges(feats, omega, 2)
+    assert np.array_equal(tree.edges, brute.edges)
 
 
 def test_knn_brute_force_path_high_dim():

@@ -15,6 +15,8 @@ from graphprop import (
     smooth_raster_pair,
     two_block_graph,
 )
+from graphprop import harness
+from graphprop.bounds import BoundReport
 from graphprop.cli import main
 from graphprop.errors import ConfigError, DataError
 from graphprop.harness import (
@@ -330,6 +332,22 @@ def test_cli_exit_codes(tmp_path):
         "out_dir": str(tmp_path / "out"),
     }))
     assert main(["complete", "--config", str(missing_inputs)]) == 3
+
+
+def test_cli_bound_violation_exit_code(tmp_path, monkeypatch, caplog):
+    violated = BoundReport(psi=0.1, phi=0.5, bound=0.1 / 1.5, measured_error=1.0,
+                           gtvm_eta=0.0, gtvm_q=0.0, gtvm_bound=None, applicable=True)
+    monkeypatch.setattr(harness, "evaluate_bounds", lambda *args, **kwargs: violated)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "kind": "bound-report", "i1": 14, "i2": 14, "i3": 2, "rank": 3, "k": 4,
+        "missing_frac": 0.3, "seed": 2,
+    }))
+    code = main(["bound-report", "--config", str(cfg_path),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert "bound violated" in caplog.text
+    assert all(rec.exc_info is None for rec in caplog.records)
 
 
 def test_cli_rank_sweep_runs(tmp_path):
