@@ -102,7 +102,7 @@ def bound_matrices(g: SparseGraph, omega: ObservationSet) -> BoundMatrices:
     selector[omega.observed.size :] = 1.0
     p = selector * (eye - scaled)
     q = selector * (eye + scaled)
-    blocks = partition_blocks(g, omega)
+    blocks = partition_blocks(g, omega.observed, omega.missing)
     n_mis = omega.missing.size
     a_cc = blocks.a_cc.toarray()
     a_co = blocks.a_co.toarray()
@@ -131,8 +131,10 @@ def compute_phi(g: SparseGraph, omega: ObservationSet, *,
                 tol: float = SPECTRAL_TOL, max_iters: int = SPECTRAL_MAX_ITERS) -> float:
     """Spectral norm of ``U = I + D_cc^-1 A_cc``."""
     _require_invertible_degrees(g)
-    blocks = partition_blocks(g, omega)
-    n_mis = blocks.missing.size
+    if omega.n != g.n:
+        raise ValueError(f"observation set is over {omega.n} nodes, graph has {g.n}")
+    blocks = partition_blocks(g, omega.observed, omega.missing)
+    n_mis = blocks.d_cc.size
     if n_mis == 0:
         return 0.0
     scaled = sp.diags_array(1.0 / blocks.d_cc, format="csr") @ blocks.a_cc
@@ -166,14 +168,13 @@ def gtvm_bound(g: SparseGraph, omega: ObservationSet, f0) -> GtvmBound:
     # For a symmetric nonnegative adjacency the dominant eigenvalue equals
     # the spectral norm.
     lam_max = spectral_norm(g.adjacency)
-    a_norm = g.adjacency / lam_max
-    eta = float(np.linalg.norm(values - a_norm @ values))
+    eta = float(np.linalg.norm(values - (g.adjacency / lam_max) @ values))
     mis = omega.missing
     if mis.size == 0:
         return GtvmBound(eta, 0.0, abs(eta))
-    obs = omega.observed
-    a_oc = a_norm[obs][:, mis]
-    a_cc = a_norm[mis][:, mis]
+    blocks = partition_blocks(g, omega.observed, mis)
+    a_oc = blocks.a_co.T.tocsr() / lam_max
+    a_cc = blocks.a_cc / lam_max
     stacked = sp.vstack([a_oc, sp.eye_array(mis.size, format="csr") + a_cc]).tocsr()
     q = spectral_norm(stacked)
     bound = 2.0 * abs(eta) / (2.0 - q) if q < 2.0 - PHI_GUARD else None
@@ -204,24 +205,21 @@ class BoundReport:
         return cls(**data)
 
 
-def evaluate_bounds(g: SparseGraph, omega: ObservationSet, f0, fhat,
-                    *, exclude_zero_degree: bool = True) -> BoundReport:
+def evaluate_bounds(g: SparseGraph, omega: ObservationSet, f0, fhat) -> BoundReport:
     """Compute a :class:`BoundReport` for one completion instance.
 
-    ``f0`` is the true full fiber matrix, ``fhat`` the completed one. When
-    ``exclude_zero_degree`` is set, zero-degree nodes are dropped from the
-    graph and both signals before any quantity is computed (they cannot be
-    reached by propagation and the degree matrix would be singular).
+    ``f0`` is the true full fiber matrix, ``fhat`` the completed one.
+    Zero-degree nodes are dropped from the graph and both signals before
+    any quantity is computed (they cannot be reached by propagation and
+    the degree matrix would be singular).
     """
     f0_values = f0.values if hasattr(f0, "values") else np.asarray(f0, dtype=np.float64)
     fhat_values = fhat.values if hasattr(fhat, "values") else np.asarray(fhat, dtype=np.float64)
     if f0_values.shape != fhat_values.shape:
         raise ValueError("true and estimated signals must share a shape")
-    if exclude_zero_degree and g.zero_degree_ids.size:
+    if g.zero_degree_ids.size:
         keep = np.setdiff1d(np.arange(g.n, dtype=np.int64), g.zero_degree_ids)
-        sub_adj = g.adjacency[keep][:, keep].tocsr()
-        degrees = np.asarray(sub_adj.sum(axis=1)).ravel()
-        g = SparseGraph(keep.size, sub_adj, degrees, np.empty(0, dtype=np.int64))
+        g = SparseGraph.from_adjacency(g.adjacency[keep][:, keep].tocsr())
         keep_observed = np.searchsorted(keep, np.intersect1d(omega.observed, keep))
         omega = ObservationSet(keep.size, keep_observed)
         f0_values = f0_values[keep]

@@ -18,6 +18,30 @@ from .graph import EdgeSet, ObservationSet, build_graph
 from .tensor import DenseTensor, FiberMatrix, TuckerFactors, matricize, refold, tucker_synthesize
 
 
+def check_missing_fraction(n: int, missing_frac: float, lambda_count: int) -> None:
+    """Feasibility of missing ``floor(missing_frac * n)`` of ``n`` fibers in
+    each of ``lambda_count`` acquisitions, the missing sets mutually
+    disjoint so every fiber is observed somewhere.
+
+    Needs ``missing_frac < (lambda_count - 1) / lambda_count`` (when
+    positive) and the disjoint sets to fit,
+    ``lambda_count * floor(missing_frac * n) <= n``; raises
+    :class:`InfeasibleFraction` otherwise.
+    """
+    if not 0.0 <= missing_frac:
+        raise ValueError("missing fraction must be nonnegative")
+    if missing_frac > 0 and missing_frac >= (lambda_count - 1) / lambda_count:
+        raise InfeasibleFraction(
+            f"missing fraction {missing_frac} >= {(lambda_count - 1) / lambda_count} "
+            f"violates coverage for {lambda_count} acquisition(s)"
+        )
+    n_missing = math.floor(missing_frac * n)
+    if n_missing * lambda_count > n:
+        raise InfeasibleFraction(
+            f"{lambda_count} disjoint missing sets of {n_missing} fibers do not fit in {n}"
+        )
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Third-order acquisition-set generator settings."""
@@ -41,13 +65,7 @@ class SynthSpec:
             raise ValueError(f"rank must lie in 1..{min(self.i1, self.i2)}, got {self.r}")
         if self.lambda_count < 1:
             raise ValueError("need at least one acquisition")
-        if not 0.0 <= self.missing_frac:
-            raise ValueError("missing fraction must be nonnegative")
-        if self.missing_frac * self.lambda_count > self.lambda_count - 1:
-            raise InfeasibleFraction(
-                f"missing fraction {self.missing_frac} cannot satisfy coverage "
-                f"with {self.lambda_count} acquisition(s)"
-            )
+        check_missing_fraction(self.n, self.missing_frac, self.lambda_count)
 
     @property
     def n(self) -> int:
@@ -99,26 +117,13 @@ def generate_acquisitions(s: SynthSpec) -> list[DenseTensor]:
 def sample_observation_sets(n: int, missing_frac: float, lambda_count: int,
                             seed: int) -> list[ObservationSet]:
     """Miss ``floor(missing_frac * n)`` fibers per acquisition, with the
-    missing sets mutually disjoint so every fiber is observed somewhere.
-
-    Feasibility needs ``missing_frac < (lambda_count - 1) / lambda_count``
-    and the disjoint partition to fit, i.e. ``lambda_count * floor(...)``
-    at most ``n``.
+    missing sets mutually disjoint so every fiber is observed somewhere
+    (feasibility: :func:`check_missing_fraction`).
     """
     if n < 1 or lambda_count < 1:
         raise ValueError("n and lambda_count must be positive")
-    if missing_frac < 0:
-        raise ValueError("missing fraction must be nonnegative")
+    check_missing_fraction(n, missing_frac, lambda_count)
     n_missing = math.floor(missing_frac * n)
-    if missing_frac > 0 and missing_frac >= (lambda_count - 1) / lambda_count:
-        raise InfeasibleFraction(
-            f"missing fraction {missing_frac} >= {(lambda_count - 1) / lambda_count} "
-            f"violates coverage for {lambda_count} acquisition(s)"
-        )
-    if n_missing * lambda_count > n:
-        raise InfeasibleFraction(
-            f"{lambda_count} disjoint missing sets of {n_missing} fibers do not fit in {n}"
-        )
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     all_ids = np.arange(n, dtype=np.int64)

@@ -1,4 +1,5 @@
-"""kNN edge sets over observed fibers, edge-set unions, and Laplacian assembly.
+"""kNN edge sets over observed fibers, edge-set unions, adjacency assembly,
+and the observed/unknown block split.
 
 Node ids are 0-based throughout the Python API; the text edge-list format
 uses 1-based ids.
@@ -271,75 +272,53 @@ def union_edges(sets) -> EdgeSet:
 
 @dataclass(frozen=True, eq=False)
 class SparseGraph:
-    """Symmetric adjacency without self-loops plus degree and Laplacian views."""
+    """Symmetric adjacency without self-loops plus its degrees."""
 
     n: int
     adjacency: sp.csr_array
     degrees: np.ndarray
     zero_degree_ids: np.ndarray
 
-    @cached_property
-    def laplacian(self) -> sp.csr_array:
-        return (sp.diags_array(self.degrees, format="csr") - self.adjacency).tocsr()
+    @classmethod
+    def from_adjacency(cls, adjacency: sp.csr_array) -> "SparseGraph":
+        """Wrap a symmetric adjacency, deriving degrees and the ids of
+        zero-degree nodes (reported, not removed)."""
+        degrees = np.asarray(adjacency.sum(axis=1)).ravel()
+        zero_degree = np.nonzero(degrees == 0)[0].astype(np.int64)
+        return cls(adjacency.shape[0], adjacency, degrees, zero_degree)
 
 
-def build_graph(e: EdgeSet, weights: np.ndarray | None = None) -> SparseGraph:
-    """Assemble adjacency/degree/Laplacian from an edge set.
-
-    ``weights`` optionally assigns a positive weight per canonical edge row
-    (default: unweighted, all ones). Zero-degree nodes are reported in
-    ``zero_degree_ids`` and left in place.
-    """
-    if weights is None:
-        vals = np.ones(e.n_edges, dtype=np.float64)
-    else:
-        vals = np.asarray(weights, dtype=np.float64).ravel()
-        if vals.shape[0] != e.n_edges:
-            raise ValueError(f"need one weight per edge ({e.n_edges}), got {vals.shape[0]}")
-        if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
-            raise ValueError("edge weights must be finite and positive")
+def build_graph(e: EdgeSet) -> SparseGraph:
+    """Assemble the unweighted adjacency of an edge set."""
     rows = np.concatenate([e.edges[:, 0], e.edges[:, 1]])
     cols = np.concatenate([e.edges[:, 1], e.edges[:, 0]])
     adjacency = sp.csr_array(
-        (np.concatenate([vals, vals]), (rows, cols)), shape=(e.n, e.n)
+        (np.ones(rows.size, dtype=np.float64), (rows, cols)), shape=(e.n, e.n)
     )
-    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
-    zero_degree = np.nonzero(degrees == 0)[0].astype(np.int64)
-    return SparseGraph(e.n, adjacency, degrees, zero_degree)
+    return SparseGraph.from_adjacency(adjacency)
 
 
 @dataclass(frozen=True, eq=False)
 class GraphBlocks:
-    """Blocks of A and L under the (observed, missing) node ordering."""
+    """Adjacency blocks of an (observed, unknown) split: ``a_co`` has the
+    unknown rows and observed columns, ``a_cc`` the unknown rows and
+    columns, ``d_cc`` the unknown nodes' degrees in the whole graph."""
 
-    observed: np.ndarray
-    missing: np.ndarray
-    a_oo: sp.csr_array
-    a_oc: sp.csr_array
     a_co: sp.csr_array
     a_cc: sp.csr_array
-    l_co: sp.csr_array
-    l_cc: sp.csr_array
     d_cc: np.ndarray
 
 
-def partition_blocks(g: SparseGraph, omega: ObservationSet) -> GraphBlocks:
-    """Slice adjacency and Laplacian into observed/missing blocks, indexed
-    by increasing observed ids then increasing missing ids."""
-    if omega.n != g.n:
-        raise ValueError(f"observation set is over {omega.n} nodes, graph has {g.n}")
-    obs = omega.observed
-    mis = omega.missing
-    a_obs_rows = g.adjacency[obs]
-    a_mis_rows = g.adjacency[mis]
-    a_oo = a_obs_rows[:, obs].tocsr()
-    a_oc = a_obs_rows[:, mis].tocsr()
-    a_co = a_mis_rows[:, obs].tocsr()
-    a_cc = a_mis_rows[:, mis].tocsr()
-    d_cc = g.degrees[mis]
-    l_cc = (sp.diags_array(d_cc, format="csr") - a_cc).tocsr()
-    l_co = (-a_co).tocsr()
-    return GraphBlocks(obs, mis, a_oo, a_oc, a_co, a_cc, l_co, l_cc, d_cc)
+def partition_blocks(g: SparseGraph, observed: np.ndarray, unknown: np.ndarray) -> GraphBlocks:
+    """Slice the adjacency by two disjoint id arrays, rows and columns in
+    the order given.
+
+    The grounded Laplacian system over ``unknown`` is
+    ``(diag(d_cc) - a_cc) F_c = a_co F_o``; the remaining blocks follow by
+    symmetry (``A_oc = a_co.T``).
+    """
+    rows = g.adjacency[unknown]
+    return GraphBlocks(rows[:, observed].tocsr(), rows[:, unknown].tocsr(), g.degrees[unknown])
 
 
 _EDGE_HEADER = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")

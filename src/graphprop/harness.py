@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -31,6 +30,7 @@ from .bounds import evaluate_bounds
 from .datagen import (
     OverlapSpec,
     SynthSpec,
+    check_missing_fraction,
     generate_acquisitions,
     partial_overlap_masks,
     sample_observation_sets,
@@ -41,10 +41,9 @@ from .errors import (
     BoundViolation,
     ConfigError,
     DataError,
-    InfeasibleFraction,
     NoMissingEntries,
 )
-from .graph import ObservationSet, build_graph, knn_edges, load_edge_list, union_edges
+from .graph import ObservationSet, build_graph, load_edge_list
 from .metrics import MPSNR_VARIANTS, ErrorField, accuracy, mae, mpsnr, mse, rmse
 from .propagation import classify_by_median, graphprop, median_threshold, solve_steady_state
 from .tensor import DenseTensor, FiberMatrix, load_tensor, matricize, refold, save_tensor
@@ -204,8 +203,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if min(cfg.i1, cfg.i2, cfg.i3) < 1:
             raise ConfigError("tensor extents must be positive")
         try:
-            _check_missing_fraction(cfg.i1 * cfg.i2, cfg.missing_frac)
-        except InfeasibleFraction as exc:
+            check_missing_fraction(cfg.i1 * cfg.i2, cfg.missing_frac, 2)
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     if cfg.kind == "rank-sweep":
         if not cfg.rank_grid:
@@ -222,8 +221,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
             if not 0.05 <= frac <= 0.45:
                 raise ConfigError(f"missing fractions must lie in [0.05, 0.45], got {frac}")
             try:
-                _check_missing_fraction(cfg.i1 * cfg.i2, frac)
-            except InfeasibleFraction as exc:
+                check_missing_fraction(cfg.i1 * cfg.i2, frac, 2)
+            except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
         if any(not 1 <= r <= min(cfg.i1, cfg.i2) for r in cfg.rank_tiles):
             raise ConfigError(f"rank tiles must lie in 1..{min(cfg.i1, cfg.i2)}")
@@ -248,14 +247,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("need one observation file per input tensor")
         if cfg.emit_bound_report and len(cfg.truth_files) != len(cfg.inputs):
             raise ConfigError("bound reports need one truth tensor per input")
-
-
-def _check_missing_fraction(n: int, frac: float) -> None:
-    """Feasibility of the two-acquisition disjoint missing-set protocol."""
-    if frac > 0 and frac >= 0.5:
-        raise InfeasibleFraction(f"missing fraction {frac} must stay below 0.5")
-    if 2 * math.floor(frac * n) > n:
-        raise InfeasibleFraction(f"two disjoint missing sets of fraction {frac} do not fit")
 
 
 @dataclass(frozen=True)
@@ -506,9 +497,10 @@ def run_overlap_sim(cfg: ExperimentConfig, rasters=None, *, write: bool = True):
     """Partial-overlap simulation on a co-registered raster pair.
 
     ``rasters`` may be two DenseTensor acquisitions; otherwise they are
-    loaded from ``cfg.inputs`` or synthesised (smooth raster pair). Graph
-    methods share one kNN graph per area fraction; metrics cover pixels
-    observed at least once, and never-observed corners are flagged.
+    loaded from ``cfg.inputs`` or synthesised (smooth raster pair). GTVM
+    runs on the union graph graphprop() builds for each area fraction;
+    metrics cover pixels observed at least once, and never-observed
+    corners are flagged.
     """
     if rasters is None:
         if cfg.inputs:
@@ -558,33 +550,23 @@ def run_overlap_sim(cfg: ExperimentConfig, rasters=None, *, write: bool = True):
         timings: dict[str, float] = {}
 
         start = time.perf_counter()
-        edge_sets = [
-            knn_edges(FiberMatrix(np.where(m.ravel(order="F")[:, None], f, 0.0)), om, cfg.k)
-            for f, om, m in zip(truth_fibers, omegas, (mask1, mask2))
-        ]
-        graph = build_graph(union_edges(edge_sets))
-        graph_time = time.perf_counter() - start
-
-        start = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            gp = [
-                solve_steady_state(graph, om, f[om.observed],
-                                   method=cfg.solver.method, tol=cfg.solver.tol,
-                                   max_iters=cfg.solver.max_iters,
-                                   on_unreachable="exclude")
-                for f, om in zip(truth_fibers, omegas)
-            ]
+            gp = graphprop(
+                [(f[om.observed], om) for f, om in zip(truth_fibers, omegas)],
+                cfg.k, method=cfg.solver.method, tol=cfg.solver.tol,
+                max_iters=cfg.solver.max_iters,
+            )
         estimates["graphprop"] = [r.completed.values for r in gp]
-        timings["graphprop"] = graph_time + time.perf_counter() - start
+        timings["graphprop"] = time.perf_counter() - start
 
         start = time.perf_counter()
         gtvm = [
-            gtvm_inpaint(graph, om, f[om.observed])
+            gtvm_inpaint(gp[0].graph, om, f[om.observed])
             for f, om in zip(truth_fibers, omegas)
         ]
         estimates["gtvm"] = [g.values for g in gtvm]
-        timings["gtvm"] = graph_time + time.perf_counter() - start
+        timings["gtvm"] = time.perf_counter() - start
 
         start = time.perf_counter()
         stacked = stack_acquisitions(rasters)
@@ -731,15 +713,6 @@ def save_observation_set(omega: ObservationSet, path) -> None:
     Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
 
 
-def _shared_graph(full_fibers, omegas, k):
-    edge_sets = []
-    for f, om in zip(full_fibers, omegas):
-        features = np.zeros_like(f)
-        features[om.observed] = f[om.observed]
-        edge_sets.append(knn_edges(FiberMatrix(features), om, k))
-    return build_graph(union_edges(edge_sets))
-
-
 def run_complete(cfg: ExperimentConfig, *, write: bool = True):
     """Generic completion of user-supplied acquisitions; a thin shell over
     the library pipeline."""
@@ -785,9 +758,8 @@ def run_complete(cfg: ExperimentConfig, *, write: bool = True):
         for t, p in zip(truths, cfg.truth_files):
             if t.shape != shape:
                 raise DataError(f"{p}: truth shape {t.shape} does not match {shape}")
-        graph = _shared_graph([f.values for f in fibers], omegas, cfg.k)
         reports = [
-            evaluate_bounds(graph, om, matricize(t, order), res.completed)
+            evaluate_bounds(res.graph, om, matricize(t, order), res.completed)
             for om, t, res in zip(omegas, truths, results)
         ]
         if write:
@@ -816,10 +788,9 @@ def run_bound_report(cfg: ExperimentConfig, *, write: bool = True):
         cfg.k, method=cfg.solver.method, tol=cfg.solver.tol,
         max_iters=cfg.solver.max_iters,
     )
-    graph = _shared_graph([f.values for f in fibers], omegas, cfg.k)
     reports = []
     for om, f, res in zip(omegas, fibers, results):
-        report = evaluate_bounds(graph, om, f, res.completed)
+        report = evaluate_bounds(res.graph, om, f, res.completed)
         if report.applicable and report.measured_error > report.bound + 1e-9:
             raise BoundViolation(
                 f"bound violated: measured {report.measured_error} > bound {report.bound}"

@@ -6,7 +6,7 @@ The steady state pins observed fibers and drives every missing fiber to
 the arithmetic mean of its neighbours' fibers, i.e. it solves the grounded
 Laplacian system
 
-    L_cc F_c = -L_co F_o
+    (D_cc - A_cc) F_c = A_co F_o
 
 where c/o index missing/observed nodes. The system is symmetric positive
 definite whenever every missing component touches an observed node.
@@ -28,7 +28,14 @@ from .errors import (
     NonFiniteInput,
     UnreachableComponent,
 )
-from .graph import ObservationSet, SparseGraph, build_graph, knn_edges, union_edges
+from .graph import (
+    ObservationSet,
+    SparseGraph,
+    build_graph,
+    knn_edges,
+    partition_blocks,
+    union_edges,
+)
 from .tensor import FiberMatrix
 
 DEFAULT_TOL = 1e-10
@@ -49,7 +56,9 @@ class CompletionResult:
     Rows of ``completed`` at observed ids equal the inputs bit for bit.
     ``filled_ids`` are the missing nodes actually solved; ``excluded_ids``
     are zero-degree or unreachable missing nodes, filled with the
-    per-channel mean of the observed fibers.
+    per-channel mean of the observed fibers. ``graph`` is the graph the
+    completion was solved on; results of one :func:`graphprop` call share
+    one graph object.
     """
 
     completed: FiberMatrix
@@ -57,6 +66,7 @@ class CompletionResult:
     filled_ids: np.ndarray
     excluded_ids: np.ndarray
     stats: SolverStats
+    graph: SparseGraph
 
 
 def _split_reachable(g: SparseGraph, omega: ObservationSet, on_unreachable: str):
@@ -95,12 +105,12 @@ def _fill_rows(values: np.ndarray, omega: ObservationSet, f_obs: np.ndarray,
         values[excluded] = f_obs.mean(axis=0)
 
 
-def _laplacian_blocks(g: SparseGraph, omega: ObservationSet, kept: np.ndarray):
-    lap = g.laplacian
-    rows = lap[kept]
-    l_kk = rows[:, kept].tocsr()
-    l_ko = rows[:, omega.observed].tocsr()
-    return l_kk, l_ko
+def _grounded_system(g: SparseGraph, omega: ObservationSet, kept: np.ndarray,
+                     f_obs: np.ndarray):
+    """``L_kk = D_kk - A_kk`` and ``b = A_ko F_o`` over the kept missing ids."""
+    blocks = partition_blocks(g, omega.observed, kept)
+    l_kk = (sp.diags_array(blocks.d_cc, format="csr") - blocks.a_cc).tocsr()
+    return l_kk, blocks.a_co @ f_obs
 
 
 def solve_steady_state(
@@ -144,10 +154,9 @@ def solve_steady_state(
     if kept.size == 0:
         _fill_rows(values, omega, f_obs, kept, np.empty((0, channels)), excluded)
         stats = SolverStats(method, 0, 0.0, True)
-        return CompletionResult(FiberMatrix(values), omega.observed, kept, excluded, stats)
+        return CompletionResult(FiberMatrix(values), omega.observed, kept, excluded, stats, g)
 
-    l_kk, l_ko = _laplacian_blocks(g, omega, kept)
-    b = -(l_ko @ f_obs)
+    l_kk, b = _grounded_system(g, omega, kept, f_obs)
 
     if method == "cg":
         if max_iters is None:
@@ -187,7 +196,7 @@ def solve_steady_state(
     residual = float(np.linalg.norm(l_kk @ solution - b))
     _fill_rows(values, omega, f_obs, kept, solution, excluded)
     stats = SolverStats(method, iterations, residual, converged)
-    return CompletionResult(FiberMatrix(values), omega.observed, kept, excluded, stats)
+    return CompletionResult(FiberMatrix(values), omega.observed, kept, excluded, stats, g)
 
 
 def diffuse_iterative(
@@ -202,7 +211,7 @@ def diffuse_iterative(
 ) -> CompletionResult:
     """Explicit diffusion updates towards the steady state.
 
-    Repeatedly applies ``F_c <- F_c - step * (L_co F_o + L_cc F_c)`` while
+    Repeatedly applies ``F_c <- F_c - step * (L_cc F_c - A_co F_o)`` while
     holding observed rows of ``f_init`` fixed, and stops once the Frobenius
     norm of the applied update drops to ``tol``. The default step
     1/max-degree over the solvable missing nodes guarantees contraction.
@@ -219,20 +228,19 @@ def diffuse_iterative(
     if kept.size == 0:
         _fill_rows(values, omega, f_obs, kept, np.empty((0, channels)), excluded)
         stats = SolverStats("diffusion", 0, 0.0, True)
-        return CompletionResult(FiberMatrix(values), omega.observed, kept, excluded, stats)
+        return CompletionResult(FiberMatrix(values), omega.observed, kept, excluded, stats, g)
 
     if step is None:
         step = 1.0 / float(g.degrees[kept].max())
     elif step <= 0:
         raise ValueError("step must be positive")
 
-    l_kk, l_ko = _laplacian_blocks(g, omega, kept)
-    fixed = l_ko @ f_obs
+    l_kk, b = _grounded_system(g, omega, kept, f_obs)
     current = values[kept].copy()
     converged = False
     it = 0
     for it in range(1, max_iters + 1):
-        update = step * (fixed + l_kk @ current)
+        update = step * (l_kk @ current - b)
         current -= update
         if np.linalg.norm(update) <= tol:
             converged = True
@@ -242,10 +250,10 @@ def diffuse_iterative(
             f"diffusion did not reach tol={tol} within {max_iters} iterations",
             MaxItersExceeded,
         )
-    residual = float(np.linalg.norm(fixed + l_kk @ current))
+    residual = float(np.linalg.norm(l_kk @ current - b))
     _fill_rows(values, omega, f_obs, kept, current, excluded)
     stats = SolverStats("diffusion", it, residual, converged)
-    return CompletionResult(FiberMatrix(values), omega.observed, kept, excluded, stats)
+    return CompletionResult(FiberMatrix(values), omega.observed, kept, excluded, stats, g)
 
 
 def graphprop(
@@ -262,7 +270,9 @@ def graphprop(
     observed fiber values (rows matching ``omega.observed``) and
     observation sets sharing the node count. Per-acquisition kNN edge sets
     are built over the observed fibers only, their union defines a single
-    Laplacian, and one steady-state solve runs per acquisition.
+    graph, and one steady-state solve runs per acquisition. This is the
+    only place the union graph is composed: the returned results, one per
+    acquisition in input order, all carry that graph as ``result.graph``.
 
     Nodes observed in no acquisition trigger a
     :class:`CoverageViolationWarning` and end up excluded with the mean

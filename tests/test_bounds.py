@@ -88,10 +88,11 @@ def test_p_plus_q_collapses_to_missing_selector(seed):
 def test_block_identities(seed):
     g, omega, _ = random_instance(seed)
     m = bound_matrices(g, omega)
-    blocks = partition_blocks(g, omega)
+    blocks = partition_blocks(g, omega.observed, omega.missing)
     d_inv = 1.0 / blocks.d_cc[:, None]
-    assert np.max(np.abs(m.v - d_inv * blocks.l_cc.toarray())) <= 1e-12
-    assert np.max(np.abs(m.y - (-d_inv * blocks.l_co.toarray()))) <= 1e-12
+    l_cc = np.diag(blocks.d_cc) - blocks.a_cc.toarray()
+    assert np.max(np.abs(m.v - d_inv * l_cc)) <= 1e-12
+    assert np.max(np.abs(m.y - d_inv * blocks.a_co.toarray())) <= 1e-12
 
 
 def test_psi_constant_signal_is_zero():
@@ -122,6 +123,8 @@ def test_psi_matches_dense_p():
 def test_phi_identity_when_no_missing_edges():
     g = build_graph(EdgeSet.from_pairs(4, [(0, 2), (0, 3), (1, 2), (1, 3)]))
     assert abs(compute_phi(g, ObservationSet(4, [0, 1])) - 1.0) <= 1e-9
+    with pytest.raises(ValueError):
+        compute_phi(g, ObservationSet(5, [0, 1]))
 
 
 def test_phi_pair_example():
@@ -144,7 +147,7 @@ def test_phi_matches_dense_svd(seed):
 @settings(max_examples=30, deadline=None)
 def test_row_normalised_adjacency_spectrum_in_unit_interval(seed):
     g, omega, _ = random_instance(seed)
-    blocks = partition_blocks(g, omega)
+    blocks = partition_blocks(g, omega.observed, omega.missing)
     scaled = blocks.a_cc.toarray() / blocks.d_cc[:, None]
     eigvals = np.linalg.eigvals(scaled)
     assert np.all(np.abs(eigvals) <= 1.0 + 1e-12)

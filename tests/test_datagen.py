@@ -19,7 +19,7 @@ from graphprop.errors import InfeasibleFraction
 
 
 def test_determinism_bit_identical():
-    spec = SynthSpec(12, 10, 3, r=4, lambda_count=3, seed=77)
+    spec = SynthSpec(12, 10, 3, r=4, lambda_count=3, missing_frac=0.3, seed=77)
     first = generate_acquisitions(spec)
     second = generate_acquisitions(spec)
     for a, b in zip(first, second):
@@ -163,5 +163,7 @@ def test_synth_spec_validation():
         SynthSpec(10, 10, 3, r=11)
     with pytest.raises(InfeasibleFraction):
         SynthSpec(10, 10, 3, r=2, lambda_count=2, missing_frac=0.6)
+    with pytest.raises(InfeasibleFraction):
+        SynthSpec(10, 10, 3, r=2, lambda_count=2, missing_frac=0.5)
     with pytest.raises(ValueError):
         SynthSpec(10, 10, 3, r=0)

@@ -18,13 +18,23 @@ from graphprop import graph
 from graphprop.errors import DataError, NonFiniteInput, TooFewObserved
 
 
+def exact_distance(a, b):
+    """The library's distance: squared differences summed channel by
+    channel, left to right, then the square root."""
+    total = 0.0
+    for x, y in zip(a, b):
+        diff = float(x) - float(y)
+        total += diff * diff
+    return float(np.sqrt(total))
+
+
 def brute_force_knn(points, k):
     """O(n^2) directed kNN with (distance, id) tie-break, union-symmetrised."""
     n = len(points)
     edges = set()
     for i in range(n):
         dists = sorted(
-            (float(np.linalg.norm(points[j] - points[i])), j)
+            (exact_distance(points[j], points[i]), j)
             for j in range(n) if j != i
         )
         for _, j in dists[:k]:
@@ -176,9 +186,8 @@ def test_union_degree_guarantee():
 def test_build_graph_path():
     g = build_graph(EdgeSet.from_pairs(3, [(0, 1), (1, 2)]))
     assert np.array_equal(g.degrees, [1.0, 2.0, 1.0])
-    lap = g.laplacian.toarray()
-    assert lap[1, 1] == 2.0
-    assert np.allclose(lap.sum(axis=1), 0.0)
+    assert np.array_equal(g.adjacency.toarray(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    assert g.zero_degree_ids.size == 0
 
 
 def test_build_graph_empty_edges():
@@ -191,31 +200,27 @@ def test_build_graph_k4_spectrum():
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     g = build_graph(EdgeSet.from_pairs(4, pairs))
     assert np.allclose(g.degrees, 3.0)
-    eigvals = np.linalg.eigvalsh(g.laplacian.toarray())
+    eigvals = np.linalg.eigvalsh(np.diag(g.degrees) - g.adjacency.toarray())
     assert abs(eigvals[-1] - 4.0) <= 1e-12
 
 
-def test_build_graph_weights_hook():
-    e = EdgeSet.from_pairs(2, [(0, 1)])
-    g = build_graph(e, weights=np.array([2.5]))
-    assert g.adjacency[0, 1] == 2.5
-    assert g.degrees[0] == 2.5
-    with pytest.raises(ValueError):
-        build_graph(e, weights=np.array([-1.0]))
+def split(omega):
+    return omega.observed, omega.missing
 
 
 def test_partition_all_observed():
     g = build_graph(EdgeSet.from_pairs(3, [(0, 1), (1, 2)]))
-    blocks = partition_blocks(g, all_observed(3))
-    assert blocks.l_cc.shape == (0, 0)
-    assert blocks.a_oo.shape == (3, 3)
+    blocks = partition_blocks(g, *split(all_observed(3)))
+    assert blocks.a_cc.shape == (0, 0)
+    assert blocks.a_co.shape == (0, 3)
+    assert blocks.d_cc.shape == (0,)
 
 
 def test_partition_path_example():
     g = build_graph(EdgeSet.from_pairs(3, [(0, 1), (1, 2)]))
-    blocks = partition_blocks(g, ObservationSet(3, [0, 2]))
-    assert np.array_equal(blocks.l_cc.toarray(), [[2.0]])
-    assert np.array_equal(blocks.l_co.toarray(), [[-1.0, -1.0]])
+    blocks = partition_blocks(g, *split(ObservationSet(3, [0, 2])))
+    assert np.array_equal(np.diag(blocks.d_cc) - blocks.a_cc.toarray(), [[2.0]])
+    assert np.array_equal(blocks.a_co.toarray(), [[1.0, 1.0]])
     assert np.array_equal(blocks.d_cc, [2.0])
 
 
@@ -232,20 +237,21 @@ def test_partition_roundtrip_exact(seed):
     g = build_graph(EdgeSet(n, pairs))
     n_obs = int(rng.integers(1, n + 1))
     omega = ObservationSet(n, np.sort(rng.choice(n, size=n_obs, replace=False)))
-    blocks = partition_blocks(g, omega)
-    assert np.array_equal(blocks.a_oc.toarray(), blocks.a_co.toarray().T)
+    blocks = partition_blocks(g, *split(omega))
+    # the same split seen from the observed side gives A_oc and A_oo
+    swapped = partition_blocks(g, omega.missing, omega.observed)
+    assert np.array_equal(swapped.a_co.toarray(), blocks.a_co.toarray().T)
     # reassemble the permuted Laplacian from the four blocks
     perm = np.concatenate([omega.observed, omega.missing])
-    lap_perm = g.laplacian[perm][:, perm].toarray()
+    lap_perm = np.diag(g.degrees[perm]) - g.adjacency[perm][:, perm].toarray()
     n_o = omega.observed.size
     rebuilt = np.zeros_like(lap_perm)
-    rebuilt[n_o:, n_o:] = blocks.l_cc.toarray()
-    rebuilt[n_o:, :n_o] = blocks.l_co.toarray()
-    rebuilt[:n_o, n_o:] = blocks.l_co.toarray().T
-    d_oo = g.degrees[omega.observed]
-    rebuilt[:n_o, :n_o] = np.diag(d_oo) - blocks.a_oo.toarray()
+    rebuilt[n_o:, n_o:] = np.diag(blocks.d_cc) - blocks.a_cc.toarray()
+    rebuilt[n_o:, :n_o] = -blocks.a_co.toarray()
+    rebuilt[:n_o, n_o:] = -blocks.a_co.toarray().T
+    rebuilt[:n_o, :n_o] = np.diag(swapped.d_cc) - swapped.a_cc.toarray()
     assert np.array_equal(rebuilt, lap_perm)
-    assert np.max(np.abs(np.asarray(g.laplacian.sum(axis=1)))) <= 1e-12
+    assert np.max(np.abs(lap_perm.sum(axis=1))) <= 1e-12
 
 
 def test_edge_set_canonicalisation():

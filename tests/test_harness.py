@@ -7,6 +7,7 @@ from graphprop import (
     DenseTensor,
     ObservationSet,
     graphprop,
+    knn_edges,
     load_tensor,
     matricize,
     refold,
@@ -15,7 +16,7 @@ from graphprop import (
     smooth_raster_pair,
     two_block_graph,
 )
-from graphprop import harness
+from graphprop import harness, propagation
 from graphprop.bounds import BoundReport
 from graphprop.cli import main
 from graphprop.errors import ConfigError, DataError
@@ -64,6 +65,8 @@ def test_config_validation_errors():
         config_from_dict({"kind": "missing-sweep", "missing_grid": [0.5]})
     with pytest.raises(ConfigError):
         config_from_dict({"kind": "rank-sweep", "missing_frac": 0.5})
+    with pytest.raises(ConfigError):
+        config_from_dict({"kind": "bound-report", "missing_frac": -0.1})
     with pytest.raises(ConfigError):
         config_from_dict({"kind": "blogs"})
     with pytest.raises(ConfigError):
@@ -289,6 +292,40 @@ def test_run_complete_bound_report(tmp_path):
     assert len(reports) == 2
     payload = json.loads((tmp_path / "out" / "bound_report.json").read_text())
     assert {"psi", "phi", "bound", "measured_error", "applicable"} <= set(payload[0])
+
+
+def count_knn_calls(monkeypatch):
+    """Count kNN searches wherever graphprop() or the harness look them up."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return knn_edges(*args, **kwargs)
+
+    for module in (propagation, harness):
+        monkeypatch.setattr(module, "knn_edges", counted, raising=False)
+    return calls
+
+
+def test_bound_reports_reuse_the_completion_graph(tmp_path, monkeypatch):
+    calls = count_knn_calls(monkeypatch)
+    run_bound_report(config_from_dict(
+        dict(kind="bound-report", i1=10, i2=10, i3=2, rank=2, k=4,
+             missing_frac=0.3, out_dir=str(tmp_path / "bound"), seed=2)
+    ))
+    assert len(calls) == 2  # one search per acquisition
+
+    calls.clear()
+    _, _, paths = make_complete_inputs(tmp_path, seed=5)
+    run_complete(config_from_dict(
+        dict(kind="complete", k=4,
+             inputs=[str(paths[1][0]), str(paths[2][0])],
+             observation_files=[str(paths[1][1]), str(paths[2][1])],
+             truth_files=[str(paths[1][0]), str(paths[2][0])],
+             emit_bound_report=True,
+             out_dir=str(tmp_path / "complete"))
+    ))
+    assert len(calls) == 2
 
 
 def test_run_bound_report(tmp_path):

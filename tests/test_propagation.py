@@ -14,10 +14,12 @@ from graphprop import (
     diffuse_iterative,
     generate_acquisitions,
     graphprop,
+    knn_edges,
     matricize,
     rmse,
     sample_observation_sets,
     solve_steady_state,
+    union_edges,
 )
 from graphprop.errors import (
     CoverageViolationWarning,
@@ -205,6 +207,18 @@ def test_graphprop_single_acquisition_identity():
     omega = ObservationSet(12, np.arange(12))
     results = graphprop([(f, omega)], k=3)
     assert np.array_equal(results[0].completed.values, f)
+
+
+def test_graphprop_results_share_the_union_graph():
+    rng = np.random.default_rng(6)
+    n = 30
+    f = rng.standard_normal((n, 2))
+    omegas = [ObservationSet(n, np.arange(0, 22)), ObservationSet(n, np.arange(8, n))]
+    features = [FiberMatrix(f * scale) for scale in (1.0, 2.0)]
+    results = graphprop([(x.values[om.observed], om) for x, om in zip(features, omegas)], k=3)
+    assert all(r.graph is results[0].graph for r in results)
+    union = build_graph(union_edges([knn_edges(x, om, 3) for x, om in zip(features, omegas)]))
+    assert np.array_equal(results[0].graph.adjacency.toarray(), union.adjacency.toarray())
 
 
 def test_graphprop_node_missing_everywhere():
