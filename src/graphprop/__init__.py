@@ -53,7 +53,6 @@ from .propagation import (
     CompletionResult,
     SolverStats,
     classify_by_median,
-    diffuse_iterative,
     graphprop,
     solve_steady_state,
 )

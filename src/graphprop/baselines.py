@@ -23,9 +23,6 @@ def gtvm_inpaint(
     g: SparseGraph,
     omega: ObservationSet,
     t_obs: np.ndarray,
-    *,
-    tol: float = GTVM_TOL,
-    max_iters: int | None = None,
 ) -> FiberMatrix:
     """Graph total-variation inpainting.
 
@@ -33,7 +30,8 @@ def gtvm_inpaint(
     the adjacency scaled by its largest eigenvalue magnitude. Solved through
     the normal equations of the quadratic in the missing rows: dense
     least squares up to ``GTVM_DENSE_CUTOFF`` nodes, Jacobi-preconditioned
-    conjugate gradient above. A singular system is reported with
+    conjugate gradient above (relative tolerance ``GTVM_TOL``, at most 10x
+    the missing count iterations). A singular system is reported with
     :class:`SingularSystemWarning` and a least-norm solution is returned.
     """
     if g.adjacency.nnz == 0:
@@ -71,8 +69,6 @@ def gtvm_inpaint(
                 SingularSystemWarning,
             )
     else:
-        if max_iters is None:
-            max_iters = 10 * mis.size
         gram = (b_mis.T @ b_mis).tocsr()
         precond = sp.diags_array(1.0 / gram.diagonal(), format="csr")
         rhs = b_mis.T @ rhs_cols
@@ -80,7 +76,7 @@ def gtvm_inpaint(
         fell_back = False
         for j in range(channels):
             xj, info = spla.cg(
-                gram, rhs[:, j], rtol=tol, atol=0.0, maxiter=max_iters, M=precond
+                gram, rhs[:, j], rtol=GTVM_TOL, atol=0.0, maxiter=10 * mis.size, M=precond
             )
             rhs_norm = np.linalg.norm(rhs[:, j])
             res = np.linalg.norm(gram @ xj - rhs[:, j])

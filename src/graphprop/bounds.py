@@ -37,10 +37,10 @@ SPECTRAL_TOL = 1e-9
 SPECTRAL_MAX_ITERS = 10_000
 
 
-def spectral_norm(matrix, *, tol: float = SPECTRAL_TOL,
-                  max_iters: int = SPECTRAL_MAX_ITERS, seed: int = 0) -> float:
-    """Largest singular value via power iteration on the Gram operator,
-    with a seeded start vector for determinism."""
+def spectral_norm(matrix) -> float:
+    """Largest singular value via power iteration on the Gram operator
+    (relative tolerance ``SPECTRAL_TOL``, at most ``SPECTRAL_MAX_ITERS``
+    steps), from a start vector seeded with 0 for determinism."""
     cols = matrix.shape[1]
     if cols == 0 or matrix.shape[0] == 0:
         return 0.0
@@ -50,18 +50,18 @@ def spectral_norm(matrix, *, tol: float = SPECTRAL_TOL,
     else:
         m = np.asarray(matrix, dtype=np.float64)
         mt = m.T
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(cols)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iters):
+    for _ in range(SPECTRAL_MAX_ITERS):
         w = mt @ (m @ v)
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0:
             return 0.0
         lam_new = float(v @ w)
         v = w / norm_w
-        if abs(lam_new - lam) <= tol * abs(lam_new):
+        if abs(lam_new - lam) <= SPECTRAL_TOL * abs(lam_new):
             lam = lam_new
             break
         lam = lam_new
@@ -127,8 +127,7 @@ def compute_psi(g: SparseGraph, omega: ObservationSet, f0) -> float:
     return float(np.linalg.norm(values[mis] - neighbour_mean))
 
 
-def compute_phi(g: SparseGraph, omega: ObservationSet, *,
-                tol: float = SPECTRAL_TOL, max_iters: int = SPECTRAL_MAX_ITERS) -> float:
+def compute_phi(g: SparseGraph, omega: ObservationSet) -> float:
     """Spectral norm of ``U = I + D_cc^-1 A_cc``."""
     _require_invertible_degrees(g)
     if omega.n != g.n:
@@ -139,7 +138,7 @@ def compute_phi(g: SparseGraph, omega: ObservationSet, *,
         return 0.0
     scaled = sp.diags_array(1.0 / blocks.d_cc, format="csr") @ blocks.a_cc
     u = (sp.eye_array(n_mis, format="csr") + scaled).tocsr()
-    return spectral_norm(u, tol=tol, max_iters=max_iters)
+    return spectral_norm(u)
 
 
 def graphprop_bound(psi: float, phi: float) -> float | None:

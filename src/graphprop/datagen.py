@@ -17,6 +17,13 @@ from .errors import InfeasibleFraction
 from .graph import EdgeSet, ObservationSet, build_graph
 from .tensor import DenseTensor, FiberMatrix, TuckerFactors, matricize, refold, tucker_synthesize
 
+# Tucker core entries ~ N(CORE_MEAN, CORE_STD**2); the channel scales of
+# every further acquisition ~ N(SCALE_MEAN, SCALE_STD**2).
+CORE_MEAN, CORE_STD = 3.0, 3.0
+SCALE_MEAN, SCALE_STD = 0.0, 1.0
+INTRA_DENSITY, CROSS_DENSITY = 0.9, 0.01  # two_block_graph edge densities
+RASTER_BUMPS = 12  # Gaussian bumps summed by smooth_raster_pair
+
 
 def check_missing_fraction(n: int, missing_frac: float, lambda_count: int) -> None:
     """Feasibility of missing ``floor(missing_frac * n)`` of ``n`` fibers in
@@ -52,10 +59,6 @@ class SynthSpec:
     r: int
     lambda_count: int = 2
     missing_frac: float = 0.4
-    core_mean: float = 3.0
-    core_std: float = 3.0
-    scale_mean: float = 0.0
-    scale_std: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -99,7 +102,7 @@ def generate_acquisitions(s: SynthSpec) -> list[DenseTensor]:
     u2 = orthonormal_rows(rng, s.r, s.i2)
     u3 = orthonormal_rows(rng, s.i3, s.i3)
     core = DenseTensor.from_array(
-        rng.normal(s.core_mean, s.core_std, size=(s.r, s.r, s.i3))
+        rng.normal(CORE_MEAN, CORE_STD, size=(s.r, s.r, s.i3))
     )
     first = tucker_synthesize(TuckerFactors(core, (u1, u2, u3)))
     scale = float(first.values.std())
@@ -109,7 +112,7 @@ def generate_acquisitions(s: SynthSpec) -> list[DenseTensor]:
     out = [first]
     fibers = matricize(first, 3)
     for _ in range(1, s.lambda_count):
-        scales = rng.normal(s.scale_mean, s.scale_std, size=s.i3)
+        scales = rng.normal(SCALE_MEAN, SCALE_STD, size=s.i3)
         out.append(refold(FiberMatrix(fibers.values * scales), shape, 3))
     return out
 
@@ -181,8 +184,7 @@ def partial_overlap_masks(o: OverlapSpec) -> tuple[np.ndarray, np.ndarray]:
     return first, second
 
 
-def two_block_graph(block_size: int, seed: int, *, intra_density: float = 0.9,
-                    cross_density: float = 0.01) -> tuple[EdgeSet, np.ndarray]:
+def two_block_graph(block_size: int, seed: int) -> tuple[EdgeSet, np.ndarray]:
     """Two dense blocks joined by sparse cross edges, with 0/1 labels by
     block; regenerated until connected. Edge counts are exact (ceil of
     density times the pair count), so they never fall below the density."""
@@ -198,8 +200,8 @@ def two_block_graph(block_size: int, seed: int, *, intra_density: float = 0.9,
         [(u, block_size + v) for u in range(block_size) for v in range(block_size)],
         dtype=np.int64,
     )
-    n_intra = math.ceil(intra_density * len(intra_pairs))
-    n_cross = max(1, math.ceil(cross_density * len(cross_pairs)))
+    n_intra = math.ceil(INTRA_DENSITY * len(intra_pairs))
+    n_cross = max(1, math.ceil(CROSS_DENSITY * len(cross_pairs)))
     rng = np.random.default_rng(seed)
     while True:
         chosen = [
@@ -215,8 +217,8 @@ def two_block_graph(block_size: int, seed: int, *, intra_density: float = 0.9,
             return edges, labels
 
 
-def smooth_raster_pair(height: int, width: int, bands: int, seed: int,
-                       *, bumps: int = 12) -> tuple[DenseTensor, DenseTensor]:
+def smooth_raster_pair(height: int, width: int, bands: int,
+                       seed: int) -> tuple[DenseTensor, DenseTensor]:
     """Smooth multiband raster pair: a mixture of rotated anisotropic
     Gaussian bumps, the second acquisition equal to the first with each
     band multiplied by a random positive scale."""
@@ -225,7 +227,7 @@ def smooth_raster_pair(height: int, width: int, bands: int, seed: int,
     ys = ys / max(height - 1, 1)
     xs = xs / max(width - 1, 1)
     img = np.zeros((height, width, bands), dtype=np.float64)
-    for _ in range(bumps):
+    for _ in range(RASTER_BUMPS):
         cy, cx = rng.uniform(0.05, 0.95, size=2)
         sy, sx = rng.uniform(0.08, 0.3, size=2)
         theta = rng.uniform(0.0, np.pi)

@@ -55,7 +55,8 @@ class BoundViolation(GraphPropError):
 
 
 class MaxItersExceeded(RuntimeWarning):
-    """Iterative diffusion hit the iteration cap; best iterate returned."""
+    """The conjugate-gradient solve hit its iteration cap; the last
+    iterate is returned and ``SolverStats.converged`` is False."""
 
 
 class SingularSystemWarning(RuntimeWarning):

@@ -289,9 +289,11 @@ class SparseGraph:
 
 
 def build_graph(e: EdgeSet) -> SparseGraph:
-    """Assemble the unweighted adjacency of an edge set."""
-    rows = np.concatenate([e.edges[:, 0], e.edges[:, 1]])
-    cols = np.concatenate([e.edges[:, 1], e.edges[:, 0]])
+    """Assemble the unweighted adjacency of an edge set, with int32 index
+    arrays whenever the node ids fit (half the index memory of int64)."""
+    edges = e.edges.astype(np.int32) if e.n < 2**31 else e.edges
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
     adjacency = sp.csr_array(
         (np.ones(rows.size, dtype=np.float64), (rows, cols)), shape=(e.n, e.n)
     )

@@ -25,7 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import HalrtcParams, gtvm_inpaint, halrtc_complete, stack_acquisitions
+from .baselines import (
+    HalrtcParams,
+    gtvm_inpaint,
+    halrtc_complete,
+    stack_acquisitions,
+    unstack_acquisitions,
+)
 from .bounds import evaluate_bounds
 from .datagen import (
     OverlapSpec,
@@ -79,27 +85,6 @@ FULL_SCALE_PRESET = {
 @dataclass(frozen=True)
 class SolverSettings:
     method: str = "cg"
-    tol: float = 1e-10
-    max_iters: int | None = None
-
-
-@dataclass(frozen=True)
-class HalrtcSettings:
-    rho: float = 1e-3
-    rho_growth: float = 1.05
-    rho_cap: float = 1e3
-    max_iters: int = 300
-    tol: float = 1e-5
-
-    def to_params(self, order: int) -> HalrtcParams:
-        return HalrtcParams.uniform(
-            order,
-            rho=self.rho,
-            rho_growth=self.rho_growth,
-            rho_cap=self.rho_cap,
-            max_iters=self.max_iters,
-            tol=self.tol,
-        )
 
 
 @dataclass(frozen=True)
@@ -139,7 +124,6 @@ class ExperimentConfig:
     # metric variants
     mpsnr_variant: str = "maxerr"
     solver: SolverSettings = field(default_factory=SolverSettings)
-    halrtc: HalrtcSettings = field(default_factory=HalrtcSettings)
 
 
 def config_from_dict(data: dict, **overrides) -> ExperimentConfig:
@@ -163,8 +147,6 @@ def config_from_dict(data: dict, **overrides) -> ExperimentConfig:
     try:
         if isinstance(data.get("solver"), dict):
             data["solver"] = SolverSettings(**data["solver"])
-        if isinstance(data.get("halrtc"), dict):
-            data["halrtc"] = HalrtcSettings(**data["halrtc"])
         for key in ("rank_grid", "missing_grid", "rank_tiles", "area_grid",
                     "label_fracs", "inputs", "observation_files", "truth_files"):
             if key in data and not isinstance(data[key], tuple):
@@ -197,7 +179,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("workers must be at least 1")
     if cfg.mpsnr_variant not in MPSNR_VARIANTS:
         raise ConfigError(f"mpsnr_variant must be one of {MPSNR_VARIANTS}")
-    if cfg.solver.method not in ("cg", "splu", "cholesky"):
+    if cfg.solver.method not in ("cg", "splu"):
         raise ConfigError(f"unknown solver method {cfg.solver.method!r}")
     if cfg.kind in ("rank-sweep", "missing-sweep", "bound-report"):
         if min(cfg.i1, cfg.i2, cfg.i3) < 1:
@@ -378,6 +360,34 @@ def _observed_fiber_mask(omega: ObservationSet, i1: int, i2: int, i3: int) -> np
     return np.broadcast_to(flat.reshape((i1, i2), order="F")[:, :, None], (i1, i2, i3))
 
 
+def _halrtc_fibers(tensors, omegas) -> list[np.ndarray]:
+    """HaLRTC on the (i1, i2, i3) acquisitions stacked along a trailing
+    mode, every acquisition masked to its observed fibers; returns each
+    acquisition's completed mode-3 fiber matrix."""
+    stacked = stack_acquisitions(tensors)
+    i1, i2, i3 = stacked.shape[:3]
+    mask = np.stack([_observed_fiber_mask(om, i1, i2, i3) for om in omegas], axis=-1)
+    completed = halrtc_complete(stacked, mask, HalrtcParams.uniform(stacked.order))
+    return [matricize(t, 3).values for t in unstack_acquisitions(completed)]
+
+
+def _recorded_warnings(caught, **where) -> list[dict]:
+    """Manifest entries for warnings caught by ``catch_warnings(record=True)``,
+    each tagged with where it was raised."""
+    return [
+        {**where, "category": w.category.__name__, "message": str(w.message)}
+        for w in caught
+    ]
+
+
+def _write_bound_report(out_dir: Path, reports) -> str:
+    """Write ``bound_report.json`` and return its artifact name."""
+    (out_dir / "bound_report.json").write_text(
+        json.dumps([rep.to_dict() for rep in reports], indent=2, sort_keys=True) + "\n",
+        encoding="utf-8")
+    return "bound_report.json"
+
+
 def _completion_rmse(truth_fibers, est_fibers, omegas) -> float:
     ef = ErrorField.from_completions(truth_fibers, est_fibers, omegas)
     return rmse(ef)
@@ -406,26 +416,16 @@ def _synth_point(cfg: ExperimentConfig, experiment: str, r: int, frac: float,
     start = time.perf_counter()
     results = graphprop(
         [(f[om.observed], om) for f, om in zip(fibers, omegas)],
-        cfg.k, method=cfg.solver.method, tol=cfg.solver.tol,
-        max_iters=cfg.solver.max_iters,
+        cfg.k, method=cfg.solver.method,
     )
     gp_time = time.perf_counter() - start
     gp_rmse = _completion_rmse(fibers, [res.completed.values for res in results], omegas)
     rows.append(ResultRow(**coords, method="graphprop", metric="rmse",
                           variant="sqrt-mean", value=gp_rmse, runtime=gp_time))
 
-    stacked = stack_acquisitions(tensors)
-    mask = np.stack(
-        [_observed_fiber_mask(om, cfg.i1, cfg.i2, cfg.i3) for om in omegas], axis=-1
-    )
     start = time.perf_counter()
-    completed = halrtc_complete(stacked, mask, cfg.halrtc.to_params(stacked.order))
+    est_fibers = _halrtc_fibers(tensors, omegas)
     ha_time = time.perf_counter() - start
-    est_fibers = [
-        matricize(DenseTensor(tensors[0].shape,
-                              np.ascontiguousarray(completed.values[..., lam])), 3).values
-        for lam in range(2)
-    ]
     ha_rmse = _completion_rmse(fibers, est_fibers, omegas)
     rows.append(ResultRow(**coords, method="halrtc", metric="rmse",
                           variant="sqrt-mean", value=ha_rmse, runtime=ha_time))
@@ -500,7 +500,8 @@ def run_overlap_sim(cfg: ExperimentConfig, rasters=None, *, write: bool = True):
     loaded from ``cfg.inputs`` or synthesised (smooth raster pair). GTVM
     runs on the union graph graphprop() builds for each area fraction;
     metrics cover pixels observed at least once, and never-observed
-    corners are flagged.
+    corners are flagged. Warnings raised by graphprop() are recorded per
+    area in the manifest notes.
     """
     if rasters is None:
         if cfg.inputs:
@@ -550,15 +551,15 @@ def run_overlap_sim(cfg: ExperimentConfig, rasters=None, *, write: bool = True):
         timings: dict[str, float] = {}
 
         start = time.perf_counter()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             gp = graphprop(
                 [(f[om.observed], om) for f, om in zip(truth_fibers, omegas)],
-                cfg.k, method=cfg.solver.method, tol=cfg.solver.tol,
-                max_iters=cfg.solver.max_iters,
+                cfg.k, method=cfg.solver.method,
             )
         estimates["graphprop"] = [r.completed.values for r in gp]
         timings["graphprop"] = time.perf_counter() - start
+        notes[area_key]["warnings"] = _recorded_warnings(caught)
 
         start = time.perf_counter()
         gtvm = [
@@ -569,18 +570,8 @@ def run_overlap_sim(cfg: ExperimentConfig, rasters=None, *, write: bool = True):
         timings["gtvm"] = time.perf_counter() - start
 
         start = time.perf_counter()
-        stacked = stack_acquisitions(rasters)
-        pixel_masks = np.stack(
-            [np.broadcast_to(m[:, :, None], (h, w, bands)) for m in (mask1, mask2)],
-            axis=-1,
-        )
-        completed = halrtc_complete(stacked, pixel_masks, cfg.halrtc.to_params(4))
+        estimates["halrtc"] = _halrtc_fibers(rasters, omegas)
         timings["halrtc"] = time.perf_counter() - start
-        estimates["halrtc"] = [
-            matricize(DenseTensor((h, w, bands),
-                                  np.ascontiguousarray(completed.values[..., lam])), 3).values
-            for lam in range(2)
-        ]
 
         for method in ("graphprop", "halrtc", "gtvm"):
             try:
@@ -635,7 +626,9 @@ def load_labels(path, n: int) -> np.ndarray:
 def run_blogs(cfg: ExperimentConfig, *, write: bool = True) -> list[ResultRow]:
     """Label propagation versus total-variation inpainting on a provided
     graph (or the synthetic two-block stand-in), classified by the median
-    rule, scored by accuracy over the unlabelled nodes."""
+    rule, scored by accuracy over the unlabelled nodes. Warnings raised by
+    either method are recorded in the manifest notes with the label
+    fraction, repeat and method."""
     if cfg.two_block_size > 0:
         edges, labels = two_block_graph(
             cfg.two_block_size, seed=_derived_seed(cfg.seed, _KIND_TAGS["blogs"], 0)
@@ -648,6 +641,7 @@ def run_blogs(cfg: ExperimentConfig, *, write: bool = True) -> list[ResultRow]:
     repeats = cfg.blogs_repeats if cfg.blogs_repeats is not None else cfg.repeats
 
     rows = []
+    caught_warnings: list[dict] = []
     for frac in cfg.label_fracs:
         for rep in range(repeats):
             rng = np.random.default_rng(
@@ -662,12 +656,13 @@ def run_blogs(cfg: ExperimentConfig, *, write: bool = True) -> list[ResultRow]:
                           repeat=rep)
 
             start = time.perf_counter()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 res = solve_steady_state(
-                    graph, om, f_obs, method=cfg.solver.method, tol=cfg.solver.tol,
-                    max_iters=cfg.solver.max_iters, on_unreachable="exclude"
+                    graph, om, f_obs, method=cfg.solver.method, on_unreachable="exclude"
                 )
+            caught_warnings += _recorded_warnings(caught, label_frac=frac, repeat=rep,
+                                                  method="graphprop")
             pred = classify_by_median(res, 0)
             gp_time = time.perf_counter() - start
             rows.append(ResultRow(**coords, method="graphprop", metric="accuracy",
@@ -675,9 +670,11 @@ def run_blogs(cfg: ExperimentConfig, *, write: bool = True) -> list[ResultRow]:
                                   runtime=gp_time))
 
             start = time.perf_counter()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 est = gtvm_inpaint(graph, om, f_obs)
+            caught_warnings += _recorded_warnings(caught, label_frac=frac, repeat=rep,
+                                                  method="gtvm")
             pred = labels.copy()
             median_threshold(est.values[:, 0], om.missing, om.missing, pred)
             gtvm_time = time.perf_counter() - start
@@ -685,7 +682,7 @@ def run_blogs(cfg: ExperimentConfig, *, write: bool = True) -> list[ResultRow]:
                                   variant="", value=accuracy(pred, labels, om.missing),
                                   runtime=gtvm_time))
     if write:
-        write_outputs(cfg, rows)
+        write_outputs(cfg, rows, notes={"warnings": caught_warnings})
     return rows
 
 
@@ -736,8 +733,7 @@ def run_complete(cfg: ExperimentConfig, *, write: bool = True):
 
     results = graphprop(
         [(f.values[om.observed], om) for f, om in zip(fibers, omegas)],
-        cfg.k, method=cfg.solver.method, tol=cfg.solver.tol,
-        max_iters=cfg.solver.max_iters,
+        cfg.k, method=cfg.solver.method,
     )
 
     out_dir = Path(cfg.out_dir)
@@ -763,10 +759,7 @@ def run_complete(cfg: ExperimentConfig, *, write: bool = True):
             for om, t, res in zip(omegas, truths, results)
         ]
         if write:
-            (out_dir / "bound_report.json").write_text(
-                json.dumps([rep.to_dict() for rep in reports], indent=2, sort_keys=True)
-                + "\n", encoding="utf-8")
-            artifacts.append("bound_report.json")
+            artifacts.append(_write_bound_report(out_dir, reports))
     if write:
         write_outputs(cfg, [], notes=notes, artifacts=artifacts)
     return results, reports
@@ -785,8 +778,7 @@ def run_bound_report(cfg: ExperimentConfig, *, write: bool = True):
     fibers = [matricize(t, 3) for t in tensors]
     results = graphprop(
         [(f.values[om.observed], om) for f, om in zip(fibers, omegas)],
-        cfg.k, method=cfg.solver.method, tol=cfg.solver.tol,
-        max_iters=cfg.solver.max_iters,
+        cfg.k, method=cfg.solver.method,
     )
     reports = []
     for om, f, res in zip(omegas, fibers, results):
@@ -799,10 +791,7 @@ def run_bound_report(cfg: ExperimentConfig, *, write: bool = True):
     if write:
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "bound_report.json").write_text(
-            json.dumps([rep.to_dict() for rep in reports], indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-        write_outputs(cfg, [], artifacts=["bound_report.json"])
+        write_outputs(cfg, [], artifacts=[_write_bound_report(out_dir, reports)])
     return reports
 
 

@@ -86,21 +86,11 @@ def mse(e: ErrorField) -> float:
     return float(np.sum(stacked**2) / e.entry_count)
 
 
-def rmse(e: ErrorField, *, frobenius_over_count: bool = False) -> float:
-    """Root mean squared error.
-
-    The default is the square root of :func:`mse`. With
-    ``frobenius_over_count`` the alternative normalisation
-    ``||W||_F / entry_count`` is returned instead (the Frobenius norm
-    divided by the unsquared entry count); the two differ exactly by a
-    factor ``1/sqrt(entry_count)``. The default is what the sweep
-    experiments report.
-    """
+def rmse(e: ErrorField) -> float:
+    """Root mean squared error, the square root of :func:`mse`
+    (``||W||_F / sqrt(entry_count)``)."""
     stacked = _require_entries(e)
-    frob = float(np.linalg.norm(stacked))
-    if frobenius_over_count:
-        return frob / e.entry_count
-    return frob / np.sqrt(e.entry_count)
+    return float(np.linalg.norm(stacked)) / np.sqrt(e.entry_count)
 
 
 def mae(e: ErrorField) -> float:

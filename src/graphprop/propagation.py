@@ -1,6 +1,6 @@
-"""Masked diffusion over the unified graph: steady-state solves, explicit
-iteration, the end-to-end multi-acquisition pipeline, and median
-thresholding for label tasks.
+"""Masked diffusion over the unified graph: the steady-state solve, the
+end-to-end multi-acquisition pipeline, and median thresholding for label
+tasks.
 
 The steady state pins observed fibers and drives every missing fiber to
 the arithmetic mean of its neighbours' fibers, i.e. it solves the grounded
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
@@ -105,21 +104,12 @@ def _fill_rows(values: np.ndarray, omega: ObservationSet, f_obs: np.ndarray,
         values[excluded] = f_obs.mean(axis=0)
 
 
-def _grounded_system(g: SparseGraph, omega: ObservationSet, kept: np.ndarray,
-                     f_obs: np.ndarray):
-    """``L_kk = D_kk - A_kk`` and ``b = A_ko F_o`` over the kept missing ids."""
-    blocks = partition_blocks(g, omega.observed, kept)
-    l_kk = (sp.diags_array(blocks.d_cc, format="csr") - blocks.a_cc).tocsr()
-    return l_kk, blocks.a_co @ f_obs
-
-
 def solve_steady_state(
     g: SparseGraph,
     omega: ObservationSet,
     f_obs: np.ndarray,
     *,
     method: str = "cg",
-    tol: float = DEFAULT_TOL,
     max_iters: int | None = None,
     on_unreachable: str = "raise",
 ) -> CompletionResult:
@@ -130,10 +120,12 @@ def solve_steady_state(
     g, omega : graph and observation set over the same nodes.
     f_obs : (n_observed, channels) observed fiber values, row order
         matching ``omega.observed``.
-    method : 'cg' (Jacobi-preconditioned conjugate gradient, the default),
-        'splu' (sparse direct), or 'cholesky' (dense, for small systems).
-    tol : relative residual target per channel (iterative path).
-    max_iters : CG iteration cap; defaults to 10x the system size.
+    method : 'cg' (Jacobi-preconditioned conjugate gradient to a relative
+        residual of ``DEFAULT_TOL`` per channel, the default) or 'splu'
+        (sparse direct).
+    max_iters : CG iteration cap; defaults to 10x the system size. Hitting
+        it warns :class:`MaxItersExceeded` and sets ``stats.converged``
+        to False.
     on_unreachable : 'raise' (default) or 'exclude'; see
         :func:`_split_reachable`.
     """
@@ -146,6 +138,8 @@ def solve_steady_state(
         raise NonFiniteInput("observed fiber values must be finite")
     if g.n != omega.n:
         raise ValueError(f"graph has {g.n} nodes, observation set {omega.n}")
+    if method not in ("cg", "splu"):
+        raise ValueError(f"unknown method {method!r}")
 
     kept, excluded = _split_reachable(g, omega, on_unreachable)
     channels = f_obs.shape[1]
@@ -156,7 +150,10 @@ def solve_steady_state(
         stats = SolverStats(method, 0, 0.0, True)
         return CompletionResult(FiberMatrix(values), omega.observed, kept, excluded, stats, g)
 
-    l_kk, b = _grounded_system(g, omega, kept, f_obs)
+    # L_kk = D_kk - A_kk and b = A_ko F_o over the kept missing ids
+    blocks = partition_blocks(g, omega.observed, kept)
+    l_kk = (sp.diags_array(blocks.d_cc, format="csr") - blocks.a_cc).tocsr()
+    b = blocks.a_co @ f_obs
 
     if method == "cg":
         if max_iters is None:
@@ -173,7 +170,8 @@ def solve_steady_state(
                 count += 1
 
             xj, info = spla.cg(
-                l_kk, b[:, j], rtol=tol, atol=0.0, maxiter=max_iters, M=precond, callback=_cb
+                l_kk, b[:, j], rtol=DEFAULT_TOL, atol=0.0, maxiter=max_iters, M=precond,
+                callback=_cb,
             )
             solution[:, j] = xj
             iterations = max(iterations, count)
@@ -182,16 +180,10 @@ def solve_steady_state(
             warnings.warn(
                 f"conjugate gradient hit the {max_iters}-iteration cap", MaxItersExceeded
             )
-    elif method == "splu":
+    else:
         lu = spla.splu(l_kk.tocsc())
         solution = lu.solve(b)
         iterations, converged = 0, True
-    elif method == "cholesky":
-        factor = cho_factor(l_kk.toarray())
-        solution = cho_solve(factor, b)
-        iterations, converged = 0, True
-    else:
-        raise ValueError(f"unknown method {method!r}")
 
     residual = float(np.linalg.norm(l_kk @ solution - b))
     _fill_rows(values, omega, f_obs, kept, solution, excluded)
@@ -199,78 +191,15 @@ def solve_steady_state(
     return CompletionResult(FiberMatrix(values), omega.observed, kept, excluded, stats, g)
 
 
-def diffuse_iterative(
-    g: SparseGraph,
-    omega: ObservationSet,
-    f_init: FiberMatrix,
-    *,
-    step: float | None = None,
-    max_iters: int = 10_000,
-    tol: float = DEFAULT_TOL,
-    on_unreachable: str = "raise",
-) -> CompletionResult:
-    """Explicit diffusion updates towards the steady state.
-
-    Repeatedly applies ``F_c <- F_c - step * (L_cc F_c - A_co F_o)`` while
-    holding observed rows of ``f_init`` fixed, and stops once the Frobenius
-    norm of the applied update drops to ``tol``. The default step
-    1/max-degree over the solvable missing nodes guarantees contraction.
-    """
-    if f_init.n != g.n:
-        raise ValueError(f"initial matrix has {f_init.n} rows, graph has {g.n} nodes")
-    if omega.n != g.n:
-        raise ValueError(f"observation set is over {omega.n} nodes, graph has {g.n}")
-    f_obs = f_init.values[omega.observed]
-    kept, excluded = _split_reachable(g, omega, on_unreachable)
-    channels = f_init.channels
-    values = np.array(f_init.values, copy=True)
-
-    if kept.size == 0:
-        _fill_rows(values, omega, f_obs, kept, np.empty((0, channels)), excluded)
-        stats = SolverStats("diffusion", 0, 0.0, True)
-        return CompletionResult(FiberMatrix(values), omega.observed, kept, excluded, stats, g)
-
-    if step is None:
-        step = 1.0 / float(g.degrees[kept].max())
-    elif step <= 0:
-        raise ValueError("step must be positive")
-
-    l_kk, b = _grounded_system(g, omega, kept, f_obs)
-    current = values[kept].copy()
-    converged = False
-    it = 0
-    for it in range(1, max_iters + 1):
-        update = step * (l_kk @ current - b)
-        current -= update
-        if np.linalg.norm(update) <= tol:
-            converged = True
-            break
-    if not converged and max_iters > 0:
-        warnings.warn(
-            f"diffusion did not reach tol={tol} within {max_iters} iterations",
-            MaxItersExceeded,
-        )
-    residual = float(np.linalg.norm(l_kk @ current - b))
-    _fill_rows(values, omega, f_obs, kept, current, excluded)
-    stats = SolverStats("diffusion", it, residual, converged)
-    return CompletionResult(FiberMatrix(values), omega.observed, kept, excluded, stats, g)
-
-
-def graphprop(
-    acquisitions,
-    k: int,
-    *,
-    method: str = "cg",
-    tol: float = DEFAULT_TOL,
-    max_iters: int | None = None,
-) -> list[CompletionResult]:
+def graphprop(acquisitions, k: int, *, method: str = "cg") -> list[CompletionResult]:
     """Complete every acquisition over one unified kNN graph.
 
     ``acquisitions`` is a list of ``(f_obs, omega)`` pairs: per-acquisition
     observed fiber values (rows matching ``omega.observed``) and
     observation sets sharing the node count. Per-acquisition kNN edge sets
     are built over the observed fibers only, their union defines a single
-    graph, and one steady-state solve runs per acquisition. This is the
+    graph, and one steady-state solve (``method``, see
+    :func:`solve_steady_state`) runs per acquisition. This is the
     only place the union graph is composed: the returned results, one per
     acquisition in input order, all carry that graph as ``result.graph``.
 
@@ -309,10 +238,7 @@ def graphprop(
     graph = build_graph(union_edges(edge_sets))
 
     return [
-        solve_steady_state(
-            graph, om, f, method=method, tol=tol, max_iters=max_iters,
-            on_unreachable="exclude",
-        )
+        solve_steady_state(graph, om, f, method=method, on_unreachable="exclude")
         for f, om in acquisitions
     ]
 

@@ -167,7 +167,7 @@ def test_single_missing_node_bound_is_tight():
     g = path3()
     omega = ObservationSet(3, [0, 2])
     f0 = np.array([[0.0], [0.9], [1.0]])
-    res = solve_steady_state(g, omega, f0[omega.observed], method="cholesky")
+    res = solve_steady_state(g, omega, f0[omega.observed], method="splu")
     psi = compute_psi(g, omega, f0)
     phi = compute_phi(g, omega)
     bound = graphprop_bound(psi, phi)
@@ -177,7 +177,7 @@ def test_single_missing_node_bound_is_tight():
 
 def test_zero_energy_and_stationarity():
     g, omega, f0 = random_instance(17)
-    res = solve_steady_state(g, omega, f0[omega.observed], method="cholesky")
+    res = solve_steady_state(g, omega, f0[omega.observed], method="splu")
     fhat = res.completed.values
     assert compute_psi(g, omega, fhat) <= 1e-8 * max(1.0, np.linalg.norm(fhat))
     m = bound_matrices(g, omega)
@@ -190,7 +190,7 @@ def test_zero_energy_and_stationarity():
 def test_bound_validity_sampled(seed):
     g, omega, f0 = random_instance(seed)
     try:
-        res = solve_steady_state(g, omega, f0[omega.observed], method="cholesky")
+        res = solve_steady_state(g, omega, f0[omega.observed], method="splu")
     except Exception:
         return
     psi = compute_psi(g, omega, f0)
@@ -254,7 +254,7 @@ def test_spectral_norm_matches_dense():
 
 def test_bound_report_serialisation():
     g, omega, f0 = random_instance(31)
-    res = solve_steady_state(g, omega, f0[omega.observed], method="cholesky")
+    res = solve_steady_state(g, omega, f0[omega.observed], method="splu")
     report = evaluate_bounds(g, omega, f0, res.completed.values)
     data = json.loads(report.to_json())
     assert set(data) == {

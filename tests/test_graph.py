@@ -190,6 +190,13 @@ def test_build_graph_path():
     assert g.zero_degree_ids.size == 0
 
 
+def test_build_graph_int32_indices():
+    for pairs in ([(0, 1), (1, 2)], []):
+        g = build_graph(EdgeSet.from_pairs(3, pairs))
+        assert g.adjacency.indices.dtype == np.int32
+        assert g.adjacency.indptr.dtype == np.int32
+
+
 def test_build_graph_empty_edges():
     g = build_graph(EdgeSet.from_pairs(3, []))
     assert g.adjacency.nnz == 0

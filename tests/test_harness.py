@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from graphprop import (
 from graphprop import harness, propagation
 from graphprop.bounds import BoundReport
 from graphprop.cli import main
-from graphprop.errors import ConfigError, DataError
+from graphprop.errors import ConfigError, DataError, MaxItersExceeded
 from graphprop.harness import (
     ExperimentConfig,
     config_from_dict,
@@ -71,6 +72,11 @@ def test_config_validation_errors():
         config_from_dict({"kind": "blogs"})
     with pytest.raises(ConfigError):
         config_from_dict({"kind": "overlap-sim", "area_grid": [0.8]})
+    # removed: the dense solver, the solver tolerance and the HaLRTC block
+    for removed in ({"solver": {"method": "cholesky"}}, {"solver": {"tol": 1e-8}},
+                    {"halrtc": {"max_iters": 10}}):
+        with pytest.raises(ConfigError):
+            config_from_dict({"kind": "rank-sweep", **removed})
 
 
 def test_full_scale_preset_respects_explicit_keys():
@@ -149,6 +155,49 @@ def test_overlap_sim_rows_and_artifacts(tmp_path):
     flag = load_tensor(tmp_path / "never_observed_area30.tenb")
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["notes"]["area=0.3"]["never_observed"] == int(flag.values.sum())
+
+
+def _warning_first(fn):
+    def wrapper(*args, **kwargs):
+        warnings.warn("iteration cap hit", MaxItersExceeded)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_overlap_sim_records_solver_warnings(tmp_path, monkeypatch):
+    def cfg(out):
+        return config_from_dict(
+            dict(kind="overlap-sim", height=20, width=20, bands=2, k=3,
+                 area_grid=[0.0, 0.3], out_dir=str(tmp_path / out), seed=3)
+        )
+    run_overlap_sim(cfg("plain"))
+    monkeypatch.setattr(harness, "graphprop", _warning_first(harness.graphprop))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MaxItersExceeded)
+        run_overlap_sim(cfg("warned"))
+    notes = json.loads((tmp_path / "warned" / "manifest.json").read_text())["notes"]
+    for area in ("area=0.0", "area=0.3"):
+        assert {"category": "MaxItersExceeded", "message": "iteration cap hit"} in (
+            notes[area]["warnings"])
+    # the corners observed nowhere at area 0.3 are reported by graphprop() too
+    assert "CoverageViolationWarning" in {w["category"] for w in notes["area=0.3"]["warnings"]}
+    assert ((tmp_path / "warned" / "results.csv").read_bytes()
+            == (tmp_path / "plain" / "results.csv").read_bytes())
+
+
+def test_blogs_records_solver_warnings(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "solve_steady_state",
+                        _warning_first(harness.solve_steady_state))
+    cfg = config_from_dict(
+        dict(kind="blogs", two_block_size=10, label_fracs=[0.2, 0.5], repeats=2,
+             out_dir=str(tmp_path), seed=5)
+    )
+    run_blogs(cfg)
+    recorded = json.loads((tmp_path / "manifest.json").read_text())["notes"]["warnings"]
+    assert [(w["label_frac"], w["repeat"]) for w in recorded if w["method"] == "graphprop"] == [
+        (0.2, 0), (0.2, 1), (0.5, 0), (0.5, 1)]
+    assert all(w["category"] == "MaxItersExceeded" for w in recorded
+               if w["method"] == "graphprop")
 
 
 def test_blogs_two_block_stand_in(tmp_path):

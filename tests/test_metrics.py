@@ -53,13 +53,6 @@ def test_rmse_squares_to_mse(seed):
     assert abs(rmse(e) ** 2 - mse(e)) <= 1e-14 * max(1.0, mse(e))
 
 
-def test_rmse_literal_normalisation_factor():
-    rng = np.random.default_rng(1)
-    e = ErrorField((rng.standard_normal((7, 3)),), 3)
-    literal = rmse(e, frobenius_over_count=True)
-    assert literal == pytest.approx(rmse(e) / np.sqrt(e.entry_count), rel=1e-14)
-
-
 def test_mae_examples():
     assert mae(constant_field(0.5)) == pytest.approx(0.5, abs=1e-15)
     assert mae(constant_field(0.0)) == 0.0

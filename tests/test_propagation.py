@@ -11,7 +11,6 @@ from graphprop import (
     SynthSpec,
     build_graph,
     classify_by_median,
-    diffuse_iterative,
     generate_acquisitions,
     graphprop,
     knn_edges,
@@ -112,50 +111,32 @@ def test_nonfinite_observed_rejected():
 
 def test_solver_methods_agree():
     g, omega, f_obs = random_connected_instance(5, n_lo=30, n_hi=80)
-    res_cg = solve_steady_state(g, omega, f_obs, method="cg")
-    res_lu = solve_steady_state(g, omega, f_obs, method="splu")
-    res_ch = solve_steady_state(g, omega, f_obs, method="cholesky")
-    assert np.allclose(res_cg.completed.values, res_lu.completed.values, atol=1e-8)
-    assert np.allclose(res_lu.completed.values, res_ch.completed.values, atol=1e-10)
+    # dense oracle: (diag(d_kk) - A_kk) F_k = A_ko F_o over all missing nodes
+    mis, obs = omega.missing, omega.observed
+    a = g.adjacency.toarray()
+    l_kk = np.diag(g.degrees[mis]) - a[np.ix_(mis, mis)]
+    expected = np.linalg.solve(l_kk, a[np.ix_(mis, obs)] @ f_obs)
+    for method, atol in (("cg", 1e-8), ("splu", 1e-10)):
+        res = solve_steady_state(g, omega, f_obs, method=method)
+        assert np.array_equal(res.filled_ids, mis)
+        assert np.allclose(res.completed.values[mis], expected, atol=atol)
 
 
-def test_diffuse_zero_iterations_is_identity():
-    g = path3()
-    init = FiberMatrix(np.array([[0.0], [0.7], [1.0]]))
-    res = diffuse_iterative(g, ObservationSet(3, [0, 2]), init, max_iters=0)
-    assert np.array_equal(res.completed.values, init.values)
-    assert res.stats.iterations == 0
-
-
-def test_diffuse_path_reaches_midpoint():
-    g = path3()
-    init = FiberMatrix(np.array([[0.0], [0.0], [1.0]]))
-    res = diffuse_iterative(g, ObservationSet(3, [0, 2]), init, tol=1e-10)
-    assert abs(res.completed.values[1, 0] - 0.5) <= 1e-9
-    assert res.stats.converged
-
-
-def test_diffuse_warns_on_iteration_cap():
+def test_cg_iteration_cap_warns_and_flags():
     g, omega, f_obs = random_connected_instance(9)
-    init = np.zeros((g.n, f_obs.shape[1]))
-    init[omega.observed] = f_obs
+    full = solve_steady_state(g, omega, f_obs, method="cg", on_unreachable="exclude")
+    assert full.stats.converged and full.stats.iterations > 1
     with pytest.warns(MaxItersExceeded):
-        diffuse_iterative(g, omega, FiberMatrix(init), max_iters=1, tol=1e-14,
-                          on_unreachable="exclude")
+        res = solve_steady_state(g, omega, f_obs, method="cg", max_iters=1,
+                                 on_unreachable="exclude")
+    assert res.stats.converged is False
+    assert res.stats.iterations == 1
 
 
-@given(st.integers(0, 2**31 - 1))
-@settings(max_examples=25, deadline=None)
-def test_diffuse_agrees_with_direct(seed):
-    g, omega, f_obs = random_connected_instance(seed)
-    direct = solve_steady_state(g, omega, f_obs, method="splu")
-    init = np.zeros((g.n, f_obs.shape[1]))
-    init[omega.observed] = f_obs
-    iterative = diffuse_iterative(g, omega, FiberMatrix(init), tol=1e-12,
-                                  max_iters=200_000)
-    denom = max(np.linalg.norm(direct.completed.values), 1e-300)
-    diff = np.linalg.norm(iterative.completed.values - direct.completed.values)
-    assert diff <= 1e-6 * denom
+def test_unknown_solver_method_rejected():
+    with pytest.raises(ValueError, match="cholesky"):
+        solve_steady_state(path3(), ObservationSet(3, [0, 2]), np.array([[0.0], [1.0]]),
+                           method="cholesky")
 
 
 @given(st.integers(0, 2**31 - 1))
