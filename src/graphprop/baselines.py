@@ -1,4 +1,5 @@
-"""Comparison methods: total-variation graph inpainting and low-rank
+"""Comparison methods: total-variation graph inpainting (one conjugate-
+gradient solve of its normal equations at every graph size) and low-rank
 tensor completion via mode-wise singular-value thresholding (ADMM)."""
 from __future__ import annotations
 
@@ -9,14 +10,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .bounds import spectral_norm
 from .errors import AllMissing, EmptyGraph, SingularSystemWarning
-from .graph import ObservationSet, SparseGraph
+from .graph import ObservationSet, SparseGraph, partition_blocks, split_reachable
 from .tensor import DenseTensor, FiberMatrix, matricize, refold
 
-GTVM_DENSE_CUTOFF = 300
 GTVM_TOL = 1e-10
-GTVM_RESIDUAL_TOL = 1e-8
 
 
 def gtvm_inpaint(
@@ -27,12 +25,14 @@ def gtvm_inpaint(
     """Graph total-variation inpainting.
 
     Minimises ``||F - A' F||_F^2`` subject to ``F_o = t_obs``, where A' is
-    the adjacency scaled by its largest eigenvalue magnitude. Solved through
-    the normal equations of the quadratic in the missing rows: dense
-    least squares up to ``GTVM_DENSE_CUTOFF`` nodes, Jacobi-preconditioned
-    conjugate gradient above (relative tolerance ``GTVM_TOL``, at most 10x
-    the missing count iterations). A singular system is reported with
-    :class:`SingularSystemWarning` and a least-norm solution is returned.
+    the adjacency scaled by ``g.lam_max``. The missing nodes that share a
+    component with an observed node solve the normal equations of the
+    quadratic by Jacobi-preconditioned conjugate gradient (relative
+    tolerance ``GTVM_TOL``, at most 10x their count iterations; hitting the
+    cap warns :class:`SingularSystemWarning` and keeps the last iterate).
+    The other missing nodes get 0, the least-norm value; those in a
+    component with edges but no observed node make the system singular
+    there and are reported with :class:`SingularSystemWarning`.
     """
     if g.adjacency.nnz == 0:
         raise EmptyGraph("adjacency has no edges")
@@ -46,59 +46,47 @@ def gtvm_inpaint(
     if not np.all(np.isfinite(t_obs)):
         raise ValueError("observed values must be finite")
 
-    obs = omega.observed
-    mis = omega.missing
-    channels = t_obs.shape[1]
-    values = np.empty((g.n, channels), dtype=np.float64)
-    values[obs] = t_obs
-    if mis.size == 0:
+    values = np.zeros((g.n, t_obs.shape[1]), dtype=np.float64)
+    values[omega.observed] = t_obs
+    kept, excluded = split_reachable(g, omega)
+    stranded = excluded[g.degrees[excluded] > 0]
+    if stranded.size:
+        warnings.warn(
+            f"{stranded.size} missing node(s) lie in components with no observed "
+            "node; the inpainting system is singular there and they are set to 0",
+            SingularSystemWarning,
+        )
+    if kept.size == 0:
         return FiberMatrix(values)
 
-    lam_max = spectral_norm(g.adjacency)
-    b_full = (sp.eye_array(g.n, format="csr") - g.adjacency / lam_max).tocsc()
-    b_mis = b_full[:, mis].tocsr()
-    b_obs = b_full[:, obs].tocsr()
-    rhs_cols = -(b_obs @ t_obs)
-
-    if g.n <= GTVM_DENSE_CUTOFF:
-        solution, _, rank, _ = np.linalg.lstsq(b_mis.toarray(), rhs_cols, rcond=None)
-        if rank < mis.size:
-            warnings.warn(
-                f"inpainting system is rank deficient ({rank} < {mis.size}); "
-                "least-norm solution returned",
-                SingularSystemWarning,
-            )
-    else:
-        gram = (b_mis.T @ b_mis).tocsr()
-        precond = sp.diags_array(1.0 / gram.diagonal(), format="csr")
-        rhs = b_mis.T @ rhs_cols
-        solution = np.empty_like(rhs)
-        fell_back = False
-        for j in range(channels):
-            xj, info = spla.cg(
-                gram, rhs[:, j], rtol=GTVM_TOL, atol=0.0, maxiter=10 * mis.size, M=precond
-            )
-            rhs_norm = np.linalg.norm(rhs[:, j])
-            res = np.linalg.norm(gram @ xj - rhs[:, j])
-            if info != 0 or res > GTVM_RESIDUAL_TOL * max(rhs_norm, 1e-300):
-                fell_back = True
-                xj = spla.lsqr(b_mis, rhs_cols[:, j], atol=1e-12, btol=1e-12)[0]
-            solution[:, j] = xj
-        if fell_back:
-            warnings.warn(
-                "inpainting normal equations did not converge; least-norm "
-                "solution substituted",
-                SingularSystemWarning,
-            )
-    values[mis] = solution
-    values[obs] = t_obs
+    lam_max = g.lam_max
+    blocks = partition_blocks(g, omega.observed, kept)
+    b_kk = sp.eye_array(kept.size, format="csr") - blocks.a_cc / lam_max
+    gram = (b_kk @ b_kk + (blocks.a_co @ blocks.a_co.T) / lam_max**2).tocsr()
+    # B is symmetric, so B_k^T B_o F_o = (B B x)_k with x the observed
+    # values padded with zeros (no edge joins k to the other missing nodes).
+    b_x = values - (g.adjacency @ values) / lam_max
+    rhs = ((g.adjacency @ b_x) / lam_max - b_x)[kept]
+    precond = sp.diags_array(1.0 / gram.diagonal(), format="csr")
+    max_iters = 10 * kept.size
+    converged = True
+    for j in range(rhs.shape[1]):
+        values[kept, j], info = spla.cg(
+            gram, rhs[:, j], rtol=GTVM_TOL, atol=0.0, maxiter=max_iters, M=precond
+        )
+        converged = converged and info == 0
+    if not converged:
+        warnings.warn(
+            f"inpainting conjugate gradient hit the {max_iters}-iteration cap; "
+            "last iterate kept",
+            SingularSystemWarning,
+        )
     return FiberMatrix(values)
 
 
 def gtvm_objective(g: SparseGraph, values: np.ndarray) -> float:
     """Objective ``||F - A' F||_F^2`` of the inpainting quadratic."""
-    lam_max = spectral_norm(g.adjacency)
-    return float(np.linalg.norm(values - (g.adjacency @ values) / lam_max) ** 2)
+    return float(np.linalg.norm(values - (g.adjacency @ values) / g.lam_max) ** 2)
 
 
 @dataclass(frozen=True)
@@ -128,8 +116,8 @@ class HalrtcParams:
         object.__setattr__(self, "alphas", alphas)
 
     @classmethod
-    def uniform(cls, order: int, **overrides) -> "HalrtcParams":
-        return cls(alphas=(1.0 / order,) * order, **overrides)
+    def uniform(cls, order: int) -> "HalrtcParams":
+        return cls(alphas=(1.0 / order,) * order)
 
 
 def _shrink_singular_values(matrix: np.ndarray, threshold: float) -> np.ndarray:

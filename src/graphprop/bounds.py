@@ -164,9 +164,7 @@ def gtvm_bound(g: SparseGraph, omega: ObservationSet, f0) -> GtvmBound:
     values = f0.values if hasattr(f0, "values") else np.asarray(f0, dtype=np.float64)
     if values.shape[0] != g.n:
         raise ValueError(f"signal has {values.shape[0]} rows, graph has {g.n} nodes")
-    # For a symmetric nonnegative adjacency the dominant eigenvalue equals
-    # the spectral norm.
-    lam_max = spectral_norm(g.adjacency)
+    lam_max = g.lam_max
     eta = float(np.linalg.norm(values - (g.adjacency / lam_max) @ values))
     mis = omega.missing
     if mis.size == 0:

@@ -60,8 +60,10 @@ class MaxItersExceeded(RuntimeWarning):
 
 
 class SingularSystemWarning(RuntimeWarning):
-    """The inpainting normal equations were singular; a least-norm
-    solution was returned."""
+    """Total-variation inpainting could not pin every missing node: some
+    lie in a component with edges but no observed node (set to 0, the
+    least-norm value), or its conjugate-gradient solve hit the iteration
+    cap (the last iterate is kept)."""
 
 
 class CoverageViolationWarning(UserWarning):

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import DataError, NonFiniteInput, TooFewObserved
@@ -287,6 +288,14 @@ class SparseGraph:
         zero_degree = np.nonzero(degrees == 0)[0].astype(np.int64)
         return cls(adjacency.shape[0], adjacency, degrees, zero_degree)
 
+    @cached_property
+    def lam_max(self) -> float:
+        """Largest eigenvalue magnitude of the adjacency, i.e. its spectral
+        norm; computed on first use and kept."""
+        from .bounds import spectral_norm  # bounds imports this module
+
+        return spectral_norm(self.adjacency)
+
 
 def build_graph(e: EdgeSet) -> SparseGraph:
     """Assemble the unweighted adjacency of an edge set, with int32 index
@@ -321,6 +330,17 @@ def partition_blocks(g: SparseGraph, observed: np.ndarray, unknown: np.ndarray) 
     """
     rows = g.adjacency[unknown]
     return GraphBlocks(rows[:, observed].tocsr(), rows[:, unknown].tocsr(), g.degrees[unknown])
+
+
+def split_reachable(g: SparseGraph, omega: ObservationSet) -> tuple[np.ndarray, np.ndarray]:
+    """Split the missing ids into those whose connected component holds an
+    observed node and the rest: zero-degree nodes and the nodes of
+    components with edges but no observed node."""
+    _, labels = connected_components(g.adjacency, directed=False)
+    observed_labels = np.zeros(labels.max() + 1, dtype=bool)
+    observed_labels[labels[omega.observed]] = True
+    reachable = observed_labels[labels[omega.missing]]
+    return omega.missing[reachable], omega.missing[~reachable]
 
 
 _EDGE_HEADER = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")

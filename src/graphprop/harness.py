@@ -500,8 +500,8 @@ def run_overlap_sim(cfg: ExperimentConfig, rasters=None, *, write: bool = True):
     loaded from ``cfg.inputs`` or synthesised (smooth raster pair). GTVM
     runs on the union graph graphprop() builds for each area fraction;
     metrics cover pixels observed at least once, and never-observed
-    corners are flagged. Warnings raised by graphprop() are recorded per
-    area in the manifest notes.
+    corners are flagged. Warnings raised by graphprop() and GTVM are
+    recorded per area in the manifest notes, each tagged with its method.
     """
     if rasters is None:
         if cfg.inputs:
@@ -559,15 +559,18 @@ def run_overlap_sim(cfg: ExperimentConfig, rasters=None, *, write: bool = True):
             )
         estimates["graphprop"] = [r.completed.values for r in gp]
         timings["graphprop"] = time.perf_counter() - start
-        notes[area_key]["warnings"] = _recorded_warnings(caught)
+        notes[area_key]["warnings"] = _recorded_warnings(caught, method="graphprop")
 
         start = time.perf_counter()
-        gtvm = [
-            gtvm_inpaint(gp[0].graph, om, f[om.observed])
-            for f, om in zip(truth_fibers, omegas)
-        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            gtvm = [
+                gtvm_inpaint(gp[0].graph, om, f[om.observed])
+                for f, om in zip(truth_fibers, omegas)
+            ]
         estimates["gtvm"] = [g.values for g in gtvm]
         timings["gtvm"] = time.perf_counter() - start
+        notes[area_key]["warnings"] += _recorded_warnings(caught, method="gtvm")
 
         start = time.perf_counter()
         estimates["halrtc"] = _halrtc_fibers(rasters, omegas)

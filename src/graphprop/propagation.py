@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     CoverageViolationWarning,
@@ -33,6 +32,7 @@ from .graph import (
     build_graph,
     knn_edges,
     partition_blocks,
+    split_reachable,
     union_edges,
 )
 from .tensor import FiberMatrix
@@ -68,33 +68,6 @@ class CompletionResult:
     graph: SparseGraph
 
 
-def _split_reachable(g: SparseGraph, omega: ObservationSet, on_unreachable: str):
-    """Partition the missing ids into solvable and excluded nodes.
-
-    Zero-degree missing nodes are always excluded (no propagation can reach
-    them). Missing nodes whose component has edges but no observed node
-    raise :class:`UnreachableComponent` unless ``on_unreachable='exclude'``.
-    """
-    if on_unreachable not in ("raise", "exclude"):
-        raise ValueError(f"on_unreachable must be 'raise' or 'exclude', got {on_unreachable!r}")
-    mis = omega.missing
-    if mis.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    _, labels = connected_components(g.adjacency, directed=False)
-    observed_labels = np.zeros(labels.max() + 1, dtype=bool)
-    observed_labels[labels[omega.observed]] = True
-    reachable = observed_labels[labels[mis]] & (g.degrees[mis] > 0)
-    excluded = mis[~reachable]
-    if on_unreachable == "raise":
-        bad = excluded[g.degrees[excluded] > 0]
-        if bad.size:
-            raise UnreachableComponent(
-                f"{bad.size} missing node(s) lie in components with no observed node"
-            )
-    return mis[reachable], excluded
-
-
 def _fill_rows(values: np.ndarray, omega: ObservationSet, f_obs: np.ndarray,
                kept: np.ndarray, solution: np.ndarray, excluded: np.ndarray) -> None:
     values[omega.observed] = f_obs
@@ -126,8 +99,9 @@ def solve_steady_state(
     max_iters : CG iteration cap; defaults to 10x the system size. Hitting
         it warns :class:`MaxItersExceeded` and sets ``stats.converged``
         to False.
-    on_unreachable : 'raise' (default) or 'exclude'; see
-        :func:`_split_reachable`.
+    on_unreachable : 'raise' (default, :class:`UnreachableComponent`) or
+        'exclude' for missing nodes in a component with edges but no
+        observed node; zero-degree missing nodes are always excluded.
     """
     f_obs = np.asarray(f_obs, dtype=np.float64)
     if f_obs.ndim != 2 or f_obs.shape[0] != omega.observed.size:
@@ -140,8 +114,15 @@ def solve_steady_state(
         raise ValueError(f"graph has {g.n} nodes, observation set {omega.n}")
     if method not in ("cg", "splu"):
         raise ValueError(f"unknown method {method!r}")
+    if on_unreachable not in ("raise", "exclude"):
+        raise ValueError(f"on_unreachable must be 'raise' or 'exclude', got {on_unreachable!r}")
 
-    kept, excluded = _split_reachable(g, omega, on_unreachable)
+    kept, excluded = split_reachable(g, omega)
+    stranded = excluded[g.degrees[excluded] > 0]
+    if on_unreachable == "raise" and stranded.size:
+        raise UnreachableComponent(
+            f"{stranded.size} missing node(s) lie in components with no observed node"
+        )
     channels = f_obs.shape[1]
     values = np.empty((g.n, channels), dtype=np.float64)
 

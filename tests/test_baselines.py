@@ -6,13 +6,20 @@ from graphprop import (
     EdgeSet,
     HalrtcParams,
     ObservationSet,
+    SynthSpec,
     build_graph,
+    evaluate_bounds,
+    generate_acquisitions,
+    graphprop,
     gtvm_inpaint,
     halrtc_complete,
+    matricize,
     nuclear_objective,
+    sample_observation_sets,
     stack_acquisitions,
     unstack_acquisitions,
 )
+from graphprop import baselines, bounds
 from graphprop.baselines import gtvm_objective
 from graphprop.errors import AllMissing, EmptyGraph, SingularSystemWarning
 
@@ -45,14 +52,16 @@ def test_gtvm_path_matches_dense_oracle():
     assert abs(out.values[1, 0] - expected[0, 0]) <= 1e-10
 
 
-def test_gtvm_eigenvector_recovered_exactly():
+# The second size is above 300 nodes: GTVM's solve must not depend on the
+# graph size.
+@pytest.mark.parametrize("n", [20, 320])
+def test_gtvm_eigenvector_recovered_exactly(n):
     rng = np.random.default_rng(2)
-    n = 20
     tri = np.array([(u, v) for u in range(n) for v in range(u + 1, n)])
     g = build_graph(EdgeSet(n, tri[rng.random(len(tri)) < 0.4]))
     vals, vecs = np.linalg.eigh(g.adjacency.toarray())
     top = vecs[:, [np.argmax(np.abs(vals))]]
-    omega = ObservationSet(n, np.sort(rng.choice(n, size=8, replace=False)))
+    omega = ObservationSet(n, np.sort(rng.choice(n, size=2 * n // 5, replace=False)))
     out = gtvm_inpaint(g, omega, top[omega.observed])
     assert np.allclose(out.values, top, atol=1e-8)
 
@@ -65,9 +74,9 @@ def test_gtvm_observed_rows_bit_exact():
     assert np.array_equal(out.values[[0, 2]], t_obs)
 
 
-def test_gtvm_local_optimality_spot_check():
+@pytest.mark.parametrize("n", [15, 301])
+def test_gtvm_local_optimality_spot_check(n):
     rng = np.random.default_rng(9)
-    n = 15
     tri = np.array([(u, v) for u in range(n) for v in range(u + 1, n)])
     g = build_graph(EdgeSet(n, tri[rng.random(len(tri)) < 0.5]))
     omega = ObservationSet(n, np.arange(0, n, 2))
@@ -82,13 +91,56 @@ def test_gtvm_local_optimality_spot_check():
         assert gtvm_objective(g, perturbed) >= base - 1e-12
 
 
-def test_gtvm_disconnected_observed_component_flagged():
-    # second component has no observed node: the quadratic is singular there
-    g = build_graph(EdgeSet.from_pairs(4, [(0, 1), (2, 3)]))
-    omega = ObservationSet(4, [0])
-    with pytest.warns(SingularSystemWarning):
+@pytest.mark.parametrize("n", [4, 301])
+def test_gtvm_disconnected_observed_component_flagged(n):
+    # second component has no observed node: the quadratic is singular there;
+    # nodes 4.. are isolated and missing, which is not singular
+    g = build_graph(EdgeSet.from_pairs(n, [(0, 1), (2, 3)]))
+    omega = ObservationSet(n, [0])
+    with pytest.warns(SingularSystemWarning, match="2 missing node"):
         out = gtvm_inpaint(g, omega, np.array([[2.0]]))
+    expected = np.zeros((n, 1))
+    expected[:2] = 2.0
+    assert np.array_equal(out.values, expected)
+
+
+def test_gtvm_iteration_cap_warns(monkeypatch):
+    real_cg = baselines.spla.cg
+    monkeypatch.setattr(baselines.spla, "cg",
+                        lambda *args, **kwargs: real_cg(*args, **{**kwargs, "maxiter": 1}))
+    rng = np.random.default_rng(3)
+    n = 40
+    tri = np.array([(u, v) for u in range(n) for v in range(u + 1, n)])
+    g = build_graph(EdgeSet(n, tri[rng.random(len(tri)) < 0.3]))
+    omega = ObservationSet(n, np.arange(0, n, 4))
+    t_obs = rng.standard_normal((omega.observed.size, 2))
+    with pytest.warns(SingularSystemWarning, match="iteration cap"):
+        out = gtvm_inpaint(g, omega, t_obs)
+    assert np.array_equal(out.values[omega.observed], t_obs)
     assert np.all(np.isfinite(out.values))
+
+
+def test_lam_max_computed_once_per_graph(monkeypatch):
+    spec = SynthSpec(12, 12, 2, r=2, lambda_count=2, missing_frac=0.3, seed=4)
+    fibers = [matricize(t, 3).values for t in generate_acquisitions(spec)]
+    omegas = sample_observation_sets(144, 0.3, 2, seed=5)
+    results = graphprop([(f[om.observed], om) for f, om in zip(fibers, omegas)], k=4)
+    graph = results[0].graph
+    assert graph.zero_degree_ids.size == 0  # evaluate_bounds keeps the graph
+    on_adjacency = []
+    real = bounds.spectral_norm
+
+    def counted(matrix):
+        on_adjacency.append(matrix is graph.adjacency)
+        return real(matrix)
+
+    for module in (bounds, baselines):
+        monkeypatch.setattr(module, "spectral_norm", counted, raising=False)
+    for f, om, res in zip(fibers, omegas, results):
+        evaluate_bounds(graph, om, f, res.completed)
+    for f, om in zip(fibers, omegas):
+        gtvm_inpaint(graph, om, f[om.observed])
+    assert sum(on_adjacency) == 1
 
 
 def test_gtvm_needs_edges():

@@ -20,7 +20,7 @@ from graphprop import (
 from graphprop import harness, propagation
 from graphprop.bounds import BoundReport
 from graphprop.cli import main
-from graphprop.errors import ConfigError, DataError, MaxItersExceeded
+from graphprop.errors import ConfigError, DataError, MaxItersExceeded, SingularSystemWarning
 from graphprop.harness import (
     ExperimentConfig,
     config_from_dict,
@@ -172,15 +172,21 @@ def test_overlap_sim_records_solver_warnings(tmp_path, monkeypatch):
         )
     run_overlap_sim(cfg("plain"))
     monkeypatch.setattr(harness, "graphprop", _warning_first(harness.graphprop))
+    monkeypatch.setattr(harness, "gtvm_inpaint", _warning_first(harness.gtvm_inpaint))
     with warnings.catch_warnings():
         warnings.simplefilter("error", MaxItersExceeded)
+        warnings.simplefilter("error", SingularSystemWarning)
         run_overlap_sim(cfg("warned"))
     notes = json.loads((tmp_path / "warned" / "manifest.json").read_text())["notes"]
     for area in ("area=0.0", "area=0.3"):
-        assert {"category": "MaxItersExceeded", "message": "iteration cap hit"} in (
-            notes[area]["warnings"])
-    # the corners observed nowhere at area 0.3 are reported by graphprop() too
-    assert "CoverageViolationWarning" in {w["category"] for w in notes["area=0.3"]["warnings"]}
+        recorded = notes[area]["warnings"]
+        for method, count in (("graphprop", 1), ("gtvm", 2)):  # GTVM runs per acquisition
+            assert recorded.count({"method": method, "category": "MaxItersExceeded",
+                                   "message": "iteration cap hit"}) == count
+    # at area 0.3 graphprop() reports the corners observed nowhere, and GTVM
+    # the missing nodes whose component has no node observed in that acquisition
+    raised = {(w["method"], w["category"]) for w in notes["area=0.3"]["warnings"]}
+    assert {("graphprop", "CoverageViolationWarning"), ("gtvm", "SingularSystemWarning")} <= raised
     assert ((tmp_path / "warned" / "results.csv").read_bytes()
             == (tmp_path / "plain" / "results.csv").read_bytes())
 
