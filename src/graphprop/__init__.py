@@ -10,7 +10,6 @@ from .baselines import (
     HalrtcParams,
     gtvm_inpaint,
     halrtc_complete,
-    nuclear_objective,
     stack_acquisitions,
     unstack_acquisitions,
 )

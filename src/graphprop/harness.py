@@ -264,8 +264,8 @@ SUMMARY_COLUMNS = (
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))  # numpy 2 scalars repr as np.float64(...)
     return str(value)
 
 

@@ -90,7 +90,7 @@ def rmse(e: ErrorField) -> float:
     """Root mean squared error, the square root of :func:`mse`
     (``||W||_F / sqrt(entry_count)``)."""
     stacked = _require_entries(e)
-    return float(np.linalg.norm(stacked)) / np.sqrt(e.entry_count)
+    return float(np.linalg.norm(stacked) / np.sqrt(e.entry_count))
 
 
 def mae(e: ErrorField) -> float:

@@ -4,6 +4,7 @@ import pytest
 from graphprop import (
     DenseTensor,
     EdgeSet,
+    FiberMatrix,
     HalrtcParams,
     ObservationSet,
     SynthSpec,
@@ -14,7 +15,7 @@ from graphprop import (
     gtvm_inpaint,
     halrtc_complete,
     matricize,
-    nuclear_objective,
+    refold,
     sample_observation_sets,
     stack_acquisitions,
     unstack_acquisitions,
@@ -22,6 +23,8 @@ from graphprop import (
 from graphprop import baselines, bounds
 from graphprop.baselines import gtvm_objective
 from graphprop.errors import AllMissing, EmptyGraph, SingularSystemWarning
+from graphprop.harness import _observed_fiber_mask
+from halrtc_reference import halrtc_svd_reference, nuclear_objective, svd_shrink
 
 
 def path3():
@@ -194,6 +197,18 @@ def test_halrtc_matches_nuclear_norm_reference():
     assert np.linalg.norm(ours - reference) / np.linalg.norm(m) <= 2e-3
 
 
+def objective_history(t, mask) -> list[float]:
+    """Weighted nuclear objective of every ADMM iterate: the k-th iterate is
+    the output of a run capped at k iterations."""
+    params = HalrtcParams.uniform(t.order)
+    _, iters = halrtc_svd_reference(t, mask, params)
+    alphas = params.alphas
+    return [
+        nuclear_objective(halrtc_complete(t, mask, HalrtcParams(alphas, max_iters=k)), alphas)
+        for k in range(1, iters + 1)
+    ]
+
+
 def test_halrtc_objective_non_increasing():
     # Strict per-step monotonicity is not a theorem for ADMM with a growing
     # penalty; it holds on this instance and is asserted at the tight slack,
@@ -202,8 +217,7 @@ def test_halrtc_objective_non_increasing():
     low = rng.standard_normal((12, 2)) @ rng.standard_normal((2, 10))
     t = DenseTensor.from_array(np.stack([low, 1.5 * low], axis=-1))
     mask = rng.random(t.shape) > 0.4
-    history = []
-    halrtc_complete(t, mask, history=history)
+    history = objective_history(t, mask)
     diffs = np.diff(history)
     assert diffs.size > 0
     assert diffs.max() <= 1e-6 * max(1.0, history[0])
@@ -215,9 +229,7 @@ def test_halrtc_objective_descends_with_bounded_transients():
         low = rng.standard_normal((12, 2)) @ rng.standard_normal((2, 10))
         t = DenseTensor.from_array(np.stack([low, 1.5 * low], axis=-1))
         mask = rng.random(t.shape) > 0.4
-        history = []
-        halrtc_complete(t, mask, history=history)
-        history = np.asarray(history)
+        history = np.asarray(objective_history(t, mask))
         assert history[-1] <= history[0]
         assert np.diff(history).max(initial=0.0) <= 1e-2 * max(1.0, history[0])
 
@@ -228,6 +240,74 @@ def test_halrtc_observed_bit_exact():
     mask = rng.random(t.shape) > 0.5
     out = halrtc_complete(t, mask)
     assert np.array_equal(out.values[mask], t.values[mask])
+
+
+def spectrum_matrix(rng, rows, cols, smallest=1e-12, largest=1e2):
+    """rows x cols matrix with singular values log-spaced from ``smallest``
+    to ``largest``."""
+    rank = min(rows, cols)
+    u, _ = np.linalg.qr(rng.standard_normal((rows, rank)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, rank)))
+    return (u * np.geomspace(smallest, largest, rank)) @ v.T
+
+
+# (tensor shape, 0-based mode): the unfoldings of the stacked 100x100x3x2
+# tensor the rank sweep completes (600x100, 20000x3, 30000x2 as fiber rows),
+# one whose mode extent exceeds its fiber count, and a 3-way tensor.
+SHRINK_CASES = [((100, 100, 3, 2), m) for m in range(4)] + [((40, 100), 1),
+                                                             ((12, 10, 2), 0)]
+
+
+@pytest.mark.parametrize("shape, mode", SHRINK_CASES)
+def test_halrtc_shrinkage_matches_svd_within_bound(shape, mode):
+    rng = np.random.default_rng(sum(shape) + mode)
+    extent = shape[mode]
+    m = spectrum_matrix(rng, int(np.prod(shape)) // extent, extent)
+    x = refold(FiberMatrix(m), shape, mode + 1).values
+    sv = np.linalg.svd(m, compute_uv=False)
+    # alpha / rho_cap of a 4-way uniform HaLRTC up to ||M||_2 / 100, plus
+    # thresholds 1e-10 either side of the largest singular value below 1
+    taus = [2.5e-4, 1e-2, 1.0]
+    near = sv[sv <= 1.0][0]
+    if near > 1e-9:
+        taus += [near - 1e-10, near + 1e-10]
+    for tau in taus:
+        got = matricize(DenseTensor(shape, baselines._shrink_mode(x, mode, tau)), mode + 1)
+        err = np.linalg.norm(got.values - svd_shrink(m, tau))
+        assert err <= extent * np.finfo(float).eps * sv[0] ** 2 / tau, (tau, err)
+
+
+def stacked_fiber_instance(seed):
+    """A 20x20x3 two-acquisition instance stacked and masked to observed
+    fibers, as the harness hands it to HaLRTC."""
+    spec = SynthSpec(20, 20, 3, r=4, lambda_count=2, missing_frac=0.4, seed=seed)
+    omegas = sample_observation_sets(spec.n, 0.4, 2, seed=seed + 1)
+    stacked = stack_acquisitions(generate_acquisitions(spec))
+    mask = np.stack([_observed_fiber_mask(om, 20, 20, 3) for om in omegas], axis=-1)
+    return stacked, mask
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_halrtc_matches_svd_reference_loop(seed, monkeypatch):
+    stacked, mask = stacked_fiber_instance(seed)
+    params = HalrtcParams.uniform(stacked.order)
+    reference, ref_iters = halrtc_svd_reference(stacked, mask, params)
+    calls = []
+    real = baselines._shrink_mode
+    monkeypatch.setattr(baselines, "_shrink_mode", lambda *a: calls.append(1) or real(*a))
+    out = halrtc_complete(stacked, mask, params)
+    assert len(calls) == stacked.order * ref_iters
+    assert np.linalg.norm(out.values - reference.values) <= 1e-10 * np.linalg.norm(
+        reference.values)
+    assert np.array_equal(out.values[mask], stacked.values[mask])
+
+
+@pytest.mark.parametrize("bad, where", [(np.nan, "surrogate"), (1e308, "working tensor")])
+def test_halrtc_non_finite_raises(bad, where, monkeypatch):
+    stacked, mask = stacked_fiber_instance(0)
+    monkeypatch.setattr(baselines, "_shrink_mode", lambda x, mode, tau: np.full_like(x, bad))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=where):
+        halrtc_complete(stacked, mask)
 
 
 def test_halrtc_validation():

@@ -1,3 +1,4 @@
+import csv
 import json
 import warnings
 
@@ -114,6 +115,28 @@ def test_rank_sweep_outputs_and_determinism(tmp_path):
     assert manifest["config"]["seed"] == 1
     timings = (tmp_path / "a" / "timings.csv").read_text().splitlines()
     assert len(timings) == 2 + 2 * 2 * 2
+
+
+NUMERIC_RESULT_COLUMNS = ("seed", "r", "missing_frac", "area_frac", "label_frac",
+                          "repeat", "value")
+
+
+def numeric_result_cells(path) -> list[str]:
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]  # after the schema line
+    rows = list(csv.DictReader(lines))
+    assert rows
+    return [row[c] for row in rows for c in NUMERIC_RESULT_COLUMNS if row[c] != ""]
+
+
+def test_results_csv_cells_parse_as_numbers(tmp_path):
+    run_rank_sweep(tiny_rank_cfg(tmp_path / "rank", rank_grid=[2], repeats=1))
+    run_overlap_sim(config_from_dict(
+        dict(kind="overlap-sim", height=20, width=20, bands=2, k=3,
+             area_grid=[0.3], out_dir=str(tmp_path / "overlap"))))
+    for run in ("rank", "overlap"):
+        values = [float(cell) for cell in numeric_result_cells(tmp_path / run / "results.csv")]
+        assert np.isfinite(values).all()
+    assert harness._cell(np.float64(0.25)) == "0.25"
 
 
 def test_rank_sweep_workers_match_serial(tmp_path):

@@ -38,6 +38,7 @@ def test_mse_examples():
 
 def test_rmse_examples():
     assert rmse(constant_field(0.5)) == pytest.approx(0.5, abs=1e-15)
+    assert type(rmse(constant_field(0.5))) is float
     assert rmse(constant_field(0.0)) == 0.0
 
 
