@@ -2,8 +2,8 @@
 gradient solve of its normal equations at every graph size) and low-rank
 tensor completion via mode-wise singular-value thresholding (HaLRTC, an
 ADMM). Each thresholding step takes ``eigh`` of the small Gram of a mode
-unfolding M instead of a full SVD and applies the shrinkage along that
-mode of the tensor; it agrees with the SVD thresholding of M at threshold
+unfolding M instead of a full SVD, shrinks M through its eigenvectors and
+refolds it; it agrees with the SVD thresholding of M at threshold
 tau to about ``I_m eps ||M||_2^2 / tau`` in Frobenius norm, with I_m the
 mode's extent (for tau up to ``||M||_2 / 100``; see ``_shrink_mode``)."""
 from __future__ import annotations
@@ -17,7 +17,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import AllMissing, EmptyGraph, SingularSystemWarning
 from .graph import ObservationSet, SparseGraph, partition_blocks, split_reachable
-from .tensor import DenseTensor, FiberMatrix
+from .tensor import DenseTensor, FiberMatrix, refold
 
 GTVM_TOL = 1e-10
 
@@ -127,9 +127,10 @@ class HalrtcParams:
 
 def _shrink_mode(x: np.ndarray, mode: int, threshold: float) -> np.ndarray:
     """Singular-value shrinkage by ``threshold`` of the mode-``mode``
-    (0-based) unfolding of ``x``, returned in the shape of ``x``.
+    (0-based) unfolding of ``x``, returned as fiber rows in the layout of
+    ``matricize`` (so ``refold`` puts it back in the shape of ``x``).
 
-    With M the unfolding whose columns are indexed by mode ``mode`` and
+    With M the fiber matrix, whose columns are indexed by mode ``mode``, and
     ``M = U diag(s) V^T``, the shrinkage ``U diag(max(s - t, 0)) V^T`` equals
     ``M P`` with ``P = V_k diag((s_k - t) / s_k) V_k^T`` over the singular
     values ``s_k > t``. V and ``s = sqrt(max(w, 0))`` come from ``eigh`` of
@@ -141,16 +142,17 @@ def _shrink_mode(x: np.ndarray, mode: int, threshold: float) -> np.ndarray:
     spectrum the rounding of the eigenvectors themselves, a few tens of
     ``eps ||M||_2``, can exceed it.
     """
-    moved = np.moveaxis(x, mode, 0)
-    rows = moved.reshape(x.shape[mode], -1)  # M^T, a copy only for inner modes
-    w, v = np.linalg.eigh(rows @ rows.T)
+    extent = x.shape[mode]
+    rest = [axis for axis in range(x.ndim) if axis != mode]
+    # Remaining axes reversed, so the C-order rows run earliest axis fastest.
+    fibers = np.transpose(x, rest[::-1] + [mode]).reshape(-1, extent)
+    w, v = np.linalg.eigh(fibers.T @ fibers)
     s = np.sqrt(np.maximum(w, 0.0))
     keep = s > threshold
     if not keep.any():
-        return np.zeros_like(x)
+        return np.zeros_like(fibers)
     v = v[:, keep]
-    proj = (v * ((s[keep] - threshold) / s[keep])) @ v.T
-    return np.moveaxis((proj @ rows).reshape(moved.shape), 0, mode)
+    return fibers @ ((v * ((s[keep] - threshold) / s[keep])) @ v.T)
 
 
 def halrtc_complete(
@@ -198,10 +200,9 @@ def halrtc_complete(
             work = x + duals[mode] / rho
             if not np.isfinite(work).all():
                 raise ValueError(f"HaLRTC mode-{mode + 1} working tensor is not finite")
-            shrunk = _shrink_mode(work, mode, params.alphas[mode] / rho)
-            if not np.isfinite(shrunk).all():
-                raise ValueError(f"HaLRTC mode-{mode + 1} surrogate is not finite")
-            surrogates.append(shrunk)
+            # FiberMatrix rejects a non-finite surrogate with ValueError.
+            shrunk = FiberMatrix(_shrink_mode(work, mode, params.alphas[mode] / rho))
+            surrogates.append(refold(shrunk, t.shape, mode + 1).values)
         x_new = sum(m - y / rho for m, y in zip(surrogates, duals)) / t.order
         x_new[mask] = observed
         for mode in range(t.order):

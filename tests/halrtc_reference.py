@@ -31,10 +31,11 @@ def svd_shrink(matrix: np.ndarray, threshold: float) -> np.ndarray:
     return (u[:, keep] * s[keep]) @ vt[keep]
 
 
-def halrtc_svd_reference(t: DenseTensor, mask: np.ndarray,
-                         params: HalrtcParams) -> tuple[DenseTensor, int]:
+def halrtc_svd_reference(t: DenseTensor, mask: np.ndarray, params: HalrtcParams,
+                         iterates: list | None = None) -> tuple[DenseTensor, int]:
     """The HaLRTC ADMM loop with SVD shrinkage; returns the completion and
-    the number of iterations run. Same stopping rule as the library."""
+    the number of iterations run. Same stopping rule as the library. When
+    ``iterates`` is a list, every iterate's values are appended to it."""
     mask = np.asarray(mask, dtype=bool)
     observed = t.values[mask]
     x = np.zeros_like(t.values)
@@ -55,6 +56,8 @@ def halrtc_svd_reference(t: DenseTensor, mask: np.ndarray,
         change = np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-300)
         gap = max(np.linalg.norm(m - x_new) for m in surrogates)
         x = x_new
+        if iterates is not None:
+            iterates.append(x.copy())
         if change <= params.tol and gap <= params.tol * max(1.0, np.linalg.norm(x)):
             break
         rho = min(rho * params.rho_growth, params.rho_cap)

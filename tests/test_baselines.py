@@ -198,15 +198,17 @@ def test_halrtc_matches_nuclear_norm_reference():
 
 
 def objective_history(t, mask) -> list[float]:
-    """Weighted nuclear objective of every ADMM iterate: the k-th iterate is
-    the output of a run capped at k iterations."""
+    """Weighted nuclear objective of every ADMM iterate, from one pass of
+    the SVD reference loop. The library's first, middle and last iterates
+    (runs capped at k iterations) are checked against the reference's."""
     params = HalrtcParams.uniform(t.order)
-    _, iters = halrtc_svd_reference(t, mask, params)
-    alphas = params.alphas
-    return [
-        nuclear_objective(halrtc_complete(t, mask, HalrtcParams(alphas, max_iters=k)), alphas)
-        for k in range(1, iters + 1)
-    ]
+    iterates = []
+    halrtc_svd_reference(t, mask, params, iterates=iterates)
+    for k in {1, (len(iterates) + 1) // 2, len(iterates)}:
+        ours = halrtc_complete(t, mask, HalrtcParams(params.alphas, max_iters=k)).values
+        ref = iterates[k - 1]
+        assert np.linalg.norm(ours - ref) <= 1e-10 * np.linalg.norm(ref), k
+    return [nuclear_objective(DenseTensor(t.shape, x), params.alphas) for x in iterates]
 
 
 def test_halrtc_objective_non_increasing():
@@ -272,8 +274,7 @@ def test_halrtc_shrinkage_matches_svd_within_bound(shape, mode):
     if near > 1e-9:
         taus += [near - 1e-10, near + 1e-10]
     for tau in taus:
-        got = matricize(DenseTensor(shape, baselines._shrink_mode(x, mode, tau)), mode + 1)
-        err = np.linalg.norm(got.values - svd_shrink(m, tau))
+        err = np.linalg.norm(baselines._shrink_mode(x, mode, tau) - svd_shrink(m, tau))
         assert err <= extent * np.finfo(float).eps * sv[0] ** 2 / tau, (tau, err)
 
 
@@ -302,10 +303,12 @@ def test_halrtc_matches_svd_reference_loop(seed, monkeypatch):
     assert np.array_equal(out.values[mask], stacked.values[mask])
 
 
-@pytest.mark.parametrize("bad, where", [(np.nan, "surrogate"), (1e308, "working tensor")])
+@pytest.mark.parametrize("bad, where", [(np.nan, "FiberMatrix: values must be finite"),
+                                        (1e308, "working tensor")])
 def test_halrtc_non_finite_raises(bad, where, monkeypatch):
     stacked, mask = stacked_fiber_instance(0)
-    monkeypatch.setattr(baselines, "_shrink_mode", lambda x, mode, tau: np.full_like(x, bad))
+    monkeypatch.setattr(baselines, "_shrink_mode", lambda x, mode, tau: np.full(
+        (x.size // x.shape[mode], x.shape[mode]), bad))
     with np.errstate(over="ignore"), pytest.raises(ValueError, match=where):
         halrtc_complete(stacked, mask)
 
