@@ -14,10 +14,8 @@ from .baselines import (
     unstack_acquisitions,
 )
 from .bounds import (
-    BoundMatrices,
     BoundReport,
     GtvmBound,
-    bound_matrices,
     compute_phi,
     compute_psi,
     evaluate_bounds,

@@ -13,13 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import AllMissing, EmptyGraph, SingularSystemWarning
 from .graph import ObservationSet, SparseGraph, partition_blocks, split_reachable
+from .propagation import check_observed, fill_rows, jacobi_cg
 from .tensor import DenseTensor, FiberMatrix, refold
 
-GTVM_TOL = 1e-10
+# HaLRTC's ADMM penalty: starts at HALRTC_RHO, grows by HALRTC_RHO_GROWTH
+# per iteration up to HALRTC_RHO_CAP; HALRTC_TOL is the stopping tolerance.
+HALRTC_RHO = 1e-3
+HALRTC_RHO_GROWTH = 1.05
+HALRTC_RHO_CAP = 1e3
+HALRTC_TOL = 1e-5
 
 
 def gtvm_inpaint(
@@ -32,37 +37,27 @@ def gtvm_inpaint(
     Minimises ``||F - A' F||_F^2`` subject to ``F_o = t_obs``, where A' is
     the adjacency scaled by ``g.lam_max``. The missing nodes that share a
     component with an observed node solve the normal equations of the
-    quadratic by Jacobi-preconditioned conjugate gradient (relative
-    tolerance ``GTVM_TOL``, at most 10x their count iterations; hitting the
-    cap warns :class:`SingularSystemWarning` and keeps the last iterate).
-    The other missing nodes get 0, the least-norm value; those in a
+    quadratic with :func:`~graphprop.propagation.jacobi_cg` (at most 10x
+    their count iterations; hitting the cap warns
+    :class:`SingularSystemWarning` and keeps the last iterate). The other
+    missing nodes get the per-channel mean of the observed rows, the fill
+    rule of :func:`~graphprop.propagation.solve_steady_state`; those in a
     component with edges but no observed node make the system singular
     there and are reported with :class:`SingularSystemWarning`.
     """
     if g.adjacency.nnz == 0:
         raise EmptyGraph("adjacency has no edges")
-    if omega.n != g.n:
-        raise ValueError(f"observation set is over {omega.n} nodes, graph has {g.n}")
-    t_obs = np.asarray(t_obs, dtype=np.float64)
-    if t_obs.ndim != 2 or t_obs.shape[0] != omega.observed.size:
-        raise ValueError(
-            f"observed values must be ({omega.observed.size}, channels), got {t_obs.shape}"
-        )
-    if not np.all(np.isfinite(t_obs)):
-        raise ValueError("observed values must be finite")
-
-    values = np.zeros((g.n, t_obs.shape[1]), dtype=np.float64)
-    values[omega.observed] = t_obs
+    t_obs = check_observed(g, omega, t_obs)
     kept, excluded = split_reachable(g, omega)
     stranded = excluded[g.degrees[excluded] > 0]
     if stranded.size:
         warnings.warn(
             f"{stranded.size} missing node(s) lie in components with no observed "
-            "node; the inpainting system is singular there and they are set to 0",
+            "node; the inpainting system is singular there and they are mean-filled",
             SingularSystemWarning,
         )
     if kept.size == 0:
-        return FiberMatrix(values)
+        return fill_rows(omega, t_obs, kept, np.empty((0, t_obs.shape[1])), excluded)
 
     lam_max = g.lam_max
     blocks = partition_blocks(g, omega.observed, kept)
@@ -70,41 +65,30 @@ def gtvm_inpaint(
     gram = (b_kk @ b_kk + (blocks.a_co @ blocks.a_co.T) / lam_max**2).tocsr()
     # B is symmetric, so B_k^T B_o F_o = (B B x)_k with x the observed
     # values padded with zeros (no edge joins k to the other missing nodes).
-    b_x = values - (g.adjacency @ values) / lam_max
+    x = np.zeros((g.n, t_obs.shape[1]), dtype=np.float64)
+    x[omega.observed] = t_obs
+    b_x = x - (g.adjacency @ x) / lam_max
     rhs = ((g.adjacency @ b_x) / lam_max - b_x)[kept]
-    precond = sp.diags_array(1.0 / gram.diagonal(), format="csr")
     max_iters = 10 * kept.size
-    converged = True
-    for j in range(rhs.shape[1]):
-        values[kept, j], info = spla.cg(
-            gram, rhs[:, j], rtol=GTVM_TOL, atol=0.0, maxiter=max_iters, M=precond
-        )
-        converged = converged and info == 0
+    solution, _, converged = jacobi_cg(gram, rhs, max_iters)
     if not converged:
         warnings.warn(
             f"inpainting conjugate gradient hit the {max_iters}-iteration cap; "
             "last iterate kept",
             SingularSystemWarning,
         )
-    return FiberMatrix(values)
-
-
-def gtvm_objective(g: SparseGraph, values: np.ndarray) -> float:
-    """Objective ``||F - A' F||_F^2`` of the inpainting quadratic."""
-    return float(np.linalg.norm(values - (g.adjacency @ values) / g.lam_max) ** 2)
+    return fill_rows(omega, t_obs, kept, solution, excluded)
 
 
 @dataclass(frozen=True)
 class HalrtcParams:
     """ADMM settings for low-rank completion; ``alphas`` weight the
-    mode-unfolding nuclear norms and must sum to one."""
+    mode-unfolding nuclear norms and must sum to one, ``max_iters`` caps
+    the iterations. The penalty schedule and the stopping tolerance are
+    the module's ``HALRTC_*`` constants."""
 
     alphas: tuple[float, ...]
-    rho: float = 1e-3
-    rho_growth: float = 1.05
-    rho_cap: float = 1e3
     max_iters: int = 300
-    tol: float = 1e-5
 
     def __post_init__(self):
         alphas = tuple(float(a) for a in self.alphas)
@@ -112,12 +96,8 @@ class HalrtcParams:
             raise ValueError("alphas must be nonnegative")
         if abs(sum(alphas) - 1.0) > 1e-12:
             raise ValueError(f"alphas must sum to 1, got {sum(alphas)}")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.rho_growth < 1.0 or self.rho_cap < self.rho:
-            raise ValueError("rho schedule must be non-decreasing")
-        if self.max_iters < 1 or self.tol <= 0:
-            raise ValueError("max_iters must be >= 1 and tol > 0")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
         object.__setattr__(self, "alphas", alphas)
 
     @classmethod
@@ -165,7 +145,7 @@ def halrtc_complete(
     ``mask`` is boolean with True at observed entries; those entries are
     returned exactly. Stops once both the relative change of the iterate
     and the consensus gap between the mode surrogates and the iterate drop
-    to ``params.tol`` (the gap term keeps the cold-start phase, where the
+    to ``HALRTC_TOL`` (the gap term keeps the cold-start phase, where the
     shrinkage still annihilates every surrogate, from stopping the loop),
     or at ``params.max_iters``.
 
@@ -192,7 +172,7 @@ def halrtc_complete(
     x = np.zeros_like(t.values)
     x[mask] = observed
     duals = [np.zeros_like(x) for _ in range(t.order)]
-    rho = params.rho
+    rho = HALRTC_RHO
 
     for _ in range(params.max_iters):
         surrogates = []
@@ -210,9 +190,9 @@ def halrtc_complete(
         change = np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-300)
         gap = max(np.linalg.norm(m - x_new) for m in surrogates)
         x = x_new
-        if change <= params.tol and gap <= params.tol * max(1.0, np.linalg.norm(x)):
+        if change <= HALRTC_TOL and gap <= HALRTC_TOL * max(1.0, np.linalg.norm(x)):
             break
-        rho = min(rho * params.rho_growth, params.rho_cap)
+        rho = min(rho * HALRTC_RHO_GROWTH, HALRTC_RHO_CAP)
     return DenseTensor(t.shape, x)
 
 

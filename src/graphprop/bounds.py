@@ -23,7 +23,6 @@ largest eigenvalue magnitude, giving ``2 |eta| / (2 - q)``.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -73,44 +72,6 @@ def _require_invertible_degrees(g: SparseGraph) -> None:
         raise SingularDegree(
             f"{g.zero_degree_ids.size} node(s) have degree zero; exclude them first"
         )
-
-
-@dataclass(frozen=True, eq=False)
-class BoundMatrices:
-    """Dense block shorthands in the (observed, missing) node ordering.
-    Intended for small instances and test oracles; the bound scalars are
-    computed from sparse blocks instead."""
-
-    p: np.ndarray
-    q: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    y: np.ndarray
-
-
-def bound_matrices(g: SparseGraph, omega: ObservationSet) -> BoundMatrices:
-    """Materialise P, Q, U, V, Y as dense arrays (see module docstring)."""
-    _require_invertible_degrees(g)
-    if omega.n != g.n:
-        raise ValueError(f"observation set is over {omega.n} nodes, graph has {g.n}")
-    perm = np.concatenate([omega.observed, omega.missing])
-    a = g.adjacency[perm][:, perm].toarray()
-    d = g.degrees[perm]
-    scaled = a / d[:, None]
-    eye = np.eye(g.n)
-    selector = np.zeros((g.n, 1))
-    selector[omega.observed.size :] = 1.0
-    p = selector * (eye - scaled)
-    q = selector * (eye + scaled)
-    blocks = partition_blocks(g, omega.observed, omega.missing)
-    n_mis = omega.missing.size
-    a_cc = blocks.a_cc.toarray()
-    a_co = blocks.a_co.toarray()
-    d_cc = blocks.d_cc[:, None] if n_mis else np.empty((0, 1))
-    u = np.eye(n_mis) + (a_cc / d_cc if n_mis else a_cc)
-    v = np.eye(n_mis) - (a_cc / d_cc if n_mis else a_cc)
-    y = a_co / d_cc if n_mis else a_co
-    return BoundMatrices(p, q, u, v, y)
 
 
 def compute_psi(g: SparseGraph, omega: ObservationSet, f0) -> float:
@@ -193,13 +154,6 @@ class BoundReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BoundReport":
-        return cls(**data)
 
 
 def evaluate_bounds(g: SparseGraph, omega: ObservationSet, f0, fhat) -> BoundReport:

@@ -61,8 +61,9 @@ class MaxItersExceeded(RuntimeWarning):
 
 class SingularSystemWarning(RuntimeWarning):
     """Total-variation inpainting could not pin every missing node: some
-    lie in a component with edges but no observed node (set to 0, the
-    least-norm value), or its conjugate-gradient solve hit the iteration
+    lie in a component with edges but no observed node (filled with the
+    per-channel mean of the observed rows, as the steady-state solve fills
+    its excluded nodes), or its conjugate-gradient solve hit the iteration
     cap (the last iterate is kept)."""
 
 

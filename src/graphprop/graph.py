@@ -102,12 +102,6 @@ class EdgeSet:
     def n_edges(self) -> int:
         return int(self.edges.shape[0])
 
-    def degrees(self) -> np.ndarray:
-        return np.bincount(self.edges.ravel(), minlength=self.n).astype(np.int64)
-
-    def to_set(self) -> set[tuple[int, int]]:
-        return {(int(u), int(v)) for u, v in self.edges}
-
 
 def _nearest_k(
     pts: np.ndarray, rows: np.ndarray, cands: np.ndarray, k: int
@@ -243,14 +237,7 @@ def knn_edges(features: FiberMatrix, observed: ObservationSet, k: int) -> EdgeSe
     pts = np.ascontiguousarray(features.values[obs])
     if not np.all(np.isfinite(pts)):
         raise NonFiniteInput("observed fiber features must be finite")
-    n_obs = pts.shape[0]
-    if n_obs == k + 1:
-        # Every other observed node is among the k nearest.
-        grid = np.arange(n_obs, dtype=np.int64)
-        src, dst = np.meshgrid(grid, grid, indexing="ij")
-        keep = src != dst
-        src, dst = src[keep], dst[keep]
-    elif pts.shape[1] <= KDTREE_MAX_CHANNELS:
+    if pts.shape[1] <= KDTREE_MAX_CHANNELS:
         src, dst = _knn_neighbors_tree(pts, k)
     else:
         src, dst = _knn_neighbors_brute(pts, k)

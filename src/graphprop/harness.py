@@ -215,11 +215,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("area fractions must lie in [0, 0.7]")
         if cfg.inputs and len(cfg.inputs) != 2:
             raise ConfigError("overlap-sim needs exactly two input rasters")
+        if not cfg.inputs and min(cfg.height, cfg.width, cfg.bands) < 1:
+            raise ConfigError("raster height, width and bands must be positive")
     if cfg.kind == "blogs":
         if not cfg.label_fracs:
             raise ConfigError("label fraction grid must be nonempty")
         if any(not 0.0 < f <= 1.0 for f in cfg.label_fracs):
             raise ConfigError("label fractions must lie in (0, 1]")
+        if cfg.two_block_size < 0 or cfg.two_block_size == 1:
+            raise ConfigError("two_block_size must be at least 2 (or 0 to read graph_file)")
         if cfg.two_block_size == 0 and not (cfg.graph_file and cfg.labels_file):
             raise ConfigError("blogs needs graph_file and labels_file, or two_block_size")
     if cfg.kind == "complete":

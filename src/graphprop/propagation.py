@@ -1,6 +1,8 @@
 """Masked diffusion over the unified graph: the steady-state solve, the
 end-to-end multi-acquisition pipeline, and median thresholding for label
-tasks.
+tasks. The solve's input check (:func:`check_observed`), conjugate
+gradient (:func:`jacobi_cg`) and fill rule (:func:`fill_rows`) are shared
+with total-variation inpainting in :mod:`graphprop.baselines`.
 
 The steady state pins observed fibers and drives every missing fiber to
 the arithmetic mean of its neighbours' fibers, i.e. it solves the grounded
@@ -21,6 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (
+    AllMissing,
     CoverageViolationWarning,
     MaxItersExceeded,
     NonFiniteInput,
@@ -68,13 +71,68 @@ class CompletionResult:
     graph: SparseGraph
 
 
-def _fill_rows(values: np.ndarray, omega: ObservationSet, f_obs: np.ndarray,
-               kept: np.ndarray, solution: np.ndarray, excluded: np.ndarray) -> None:
+def check_observed(g: SparseGraph, omega: ObservationSet, f_obs) -> np.ndarray:
+    """Observed values as a float64 ``(n_observed, channels)`` array.
+
+    Raises ``ValueError`` unless the graph and the observation set share
+    their node count and ``f_obs`` has one row per observed id,
+    :class:`AllMissing` when no node is observed (the fill rule needs an
+    observed mean), and :class:`NonFiniteInput` for NaN or infinite values.
+    """
+    if g.n != omega.n:
+        raise ValueError(f"graph has {g.n} nodes, observation set {omega.n}")
+    f_obs = np.asarray(f_obs, dtype=np.float64)
+    if f_obs.ndim != 2 or f_obs.shape[0] != omega.observed.size:
+        raise ValueError(
+            f"observed values must be ({omega.observed.size}, channels), got {f_obs.shape}"
+        )
+    if omega.observed.size == 0:
+        raise AllMissing("at least one node must be observed")
+    if not np.all(np.isfinite(f_obs)):
+        raise NonFiniteInput("observed fiber values must be finite")
+    return f_obs
+
+
+def jacobi_cg(matrix: sp.csr_array, rhs: np.ndarray,
+              max_iters: int) -> tuple[np.ndarray, int, bool]:
+    """Solve the symmetric positive definite ``matrix X = rhs`` column by
+    column with Jacobi-preconditioned conjugate gradient, to a relative
+    residual of ``DEFAULT_TOL`` in at most ``max_iters`` iterations each.
+
+    Returns the solution, the largest iteration count over the columns,
+    and whether every column converged (otherwise its last iterate is
+    kept).
+    """
+    solution = np.empty_like(rhs)
+    precond = sp.diags_array(1.0 / matrix.diagonal(), format="csr")
+    iterations = 0
+    converged = True
+    for j in range(rhs.shape[1]):
+        count = 0
+
+        def _cb(_xk):
+            nonlocal count
+            count += 1
+
+        solution[:, j], info = spla.cg(
+            matrix, rhs[:, j], rtol=DEFAULT_TOL, atol=0.0, maxiter=max_iters, M=precond,
+            callback=_cb,
+        )
+        iterations = max(iterations, count)
+        converged = converged and info == 0
+    return solution, iterations, converged
+
+
+def fill_rows(omega: ObservationSet, f_obs: np.ndarray, solved: np.ndarray,
+              solution: np.ndarray, excluded: np.ndarray) -> FiberMatrix:
+    """The completed fiber matrix: observed rows bit for bit, ``solution``
+    at the ``solved`` missing ids, and the per-channel mean of the observed
+    rows at the ``excluded`` missing ids."""
+    values = np.empty((omega.n, f_obs.shape[1]), dtype=np.float64)
     values[omega.observed] = f_obs
-    if kept.size:
-        values[kept] = solution
-    if excluded.size:
-        values[excluded] = f_obs.mean(axis=0)
+    values[solved] = solution
+    values[excluded] = f_obs.mean(axis=0)
+    return FiberMatrix(values)
 
 
 def solve_steady_state(
@@ -103,15 +161,7 @@ def solve_steady_state(
         'exclude' for missing nodes in a component with edges but no
         observed node; zero-degree missing nodes are always excluded.
     """
-    f_obs = np.asarray(f_obs, dtype=np.float64)
-    if f_obs.ndim != 2 or f_obs.shape[0] != omega.observed.size:
-        raise ValueError(
-            f"observed values must be ({omega.observed.size}, channels), got {f_obs.shape}"
-        )
-    if not np.all(np.isfinite(f_obs)):
-        raise NonFiniteInput("observed fiber values must be finite")
-    if g.n != omega.n:
-        raise ValueError(f"graph has {g.n} nodes, observation set {omega.n}")
+    f_obs = check_observed(g, omega, f_obs)
     if method not in ("cg", "splu"):
         raise ValueError(f"unknown method {method!r}")
     if on_unreachable not in ("raise", "exclude"):
@@ -123,13 +173,10 @@ def solve_steady_state(
         raise UnreachableComponent(
             f"{stranded.size} missing node(s) lie in components with no observed node"
         )
-    channels = f_obs.shape[1]
-    values = np.empty((g.n, channels), dtype=np.float64)
-
     if kept.size == 0:
-        _fill_rows(values, omega, f_obs, kept, np.empty((0, channels)), excluded)
-        stats = SolverStats(method, 0, 0.0, True)
-        return CompletionResult(FiberMatrix(values), omega.observed, kept, excluded, stats, g)
+        completed = fill_rows(omega, f_obs, kept, np.empty((0, f_obs.shape[1])), excluded)
+        return CompletionResult(completed, omega.observed, kept, excluded,
+                                SolverStats(method, 0, 0.0, True), g)
 
     # L_kk = D_kk - A_kk and b = A_ko F_o over the kept missing ids
     blocks = partition_blocks(g, omega.observed, kept)
@@ -139,24 +186,7 @@ def solve_steady_state(
     if method == "cg":
         if max_iters is None:
             max_iters = 10 * kept.size
-        solution = np.empty_like(b)
-        precond = sp.diags_array(1.0 / l_kk.diagonal(), format="csr")
-        iterations = 0
-        converged = True
-        for j in range(channels):
-            count = 0
-
-            def _cb(_xk):
-                nonlocal count
-                count += 1
-
-            xj, info = spla.cg(
-                l_kk, b[:, j], rtol=DEFAULT_TOL, atol=0.0, maxiter=max_iters, M=precond,
-                callback=_cb,
-            )
-            solution[:, j] = xj
-            iterations = max(iterations, count)
-            converged = converged and info == 0
+        solution, iterations, converged = jacobi_cg(l_kk, b, max_iters)
         if not converged:
             warnings.warn(
                 f"conjugate gradient hit the {max_iters}-iteration cap", MaxItersExceeded
@@ -167,9 +197,9 @@ def solve_steady_state(
         iterations, converged = 0, True
 
     residual = float(np.linalg.norm(l_kk @ solution - b))
-    _fill_rows(values, omega, f_obs, kept, solution, excluded)
+    completed = fill_rows(omega, f_obs, kept, solution, excluded)
     stats = SolverStats(method, iterations, residual, converged)
-    return CompletionResult(FiberMatrix(values), omega.observed, kept, excluded, stats, g)
+    return CompletionResult(completed, omega.observed, kept, excluded, stats, g)
 
 
 def graphprop(acquisitions, k: int, *, method: str = "cg") -> list[CompletionResult]:

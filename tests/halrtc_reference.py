@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from graphprop import DenseTensor, FiberMatrix, HalrtcParams, matricize, refold
+from graphprop.baselines import HALRTC_RHO, HALRTC_RHO_CAP, HALRTC_RHO_GROWTH, HALRTC_TOL
 
 
 def nuclear_objective(t: DenseTensor, alphas) -> float:
@@ -41,7 +42,7 @@ def halrtc_svd_reference(t: DenseTensor, mask: np.ndarray, params: HalrtcParams,
     x = np.zeros_like(t.values)
     x[mask] = observed
     duals = [np.zeros_like(x) for _ in range(t.order)]
-    rho = params.rho
+    rho = HALRTC_RHO
     iters = 0
     for iters in range(1, params.max_iters + 1):
         surrogates = []
@@ -58,7 +59,7 @@ def halrtc_svd_reference(t: DenseTensor, mask: np.ndarray, params: HalrtcParams,
         x = x_new
         if iterates is not None:
             iterates.append(x.copy())
-        if change <= params.tol and gap <= params.tol * max(1.0, np.linalg.norm(x)):
+        if change <= HALRTC_TOL and gap <= HALRTC_TOL * max(1.0, np.linalg.norm(x)):
             break
-        rho = min(rho * params.rho_growth, params.rho_cap)
+        rho = min(rho * HALRTC_RHO_GROWTH, HALRTC_RHO_CAP)
     return DenseTensor(t.shape, x), iters

@@ -1,0 +1,74 @@
+"""Dense and set-valued oracles used by the tests only.
+
+``bound_matrices`` materialises the block shorthands of the bound
+machinery (see the ``graphprop.bounds`` module docstring) as dense arrays;
+the library computes its bound scalars from sparse blocks instead.
+"""
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+
+import numpy as np
+
+from graphprop import BoundReport, EdgeSet, ObservationSet, SparseGraph, partition_blocks
+from graphprop.bounds import _require_invertible_degrees
+
+
+def edge_pairs(e: EdgeSet) -> set[tuple[int, int]]:
+    """The edges of ``e`` as a set of (u, v) pairs with u < v."""
+    return {(int(u), int(v)) for u, v in e.edges}
+
+
+def edge_degrees(e: EdgeSet) -> np.ndarray:
+    """Per-node edge counts of ``e``."""
+    return np.bincount(e.edges.ravel(), minlength=e.n).astype(np.int64)
+
+
+def gtvm_objective(g: SparseGraph, values: np.ndarray) -> float:
+    """Objective ``||F - A' F||_F^2`` of the inpainting quadratic."""
+    return float(np.linalg.norm(values - (g.adjacency @ values) / g.lam_max) ** 2)
+
+
+def report_to_json(report: BoundReport) -> str:
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
+def report_from_dict(data: dict) -> BoundReport:
+    return BoundReport(**data)
+
+
+@dataclass(frozen=True, eq=False)
+class BoundMatrices:
+    """Dense block shorthands in the (observed, missing) node ordering."""
+
+    p: np.ndarray
+    q: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    y: np.ndarray
+
+
+def bound_matrices(g: SparseGraph, omega: ObservationSet) -> BoundMatrices:
+    """Materialise P, Q, U, V, Y as dense arrays."""
+    _require_invertible_degrees(g)
+    if omega.n != g.n:
+        raise ValueError(f"observation set is over {omega.n} nodes, graph has {g.n}")
+    perm = np.concatenate([omega.observed, omega.missing])
+    a = g.adjacency[perm][:, perm].toarray()
+    d = g.degrees[perm]
+    scaled = a / d[:, None]
+    eye = np.eye(g.n)
+    selector = np.zeros((g.n, 1))
+    selector[omega.observed.size :] = 1.0
+    p = selector * (eye - scaled)
+    q = selector * (eye + scaled)
+    blocks = partition_blocks(g, omega.observed, omega.missing)
+    n_mis = omega.missing.size
+    a_cc = blocks.a_cc.toarray()
+    a_co = blocks.a_co.toarray()
+    d_cc = blocks.d_cc[:, None] if n_mis else np.empty((0, 1))
+    u = np.eye(n_mis) + (a_cc / d_cc if n_mis else a_cc)
+    v = np.eye(n_mis) - (a_cc / d_cc if n_mis else a_cc)
+    y = a_co / d_cc if n_mis else a_co
+    return BoundMatrices(p, q, u, v, y)

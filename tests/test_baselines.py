@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from graphprop import (
     DenseTensor,
@@ -17,14 +18,15 @@ from graphprop import (
     matricize,
     refold,
     sample_observation_sets,
+    solve_steady_state,
     stack_acquisitions,
     unstack_acquisitions,
 )
 from graphprop import baselines, bounds
-from graphprop.baselines import gtvm_objective
 from graphprop.errors import AllMissing, EmptyGraph, SingularSystemWarning
 from graphprop.harness import _observed_fiber_mask
 from halrtc_reference import halrtc_svd_reference, nuclear_objective, svd_shrink
+from oracles import gtvm_objective
 
 
 def path3():
@@ -97,19 +99,34 @@ def test_gtvm_local_optimality_spot_check(n):
 @pytest.mark.parametrize("n", [4, 301])
 def test_gtvm_disconnected_observed_component_flagged(n):
     # second component has no observed node: the quadratic is singular there;
-    # nodes 4.. are isolated and missing, which is not singular
+    # nodes 4.. are isolated and missing, which is not singular. Both get the
+    # observed mean; node 1 solves to the observed value.
     g = build_graph(EdgeSet.from_pairs(n, [(0, 1), (2, 3)]))
     omega = ObservationSet(n, [0])
     with pytest.warns(SingularSystemWarning, match="2 missing node"):
         out = gtvm_inpaint(g, omega, np.array([[2.0]]))
-    expected = np.zeros((n, 1))
-    expected[:2] = 2.0
-    assert np.array_equal(out.values, expected)
+    assert np.array_equal(out.values, np.full((n, 1), 2.0))
+
+
+def test_gtvm_and_steady_state_fill_excluded_nodes_alike():
+    # nodes 0-2 form a path with two observed nodes, 3-5 a triangle with
+    # none (stranded), node 6 has no edge (zero degree)
+    g = build_graph(EdgeSet.from_pairs(7, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)]))
+    omega = ObservationSet(7, [0, 2])
+    t_obs = np.array([[1.0, -2.0], [4.0, 3.5]])
+    with pytest.warns(SingularSystemWarning, match="3 missing node"):
+        gtvm = gtvm_inpaint(g, omega, t_obs)
+    res = solve_steady_state(g, omega, t_obs, on_unreachable="exclude")
+    assert np.array_equal(res.excluded_ids, [3, 4, 5, 6])
+    assert np.array_equal(gtvm.values[res.excluded_ids],
+                          res.completed.values[res.excluded_ids])
+    assert np.array_equal(gtvm.values[res.excluded_ids],
+                          np.tile(t_obs.mean(axis=0), (4, 1)))
 
 
 def test_gtvm_iteration_cap_warns(monkeypatch):
-    real_cg = baselines.spla.cg
-    monkeypatch.setattr(baselines.spla, "cg",
+    real_cg = scipy.sparse.linalg.cg
+    monkeypatch.setattr(scipy.sparse.linalg, "cg",
                         lambda *args, **kwargs: real_cg(*args, **{**kwargs, "maxiter": 1}))
     rng = np.random.default_rng(3)
     n = 40
@@ -321,8 +338,6 @@ def test_halrtc_validation():
         halrtc_complete(t, np.ones((3, 2), dtype=bool))
     with pytest.raises(ValueError):
         HalrtcParams(alphas=(0.5, 0.4))
-    with pytest.raises(ValueError):
-        HalrtcParams(alphas=(0.5, 0.5), rho=0.0)
 
 
 def test_nuclear_objective_matches_svd():

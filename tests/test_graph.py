@@ -16,6 +16,7 @@ from graphprop import (
 )
 from graphprop import graph
 from graphprop.errors import DataError, NonFiniteInput, TooFewObserved
+from oracles import edge_degrees, edge_pairs
 
 
 def exact_distance(a, b):
@@ -49,13 +50,13 @@ def all_observed(n):
 def test_knn_line_features():
     feats = FiberMatrix(np.array([[0.0], [1.0], [10.0]]))
     e = knn_edges(feats, all_observed(3), 1)
-    assert e.to_set() == {(0, 1), (1, 2)}
+    assert edge_pairs(e) == {(0, 1), (1, 2)}
 
 
 def test_knn_two_components():
     feats = FiberMatrix(np.array([[0.0], [1.0], [10.0], [11.0]]))
     e = knn_edges(feats, all_observed(4), 1)
-    assert e.to_set() == {(0, 1), (2, 3)}
+    assert edge_pairs(e) == {(0, 1), (2, 3)}
 
 
 def test_knn_complete_graph_when_k_saturates():
@@ -70,15 +71,15 @@ def test_knn_restricted_to_observed():
     omega = ObservationSet(4, [0, 2, 3])
     e = knn_edges(feats, omega, 1)
     assert 1 not in set(e.edges.ravel())
-    assert e.to_set() == {(0, 2), (2, 3)}
+    assert edge_pairs(e) == {(0, 2), (2, 3)}
 
 
 def test_knn_duplicate_rows_rank_first():
     feats = FiberMatrix(np.array([[0.0], [0.0], [0.0], [5.0]]))
     e = knn_edges(feats, all_observed(4), 1)
     # ids 0,1,2 coincide; ties break towards smaller id, node 3 attaches to 0
-    assert e.to_set() == {(0, 1), (0, 2), (1, 2), (0, 3)} & brute_force_knn(feats.values, 1)
-    assert e.to_set() == brute_force_knn(feats.values, 1)
+    assert edge_pairs(e) == {(0, 1), (0, 2), (1, 2), (0, 3)} & brute_force_knn(feats.values, 1)
+    assert edge_pairs(e) == brute_force_knn(feats.values, 1)
 
 
 def test_knn_preconditions():
@@ -123,7 +124,7 @@ def test_knn_matches_brute_force(seed, k, channels, quantize, duplicate):
     points = tie_points(seed, k, channels, quantize, duplicate)
     n = len(points)
     e = knn_edges(FiberMatrix(points), all_observed(n), k)
-    assert e.to_set() == brute_force_knn(points, k)
+    assert edge_pairs(e) == brute_force_knn(points, k)
 
 
 @pytest.mark.parametrize("seed", range(4, 10))
@@ -138,29 +139,50 @@ def test_knn_tree_and_brute_force_paths_agree(monkeypatch, seed):
     assert np.array_equal(tree.edges, brute.edges)
 
 
+@pytest.mark.parametrize("limit", [20, 19], ids=["tree", "brute-force"])
+@pytest.mark.parametrize("k", [1, 2, 4, 7])
+def test_knn_k_plus_one_observed_matches_oracle(monkeypatch, limit, k):
+    # with k + 1 observed fibers every other one is among the k nearest;
+    # integer grids (ties) and exact duplicates on both search paths
+    monkeypatch.setattr(graph, "KDTREE_MAX_CHANNELS", limit)
+    rng = np.random.default_rng(k)
+    for points in (rng.standard_normal((k + 1, 20)),
+                   np.floor(rng.standard_normal((k + 1, 20)) * 2.0),
+                   np.zeros((k + 1, 20))):
+        e = knn_edges(FiberMatrix(points), all_observed(k + 1), k)
+        assert edge_pairs(e) == brute_force_knn(points, k)
+        assert e.n_edges == k * (k + 1) // 2
+    # observed subset of a larger node set
+    feats = FiberMatrix(rng.standard_normal((k + 4, 20)))
+    omega = ObservationSet(k + 4, np.arange(1, k + 2))
+    expected = {(int(omega.observed[i]), int(omega.observed[j]))
+                for i, j in brute_force_knn(feats.values[omega.observed], k)}
+    assert edge_pairs(knn_edges(feats, omega, k)) == expected
+
+
 def test_knn_brute_force_path_high_dim():
     rng = np.random.default_rng(7)
     points = rng.standard_normal((50, 20))  # channels > 16: blocked path
     e = knn_edges(FiberMatrix(points), all_observed(50), 3)
-    assert e.to_set() == brute_force_knn(points, 3)
+    assert edge_pairs(e) == brute_force_knn(points, 3)
 
 
 def test_knn_larger_instance_matches_oracle():
     rng = np.random.default_rng(21)
     points = rng.standard_normal((500, 3))
     e = knn_edges(FiberMatrix(points), all_observed(500), 10)
-    assert e.to_set() == brute_force_knn(points, 10)
+    assert edge_pairs(e) == brute_force_knn(points, 10)
 
 
 def test_union_idempotent():
     e = EdgeSet.from_pairs(4, [(0, 1), (2, 3)])
-    assert union_edges([e, e]).to_set() == e.to_set()
+    assert edge_pairs(union_edges([e, e])) == edge_pairs(e)
 
 
 def test_union_merges():
     a = EdgeSet.from_pairs(3, [(0, 1)])
     b = EdgeSet.from_pairs(3, [(1, 2)])
-    assert union_edges([a, b]).to_set() == {(0, 1), (1, 2)}
+    assert edge_pairs(union_edges([a, b])) == {(0, 1), (1, 2)}
 
 
 def test_union_rejects_mismatched_n():
@@ -180,7 +202,7 @@ def test_union_degree_guarantee():
     e1 = knn_edges(FiberMatrix(feats1), om1, k)
     e2 = knn_edges(FiberMatrix(feats2), om2, k)
     union = union_edges([e1, e2])
-    assert (union.degrees() >= k).all()
+    assert (edge_degrees(union) >= k).all()
 
 
 def test_build_graph_path():
@@ -288,7 +310,7 @@ def test_edge_list_roundtrip(tmp_path):
     assert text.splitlines()[0] == "# n=5"
     assert "1 2" in text and "3 5" in text
     back = load_edge_list(path)
-    assert back.n == 5 and back.to_set() == e.to_set()
+    assert back.n == 5 and edge_pairs(back) == edge_pairs(e)
 
 
 def test_edge_list_errors(tmp_path):

@@ -73,6 +73,12 @@ def test_config_validation_errors():
         config_from_dict({"kind": "blogs"})
     with pytest.raises(ConfigError):
         config_from_dict({"kind": "overlap-sim", "area_grid": [0.8]})
+    for bad in ({"height": 0}, {"width": -1}, {"bands": 0}):
+        with pytest.raises(ConfigError, match="must be positive"):
+            config_from_dict({"kind": "overlap-sim", **bad})
+    for size in (1, -3):
+        with pytest.raises(ConfigError, match="two_block_size"):
+            config_from_dict({"kind": "blogs", "two_block_size": size})
     # removed: the dense solver, the solver tolerance and the HaLRTC block
     for removed in ({"solver": {"method": "cholesky"}}, {"solver": {"tol": 1e-8}},
                     {"halrtc": {"max_iters": 10}}):
@@ -447,6 +453,12 @@ def test_cli_exit_codes(tmp_path):
         "out_dir": str(tmp_path / "out"),
     }))
     assert main(["complete", "--config", str(missing_inputs)]) == 3
+    for kind, bad in (("overlap-sim", {"height": 0}), ("overlap-sim", {"bands": 0}),
+                      ("blogs", {"two_block_size": 1}), ("blogs", {"two_block_size": -3})):
+        bad_cfg.write_text(json.dumps({"kind": kind, **bad,
+                                       "out_dir": str(tmp_path / "never")}))
+        assert main([kind, "--config", str(bad_cfg)]) == 2
+    assert not (tmp_path / "never").exists()
 
 
 def test_cli_bound_violation_exit_code(tmp_path, monkeypatch, caplog):

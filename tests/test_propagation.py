@@ -13,6 +13,7 @@ from graphprop import (
     classify_by_median,
     generate_acquisitions,
     graphprop,
+    gtvm_inpaint,
     knn_edges,
     matricize,
     rmse,
@@ -21,6 +22,7 @@ from graphprop import (
     union_edges,
 )
 from graphprop.errors import (
+    AllMissing,
     CoverageViolationWarning,
     MaxItersExceeded,
     NonFiniteInput,
@@ -107,6 +109,15 @@ def test_zero_degree_node_always_excluded():
 def test_nonfinite_observed_rejected():
     with pytest.raises(NonFiniteInput):
         solve_steady_state(path3(), ObservationSet(3, [0, 2]), np.array([[np.nan], [1.0]]))
+
+
+def test_no_observed_node_rejected():
+    # the fill rule needs an observed mean; GTVM shares the check
+    empty = ObservationSet(3, [])
+    with pytest.raises(AllMissing):
+        solve_steady_state(path3(), empty, np.empty((0, 1)), on_unreachable="exclude")
+    with pytest.raises(AllMissing):
+        gtvm_inpaint(path3(), empty, np.empty((0, 1)))
 
 
 def test_solver_methods_agree():
