@@ -20,6 +20,13 @@ The completion error over missing nodes satisfies
 for total-variation inpainting uses ``eta = ||F0 - A' F0||_F`` and
 ``q = || [A'_oc ; I + A'_cc] ||_2`` with A' the adjacency scaled by its
 largest eigenvalue magnitude, giving ``2 |eta| / (2 - q)``.
+
+Every spectral norm here (phi, q and the graph's lambda_max, which scales
+A') comes from :func:`spectral_norm`: an ARPACK Ritz value of the Gram
+operator plus its residual norm, which certifies a value at or above the
+true norm. So phi and q err high and each bound errs on the safe
+(pessimistic) side; an underestimated lambda_max would let ``||A'||_2``
+exceed 1.
 """
 from __future__ import annotations
 
@@ -27,44 +34,91 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from .errors import EmptyGraph, SingularDegree
+from .errors import EmptyGraph, SingularDegree, SpectralNormNotConverged
 from .graph import ObservationSet, SparseGraph, partition_blocks
 
+EPS = np.finfo(np.float64).eps
 PHI_GUARD = 1e-9
 SPECTRAL_TOL = 1e-9
-SPECTRAL_MAX_ITERS = 10_000
 
 
 def spectral_norm(matrix) -> float:
-    """Largest singular value via power iteration on the Gram operator
-    (relative tolerance ``SPECTRAL_TOL``, at most ``SPECTRAL_MAX_ITERS``
-    steps), from a start vector seeded with 0 for determinism."""
-    cols = matrix.shape[1]
-    if cols == 0 or matrix.shape[0] == 0:
+    """Largest singular value of ``matrix``, never below the true value.
+
+    One ARPACK Lanczos run (``eigsh``, ``which="LA"``, relative tolerance
+    ``SPECTRAL_TOL``) on the Gram operator ``G = M^T M``, started from a
+    vector seeded with 0 so results are reproducible, gives a Ritz pair
+    (theta, x). The returned value is ``sqrt(theta + r)`` with
+    ``r = ||G x - theta x||`` for unit ``x``, plus the rounding allowance
+    below, rounded up with ``np.nextafter``.
+
+    Why this is an upper bound: for symmetric G, any unit x and any
+    scalar theta, some eigenvalue of G lies within ``||G x - theta x||`` of
+    theta (the residual bound; Parlett, *The Symmetric Eigenvalue
+    Problem*, Thm 4.5.1). Here theta is the Rayleigh quotient ``x^T G x``,
+    so it never exceeds the top eigenvalue ``sigma_max^2``, and adding the
+    residual moves it past the eigenvalue that the Ritz pair approximates.
+    This assumes that Lanczos from the seeded start found the top pair, not
+    a lower one; that fails only if the start is (numerically) orthogonal
+    to the top eigenvector. ARPACK stops at ``r`` of about
+    ``SPECTRAL_TOL * theta``, so the result exceeds ``sigma_max`` by about
+    half that, relative.
+
+    The rounding allowance covers the floating-point error of the computed
+    ``G x``: a product whose rows hold at most ``a`` terms is accurate to
+    ``a * eps`` times ``|M| |x|`` elementwise, ``|| |M^T| |M| |x| ||`` is
+    at most ``||M||_F^2``, and two more ``eps * ||M||_F^2`` cover forming
+    ``theta x`` and the difference; the residual's norm gets a relative
+    ``cols * eps``.
+
+    A start vector that already meets the tolerance (G a multiple of I) is
+    its own Ritz pair and ARPACK is not called: ARPACK would restart from
+    its internal random vector, whose state persists across calls, so the
+    result would depend on earlier calls. A single column (ARPACK needs
+    two) uses the exact dense norm. Raises
+    :class:`SpectralNormNotConverged` when ARPACK does not converge.
+    """
+    rows, cols = matrix.shape
+    if cols == 0 or rows == 0:
         return 0.0
     if sp.issparse(matrix):
         m = matrix.tocsr()
         mt = m.T.tocsr()
+        per_row = np.diff(m.indptr).max() + np.diff(mt.indptr).max()
+        fro2 = float(m.data @ m.data)
     else:
         m = np.asarray(matrix, dtype=np.float64)
         mt = m.T
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(cols)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(SPECTRAL_MAX_ITERS):
-        w = mt @ (m @ v)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        lam_new = float(v @ w)
-        v = w / norm_w
-        if abs(lam_new - lam) <= SPECTRAL_TOL * abs(lam_new):
-            lam = lam_new
-            break
-        lam = lam_new
-    return float(np.sqrt(max(lam, 0.0)))
+        per_row = rows + cols
+        fro2 = float(np.sum(m * m))
+    if fro2 == 0.0:
+        return 0.0
+    if cols == 1:
+        return float(np.linalg.norm(m.toarray() if sp.issparse(m) else m))
+
+    def rayleigh(vec):
+        x = vec / np.linalg.norm(vec)
+        gx = mt @ (m @ x)
+        theta = float(x @ gx)
+        return theta, float(np.linalg.norm(gx - theta * x)) * (1.0 + cols * EPS)
+
+    v0 = np.random.default_rng(0).standard_normal(cols)
+    theta, resid = rayleigh(v0)
+    if resid > SPECTRAL_TOL * theta:
+        gram = spla.LinearOperator((cols, cols), matvec=lambda v: mt @ (m @ v),
+                                   dtype=np.float64)
+        try:
+            _, vecs = spla.eigsh(gram, k=1, which="LA", tol=SPECTRAL_TOL, v0=v0)
+        except spla.ArpackNoConvergence as exc:
+            raise SpectralNormNotConverged(
+                f"ARPACK found no converged top eigenpair of a {cols}x{cols} Gram operator"
+            ) from exc
+        theta, resid = rayleigh(vecs[:, 0])
+    allowance = (per_row + 2) * EPS * fro2
+    top = np.nextafter(max(theta, 0.0) + resid + allowance, np.inf)
+    return float(np.nextafter(np.sqrt(top), np.inf))
 
 
 def _require_invertible_degrees(g: SparseGraph) -> None:

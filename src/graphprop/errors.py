@@ -50,6 +50,11 @@ class AllMissing(GraphPropError):
     """Completion requires at least one observed entry."""
 
 
+class SpectralNormNotConverged(GraphPropError):
+    """ARPACK did not converge on the top eigenpair of a Gram operator, so
+    no certified spectral norm (phi, GTVM's q or lambda_max) is available."""
+
+
 class BoundViolation(GraphPropError):
     """A measured completion error exceeds its computed bound psi/(2 - phi)."""
 

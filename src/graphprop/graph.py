@@ -278,7 +278,8 @@ class SparseGraph:
     @cached_property
     def lam_max(self) -> float:
         """Largest eigenvalue magnitude of the adjacency, i.e. its spectral
-        norm; computed on first use and kept."""
+        norm, as :func:`bounds.spectral_norm` certifies it (never below the
+        true value); computed on first use and kept."""
         from .bounds import spectral_norm  # bounds imports this module
 
         return spectral_norm(self.adjacency)

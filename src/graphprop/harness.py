@@ -189,6 +189,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     if cfg.kind == "rank-sweep":
+        if cfg.missing_frac <= 0.0:
+            raise ConfigError("rank-sweep needs missing_frac > 0 to score missing entries")
         if not cfg.rank_grid:
             raise ConfigError("rank grid must be nonempty")
         if any(not 1 <= r <= min(cfg.i1, cfg.i2) for r in cfg.rank_grid):
@@ -224,6 +226,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("label fractions must lie in (0, 1]")
         if cfg.two_block_size < 0 or cfg.two_block_size == 1:
             raise ConfigError("two_block_size must be at least 2 (or 0 to read graph_file)")
+        if cfg.blogs_repeats is not None and cfg.blogs_repeats < 1:
+            raise ConfigError("blogs_repeats must be at least 1")
         if cfg.two_block_size == 0 and not (cfg.graph_file and cfg.labels_file):
             raise ConfigError("blogs needs graph_file and labels_file, or two_block_size")
     if cfg.kind == "complete":

@@ -1,7 +1,10 @@
+import functools
 import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,14 +15,17 @@ from graphprop import (
     compute_phi,
     compute_psi,
     evaluate_bounds,
+    graphprop,
     graphprop_bound,
     gtvm_bound,
     gtvm_inpaint,
     solve_steady_state,
     spectral_norm,
 )
-from graphprop.errors import EmptyGraph, SingularDegree
+from graphprop.datagen import SynthSpec, generate_acquisitions, sample_observation_sets
+from graphprop.errors import EmptyGraph, SingularDegree, SpectralNormNotConverged
 from graphprop.graph import partition_blocks
+from graphprop.tensor import matricize
 from oracles import bound_matrices, report_from_dict, report_to_json
 
 
@@ -249,6 +255,58 @@ def test_spectral_norm_matches_dense():
     m = rng.standard_normal((12, 7))
     dense = np.linalg.svd(m, compute_uv=False)[0]
     assert abs(spectral_norm(m) - dense) <= 1e-8 * dense
+
+
+@given(
+    side=st.integers(6, 16),
+    k=st.integers(2, 6),
+    missing_frac=st.floats(0.1, 0.45),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_bound_scalars_on_the_safe_side(side, k, missing_frac, seed):
+    """phi, lambda_max and q on kNN instances never fall below the dense
+    norm, stay within 1e-7 of it, and the graphprop bound holds as is."""
+    spec = SynthSpec(side, side, 3, r=min(3, side), missing_frac=missing_frac, seed=seed)
+    fibers = [matricize(t, 3).values for t in generate_acquisitions(spec)]
+    omegas = sample_observation_sets(spec.n, missing_frac, 2, seed=seed + 1)
+    results = graphprop([(f[om.observed], om) for f, om in zip(fibers, omegas)], k=k)
+    g = results[0].graph
+    adjacency = g.adjacency.toarray()
+
+    def safe_and_close(value, dense_matrix):
+        dense = np.linalg.norm(dense_matrix, 2)
+        assert value >= dense
+        assert value - dense <= 1e-7 * dense
+
+    safe_and_close(g.lam_max, adjacency)
+    for f, om, res in zip(fibers, omegas, results):
+        phi = compute_phi(g, om)
+        safe_and_close(phi, bound_matrices(g, om).u)
+        scaled = adjacency / g.lam_max
+        mis, obs = om.missing, om.observed
+        stacked = np.vstack([scaled[np.ix_(obs, mis)],
+                             np.eye(mis.size) + scaled[np.ix_(mis, mis)]])
+        safe_and_close(gtvm_bound(g, om, f).q, stacked)
+        report = evaluate_bounds(g, om, f, res.completed)
+        assert report.phi == phi
+        if report.applicable:
+            assert report.measured_error <= report.bound
+
+
+def test_spectral_norm_reproducible_on_scaled_identity():
+    # every vector is a top eigenvector here; the result must not depend on
+    # which one, nor on earlier calls
+    values = {spectral_norm(2.0 * sp.eye_array(200, format="csr")) for _ in range(5)}
+    assert len(values) == 1
+    assert 2.0 <= values.pop() <= 2.0 * (1.0 + 1e-12)
+
+
+def test_spectral_norm_non_convergence_is_typed(monkeypatch):
+    # one Lanczos restart cannot resolve a top singular value this clustered
+    monkeypatch.setattr(spla, "eigsh", functools.partial(spla.eigsh, maxiter=1))
+    with pytest.raises(SpectralNormNotConverged):
+        spectral_norm(sp.diags_array(np.linspace(1.0, 0.5, 400)).tocsr())
 
 
 def test_bound_report_serialisation():

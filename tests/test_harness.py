@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from graphprop import (
     DenseTensor,
@@ -79,6 +80,11 @@ def test_config_validation_errors():
     for size in (1, -3):
         with pytest.raises(ConfigError, match="two_block_size"):
             config_from_dict({"kind": "blogs", "two_block_size": size})
+    for repeats in (0, -2):
+        with pytest.raises(ConfigError, match="blogs_repeats"):
+            config_from_dict({"kind": "blogs", "two_block_size": 10, "blogs_repeats": repeats})
+    with pytest.raises(ConfigError, match="missing_frac"):
+        config_from_dict({"kind": "rank-sweep", "missing_frac": 0.0})
     # removed: the dense solver, the solver tolerance and the HaLRTC block
     for removed in ({"solver": {"method": "cholesky"}}, {"solver": {"tol": 1e-8}},
                     {"halrtc": {"max_iters": 10}}):
@@ -454,7 +460,9 @@ def test_cli_exit_codes(tmp_path):
     }))
     assert main(["complete", "--config", str(missing_inputs)]) == 3
     for kind, bad in (("overlap-sim", {"height": 0}), ("overlap-sim", {"bands": 0}),
-                      ("blogs", {"two_block_size": 1}), ("blogs", {"two_block_size": -3})):
+                      ("blogs", {"two_block_size": 1}), ("blogs", {"two_block_size": -3}),
+                      ("blogs", {"two_block_size": 10, "blogs_repeats": 0}),
+                      ("rank-sweep", {"i1": 10, "i2": 10, "i3": 2, "missing_frac": 0.0})):
         bad_cfg.write_text(json.dumps({"kind": kind, **bad,
                                        "out_dir": str(tmp_path / "never")}))
         assert main([kind, "--config", str(bad_cfg)]) == 2
@@ -475,6 +483,24 @@ def test_cli_bound_violation_exit_code(tmp_path, monkeypatch, caplog):
     assert code == 1
     assert "bound violated" in caplog.text
     assert all(rec.exc_info is None for rec in caplog.records)
+
+
+def test_cli_spectral_norm_non_convergence_exit_code(tmp_path, monkeypatch, caplog):
+    def no_convergence(operator, k, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.empty(0),
+                                       np.empty((operator.shape[0], 0)))
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "kind": "bound-report", "i1": 14, "i2": 14, "i3": 2, "rank": 3, "k": 4,
+        "missing_frac": 0.3, "seed": 2,
+    }))
+    code = main(["bound-report", "--config", str(cfg_path),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert "ARPACK" in caplog.text
+    assert not (tmp_path / "out" / "bound_report.json").exists()
 
 
 def test_cli_rank_sweep_runs(tmp_path):
