@@ -7,7 +7,6 @@ synthetic data generators, metrics, and an experiment harness.
 """
 
 from .baselines import (
-    HalrtcParams,
     gtvm_inpaint,
     halrtc_complete,
     stack_acquisitions,
@@ -49,7 +48,6 @@ from .metrics import ErrorField, accuracy, mae, mpsnr, mse, rmse
 from .propagation import (
     CompletionResult,
     SolverStats,
-    classify_by_median,
     graphprop,
     solve_steady_state,
 )

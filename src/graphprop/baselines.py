@@ -1,30 +1,32 @@
 """Comparison methods: total-variation graph inpainting (one conjugate-
 gradient solve of its normal equations at every graph size) and low-rank
 tensor completion via mode-wise singular-value thresholding (HaLRTC, an
-ADMM). Each thresholding step takes ``eigh`` of the small Gram of a mode
-unfolding M instead of a full SVD, shrinks M through its eigenvectors and
-refolds it; it agrees with the SVD thresholding of M at threshold
+ADMM with uniform mode weights ``1 / order`` and the fixed ``HALRTC_*``
+schedule). Each thresholding step takes ``eigh`` of the small Gram of a
+mode unfolding M instead of a full SVD, shrinks M through its eigenvectors
+and refolds it; it agrees with the SVD thresholding of M at threshold
 tau to about ``I_m eps ||M||_2^2 / tau`` in Frobenius norm, with I_m the
 mode's extent (for tau up to ``||M||_2 / 100``; see ``_shrink_mode``)."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import AllMissing, EmptyGraph, SingularSystemWarning
 from .graph import ObservationSet, SparseGraph, partition_blocks, split_reachable
-from .propagation import check_observed, fill_rows, jacobi_cg
+from .propagation import CG_ITERS_PER_UNKNOWN, check_observed, fill_rows, jacobi_cg
 from .tensor import DenseTensor, FiberMatrix, refold
 
 # HaLRTC's ADMM penalty: starts at HALRTC_RHO, grows by HALRTC_RHO_GROWTH
-# per iteration up to HALRTC_RHO_CAP; HALRTC_TOL is the stopping tolerance.
+# per iteration up to HALRTC_RHO_CAP; HALRTC_TOL is the stopping tolerance
+# and HALRTC_MAX_ITERS caps the iterations.
 HALRTC_RHO = 1e-3
 HALRTC_RHO_GROWTH = 1.05
 HALRTC_RHO_CAP = 1e3
 HALRTC_TOL = 1e-5
+HALRTC_MAX_ITERS = 300
 
 
 def gtvm_inpaint(
@@ -37,13 +39,14 @@ def gtvm_inpaint(
     Minimises ``||F - A' F||_F^2`` subject to ``F_o = t_obs``, where A' is
     the adjacency scaled by ``g.lam_max``. The missing nodes that share a
     component with an observed node solve the normal equations of the
-    quadratic with :func:`~graphprop.propagation.jacobi_cg` (at most 10x
-    their count iterations; hitting the cap warns
-    :class:`SingularSystemWarning` and keeps the last iterate). The other
-    missing nodes get the per-channel mean of the observed rows, the fill
-    rule of :func:`~graphprop.propagation.solve_steady_state`; those in a
-    component with edges but no observed node make the system singular
-    there and are reported with :class:`SingularSystemWarning`.
+    quadratic with :func:`~graphprop.propagation.jacobi_cg` (hitting its
+    iteration cap warns :class:`SingularSystemWarning` and keeps the last
+    iterate). The other missing nodes get the per-channel mean of the
+    observed rows, the fill rule of
+    :func:`~graphprop.propagation.solve_steady_state`; those in a component
+    with edges but no observed node make the system singular there and are
+    reported with :class:`SingularSystemWarning`, as the steady-state solve
+    reports them with :class:`~graphprop.errors.UnreachableComponent`.
     """
     if g.adjacency.nnz == 0:
         raise EmptyGraph("adjacency has no edges")
@@ -69,40 +72,14 @@ def gtvm_inpaint(
     x[omega.observed] = t_obs
     b_x = x - (g.adjacency @ x) / lam_max
     rhs = ((g.adjacency @ b_x) / lam_max - b_x)[kept]
-    max_iters = 10 * kept.size
-    solution, _, converged = jacobi_cg(gram, rhs, max_iters)
+    solution, _, converged = jacobi_cg(gram, rhs)
     if not converged:
         warnings.warn(
-            f"inpainting conjugate gradient hit the {max_iters}-iteration cap; "
-            "last iterate kept",
+            f"inpainting conjugate gradient hit the {CG_ITERS_PER_UNKNOWN * kept.size}"
+            "-iteration cap; last iterate kept",
             SingularSystemWarning,
         )
     return fill_rows(omega, t_obs, kept, solution, excluded)
-
-
-@dataclass(frozen=True)
-class HalrtcParams:
-    """ADMM settings for low-rank completion; ``alphas`` weight the
-    mode-unfolding nuclear norms and must sum to one, ``max_iters`` caps
-    the iterations. The penalty schedule and the stopping tolerance are
-    the module's ``HALRTC_*`` constants."""
-
-    alphas: tuple[float, ...]
-    max_iters: int = 300
-
-    def __post_init__(self):
-        alphas = tuple(float(a) for a in self.alphas)
-        if not alphas or any(a < 0 for a in alphas):
-            raise ValueError("alphas must be nonnegative")
-        if abs(sum(alphas) - 1.0) > 1e-12:
-            raise ValueError(f"alphas must sum to 1, got {sum(alphas)}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        object.__setattr__(self, "alphas", alphas)
-
-    @classmethod
-    def uniform(cls, order: int) -> "HalrtcParams":
-        return cls(alphas=(1.0 / order,) * order)
 
 
 def _shrink_mode(x: np.ndarray, mode: int, threshold: float) -> np.ndarray:
@@ -135,11 +112,7 @@ def _shrink_mode(x: np.ndarray, mode: int, threshold: float) -> np.ndarray:
     return fibers @ ((v * ((s[keep] - threshold) / s[keep])) @ v.T)
 
 
-def halrtc_complete(
-    t: DenseTensor,
-    mask: np.ndarray,
-    params: HalrtcParams | None = None,
-) -> DenseTensor:
+def halrtc_complete(t: DenseTensor, mask: np.ndarray) -> DenseTensor:
     """Low-rank tensor completion by ADMM over mode-unfolding nuclear norms.
 
     ``mask`` is boolean with True at observed entries; those entries are
@@ -147,11 +120,11 @@ def halrtc_complete(
     and the consensus gap between the mode surrogates and the iterate drop
     to ``HALRTC_TOL`` (the gap term keeps the cold-start phase, where the
     shrinkage still annihilates every surrogate, from stopping the loop),
-    or at ``params.max_iters``.
+    or after ``HALRTC_MAX_ITERS`` iterations.
 
     Each iteration thresholds the singular values of every mode unfolding
-    M of the working tensor at ``tau = alpha_m / rho``, from ``eigh`` of the
-    ``I_m x I_m`` Gram of M rather than an SVD of M; the surrogate is within
+    M of the working tensor at ``tau = (1 / order) / rho``, from ``eigh`` of
+    the ``I_m x I_m`` Gram of M rather than an SVD of M; the surrogate is within
     about ``I_m eps ||M||_2^2 / tau`` in Frobenius norm of the SVD
     thresholding (for tau up to ``||M||_2 / 100``). Raises ``ValueError`` if
     a working tensor or a surrogate is not finite.
@@ -161,10 +134,6 @@ def halrtc_complete(
         raise ValueError(f"mask shape {mask.shape} does not match tensor {t.shape}")
     if not mask.any():
         raise AllMissing("at least one entry must be observed")
-    if params is None:
-        params = HalrtcParams.uniform(t.order)
-    if len(params.alphas) != t.order:
-        raise ValueError(f"need {t.order} alphas, got {len(params.alphas)}")
     if mask.all():
         return DenseTensor(t.shape, t.values.copy())
 
@@ -172,16 +141,17 @@ def halrtc_complete(
     x = np.zeros_like(t.values)
     x[mask] = observed
     duals = [np.zeros_like(x) for _ in range(t.order)]
+    alpha = 1.0 / t.order
     rho = HALRTC_RHO
 
-    for _ in range(params.max_iters):
+    for _ in range(HALRTC_MAX_ITERS):
         surrogates = []
         for mode in range(t.order):
             work = x + duals[mode] / rho
             if not np.isfinite(work).all():
                 raise ValueError(f"HaLRTC mode-{mode + 1} working tensor is not finite")
             # FiberMatrix rejects a non-finite surrogate with ValueError.
-            shrunk = FiberMatrix(_shrink_mode(work, mode, params.alphas[mode] / rho))
+            shrunk = FiberMatrix(_shrink_mode(work, mode, alpha / rho))
             surrogates.append(refold(shrunk, t.shape, mode + 1).values)
         x_new = sum(m - y / rho for m, y in zip(surrogates, duals)) / t.order
         x_new[mask] = observed

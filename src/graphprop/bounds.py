@@ -45,7 +45,8 @@ SPECTRAL_TOL = 1e-9
 
 
 def spectral_norm(matrix) -> float:
-    """Largest singular value of ``matrix``, never below the true value.
+    """Largest singular value of the sparse ``matrix``, never below the
+    true value.
 
     One ARPACK Lanczos run (``eigsh``, ``which="LA"``, relative tolerance
     ``SPECTRAL_TOL``) on the Gram operator ``G = M^T M``, started from a
@@ -83,20 +84,14 @@ def spectral_norm(matrix) -> float:
     rows, cols = matrix.shape
     if cols == 0 or rows == 0:
         return 0.0
-    if sp.issparse(matrix):
-        m = matrix.tocsr()
-        mt = m.T.tocsr()
-        per_row = np.diff(m.indptr).max() + np.diff(mt.indptr).max()
-        fro2 = float(m.data @ m.data)
-    else:
-        m = np.asarray(matrix, dtype=np.float64)
-        mt = m.T
-        per_row = rows + cols
-        fro2 = float(np.sum(m * m))
+    m = matrix.tocsr()
+    mt = m.T.tocsr()
+    per_row = np.diff(m.indptr).max() + np.diff(mt.indptr).max()
+    fro2 = float(m.data @ m.data)
     if fro2 == 0.0:
         return 0.0
     if cols == 1:
-        return float(np.linalg.norm(m.toarray() if sp.issparse(m) else m))
+        return float(np.linalg.norm(m.toarray()))
 
     def rayleigh(vec):
         x = vec / np.linalg.norm(vec)

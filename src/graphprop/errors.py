@@ -1,4 +1,11 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+Errors derive from :class:`GraphPropError`; the CLI exits with code 2 for
+configuration errors, 3 for data errors and 1 for any other. Warnings flag
+a result that was still produced but is degraded somewhere (nodes excluded
+and mean-filled, an iteration cap hit); overlap-sim and blogs record them
+in the manifest notes.
+"""
 
 
 class GraphPropError(Exception):
@@ -19,11 +26,6 @@ class NonFiniteInput(GraphPropError, ValueError):
 
 class TooFewObserved(GraphPropError, ValueError):
     """Fewer than k+1 observed fibers: the kNN construction is undefined."""
-
-
-class UnreachableComponent(GraphPropError):
-    """A connected component of missing nodes contains no observed node,
-    so the grounded Laplacian system is singular there."""
 
 
 class SingularDegree(GraphPropError):
@@ -62,6 +64,13 @@ class BoundViolation(GraphPropError):
 class MaxItersExceeded(RuntimeWarning):
     """The conjugate-gradient solve hit its iteration cap; the last
     iterate is returned and ``SolverStats.converged`` is False."""
+
+
+class UnreachableComponent(RuntimeWarning):
+    """Some missing nodes lie in a component with edges but no observed
+    node, so the grounded Laplacian system is singular there; the
+    steady-state solve excludes them and fills them with the per-channel
+    mean of the observed rows."""
 
 
 class SingularSystemWarning(RuntimeWarning):

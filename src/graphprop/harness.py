@@ -15,6 +15,7 @@ and any experiment-specific artifacts (completed tensors, bound reports).
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import time
@@ -26,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import (
-    HalrtcParams,
     gtvm_inpaint,
     halrtc_complete,
     stack_acquisitions,
@@ -51,7 +51,7 @@ from .errors import (
 )
 from .graph import ObservationSet, build_graph, load_edge_list
 from .metrics import MPSNR_VARIANTS, ErrorField, accuracy, mae, mpsnr, mse, rmse
-from .propagation import classify_by_median, graphprop, median_threshold, solve_steady_state
+from .propagation import graphprop, median_threshold, solve_steady_state
 from .tensor import DenseTensor, FiberMatrix, load_tensor, matricize, refold, save_tensor
 
 log = logging.getLogger("graphprop")
@@ -375,7 +375,7 @@ def _halrtc_fibers(tensors, omegas) -> list[np.ndarray]:
     stacked = stack_acquisitions(tensors)
     i1, i2, i3 = stacked.shape[:3]
     mask = np.stack([_observed_fiber_mask(om, i1, i2, i3) for om in omegas], axis=-1)
-    completed = halrtc_complete(stacked, mask, HalrtcParams.uniform(stacked.order))
+    completed = halrtc_complete(stacked, mask)
     return [matricize(t, 3).values for t in unstack_acquisitions(completed)]
 
 
@@ -636,10 +636,13 @@ def load_labels(path, n: int) -> np.ndarray:
 
 def run_blogs(cfg: ExperimentConfig, *, write: bool = True) -> list[ResultRow]:
     """Label propagation versus total-variation inpainting on a provided
-    graph (or the synthetic two-block stand-in), classified by the median
-    rule, scored by accuracy over the unlabelled nodes. Warnings raised by
-    either method are recorded in the manifest notes with the label
-    fraction, repeat and method."""
+    graph (or the synthetic two-block stand-in), scored by accuracy over
+    the unlabelled nodes. Both methods label by one rule,
+    :func:`~graphprop.propagation.median_threshold` at the median over the
+    unlabelled nodes the steady-state solve reached, so mean-filled
+    excluded nodes never move either threshold. Warnings raised by either
+    method are recorded in the manifest notes with the label fraction,
+    repeat and method."""
     if cfg.two_block_size > 0:
         edges, labels = two_block_graph(
             cfg.two_block_size, seed=_derived_seed(cfg.seed, _KIND_TAGS["blogs"], 0)
@@ -669,12 +672,12 @@ def run_blogs(cfg: ExperimentConfig, *, write: bool = True) -> list[ResultRow]:
             start = time.perf_counter()
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                res = solve_steady_state(
-                    graph, om, f_obs, method=cfg.solver.method, on_unreachable="exclude"
-                )
+                res = solve_steady_state(graph, om, f_obs, method=cfg.solver.method)
             caught_warnings += _recorded_warnings(caught, label_frac=frac, repeat=rep,
                                                   method="graphprop")
-            pred = classify_by_median(res, 0)
+            pred = labels.copy()
+            pred[om.missing] = median_threshold(res.completed.values[:, 0], om.missing,
+                                                res.filled_ids)
             gp_time = time.perf_counter() - start
             rows.append(ResultRow(**coords, method="graphprop", metric="accuracy",
                                   variant="", value=accuracy(pred, labels, om.missing),
@@ -687,7 +690,7 @@ def run_blogs(cfg: ExperimentConfig, *, write: bool = True) -> list[ResultRow]:
             caught_warnings += _recorded_warnings(caught, label_frac=frac, repeat=rep,
                                                   method="gtvm")
             pred = labels.copy()
-            median_threshold(est.values[:, 0], om.missing, om.missing, pred)
+            pred[om.missing] = median_threshold(est.values[:, 0], om.missing, res.filled_ids)
             gtvm_time = time.perf_counter() - start
             rows.append(ResultRow(**coords, method="gtvm", metric="accuracy",
                                   variant="", value=accuracy(pred, labels, om.missing),
@@ -723,7 +726,9 @@ def save_observation_set(omega: ObservationSet, path) -> None:
 
 def run_complete(cfg: ExperimentConfig, *, write: bool = True):
     """Generic completion of user-supplied acquisitions; a thin shell over
-    the library pipeline."""
+    the library pipeline. The manifest notes list the nodes missing in
+    every acquisition (``never_observed``; :func:`graphprop` warns about
+    them) and each acquisition's excluded, mean-filled nodes."""
     tensors = [load_tensor(p) for p in cfg.inputs]
     shape = tensors[0].shape
     for t, p in zip(tensors, cfg.inputs):
@@ -734,14 +739,6 @@ def run_complete(cfg: ExperimentConfig, *, write: bool = True):
     omegas = [load_observation_set(p, n) for p in cfg.observation_files]
     fibers = [matricize(t, order) for t in tensors]
 
-    covered = np.zeros(n, dtype=bool)
-    for om in omegas:
-        covered[om.observed] = True
-    uncovered = np.nonzero(~covered)[0]
-    if uncovered.size:
-        log.warning("%d node(s) observed in no acquisition; they are flagged "
-                    "in the manifest and mean-filled", uncovered.size)
-
     results = graphprop(
         [(f.values[om.observed], om) for f, om in zip(fibers, omegas)],
         cfg.k, method=cfg.solver.method,
@@ -749,7 +746,8 @@ def run_complete(cfg: ExperimentConfig, *, write: bool = True):
 
     out_dir = Path(cfg.out_dir)
     notes = {
-        "never_observed": uncovered.tolist(),
+        "never_observed": functools.reduce(
+            np.intersect1d, [om.missing for om in omegas]).tolist(),
         "excluded_per_acquisition": [r.excluded_ids.tolist() for r in results],
     }
     artifacts = []

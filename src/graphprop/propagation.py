@@ -11,7 +11,11 @@ Laplacian system
     (D_cc - A_cc) F_c = A_co F_o
 
 where c/o index missing/observed nodes. The system is symmetric positive
-definite whenever every missing component touches an observed node.
+definite once it is restricted to the missing nodes that share a component
+with an observed node. Every other missing node is excluded and gets the
+per-channel mean of the observed fibers: a zero-degree node silently, a
+node in a component with edges but no observed node with an
+:class:`~graphprop.errors.UnreachableComponent` warning.
 """
 from __future__ import annotations
 
@@ -41,6 +45,8 @@ from .graph import (
 from .tensor import FiberMatrix
 
 DEFAULT_TOL = 1e-10
+# jacobi_cg stops each column after this many iterations per unknown.
+CG_ITERS_PER_UNKNOWN = 10
 
 
 @dataclass(frozen=True)
@@ -93,11 +99,11 @@ def check_observed(g: SparseGraph, omega: ObservationSet, f_obs) -> np.ndarray:
     return f_obs
 
 
-def jacobi_cg(matrix: sp.csr_array, rhs: np.ndarray,
-              max_iters: int) -> tuple[np.ndarray, int, bool]:
+def jacobi_cg(matrix: sp.csr_array, rhs: np.ndarray) -> tuple[np.ndarray, int, bool]:
     """Solve the symmetric positive definite ``matrix X = rhs`` column by
     column with Jacobi-preconditioned conjugate gradient, to a relative
-    residual of ``DEFAULT_TOL`` in at most ``max_iters`` iterations each.
+    residual of ``DEFAULT_TOL`` in at most ``CG_ITERS_PER_UNKNOWN`` times
+    the unknown count iterations each.
 
     Returns the solution, the largest iteration count over the columns,
     and whether every column converged (otherwise its last iterate is
@@ -105,6 +111,7 @@ def jacobi_cg(matrix: sp.csr_array, rhs: np.ndarray,
     """
     solution = np.empty_like(rhs)
     precond = sp.diags_array(1.0 / matrix.diagonal(), format="csr")
+    cap = CG_ITERS_PER_UNKNOWN * rhs.shape[0]
     iterations = 0
     converged = True
     for j in range(rhs.shape[1]):
@@ -115,7 +122,7 @@ def jacobi_cg(matrix: sp.csr_array, rhs: np.ndarray,
             count += 1
 
         solution[:, j], info = spla.cg(
-            matrix, rhs[:, j], rtol=DEFAULT_TOL, atol=0.0, maxiter=max_iters, M=precond,
+            matrix, rhs[:, j], rtol=DEFAULT_TOL, atol=0.0, maxiter=cap, M=precond,
             callback=_cb,
         )
         iterations = max(iterations, count)
@@ -141,8 +148,6 @@ def solve_steady_state(
     f_obs: np.ndarray,
     *,
     method: str = "cg",
-    max_iters: int | None = None,
-    on_unreachable: str = "raise",
 ) -> CompletionResult:
     """Solve the grounded Laplacian system for the missing fibers.
 
@@ -151,27 +156,25 @@ def solve_steady_state(
     g, omega : graph and observation set over the same nodes.
     f_obs : (n_observed, channels) observed fiber values, row order
         matching ``omega.observed``.
-    method : 'cg' (Jacobi-preconditioned conjugate gradient to a relative
-        residual of ``DEFAULT_TOL`` per channel, the default) or 'splu'
-        (sparse direct).
-    max_iters : CG iteration cap; defaults to 10x the system size. Hitting
-        it warns :class:`MaxItersExceeded` and sets ``stats.converged``
-        to False.
-    on_unreachable : 'raise' (default, :class:`UnreachableComponent`) or
-        'exclude' for missing nodes in a component with edges but no
-        observed node; zero-degree missing nodes are always excluded.
+    method : 'cg' (:func:`jacobi_cg`, the default; hitting its iteration
+        cap warns :class:`MaxItersExceeded` and sets ``stats.converged`` to
+        False) or 'splu' (sparse direct).
+
+    Missing nodes with no path to an observed node are excluded and get
+    the per-channel mean of the observed rows; those in a component with
+    edges (not zero-degree) are reported with :class:`UnreachableComponent`.
     """
     f_obs = check_observed(g, omega, f_obs)
     if method not in ("cg", "splu"):
         raise ValueError(f"unknown method {method!r}")
-    if on_unreachable not in ("raise", "exclude"):
-        raise ValueError(f"on_unreachable must be 'raise' or 'exclude', got {on_unreachable!r}")
 
     kept, excluded = split_reachable(g, omega)
     stranded = excluded[g.degrees[excluded] > 0]
-    if on_unreachable == "raise" and stranded.size:
-        raise UnreachableComponent(
-            f"{stranded.size} missing node(s) lie in components with no observed node"
+    if stranded.size:
+        warnings.warn(
+            f"{stranded.size} missing node(s) lie in components with no observed "
+            "node; they are excluded and mean-filled",
+            UnreachableComponent,
         )
     if kept.size == 0:
         completed = fill_rows(omega, f_obs, kept, np.empty((0, f_obs.shape[1])), excluded)
@@ -184,12 +187,11 @@ def solve_steady_state(
     b = blocks.a_co @ f_obs
 
     if method == "cg":
-        if max_iters is None:
-            max_iters = 10 * kept.size
-        solution, iterations, converged = jacobi_cg(l_kk, b, max_iters)
+        solution, iterations, converged = jacobi_cg(l_kk, b)
         if not converged:
             warnings.warn(
-                f"conjugate gradient hit the {max_iters}-iteration cap", MaxItersExceeded
+                f"conjugate gradient hit the {CG_ITERS_PER_UNKNOWN * kept.size}-iteration cap",
+                MaxItersExceeded,
             )
     else:
         lu = spla.splu(l_kk.tocsc())
@@ -216,7 +218,9 @@ def graphprop(acquisitions, k: int, *, method: str = "cg") -> list[CompletionRes
 
     Nodes observed in no acquisition trigger a
     :class:`CoverageViolationWarning` and end up excluded with the mean
-    fill policy.
+    fill policy; so do missing nodes cut off from every node observed in
+    their acquisition, with an :class:`UnreachableComponent` warning from
+    that acquisition's solve.
     """
     acquisitions = [(np.asarray(f, dtype=np.float64), om) for f, om in acquisitions]
     if not acquisitions:
@@ -249,34 +253,22 @@ def graphprop(acquisitions, k: int, *, method: str = "cg") -> list[CompletionRes
     graph = build_graph(union_edges(edge_sets))
 
     return [
-        solve_steady_state(graph, om, f, method=method, on_unreachable="exclude")
+        solve_steady_state(graph, om, f, method=method)
         for f, om in acquisitions
     ]
 
 
-def median_threshold(values: np.ndarray, solved_ids: np.ndarray,
-                     unobserved_ids: np.ndarray, out: np.ndarray) -> None:
-    """Label ``unobserved_ids`` as 1 where their value exceeds the median
-    of the values at ``solved_ids`` (ties and below give 0), writing into
-    ``out``."""
-    if solved_ids.size:
-        med = float(np.median(values[solved_ids]))
-    elif unobserved_ids.size:
-        med = float(np.median(values[unobserved_ids]))
-    else:
-        return
-    out[unobserved_ids] = (values[unobserved_ids] > med).astype(np.int64)
+def median_threshold(values: np.ndarray, missing: np.ndarray,
+                     solved: np.ndarray) -> np.ndarray:
+    """0/1 labels for the ``missing`` ids: 1 where the value exceeds the
+    median of the values at ``solved``, 0 at or below it.
 
-
-def classify_by_median(result: CompletionResult, channel: int) -> np.ndarray:
-    """Binary labels for every node: observed nodes keep their given 0/1
-    values, unobserved nodes are thresholded at the median of the solved
-    values."""
-    if not 0 <= channel < result.completed.channels:
-        raise ValueError(f"channel {channel} out of range")
-    values = result.completed.values[:, channel]
-    labels = np.zeros(result.completed.n, dtype=np.int64)
-    labels[result.observed_ids] = values[result.observed_ids].astype(np.int64)
-    unobserved = np.concatenate([result.filled_ids, result.excluded_ids])
-    median_threshold(values, result.filled_ids, unobserved, labels)
-    return labels
+    ``solved`` are the missing ids a solve reached (``filled_ids``), so
+    mean-filled excluded nodes never move the threshold; when it is empty
+    the median is taken over ``missing``.
+    """
+    pool = solved if solved.size else missing
+    if pool.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    med = float(np.median(values[pool]))
+    return (values[missing] > med).astype(np.int64)

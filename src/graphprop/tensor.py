@@ -177,10 +177,6 @@ class TuckerFactors:
                 raise ValueError(f"factor {k + 1} rows are not orthonormal")
         object.__setattr__(self, "factors", factors)
 
-    @property
-    def output_shape(self) -> tuple[int, ...]:
-        return tuple(u.shape[1] for u in self.factors)
-
 
 def tucker_synthesize(tf: TuckerFactors) -> DenseTensor:
     """Multilinear product of the core with every factor: the mode-k

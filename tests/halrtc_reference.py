@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from graphprop import DenseTensor, FiberMatrix, HalrtcParams, matricize, refold
+from graphprop import DenseTensor, FiberMatrix, baselines, matricize, refold
 from graphprop.baselines import HALRTC_RHO, HALRTC_RHO_CAP, HALRTC_RHO_GROWTH, HALRTC_TOL
 
 
@@ -32,11 +32,13 @@ def svd_shrink(matrix: np.ndarray, threshold: float) -> np.ndarray:
     return (u[:, keep] * s[keep]) @ vt[keep]
 
 
-def halrtc_svd_reference(t: DenseTensor, mask: np.ndarray, params: HalrtcParams,
+def halrtc_svd_reference(t: DenseTensor, mask: np.ndarray,
                          iterates: list | None = None) -> tuple[DenseTensor, int]:
     """The HaLRTC ADMM loop with SVD shrinkage; returns the completion and
-    the number of iterations run. Same stopping rule as the library. When
-    ``iterates`` is a list, every iterate's values are appended to it."""
+    the number of iterations run. Same weights, schedule and stopping rule
+    as the library, including its current ``baselines.HALRTC_MAX_ITERS``.
+    When ``iterates`` is a list, every iterate's values are appended to
+    it."""
     mask = np.asarray(mask, dtype=bool)
     observed = t.values[mask]
     x = np.zeros_like(t.values)
@@ -44,11 +46,11 @@ def halrtc_svd_reference(t: DenseTensor, mask: np.ndarray, params: HalrtcParams,
     duals = [np.zeros_like(x) for _ in range(t.order)]
     rho = HALRTC_RHO
     iters = 0
-    for iters in range(1, params.max_iters + 1):
+    for iters in range(1, baselines.HALRTC_MAX_ITERS + 1):
         surrogates = []
         for mode in range(t.order):
             work = DenseTensor(t.shape, x + duals[mode] / rho)
-            shrunk = svd_shrink(matricize(work, mode + 1).values, params.alphas[mode] / rho)
+            shrunk = svd_shrink(matricize(work, mode + 1).values, (1.0 / t.order) / rho)
             surrogates.append(refold(FiberMatrix(shrunk), t.shape, mode + 1).values)
         x_new = sum(m - y / rho for m, y in zip(surrogates, duals)) / t.order
         x_new[mask] = observed

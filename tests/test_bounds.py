@@ -254,7 +254,29 @@ def test_spectral_norm_matches_dense():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((12, 7))
     dense = np.linalg.svd(m, compute_uv=False)[0]
-    assert abs(spectral_norm(m) - dense) <= 1e-8 * dense
+    assert abs(spectral_norm(sp.csr_array(m)) - dense) <= 1e-8 * dense
+
+
+def test_graphprop_bound_holds_when_error_equals_psi():
+    # No two missing nodes are adjacent, so U = I and the steady state is
+    # each missing node's neighbour mean: the error equals psi in exact
+    # arithmetic. Rounding can put the measured error a few eps above psi
+    # (the offset of 16 widens that gap); only the rounding allowance that
+    # spectral_norm adds to phi keeps the bound above it.
+    rng = np.random.default_rng(27)
+    n_obs, n = 12, 20
+    pairs = {(i, i + 1) for i in range(n_obs - 1)}
+    for c in range(n_obs, n):
+        for o in rng.choice(n_obs, size=int(rng.integers(2, 5)), replace=False):
+            pairs.add((int(o), c))
+    g = build_graph(EdgeSet.from_pairs(n, sorted(pairs)))
+    omega = ObservationSet(n, np.arange(n_obs))
+    f0 = rng.standard_normal((n, 2)) + 16.0
+    assert partition_blocks(g, omega.observed, omega.missing).a_cc.nnz == 0
+    res = solve_steady_state(g, omega, f0[omega.observed])
+    report = evaluate_bounds(g, omega, f0, res.completed)
+    assert report.phi > 1.0
+    assert report.measured_error <= report.bound
 
 
 @given(

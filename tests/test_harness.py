@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 
 from graphprop import (
     DenseTensor,
+    EdgeSet,
     ObservationSet,
     graphprop,
     knn_edges,
@@ -265,6 +266,31 @@ def test_blogs_from_files(tmp_path):
     )
     rows = run_blogs(cfg)
     assert len(rows) == 2
+
+
+def test_blogs_scores_both_methods_by_one_median_rule(tmp_path, monkeypatch):
+    # Two 15-node blocks plus three stranded pairs and two isolated nodes.
+    # Excluded, mean-filled nodes must not move either method's threshold:
+    # with GTVM swapped for the steady-state solve, both methods score alike.
+    edges, labels = two_block_graph(15, seed=2)
+    pairs = [tuple(e) for e in edges.edges] + [(30, 31), (32, 33), (34, 35)]
+    graph_path = tmp_path / "graph.txt"
+    labels_path = tmp_path / "labels.txt"
+    save_edge_list(EdgeSet.from_pairs(38, pairs), graph_path)
+    extra = [1, 1, 0, 1, 1, 0, 1, 0]
+    labels_path.write_text("\n".join(str(int(v)) for v in list(labels) + extra) + "\n")
+    monkeypatch.setattr(harness, "gtvm_inpaint",
+                        lambda g, om, f: harness.solve_steady_state(g, om, f).completed)
+    cfg = config_from_dict(
+        dict(kind="blogs", graph_file=str(graph_path), labels_file=str(labels_path),
+             label_fracs=[0.1, 0.3], repeats=3, out_dir=str(tmp_path / "out"), seed=1)
+    )
+    rows = run_blogs(cfg)
+    assert ([row.value for row in rows if row.method == "graphprop"]
+            == [row.value for row in rows if row.method == "gtvm"])
+    notes = json.loads((tmp_path / "out" / "manifest.json").read_text())["notes"]
+    assert any(w["method"] == "graphprop" and w["category"] == "UnreachableComponent"
+               for w in notes["warnings"])
 
 
 def test_load_labels_validation(tmp_path):

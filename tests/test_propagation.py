@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
@@ -10,7 +13,6 @@ from graphprop import (
     ObservationSet,
     SynthSpec,
     build_graph,
-    classify_by_median,
     generate_acquisitions,
     graphprop,
     gtvm_inpaint,
@@ -29,6 +31,7 @@ from graphprop.errors import (
     UnreachableComponent,
 )
 from graphprop.metrics import ErrorField
+from graphprop.propagation import median_threshold
 
 
 def path3():
@@ -82,18 +85,17 @@ def test_star_centre_is_leaf_mean():
 
 def test_observed_rows_bit_identical():
     g, omega, f_obs = random_connected_instance(2)
-    res = solve_steady_state(g, omega, f_obs, on_unreachable="exclude")
+    res = solve_steady_state(g, omega, f_obs)
     assert np.array_equal(res.completed.values[omega.observed], f_obs)
 
 
-def test_unreachable_component_raises_and_excludes():
+def test_unreachable_component_warns_and_excludes():
     # two components: 0-1 observed anchors only in the first
     g = build_graph(EdgeSet.from_pairs(4, [(0, 1), (2, 3)]))
     omega = ObservationSet(4, [0])
     f = np.array([[4.0]])
-    with pytest.raises(UnreachableComponent):
-        solve_steady_state(g, omega, f)
-    res = solve_steady_state(g, omega, f, on_unreachable="exclude")
+    with pytest.warns(UnreachableComponent, match="2 missing node"):
+        res = solve_steady_state(g, omega, f)
     assert set(res.excluded_ids) == {2, 3}
     assert np.array_equal(res.filled_ids, [1])
     # fill policy: per-channel mean of the observed fibers
@@ -101,8 +103,11 @@ def test_unreachable_component_raises_and_excludes():
 
 
 def test_zero_degree_node_always_excluded():
+    # a node with no edge is excluded without a warning
     g = build_graph(EdgeSet.from_pairs(3, [(0, 1)]))
-    res = solve_steady_state(g, ObservationSet(3, [0]), np.array([[1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_steady_state(g, ObservationSet(3, [0]), np.array([[1.0]]))
     assert np.array_equal(res.excluded_ids, [2])
 
 
@@ -115,7 +120,7 @@ def test_no_observed_node_rejected():
     # the fill rule needs an observed mean; GTVM shares the check
     empty = ObservationSet(3, [])
     with pytest.raises(AllMissing):
-        solve_steady_state(path3(), empty, np.empty((0, 1)), on_unreachable="exclude")
+        solve_steady_state(path3(), empty, np.empty((0, 1)))
     with pytest.raises(AllMissing):
         gtvm_inpaint(path3(), empty, np.empty((0, 1)))
 
@@ -133,13 +138,15 @@ def test_solver_methods_agree():
         assert np.allclose(res.completed.values[mis], expected, atol=atol)
 
 
-def test_cg_iteration_cap_warns_and_flags():
+def test_cg_iteration_cap_warns_and_flags(monkeypatch):
     g, omega, f_obs = random_connected_instance(9)
-    full = solve_steady_state(g, omega, f_obs, method="cg", on_unreachable="exclude")
+    full = solve_steady_state(g, omega, f_obs, method="cg")
     assert full.stats.converged and full.stats.iterations > 1
+    real_cg = scipy.sparse.linalg.cg
+    monkeypatch.setattr(scipy.sparse.linalg, "cg",
+                        lambda *args, **kwargs: real_cg(*args, **{**kwargs, "maxiter": 1}))
     with pytest.warns(MaxItersExceeded):
-        res = solve_steady_state(g, omega, f_obs, method="cg", max_iters=1,
-                                 on_unreachable="exclude")
+        res = solve_steady_state(g, omega, f_obs, method="cg")
     assert res.stats.converged is False
     assert res.stats.iterations == 1
 
@@ -180,9 +187,8 @@ def test_relabelling_invariance():
     g2 = build_graph(relabelled_edges)
     omega2 = ObservationSet(g.n, np.sort(perm[omega.observed]))
     order = np.argsort(perm[omega.observed])
-    res1 = solve_steady_state(g, omega, f_obs, method="splu", on_unreachable="exclude")
-    res2 = solve_steady_state(g2, omega2, f_obs[order], method="splu",
-                              on_unreachable="exclude")
+    res1 = solve_steady_state(g, omega, f_obs, method="splu")
+    res2 = solve_steady_state(g2, omega2, f_obs[order], method="splu")
     unpermuted = res2.completed.values[perm]
     assert np.allclose(unpermuted, res1.completed.values, atol=1e-9)
 
@@ -243,20 +249,42 @@ def test_graphprop_desk_scale_low_rank_rmse():
     assert np.mean(values) < 0.40
 
 
-def test_classify_by_median_basic():
+def test_median_threshold_basic():
     g = build_graph(EdgeSet.from_pairs(4, [(0, 1), (1, 2), (2, 3)]))
     omega = ObservationSet(4, [0, 3])
     res = solve_steady_state(g, omega, np.array([[0.0], [1.0]]))
-    labels = classify_by_median(res, 0)
+    labels = median_threshold(res.completed.values[:, 0], omega.missing, res.filled_ids)
     # solved values 1/3 and 2/3, median 0.5
-    assert labels.tolist() == [0, 0, 1, 1]
+    assert labels.tolist() == [0, 1]
+
+
+def test_median_threshold_ignores_excluded_nodes():
+    # path 0-1-2-3 with 0 and 3 observed, a stranded pair 4-5 and an
+    # isolated labelled node 6: the excluded nodes get the observed mean 2/3.
+    # The median over the solved nodes (1/3, 2/3) is 0.5; over every missing
+    # node it would be 2/3, which labels node 2 and the pair 0 instead.
+    g = build_graph(EdgeSet.from_pairs(7, [(0, 1), (1, 2), (2, 3), (4, 5)]))
+    omega = ObservationSet(7, [0, 3, 6])
+    with pytest.warns(UnreachableComponent):
+        res = solve_steady_state(g, omega, np.array([[0.0], [1.0], [1.0]]))
+    assert np.array_equal(res.excluded_ids, [4, 5])
+    labels = median_threshold(res.completed.values[:, 0], omega.missing, res.filled_ids)
+    assert labels.tolist() == [0, 1, 1, 1]
+
+
+def test_median_threshold_without_solved_nodes():
+    values = np.array([0.0, 0.2, 0.5, 0.9])
+    missing = np.array([1, 2, 3])
+    empty = np.array([], dtype=np.int64)
+    assert median_threshold(values, missing, empty).tolist() == [0, 0, 1]
+    assert median_threshold(values, empty, empty).tolist() == []
 
 
 def test_classify_all_equal_goes_low():
     g = build_graph(EdgeSet.from_pairs(3, [(0, 1), (1, 2)]))
     res = solve_steady_state(g, ObservationSet(3, [0, 2]), np.array([[1.0], [1.0]]))
-    labels = classify_by_median(res, 0)
-    assert labels.tolist() == [1, 0, 1]
+    labels = median_threshold(res.completed.values[:, 0], np.array([1]), res.filled_ids)
+    assert labels.tolist() == [0]
 
 
 def test_two_clique_classification():
@@ -269,5 +297,5 @@ def test_two_clique_classification():
     truth = np.repeat([0, 1], size)
     omega = ObservationSet(2 * size, [1, size + 1])
     res = solve_steady_state(g, omega, truth[[1, size + 1]].astype(float)[:, None])
-    labels = classify_by_median(res, 0)
-    assert (labels[omega.missing] == truth[omega.missing]).sum() >= 98
+    labels = median_threshold(res.completed.values[:, 0], omega.missing, res.filled_ids)
+    assert (labels == truth[omega.missing]).sum() >= 98
