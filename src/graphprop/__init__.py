@@ -54,13 +54,10 @@ from .propagation import (
 from .tensor import (
     DenseTensor,
     FiberMatrix,
-    TuckerFactors,
     load_tensor,
     matricize,
-    mode_product,
     refold,
     save_tensor,
-    tucker_synthesize,
 )
 
 __version__ = "0.1.0"

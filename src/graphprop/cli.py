@@ -107,13 +107,6 @@ def main(argv=None) -> int:
             log.info("wrote %s with shape %s", args.output, tensor.shape)
             return 0
         cfg = _build_config(args)
-    except (ConfigError, InfeasibleFraction) as exc:
-        log.error("configuration error: %s", exc)
-        return 2
-    except (DataError, OSError) as exc:
-        log.error("data error: %s", exc)
-        return 3
-    try:
         _RUNNERS[cfg.kind](cfg)
     except (ConfigError, InfeasibleFraction) as exc:
         log.error("configuration error: %s", exc)

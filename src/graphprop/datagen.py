@@ -1,5 +1,6 @@
-"""Synthetic instances: Tucker-structured acquisition sets, coverage-safe
-observation sampling, partial-overlap masks, and small benchmark graphs.
+"""Synthetic instances: Tucker-structured acquisition sets (synthesised
+here, the one place in the package), coverage-safe observation sampling,
+partial-overlap masks, and small benchmark graphs.
 
 Everything is deterministic given the seed; a single generator is drawn
 from in a fixed order.
@@ -15,7 +16,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import InfeasibleFraction
 from .graph import EdgeSet, ObservationSet, build_graph
-from .tensor import DenseTensor, FiberMatrix, TuckerFactors, matricize, refold, tucker_synthesize
+from .tensor import DenseTensor, FiberMatrix, matricize, refold
 
 # Tucker core entries ~ N(CORE_MEAN, CORE_STD**2); the channel scales of
 # every further acquisition ~ N(SCALE_MEAN, SCALE_STD**2).
@@ -87,9 +88,13 @@ def orthonormal_rows(rng: np.random.Generator, rows: int, cols: int) -> np.ndarr
 
 
 def generate_acquisitions(s: SynthSpec) -> list[DenseTensor]:
-    """Acquisition 1 is a Tucker synthesis with factor ranks (r, r, i3) and
-    a Gaussian core; each further acquisition scales the fiber channels by
-    a fresh diagonal Gaussian draw.
+    """Acquisition 1 is a Tucker synthesis with factor ranks (r, r, i3):
+    a Gaussian core multiplied along each mode k by the transpose of a
+    factor with orthonormal rows (the m-mode product of Kolda and Bader,
+    2009), so the mode-k unfolding has rank at most r_k. Each further
+    acquisition scales the fiber channels by a fresh diagonal Gaussian
+    draw. The generator is drawn from in a fixed order: the factors of
+    modes 1, 2 and 3, the core, then the channel scales.
 
     Because the factors have orthonormal rows, the synthesis energy grows
     linearly with the rank setting; acquisition 1 is rescaled to unit
@@ -101,13 +106,17 @@ def generate_acquisitions(s: SynthSpec) -> list[DenseTensor]:
     u1 = orthonormal_rows(rng, s.r, s.i1)
     u2 = orthonormal_rows(rng, s.r, s.i2)
     u3 = orthonormal_rows(rng, s.i3, s.i3)
-    core = DenseTensor.from_array(
-        rng.normal(CORE_MEAN, CORE_STD, size=(s.r, s.r, s.i3))
-    )
-    first = tucker_synthesize(TuckerFactors(core, (u1, u2, u3)))
-    scale = float(first.values.std())
+    values = rng.normal(CORE_MEAN, CORE_STD, size=(s.r, s.r, s.i3))
+    for mode, u in enumerate((u1, u2, u3)):
+        # m-mode product with u.T; the contiguous copy after each step
+        # fixes the operand layout tensordot sees, and so the output bits.
+        values = np.ascontiguousarray(
+            np.moveaxis(np.tensordot(u.T, values, axes=(1, mode)), 0, mode)
+        )
+    scale = float(values.std())
     if scale > 0:
-        first = DenseTensor(first.shape, first.values / scale)
+        values = values / scale
+    first = DenseTensor.from_array(values)
     shape = (s.i1, s.i2, s.i3)
     out = [first]
     fibers = matricize(first, 3)

@@ -3,8 +3,8 @@
 Errors derive from :class:`GraphPropError`; the CLI exits with code 2 for
 configuration errors, 3 for data errors and 1 for any other. Warnings flag
 a result that was still produced but is degraded somewhere (nodes excluded
-and mean-filled, an iteration cap hit); overlap-sim and blogs record them
-in the manifest notes.
+and mean-filled, an iteration cap hit); every experiment runner records
+them in the manifest notes instead of re-issuing them.
 """
 
 

@@ -8,12 +8,15 @@ Each runner writes, under the configured output directory:
   the same config and seed,
 * ``summary.csv``    mean/std over repeats per sweep coordinate,
 * ``timings.csv``    informational per-method runtimes (never asserted),
-* ``manifest.json``  config echo plus per-run notes,
+* ``manifest.json``  config echo plus per-run notes; every runner lists in
+  ``notes["warnings"]`` (per area for overlap-sim) each warning raised,
+  with its category, message, method and sweep coordinates,
 
 and any experiment-specific artifacts (completed tensors, bound reports).
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import json
@@ -36,7 +39,6 @@ from .bounds import evaluate_bounds
 from .datagen import (
     OverlapSpec,
     SynthSpec,
-    check_missing_fraction,
     generate_acquisitions,
     partial_overlap_masks,
     sample_observation_sets,
@@ -182,34 +184,22 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.solver.method not in ("cg", "splu"):
         raise ConfigError(f"unknown solver method {cfg.solver.method!r}")
     if cfg.kind in ("rank-sweep", "missing-sweep", "bound-report"):
-        if min(cfg.i1, cfg.i2, cfg.i3) < 1:
-            raise ConfigError("tensor extents must be positive")
+        ranks, fracs = _sweep_grid(cfg)
+        if not ranks or not fracs:
+            raise ConfigError("rank and missing-fraction grids must be nonempty")
+        if cfg.kind == "rank-sweep" and cfg.missing_frac <= 0.0:
+            raise ConfigError("rank-sweep needs missing_frac > 0 to score missing entries")
+        if cfg.kind == "missing-sweep":
+            for frac in fracs:
+                if not 0.05 <= frac <= 0.45:
+                    raise ConfigError(f"missing fractions must lie in [0.05, 0.45], got {frac}")
+        # extents, rank range and fraction feasibility: SynthSpec's own checks
         try:
-            check_missing_fraction(cfg.i1 * cfg.i2, cfg.missing_frac, 2)
+            for r in ranks:
+                for frac in fracs:
+                    SynthSpec(cfg.i1, cfg.i2, cfg.i3, r=r, missing_frac=frac)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    if cfg.kind == "rank-sweep":
-        if cfg.missing_frac <= 0.0:
-            raise ConfigError("rank-sweep needs missing_frac > 0 to score missing entries")
-        if not cfg.rank_grid:
-            raise ConfigError("rank grid must be nonempty")
-        if any(not 1 <= r <= min(cfg.i1, cfg.i2) for r in cfg.rank_grid):
-            raise ConfigError(f"ranks must lie in 1..{min(cfg.i1, cfg.i2)}")
-    if cfg.kind == "bound-report":
-        if not 1 <= cfg.rank <= min(cfg.i1, cfg.i2):
-            raise ConfigError(f"rank must lie in 1..{min(cfg.i1, cfg.i2)}")
-    if cfg.kind == "missing-sweep":
-        if not cfg.missing_grid or not cfg.rank_tiles:
-            raise ConfigError("missing grid and rank tiles must be nonempty")
-        for frac in cfg.missing_grid:
-            if not 0.05 <= frac <= 0.45:
-                raise ConfigError(f"missing fractions must lie in [0.05, 0.45], got {frac}")
-            try:
-                check_missing_fraction(cfg.i1 * cfg.i2, frac, 2)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        if any(not 1 <= r <= min(cfg.i1, cfg.i2) for r in cfg.rank_tiles):
-            raise ConfigError(f"rank tiles must lie in 1..{min(cfg.i1, cfg.i2)}")
     if cfg.kind == "overlap-sim":
         if not cfg.area_grid:
             raise ConfigError("area grid must be nonempty")
@@ -379,13 +369,16 @@ def _halrtc_fibers(tensors, omegas) -> list[np.ndarray]:
     return [matricize(t, 3).values for t in unstack_acquisitions(completed)]
 
 
-def _recorded_warnings(caught, **where) -> list[dict]:
-    """Manifest entries for warnings caught by ``catch_warnings(record=True)``,
-    each tagged with where it was raised."""
-    return [
-        {**where, "category": w.category.__name__, "message": str(w.message)}
-        for w in caught
-    ]
+@contextlib.contextmanager
+def _recording(into: list, **where):
+    """Record every warning raised in the block as a manifest entry
+    appended to ``into``, tagged with ``where``; the warnings are not
+    re-issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    into.extend({**where, "category": w.category.__name__, "message": str(w.message)}
+                for w in caught)
 
 
 def _write_bound_report(out_dir: Path, reports) -> str:
@@ -401,88 +394,98 @@ def _completion_rmse(truth_fibers, est_fibers, omegas) -> float:
     return rmse(ef)
 
 
-def _synth_point(cfg: ExperimentConfig, experiment: str, r: int, frac: float,
-                 rep: int) -> list[ResultRow]:
-    """One synthetic instance: generate, complete with the propagation
-    pipeline and the low-rank baseline, report RMSE."""
-    tag = _KIND_TAGS[experiment]
-    seed_gen = _derived_seed(cfg.seed, tag, r, round(frac * 1e6), rep, 0)
-    seed_obs = _derived_seed(cfg.seed, tag, r, round(frac * 1e6), rep, 1)
-    spec = SynthSpec(cfg.i1, cfg.i2, cfg.i3, r=r, lambda_count=2,
-                     missing_frac=frac, seed=seed_gen)
+def _sweep_grid(cfg: ExperimentConfig) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Ranks and missing fractions of a synthetic run: rank-sweep varies
+    the rank at ``missing_frac``, missing-sweep both, bound-report
+    neither."""
+    if cfg.kind == "rank-sweep":
+        return cfg.rank_grid, (cfg.missing_frac,)
+    if cfg.kind == "missing-sweep":
+        return cfg.rank_tiles, cfg.missing_grid
+    return (cfg.rank,), (cfg.missing_frac,)
+
+
+def _synth_instance(cfg: ExperimentConfig, r: int, frac: float, *coords):
+    """The seeded two-acquisition Tucker instance of rank ``r`` and its
+    observation sets missing ``frac`` of the fibers; ``coords`` place it
+    in the seed tree under ``cfg.seed``."""
+    spec = SynthSpec(cfg.i1, cfg.i2, cfg.i3, r=r, lambda_count=2, missing_frac=frac,
+                     seed=_derived_seed(cfg.seed, *coords, 0))
     tensors = generate_acquisitions(spec)
-    omegas = sample_observation_sets(spec.n, frac, 2, seed=seed_obs)
+    omegas = sample_observation_sets(spec.n, frac, 2,
+                                     seed=_derived_seed(cfg.seed, *coords, 1))
+    return tensors, omegas
+
+
+def _synth_point(cfg: ExperimentConfig, r: int, frac: float,
+                 rep: int) -> tuple[list[ResultRow], list[dict]]:
+    """One synthetic instance: generate, complete with the propagation
+    pipeline and the low-rank baseline, report RMSE. Returns the rows and
+    the manifest entries of the warnings raised."""
+    tensors, omegas = _synth_instance(cfg, r, frac, _KIND_TAGS[cfg.kind], r,
+                                      round(frac * 1e6), rep)
     fibers = [matricize(t, 3).values for t in tensors]
 
     coords = dict(
-        experiment=experiment, seed=cfg.seed, r=r,
-        missing_frac=frac if experiment == "missing-sweep" else None,
+        experiment=cfg.kind, seed=cfg.seed, r=r,
+        missing_frac=frac if cfg.kind == "missing-sweep" else None,
         area_frac=None, label_frac=None, repeat=rep,
     )
+    where = dict(r=r, missing_frac=frac, repeat=rep)
     rows = []
+    caught: list[dict] = []
 
     start = time.perf_counter()
-    results = graphprop(
-        [(f[om.observed], om) for f, om in zip(fibers, omegas)],
-        cfg.k, method=cfg.solver.method,
-    )
+    with _recording(caught, **where, method="graphprop"):
+        results = graphprop(
+            [(f[om.observed], om) for f, om in zip(fibers, omegas)],
+            cfg.k, method=cfg.solver.method,
+        )
     gp_time = time.perf_counter() - start
     gp_rmse = _completion_rmse(fibers, [res.completed.values for res in results], omegas)
     rows.append(ResultRow(**coords, method="graphprop", metric="rmse",
                           variant="sqrt-mean", value=gp_rmse, runtime=gp_time))
 
     start = time.perf_counter()
-    est_fibers = _halrtc_fibers(tensors, omegas)
+    with _recording(caught, **where, method="halrtc"):
+        est_fibers = _halrtc_fibers(tensors, omegas)
     ha_time = time.perf_counter() - start
     ha_rmse = _completion_rmse(fibers, est_fibers, omegas)
     rows.append(ResultRow(**coords, method="halrtc", metric="rmse",
                           variant="sqrt-mean", value=ha_rmse, runtime=ha_time))
-    return rows
+    return rows, caught
 
 
-def _rank_point(args):
-    cfg, r, rep = args
-    return _synth_point(cfg, "rank-sweep", r, cfg.missing_frac, rep)
-
-
-def _missing_point(args):
-    cfg, r, frac, rep = args
-    return _synth_point(cfg, "missing-sweep", r, frac, rep)
-
-
-def _run_points(cfg: ExperimentConfig, worker, points) -> list[ResultRow]:
+def _run_sweep(cfg: ExperimentConfig, write: bool) -> list[ResultRow]:
+    """Every (rank, fraction, repeat) point of ``_sweep_grid``, serially or
+    over ``cfg.workers`` processes; the manifest notes list the warnings
+    raised, in point order either way."""
+    ranks, fracs = _sweep_grid(cfg)
+    points = [(cfg, r, frac, rep) for r in ranks for frac in fracs
+              for rep in range(cfg.repeats)]
     if cfg.workers <= 1:
-        batches = [worker(p) for p in points]
+        results = [_synth_point(*p) for p in points]
     else:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            batches = list(pool.map(worker, points))
-    return [row for batch in batches for row in batch]
+            results = list(pool.map(_synth_point, *zip(*points)))
+    rows = [row for point_rows, _ in results for row in point_rows]
+    if write:
+        write_outputs(cfg, rows,
+                      notes={"warnings": [w for _, caught in results for w in caught]})
+    return rows
 
 
 def run_rank_sweep(cfg: ExperimentConfig, *, write: bool = True) -> list[ResultRow]:
     """Completion quality as a function of the rank parameter, at a fixed
     missing fraction, for the propagation pipeline and the low-rank
     baseline."""
-    points = [(cfg, r, rep) for r in cfg.rank_grid for rep in range(cfg.repeats)]
-    rows = _run_points(cfg, _rank_point, points)
-    if write:
-        write_outputs(cfg, rows)
-    return rows
+    return _run_sweep(cfg, write)
 
 
 def run_missing_sweep(cfg: ExperimentConfig, *, write: bool = True) -> list[ResultRow]:
     """Completion quality as a function of the per-acquisition missing
     fraction, one tile per configured rank."""
-    points = [
-        (cfg, r, frac, rep)
-        for r in cfg.rank_tiles
-        for frac in cfg.missing_grid
-        for rep in range(cfg.repeats)
-    ]
-    rows = _run_points(cfg, _missing_point, points)
-    if write:
-        write_outputs(cfg, rows)
-    return rows
+    return _run_sweep(cfg, write)
 
 
 def _metric_rows(coords: dict, method: str, ef: ErrorField, runtime: float,
@@ -558,27 +561,25 @@ def run_overlap_sim(cfg: ExperimentConfig, rasters=None, *, write: bool = True):
         estimates: dict[str, list[np.ndarray]] = {}
         timings: dict[str, float] = {}
 
+        caught = notes[area_key]["warnings"] = []
+
         start = time.perf_counter()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with _recording(caught, method="graphprop"):
             gp = graphprop(
                 [(f[om.observed], om) for f, om in zip(truth_fibers, omegas)],
                 cfg.k, method=cfg.solver.method,
             )
         estimates["graphprop"] = [r.completed.values for r in gp]
         timings["graphprop"] = time.perf_counter() - start
-        notes[area_key]["warnings"] = _recorded_warnings(caught, method="graphprop")
 
         start = time.perf_counter()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with _recording(caught, method="gtvm"):
             gtvm = [
                 gtvm_inpaint(gp[0].graph, om, f[om.observed])
                 for f, om in zip(truth_fibers, omegas)
             ]
         estimates["gtvm"] = [g.values for g in gtvm]
         timings["gtvm"] = time.perf_counter() - start
-        notes[area_key]["warnings"] += _recorded_warnings(caught, method="gtvm")
 
         start = time.perf_counter()
         estimates["halrtc"] = _halrtc_fibers(rasters, omegas)
@@ -670,11 +671,9 @@ def run_blogs(cfg: ExperimentConfig, *, write: bool = True) -> list[ResultRow]:
                           repeat=rep)
 
             start = time.perf_counter()
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
+            with _recording(caught_warnings, label_frac=frac, repeat=rep,
+                            method="graphprop"):
                 res = solve_steady_state(graph, om, f_obs, method=cfg.solver.method)
-            caught_warnings += _recorded_warnings(caught, label_frac=frac, repeat=rep,
-                                                  method="graphprop")
             pred = labels.copy()
             pred[om.missing] = median_threshold(res.completed.values[:, 0], om.missing,
                                                 res.filled_ids)
@@ -684,11 +683,8 @@ def run_blogs(cfg: ExperimentConfig, *, write: bool = True) -> list[ResultRow]:
                                   runtime=gp_time))
 
             start = time.perf_counter()
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
+            with _recording(caught_warnings, label_frac=frac, repeat=rep, method="gtvm"):
                 est = gtvm_inpaint(graph, om, f_obs)
-            caught_warnings += _recorded_warnings(caught, label_frac=frac, repeat=rep,
-                                                  method="gtvm")
             pred = labels.copy()
             pred[om.missing] = median_threshold(est.values[:, 0], om.missing, res.filled_ids)
             gtvm_time = time.perf_counter() - start
@@ -739,16 +735,19 @@ def run_complete(cfg: ExperimentConfig, *, write: bool = True):
     omegas = [load_observation_set(p, n) for p in cfg.observation_files]
     fibers = [matricize(t, order) for t in tensors]
 
-    results = graphprop(
-        [(f.values[om.observed], om) for f, om in zip(fibers, omegas)],
-        cfg.k, method=cfg.solver.method,
-    )
+    caught: list[dict] = []
+    with _recording(caught, method="graphprop"):
+        results = graphprop(
+            [(f.values[om.observed], om) for f, om in zip(fibers, omegas)],
+            cfg.k, method=cfg.solver.method,
+        )
 
     out_dir = Path(cfg.out_dir)
     notes = {
         "never_observed": functools.reduce(
             np.intersect1d, [om.missing for om in omegas]).tolist(),
         "excluded_per_acquisition": [r.excluded_ids.tolist() for r in results],
+        "warnings": caught,
     }
     artifacts = []
     if write:
@@ -778,17 +777,15 @@ def run_bound_report(cfg: ExperimentConfig, *, write: bool = True):
     """Bound quantities and measured errors on one synthetic instance;
     raises :class:`BoundViolation` if a computed bound is violated (it
     never should be on noiseless observations)."""
-    seed_gen = _derived_seed(cfg.seed, _KIND_TAGS["bound-report"], 0)
-    seed_obs = _derived_seed(cfg.seed, _KIND_TAGS["bound-report"], 1)
-    spec = SynthSpec(cfg.i1, cfg.i2, cfg.i3, r=cfg.rank, lambda_count=2,
-                     missing_frac=cfg.missing_frac, seed=seed_gen)
-    tensors = generate_acquisitions(spec)
-    omegas = sample_observation_sets(spec.n, cfg.missing_frac, 2, seed=seed_obs)
+    tensors, omegas = _synth_instance(cfg, cfg.rank, cfg.missing_frac,
+                                      _KIND_TAGS["bound-report"])
     fibers = [matricize(t, 3) for t in tensors]
-    results = graphprop(
-        [(f.values[om.observed], om) for f, om in zip(fibers, omegas)],
-        cfg.k, method=cfg.solver.method,
-    )
+    caught: list[dict] = []
+    with _recording(caught, method="graphprop"):
+        results = graphprop(
+            [(f.values[om.observed], om) for f, om in zip(fibers, omegas)],
+            cfg.k, method=cfg.solver.method,
+        )
     reports = []
     for om, f, res in zip(omegas, fibers, results):
         report = evaluate_bounds(res.graph, om, f, res.completed)
@@ -800,7 +797,8 @@ def run_bound_report(cfg: ExperimentConfig, *, write: bool = True):
     if write:
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_outputs(cfg, [], artifacts=[_write_bound_report(out_dir, reports)])
+        write_outputs(cfg, [], notes={"warnings": caught},
+                      artifacts=[_write_bound_report(out_dir, reports)])
     return reports
 
 
@@ -830,6 +828,9 @@ def convert_raster(input_path, sidecar_path, output_path) -> DenseTensor:
         raise DataError(
             f"{input_path}: holds {raw.size} values, sidecar implies {h * w * bands}"
         )
-    tensor = DenseTensor.from_array(raw.reshape(h, w, bands).astype(np.float64))
+    try:
+        tensor = DenseTensor.from_array(raw.reshape(h, w, bands).astype(np.float64))
+    except ValueError as exc:
+        raise DataError(f"{input_path}: {exc}") from exc
     save_tensor(tensor, output_path)
     return tensor

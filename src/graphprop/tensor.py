@@ -1,4 +1,4 @@
-"""Dense tensors, mode-m matricisation, m-mode products, and Tucker synthesis.
+"""Dense tensors, mode-m matricisation, and the binary tensor file format.
 
 Node enumeration contract used across the package: for a tensor of shape
 (I1, ..., Im), the mode-m fibers are indexed by
@@ -23,7 +23,6 @@ from .errors import DataError
 
 FORMAT_DTYPE = "f64"
 FORMAT_LAYOUT = "fiber-fastest"
-ORTHONORMAL_TOL = 1e-10
 
 
 def _finite_float_array(values, context: str) -> np.ndarray:
@@ -127,64 +126,6 @@ def refold(f: FiberMatrix, shape, mode: int) -> DenseTensor:
     rest = tuple(s for i, s in enumerate(shape) if i != mode - 1)
     moved = np.reshape(f.values.T, (shape[mode - 1],) + rest, order="F")
     return DenseTensor(shape, np.ascontiguousarray(np.moveaxis(moved, 0, mode - 1)))
-
-
-def mode_product(t: DenseTensor, matrix: np.ndarray, mode: int) -> DenseTensor:
-    """m-mode product: contract mode ``mode`` of ``t`` with the columns of
-    ``matrix``.
-
-    ``matrix`` has shape (J, I_mode); the result replaces extent I_mode
-    with J. Equivalently, every mode-``mode`` fiber is mapped through
-    ``matrix``.
-    """
-    _check_mode(t.order, mode)
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[1] != t.shape[mode - 1]:
-        raise ValueError(
-            f"matrix shape {matrix.shape} incompatible with mode-{mode} extent {t.shape[mode - 1]}"
-        )
-    out = np.tensordot(matrix, t.values, axes=(1, mode - 1))
-    out = np.moveaxis(out, 0, mode - 1)
-    return DenseTensor(tuple(out.shape), np.ascontiguousarray(out))
-
-
-@dataclass(frozen=True, eq=False)
-class TuckerFactors:
-    """Core tensor plus one factor per mode, factor k of shape (r_k, I_k)
-    with orthonormal rows."""
-
-    core: DenseTensor
-    factors: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        factors = tuple(np.asarray(u, dtype=np.float64) for u in self.factors)
-        if len(factors) != self.core.order:
-            raise ValueError(
-                f"need {self.core.order} factors for an order-{self.core.order} core, got {len(factors)}"
-            )
-        for k, u in enumerate(factors):
-            if u.ndim != 2:
-                raise ValueError(f"factor {k + 1} must be a matrix")
-            rows, cols = u.shape
-            if rows != self.core.shape[k]:
-                raise ValueError(
-                    f"factor {k + 1} has {rows} rows, core extent is {self.core.shape[k]}"
-                )
-            if rows > cols:
-                raise ValueError(f"factor {k + 1} has rank {rows} > extent {cols}")
-            gram = u @ u.T
-            if np.max(np.abs(gram - np.eye(rows))) > ORTHONORMAL_TOL:
-                raise ValueError(f"factor {k + 1} rows are not orthonormal")
-        object.__setattr__(self, "factors", factors)
-
-
-def tucker_synthesize(tf: TuckerFactors) -> DenseTensor:
-    """Multilinear product of the core with every factor: the mode-k
-    unfolding of the result has numerical rank at most r_k."""
-    result = tf.core
-    for k, u in enumerate(tf.factors):
-        result = mode_product(result, u.T, k + 1)
-    return result
 
 
 def save_tensor(t: DenseTensor, path) -> None:

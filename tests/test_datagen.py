@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from graphprop import (
@@ -15,6 +17,7 @@ from graphprop import (
     stack_acquisitions,
     two_block_graph,
 )
+from graphprop.datagen import CORE_MEAN, CORE_STD
 from graphprop.errors import InfeasibleFraction
 
 
@@ -67,6 +70,38 @@ def test_stacked_tucker_ranks():
         assert numerical_rank == expected
     sv3 = np.linalg.svd(matricize(stacked, 3).values, compute_uv=False)
     assert int(np.sum(sv3 > 1e-8 * sv3[0])) <= 3
+
+
+def brute_force_tucker(core, factors):
+    shape = tuple(u.shape[1] for u in factors)
+    out = np.zeros(shape)
+    for out_idx in np.ndindex(*shape):
+        total = 0.0
+        for core_idx in np.ndindex(*core.shape):
+            term = core[core_idx]
+            for k in range(len(factors)):
+                term *= factors[k][core_idx[k], out_idx[k]]
+            total += term
+        out[out_idx] = total
+    return out
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 3))
+@settings(max_examples=20, deadline=None)
+def test_tucker_matches_nested_sum(seed, r):
+    spec = SynthSpec(4, 5, 3, r=r, lambda_count=1, missing_frac=0.0, seed=seed)
+    (acq,) = generate_acquisitions(spec)
+    # the generator's draws, in its order: factors of modes 1, 2, 3, then the core
+    rng = np.random.default_rng(seed)
+    factors = (
+        orthonormal_rows(rng, r, 4),
+        orthonormal_rows(rng, r, 5),
+        orthonormal_rows(rng, 3, 3),
+    )
+    core = rng.normal(CORE_MEAN, CORE_STD, size=(r, r, 3))
+    expected = brute_force_tucker(core, factors)
+    expected /= expected.std()
+    assert np.max(np.abs(acq.values - expected)) <= 1e-12
 
 
 def test_unit_scale_normalisation():

@@ -34,6 +34,7 @@ from graphprop.harness import (
     run_blogs,
     run_bound_report,
     run_complete,
+    run_missing_sweep,
     run_overlap_sim,
     run_rank_sweep,
     save_observation_set,
@@ -86,11 +87,25 @@ def test_config_validation_errors():
             config_from_dict({"kind": "blogs", "two_block_size": 10, "blogs_repeats": repeats})
     with pytest.raises(ConfigError, match="missing_frac"):
         config_from_dict({"kind": "rank-sweep", "missing_frac": 0.0})
+    # a rank beyond min(i1, i2) = 8, or below 1, in each synthetic kind
+    for kind, bad in (("rank-sweep", {"rank_grid": [2, 9]}),
+                      ("missing-sweep", {"rank_tiles": [0]}),
+                      ("bound-report", {"rank": 9})):
+        with pytest.raises(ConfigError, match="rank must lie in 1..8"):
+            config_from_dict({"kind": kind, "i1": 8, "i2": 10, **bad})
     # removed: the dense solver, the solver tolerance and the HaLRTC block
     for removed in ({"solver": {"method": "cholesky"}}, {"solver": {"tol": 1e-8}},
                     {"halrtc": {"max_iters": 10}}):
         with pytest.raises(ConfigError):
             config_from_dict({"kind": "rank-sweep", **removed})
+
+
+def test_missing_sweep_ignores_its_unused_missing_frac():
+    # missing-sweep scores the fractions of missing_grid only
+    cfg = config_from_dict({"kind": "missing-sweep", "missing_frac": 0.6})
+    assert cfg.missing_frac == 0.6
+    with pytest.raises(ConfigError):
+        config_from_dict({"kind": "bound-report", "missing_frac": 0.6})
 
 
 def test_full_scale_preset_respects_explicit_keys():
@@ -242,6 +257,25 @@ def test_blogs_records_solver_warnings(tmp_path, monkeypatch):
                if w["method"] == "graphprop")
 
 
+def test_missing_sweep_records_warnings_serial_and_parallel(tmp_path):
+    def cfg(out, workers):
+        return config_from_dict(
+            dict(kind="missing-sweep", i1=12, i2=12, i3=2, k=2, rank_tiles=[2],
+                 missing_grid=[0.45], repeats=3, workers=workers, out_dir=str(tmp_path / out))
+        )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # recorded, not re-issued
+        run_missing_sweep(cfg("serial", 1))
+    run_missing_sweep(cfg("parallel", 2))
+    notes = [json.loads((tmp_path / out / "manifest.json").read_text())["notes"]
+             for out in ("serial", "parallel")]
+    assert notes[0] == notes[1]
+    recorded = notes[0]["warnings"]
+    assert [(w["method"], w["category"], w["r"], w["missing_frac"]) for w in recorded] == [
+        ("graphprop", "UnreachableComponent", 2, 0.45)] * 2
+    assert [w["repeat"] for w in recorded] == [1, 2]
+
+
 def test_blogs_two_block_stand_in(tmp_path):
     cfg = config_from_dict(
         dict(kind="blogs", two_block_size=30, label_fracs=[0.1], repeats=2,
@@ -387,10 +421,11 @@ def test_run_complete_flags_never_observed(tmp_path):
              observation_files=[str(tmp_path / "om.json")],
              out_dir=str(tmp_path / "out"))
     )
-    with pytest.warns(Warning):
-        run_complete(cfg)
+    run_complete(cfg)
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["notes"]["never_observed"] == [0]
+    assert [(w["method"], w["category"]) for w in manifest["notes"]["warnings"]] == [
+        ("graphprop", "CoverageViolationWarning")]
     assert 0 in manifest["notes"]["excluded_per_acquisition"][0]
 
 
@@ -544,7 +579,7 @@ def test_cli_rank_sweep_runs(tmp_path):
     assert manifest["config"]["seed"] == 3
 
 
-def test_cli_convert_raster(tmp_path):
+def test_cli_convert_raster(tmp_path, caplog):
     data = np.arange(24, dtype="<f8")
     raw = tmp_path / "r.bin"
     data.tofile(raw)
@@ -556,3 +591,7 @@ def test_cli_convert_raster(tmp_path):
     assert tensor.shape == (2, 3, 4)
     # band-interleaved-by-pixel: first four values are pixel (0, 0)
     assert np.array_equal(tensor.values[0, 0], [0.0, 1.0, 2.0, 3.0])
+    data[5] = np.nan
+    data.tofile(raw)
+    assert main(["convert-raster", str(raw), str(sidecar), str(out)]) == 3
+    assert str(raw) in caplog.text

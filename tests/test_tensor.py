@@ -6,15 +6,11 @@ from hypothesis import strategies as st
 from graphprop import (
     DenseTensor,
     FiberMatrix,
-    TuckerFactors,
     load_tensor,
     matricize,
-    mode_product,
     refold,
     save_tensor,
-    tucker_synthesize,
 )
-from graphprop.datagen import orthonormal_rows
 from graphprop.errors import DataError
 
 
@@ -106,90 +102,6 @@ def test_refold_shape_mismatch():
 def test_dense_tensor_rejects_nonfinite():
     with pytest.raises(ValueError):
         DenseTensor.from_array(np.array([1.0, np.nan]))
-
-
-def test_tucker_identity_factors():
-    rng = np.random.default_rng(0)
-    core = DenseTensor.from_array(rng.standard_normal((3, 4, 2)))
-    factors = tuple(np.eye(s) for s in core.shape)
-    out = tucker_synthesize(TuckerFactors(core, factors))
-    assert np.allclose(out.values, core.values, atol=1e-14)
-
-
-def test_tucker_scalar_core_outer_product():
-    core = DenseTensor.from_array(np.full((1, 1, 1), 2.0))
-    a = np.array([[3.0 / 5.0, 4.0 / 5.0]])
-    b = np.array([[1.0, 0.0, 0.0]])
-    c = np.array([[0.0, 1.0]])
-    out = tucker_synthesize(TuckerFactors(core, (a, b, c)))
-    expected = np.empty((2, 3, 2))
-    for i in range(2):
-        for j in range(3):
-            for k in range(2):
-                expected[i, j, k] = 2.0 * a[0, i] * b[0, j] * c[0, k]
-    assert np.allclose(out.values, expected, atol=1e-14)
-
-
-def brute_force_tucker(core, factors):
-    shape = tuple(u.shape[1] for u in factors)
-    out = np.zeros(shape)
-    for out_idx in np.ndindex(*shape):
-        total = 0.0
-        for core_idx in np.ndindex(*core.shape):
-            term = core.values[core_idx]
-            for k in range(len(factors)):
-                term *= factors[k][core_idx[k], out_idx[k]]
-            total += term
-        out[out_idx] = total
-    return out
-
-
-@given(st.integers(0, 2**31 - 1))
-@settings(max_examples=20, deadline=None)
-def test_tucker_matches_nested_sum(seed):
-    rng = np.random.default_rng(seed)
-    core = DenseTensor.from_array(rng.standard_normal((2, 2, 2)))
-    factors = (
-        orthonormal_rows(rng, 2, 4),
-        orthonormal_rows(rng, 2, 5),
-        orthonormal_rows(rng, 2, 3),
-    )
-    tf = TuckerFactors(core, factors)
-    out = tucker_synthesize(tf)
-    assert out.size <= 200
-    assert np.max(np.abs(out.values - brute_force_tucker(core, factors))) <= 1e-12
-
-
-def test_tucker_rank_bounded_by_core():
-    rng = np.random.default_rng(5)
-    core = DenseTensor.from_array(rng.standard_normal((2, 2, 3)))
-    factors = (
-        orthonormal_rows(rng, 2, 8),
-        orthonormal_rows(rng, 2, 9),
-        orthonormal_rows(rng, 3, 7),
-    )
-    out = tucker_synthesize(TuckerFactors(core, factors))
-    sv = np.linalg.svd(matricize(out, 1).values, compute_uv=False)
-    assert np.all(sv[2:] <= 1e-8 * sv[0])
-
-
-def test_tucker_factor_validation():
-    core = DenseTensor.from_array(np.zeros((2, 2)))
-    good = np.eye(3)[:2]
-    skew = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
-    with pytest.raises(ValueError):
-        TuckerFactors(core, (good, skew))
-    with pytest.raises(ValueError):
-        TuckerFactors(core, (good,))
-
-
-def test_mode_product_shapes():
-    t = DenseTensor.from_array(np.arange(6.0).reshape(2, 3))
-    m = np.ones((4, 3))
-    out = mode_product(t, m, 2)
-    assert out.shape == (2, 4)
-    with pytest.raises(ValueError):
-        mode_product(t, m, 1)
 
 
 def test_save_load_roundtrip(tmp_path):
