@@ -22,9 +22,10 @@ import functools
 import json
 import logging
 import time
+import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -80,8 +81,9 @@ FULL_SCALE_PRESET = {
     "width": 500,
     "bands": 7,
     "repeats": 10,
-    "blogs_repeats": 30,
 }
+# Per-kind entries win over FULL_SCALE_PRESET.
+FULL_SCALE_KIND_PRESET = {"blogs": {"repeats": 30}}
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,22 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment run, built from a JSON object by :func:`config_from_dict`.
+
+    The field annotations are the only type rule: an ``int`` key takes a
+    JSON integer (``true``/``false`` are not integers), a ``float`` key a
+    JSON number (an integer is stored as a float), a ``str`` key a string,
+    a ``bool`` key ``true`` or ``false``, a ``tuple[X, ...]`` key a JSON
+    array (never a string) whose elements follow X's rule, and ``solver``
+    a JSON object checked the same way against :class:`SolverSettings`.
+    A mismatch or an unknown key raises :class:`ConfigError`.
+
+    ``full_scale`` fills every key the config leaves unset from
+    ``FULL_SCALE_PRESET``, with ``repeats`` 30 for blogs and 10 for the
+    other kinds. For ``complete``, nonempty ``truth_files`` (one per
+    input) turn on the bound report.
+    """
+
     kind: str
     seed: int = 0
     k: int = 10
@@ -114,7 +132,6 @@ class ExperimentConfig:
     area_grid: tuple[float, ...] = (0.4,)
     # label propagation
     label_fracs: tuple[float, ...] = (0.05, 0.1, 0.2)
-    blogs_repeats: int | None = None
     two_block_size: int = 0
     graph_file: str = ""
     labels_file: str = ""
@@ -122,40 +139,66 @@ class ExperimentConfig:
     inputs: tuple[str, ...] = ()
     observation_files: tuple[str, ...] = ()
     truth_files: tuple[str, ...] = ()
-    emit_bound_report: bool = False
     # metric variants
     mpsnr_variant: str = "maxerr"
     solver: SolverSettings = field(default_factory=SolverSettings)
 
 
+_SCALAR_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _typed(key: str, value, hint):
+    """``value`` checked against the annotation ``hint`` of config key
+    ``key``, by the rule :class:`ExperimentConfig` states."""
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+        return hint(**_typed_fields(hint, value, prefix=f"{key}."))
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a JSON array, got {value!r}")
+        item = typing.get_args(hint)[0]
+        return tuple(_typed(f"{key}[{i}]", v, item) for i, v in enumerate(value))
+    if hint is float and type(value) is int:
+        value = float(value)
+    # bool is a subclass of int, but true is not an integer here
+    if not isinstance(value, hint) or (isinstance(value, bool) and hint is not bool):
+        raise ConfigError(f"{key} must be {_SCALAR_NAMES[hint]}, got {value!r}")
+    return value
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    """Field name to annotation of a config dataclass (it has no ClassVar);
+    cached because resolving the string annotations costs far more than a
+    check."""
+    return typing.get_type_hints(cls)
+
+
+def _typed_fields(cls, data: dict, prefix: str = "") -> dict:
+    """The entries of ``data`` checked against the fields of dataclass
+    ``cls``; unknown keys are rejected."""
+    hints = _field_types(cls)
+    unknown = sorted(prefix + key for key in data if key not in hints)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {unknown}")
+    return {key: _typed(prefix + key, value, hints[key]) for key, value in data.items()}
+
+
 def config_from_dict(data: dict, **overrides) -> ExperimentConfig:
     """Build a validated config from a JSON-style dict; ``overrides`` are
-    CLI flags and win over the dict. Unknown keys are rejected."""
+    CLI flags and win over the dict. Unknown keys and values of the wrong
+    type are rejected."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    data = dict(data)
-    data.update({k: v for k, v in overrides.items() if v is not None})
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "kind" not in data:
+    data = {**data, **{k: v for k, v in overrides.items() if v is not None}}
+    values = _typed_fields(ExperimentConfig, data)
+    if "kind" not in values:
         raise ConfigError("config must name the experiment kind")
-    explicit = set(data)
-    if data.get("full_scale"):
-        for key, value in FULL_SCALE_PRESET.items():
-            if key not in explicit:
-                data[key] = value
-    try:
-        if isinstance(data.get("solver"), dict):
-            data["solver"] = SolverSettings(**data["solver"])
-        for key in ("rank_grid", "missing_grid", "rank_tiles", "area_grid",
-                    "label_fracs", "inputs", "observation_files", "truth_files"):
-            if key in data and not isinstance(data[key], tuple):
-                data[key] = tuple(data[key])
-        cfg = ExperimentConfig(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
+    if values.get("full_scale"):
+        values = {**FULL_SCALE_PRESET, **FULL_SCALE_KIND_PRESET.get(values["kind"], {}),
+                  **values}
+    cfg = ExperimentConfig(**values)
     validate_config(cfg)
     return cfg
 
@@ -173,6 +216,8 @@ def load_config(path, **overrides) -> ExperimentConfig:
 def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be non-negative")
     if cfg.k < 1:
         raise ConfigError("k must be at least 1")
     if cfg.repeats < 1:
@@ -216,8 +261,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("label fractions must lie in (0, 1]")
         if cfg.two_block_size < 0 or cfg.two_block_size == 1:
             raise ConfigError("two_block_size must be at least 2 (or 0 to read graph_file)")
-        if cfg.blogs_repeats is not None and cfg.blogs_repeats < 1:
-            raise ConfigError("blogs_repeats must be at least 1")
         if cfg.two_block_size == 0 and not (cfg.graph_file and cfg.labels_file):
             raise ConfigError("blogs needs graph_file and labels_file, or two_block_size")
     if cfg.kind == "complete":
@@ -225,7 +268,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("complete needs at least one input tensor")
         if len(cfg.observation_files) != len(cfg.inputs):
             raise ConfigError("need one observation file per input tensor")
-        if cfg.emit_bound_report and len(cfg.truth_files) != len(cfg.inputs):
+        if cfg.truth_files and len(cfg.truth_files) != len(cfg.inputs):
             raise ConfigError("bound reports need one truth tensor per input")
 
 
@@ -653,12 +696,11 @@ def run_blogs(cfg: ExperimentConfig, *, write: bool = True) -> list[ResultRow]:
         labels = load_labels(cfg.labels_file, edges.n)
     graph = build_graph(edges)
     n = graph.n
-    repeats = cfg.blogs_repeats if cfg.blogs_repeats is not None else cfg.repeats
 
     rows = []
     caught_warnings: list[dict] = []
     for frac in cfg.label_fracs:
-        for rep in range(repeats):
+        for rep in range(cfg.repeats):
             rng = np.random.default_rng(
                 _derived_seed(cfg.seed, _KIND_TAGS["blogs"], 1, round(frac * 1e6), rep)
             )
@@ -704,10 +746,11 @@ def load_observation_set(path, n: int) -> ObservationSet:
         raise DataError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or set(data) != {"n", "observed"}:
         raise DataError(f"{path}: expected exactly the keys 'n' and 'observed'")
-    if data["n"] != n:
-        raise DataError(f"{path}: observation set is over {data['n']} nodes, tensor has {n}")
+    # type(...) is int: JSON true/false load as bool, a subclass of int
+    if type(data["n"]) is not int or data["n"] != n:
+        raise DataError(f"{path}: observation set is over {data['n']!r} nodes, tensor has {n}")
     ids = data["observed"]
-    if not all(isinstance(i, int) and 1 <= i <= n for i in ids):
+    if not isinstance(ids, list) or not all(type(i) is int and 1 <= i <= n for i in ids):
         raise DataError(f"{path}: observed ids must be integers in 1..{n}")
     try:
         return ObservationSet(n, np.asarray(ids, dtype=np.int64) - 1)
@@ -724,7 +767,9 @@ def run_complete(cfg: ExperimentConfig, *, write: bool = True):
     """Generic completion of user-supplied acquisitions; a thin shell over
     the library pipeline. The manifest notes list the nodes missing in
     every acquisition (``never_observed``; :func:`graphprop` warns about
-    them) and each acquisition's excluded, mean-filled nodes."""
+    them) and each acquisition's excluded, mean-filled nodes. With
+    ``truth_files`` set it also writes ``bound_report.json`` and returns
+    the reports, otherwise ``None``."""
     tensors = [load_tensor(p) for p in cfg.inputs]
     shape = tensors[0].shape
     for t, p in zip(tensors, cfg.inputs):
@@ -757,7 +802,7 @@ def run_complete(cfg: ExperimentConfig, *, write: bool = True):
             save_tensor(refold(res.completed, shape, order), out_dir / name)
             artifacts.append(name)
     reports = None
-    if cfg.emit_bound_report:
+    if cfg.truth_files:
         truths = [load_tensor(p) for p in cfg.truth_files]
         for t, p in zip(truths, cfg.truth_files):
             if t.shape != shape:
@@ -816,9 +861,9 @@ def convert_raster(input_path, sidecar_path, output_path) -> DenseTensor:
     required = {"height", "width", "bands", "dtype"}
     if not isinstance(meta, dict) or not required.issubset(meta):
         raise DataError(f"{sidecar_path}: needs keys {sorted(required)}")
-    h, w, bands = int(meta["height"]), int(meta["width"]), int(meta["bands"])
-    if min(h, w, bands) < 1:
-        raise DataError(f"{sidecar_path}: extents must be positive")
+    h, w, bands = meta["height"], meta["width"], meta["bands"]
+    if not all(type(v) is int and v >= 1 for v in (h, w, bands)):
+        raise DataError(f"{sidecar_path}: extents must be positive JSON integers")
     if meta["dtype"] not in _RASTER_DTYPES:
         raise DataError(
             f"{sidecar_path}: dtype must be one of {sorted(_RASTER_DTYPES)}"

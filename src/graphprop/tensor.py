@@ -163,7 +163,7 @@ def load_tensor(path) -> DenseTensor:
     if (
         not isinstance(shape, list)
         or not shape
-        or not all(isinstance(s, int) and s >= 1 for s in shape)
+        or not all(type(s) is int and s >= 1 for s in shape)  # a JSON true is a bool
     ):
         raise DataError(f"{path}: shape must be a list of positive integers")
     shape = tuple(shape)

@@ -83,8 +83,11 @@ def test_config_validation_errors():
         with pytest.raises(ConfigError, match="two_block_size"):
             config_from_dict({"kind": "blogs", "two_block_size": size})
     for repeats in (0, -2):
-        with pytest.raises(ConfigError, match="blogs_repeats"):
-            config_from_dict({"kind": "blogs", "two_block_size": 10, "blogs_repeats": repeats})
+        with pytest.raises(ConfigError, match="repeats"):
+            config_from_dict({"kind": "blogs", "two_block_size": 10, "repeats": repeats})
+    for kind in ("bound-report", "overlap-sim", "blogs"):
+        with pytest.raises(ConfigError, match="seed"):
+            config_from_dict({"kind": kind, "two_block_size": 10, "seed": -1})
     with pytest.raises(ConfigError, match="missing_frac"):
         config_from_dict({"kind": "rank-sweep", "missing_frac": 0.0})
     # a rank beyond min(i1, i2) = 8, or below 1, in each synthetic kind
@@ -98,6 +101,11 @@ def test_config_validation_errors():
                     {"halrtc": {"max_iters": 10}}):
         with pytest.raises(ConfigError):
             config_from_dict({"kind": "rank-sweep", **removed})
+    # removed: the blogs-only repeat count (now the full-scale preset's) and
+    # complete's bound-report flag (now set truth_files)
+    for removed, value in (("blogs_repeats", 2), ("emit_bound_report", True)):
+        with pytest.raises(ConfigError, match=rf"unknown config keys: \['{removed}'\]"):
+            config_from_dict({"kind": "blogs", "two_block_size": 10, removed: value})
 
 
 def test_missing_sweep_ignores_its_unused_missing_frac():
@@ -111,8 +119,45 @@ def test_missing_sweep_ignores_its_unused_missing_frac():
 def test_full_scale_preset_respects_explicit_keys():
     cfg = config_from_dict({"kind": "rank-sweep", "full_scale": True, "i1": 100})
     assert cfg.i1 == 100 and cfg.i2 == 200 and cfg.repeats == 10
-    cfg2 = config_from_dict({"kind": "blogs", "two_block_size": 20, "full_scale": True})
-    assert cfg2.blogs_repeats == 30
+    blogs = {"kind": "blogs", "two_block_size": 20, "full_scale": True}
+    assert config_from_dict(blogs).repeats == 30
+    assert config_from_dict({**blogs, "repeats": 2}).repeats == 2
+
+
+# One wrongly typed value per annotation kind of ExperimentConfig.
+WRONG_TYPES = [
+    {"k": "3"}, {"k": True}, {"k": 2.0}, {"rank": 2.0}, {"repeats": 2.5},  # int
+    {"i1": "12", "i2": 12, "i3": 2, "k": 3},
+    {"missing_frac": "0.3"}, {"missing_frac": True},  # float
+    {"mpsnr_variant": 3}, {"graph_file": None},  # str
+    {"full_scale": 1}, {"full_scale": "yes"},  # bool
+    {"rank_grid": "2"}, {"rank_grid": 2}, {"rank_grid": [2, True]},  # tuple[int, ...]
+    {"area_grid": "0.4"}, {"area_grid": [0.4, "0.5"]},  # tuple[float, ...]
+    {"inputs": "a.tenb"}, {"truth_files": [1]},  # tuple[str, ...]
+    {"solver": "cg"}, {"solver": {"method": 3}}, {"solver": ["cg"]},  # SolverSettings
+]
+
+
+@pytest.mark.parametrize("bad", WRONG_TYPES, ids=lambda bad: json.dumps(bad))
+def test_config_type_rule(bad, tmp_path, caplog):
+    key = next(iter(bad))
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict({"kind": "bound-report", **bad})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**bad, "out_dir": str(tmp_path / "never")}))
+    assert main(["bound-report", "--config", str(cfg_path)]) == 2
+    assert not (tmp_path / "never").exists()
+    assert "configuration error: " + key in caplog.text
+    assert all(rec.exc_info is None for rec in caplog.records)
+
+
+def test_config_type_rule_converts():
+    cfg = config_from_dict({"kind": "overlap-sim", "area_grid": [0, 0.5], "missing_frac": 1,
+                            "inputs": ("a.tenb", "b.tenb"), "solver": {"method": "splu"}})
+    assert cfg.area_grid == (0.0, 0.5) and type(cfg.area_grid[0]) is float
+    assert cfg.missing_frac == 1.0 and type(cfg.missing_frac) is float
+    assert cfg.inputs == ("a.tenb", "b.tenb")
+    assert cfg.solver == harness.SolverSettings("splu")
 
 
 def test_load_config_json(tmp_path):
@@ -350,6 +395,9 @@ def test_observation_set_file_roundtrip(tmp_path):
     assert np.array_equal(back.observed, om.observed)
     with pytest.raises(DataError):
         load_observation_set(path, 7)
+    path.write_text(json.dumps({"n": 3, "observed": [True, 3]}))
+    with pytest.raises(DataError, match="integers"):
+        load_observation_set(path, 3)
 
 
 def make_complete_inputs(tmp_path, seed=0, n_side=8, channels=2):
@@ -436,7 +484,6 @@ def test_run_complete_bound_report(tmp_path):
              inputs=[str(paths[1][0]), str(paths[2][0])],
              observation_files=[str(paths[1][1]), str(paths[2][1])],
              truth_files=[str(paths[1][0]), str(paths[2][0])],
-             emit_bound_report=True,
              out_dir=str(tmp_path / "out"))
     )
     results, reports = run_complete(cfg)
@@ -473,7 +520,6 @@ def test_bound_reports_reuse_the_completion_graph(tmp_path, monkeypatch):
              inputs=[str(paths[1][0]), str(paths[2][0])],
              observation_files=[str(paths[1][1]), str(paths[2][1])],
              truth_files=[str(paths[1][0]), str(paths[2][0])],
-             emit_bound_report=True,
              out_dir=str(tmp_path / "complete"))
     ))
     assert len(calls) == 2
@@ -522,7 +568,8 @@ def test_cli_exit_codes(tmp_path):
     assert main(["complete", "--config", str(missing_inputs)]) == 3
     for kind, bad in (("overlap-sim", {"height": 0}), ("overlap-sim", {"bands": 0}),
                       ("blogs", {"two_block_size": 1}), ("blogs", {"two_block_size": -3}),
-                      ("blogs", {"two_block_size": 10, "blogs_repeats": 0}),
+                      ("blogs", {"two_block_size": 10, "repeats": 0}),
+                      ("blogs", {"two_block_size": 10, "seed": -1}),
                       ("rank-sweep", {"i1": 10, "i2": 10, "i3": 2, "missing_frac": 0.0})):
         bad_cfg.write_text(json.dumps({"kind": kind, **bad,
                                        "out_dir": str(tmp_path / "never")}))
@@ -591,6 +638,12 @@ def test_cli_convert_raster(tmp_path, caplog):
     assert tensor.shape == (2, 3, 4)
     # band-interleaved-by-pixel: first four values are pixel (0, 0)
     assert np.array_equal(tensor.values[0, 0], [0.0, 1.0, 2.0, 3.0])
+    for height in (2.9, "2", True):
+        sidecar.write_text(json.dumps({"height": height, "width": 3, "bands": 4,
+                                       "dtype": "f64"}))
+        assert main(["convert-raster", str(raw), str(sidecar), str(out)]) == 3
+    assert "JSON integers" in caplog.text
+    sidecar.write_text(json.dumps({"height": 2, "width": 3, "bands": 4, "dtype": "f64"}))
     data[5] = np.nan
     data.tofile(raw)
     assert main(["convert-raster", str(raw), str(sidecar), str(out)]) == 3

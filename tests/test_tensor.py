@@ -141,3 +141,8 @@ def test_load_rejects_bad_header(tmp_path):
     path.write_bytes(b"not json\n")
     with pytest.raises(DataError):
         load_tensor(path)
+    # a JSON true is not an extent
+    path.write_bytes(b'{"shape": [true, 2], "dtype": "f64", "layout": "fiber-fastest"}\n'
+                     + b"\x00" * 16)
+    with pytest.raises(DataError, match="positive integers"):
+        load_tensor(path)
