@@ -21,12 +21,16 @@ for total-variation inpainting uses ``eta = ||F0 - A' F0||_F`` and
 ``q = || [A'_oc ; I + A'_cc] ||_2`` with A' the adjacency scaled by its
 largest eigenvalue magnitude, giving ``2 |eta| / (2 - q)``.
 
+Zero-degree nodes (observed in no acquisition, so on no kNN edge) make D
+singular and are out of propagation's reach: every scalar and the measured
+error run over the nodes of positive degree of the graph as given.
+
 Every spectral norm here (phi, q and the graph's lambda_max, which scales
 A') comes from :func:`spectral_norm`: an ARPACK Ritz value of the Gram
 operator plus its residual norm, which certifies a value at or above the
-true norm. So phi and q err high and each bound errs on the safe
-(pessimistic) side; an underestimated lambda_max would let ``||A'||_2``
-exceed 1.
+true norm. psi and eta carry a rounding allowance and each quotient is
+rounded up, so every bound errs on the safe (pessimistic) side; an
+underestimated lambda_max would let ``||A'||_2`` exceed 1.
 """
 from __future__ import annotations
 
@@ -36,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import EmptyGraph, SingularDegree, SpectralNormNotConverged
+from .errors import EmptyGraph, SpectralNormNotConverged
 from .graph import ObservationSet, SparseGraph, partition_blocks
 
 EPS = np.finfo(np.float64).eps
@@ -116,33 +120,52 @@ def spectral_norm(matrix) -> float:
     return float(np.nextafter(np.sqrt(top), np.inf))
 
 
-def _require_invertible_degrees(g: SparseGraph) -> None:
-    if g.zero_degree_ids.size:
-        raise SingularDegree(
-            f"{g.zero_degree_ids.size} node(s) have degree zero; exclude them first"
-        )
+def _positive_degree_ids(g: SparseGraph, omega: ObservationSet) -> tuple[np.ndarray, np.ndarray]:
+    """The observed and the missing ids of ``omega`` with positive degree."""
+    if omega.n != g.n:
+        raise ValueError(f"observation set is over {omega.n} nodes, graph has {g.n}")
+    return (omega.observed[g.degrees[omega.observed] > 0],
+            omega.missing[g.degrees[omega.missing] > 0])
+
+
+def _residual_norm(g: SparseGraph, ids: np.ndarray, f, divisor) -> float:
+    """``||F_i - A_i F / divisor||_F`` over the rows ``i`` in ``ids`` (divisor a
+    column of row scales or a scalar), never below its exact value.
+
+    Allowance, to first order in eps: an entry of ``A_i F`` sums at most
+    ``a`` products (``a`` the largest row count of ``A_i``), so it is within
+    ``a * eps * |A_i| |F|`` of exact (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, section 3.1), and the division and subtraction
+    add ``eps`` relative each: each residual entry is within
+    ``(a + 2) * eps * S``, ``S = |F_i| + |A_i| |F| / divisor``. The norm of
+    the ``m`` entries (squares summed, then a root) errs by at most
+    ``(m / 2 + 1) * eps`` relative; the factor ``1 + (m + 2) * eps`` covers
+    it and the second-order terms, and ``np.nextafter`` rounds up.
+    """
+    values = f.values if hasattr(f, "values") else np.asarray(f, dtype=np.float64)
+    if values.shape[0] != g.n:
+        raise ValueError(f"signal has {values.shape[0]} rows, graph has {g.n} nodes")
+    if ids.size == 0:
+        return 0.0
+    rows = g.adjacency[ids]
+    own = values[ids]
+    residual = own - (rows @ values) / divisor
+    spread = np.abs(own) + (abs(rows) @ np.abs(values)) / divisor
+    terms = int(np.diff(rows.indptr).max())
+    top = float(np.linalg.norm(residual)) + (terms + 2) * EPS * float(np.linalg.norm(spread))
+    return float(np.nextafter(top * (1.0 + (residual.size + 2) * EPS), np.inf))
 
 
 def compute_psi(g: SparseGraph, omega: ObservationSet, f0) -> float:
     """Frobenius cost of the reference signal under the masked diffusion
-    objective: ``psi = ||P F0||_F``, computed from sparse blocks."""
-    _require_invertible_degrees(g)
-    values = f0.values if hasattr(f0, "values") else np.asarray(f0, dtype=np.float64)
-    if values.shape[0] != g.n:
-        raise ValueError(f"signal has {values.shape[0]} rows, graph has {g.n} nodes")
-    mis = omega.missing
-    if mis.size == 0:
-        return 0.0
-    neighbour_mean = (g.adjacency[mis] @ values) / g.degrees[mis][:, None]
-    return float(np.linalg.norm(values[mis] - neighbour_mean))
+    objective: ``psi = ||P F0||_F``, never below its exact value."""
+    _, mis = _positive_degree_ids(g, omega)
+    return _residual_norm(g, mis, f0, g.degrees[mis][:, None])
 
 
 def compute_phi(g: SparseGraph, omega: ObservationSet) -> float:
     """Spectral norm of ``U = I + D_cc^-1 A_cc``."""
-    _require_invertible_degrees(g)
-    if omega.n != g.n:
-        raise ValueError(f"observation set is over {omega.n} nodes, graph has {g.n}")
-    blocks = partition_blocks(g, omega.observed, omega.missing)
+    blocks = partition_blocks(g, *_positive_degree_ids(g, omega))
     n_mis = blocks.d_cc.size
     if n_mis == 0:
         return 0.0
@@ -153,10 +176,16 @@ def compute_phi(g: SparseGraph, omega: ObservationSet) -> float:
 
 def graphprop_bound(psi: float, phi: float) -> float | None:
     """``psi / (2 - phi)`` when ``phi < 2`` (within a small guard),
-    otherwise None: the bound is inapplicable."""
+    otherwise None: the bound is inapplicable.
+
+    The quotient is rounded up with ``np.nextafter`` (zero psi gives 0):
+    ``2 - phi`` is exact (Sterbenz lemma) for phi 0 or in [1, 2], which
+    holds for every phi and q here, as U and the GTVM stack have a unit
+    entry in each missing node's column.
+    """
     if phi >= 2.0 - PHI_GUARD:
         return None
-    return abs(psi) / (2.0 - phi)
+    return float(np.nextafter(abs(psi) / (2.0 - phi), np.inf)) if psi else 0.0
 
 
 @dataclass(frozen=True)
@@ -168,24 +197,20 @@ class GtvmBound:
 
 def gtvm_bound(g: SparseGraph, omega: ObservationSet, f0) -> GtvmBound:
     """Bound quantities for total-variation inpainting on the same graph
-    (see module docstring)."""
+    (see module docstring); eta, like psi, errs high."""
     if g.adjacency.nnz == 0:
         raise EmptyGraph("adjacency has no edges; largest eigenvalue is zero")
-    values = f0.values if hasattr(f0, "values") else np.asarray(f0, dtype=np.float64)
-    if values.shape[0] != g.n:
-        raise ValueError(f"signal has {values.shape[0]} rows, graph has {g.n} nodes")
+    observed, missing = _positive_degree_ids(g, omega)
     lam_max = g.lam_max
-    eta = float(np.linalg.norm(values - (g.adjacency / lam_max) @ values))
-    mis = omega.missing
-    if mis.size == 0:
-        return GtvmBound(eta, 0.0, abs(eta))
-    blocks = partition_blocks(g, omega.observed, mis)
-    a_oc = blocks.a_co.T.tocsr() / lam_max
-    a_cc = blocks.a_cc / lam_max
-    stacked = sp.vstack([a_oc, sp.eye_array(mis.size, format="csr") + a_cc]).tocsr()
-    q = spectral_norm(stacked)
-    bound = 2.0 * abs(eta) / (2.0 - q) if q < 2.0 - PHI_GUARD else None
-    return GtvmBound(eta, q, bound)
+    eta = _residual_norm(g, np.union1d(observed, missing), f0, lam_max)
+    q = 0.0
+    if missing.size:
+        blocks = partition_blocks(g, observed, missing)
+        a_oc = blocks.a_co.T.tocsr() / lam_max
+        a_cc = blocks.a_cc / lam_max
+        stacked = sp.vstack([a_oc, sp.eye_array(missing.size, format="csr") + a_cc]).tocsr()
+        q = spectral_norm(stacked)
+    return GtvmBound(eta, q, graphprop_bound(2.0 * eta, q))
 
 
 @dataclass(frozen=True)
@@ -209,25 +234,16 @@ def evaluate_bounds(g: SparseGraph, omega: ObservationSet, f0, fhat) -> BoundRep
     """Compute a :class:`BoundReport` for one completion instance.
 
     ``f0`` is the true full fiber matrix, ``fhat`` the completed one.
-    Zero-degree nodes are dropped from the graph and both signals before
-    any quantity is computed (they cannot be reached by propagation and
-    the degree matrix would be singular).
     """
     f0_values = f0.values if hasattr(f0, "values") else np.asarray(f0, dtype=np.float64)
     fhat_values = fhat.values if hasattr(fhat, "values") else np.asarray(fhat, dtype=np.float64)
     if f0_values.shape != fhat_values.shape:
         raise ValueError("true and estimated signals must share a shape")
-    if g.zero_degree_ids.size:
-        keep = np.setdiff1d(np.arange(g.n, dtype=np.int64), g.zero_degree_ids)
-        g = SparseGraph.from_adjacency(g.adjacency[keep][:, keep].tocsr())
-        keep_observed = np.searchsorted(keep, np.intersect1d(omega.observed, keep))
-        omega = ObservationSet(keep.size, keep_observed)
-        f0_values = f0_values[keep]
-        fhat_values = fhat_values[keep]
+    _, missing = _positive_degree_ids(g, omega)
     psi = compute_psi(g, omega, f0_values)
     phi = compute_phi(g, omega)
     bound = graphprop_bound(psi, phi)
-    measured = float(np.linalg.norm(f0_values[omega.missing] - fhat_values[omega.missing]))
+    measured = float(np.linalg.norm(f0_values[missing] - fhat_values[missing]))
     gtvm = gtvm_bound(g, omega, f0_values)
     return BoundReport(
         psi=psi,

@@ -34,8 +34,10 @@ def check_missing_fraction(n: int, missing_frac: float, lambda_count: int) -> No
     Needs ``missing_frac < (lambda_count - 1) / lambda_count`` (when
     positive) and the disjoint sets to fit,
     ``lambda_count * floor(missing_frac * n) <= n``; raises
-    :class:`InfeasibleFraction` otherwise.
+    :class:`InfeasibleFraction` otherwise (``ValueError`` if not finite).
     """
+    if not math.isfinite(missing_frac):
+        raise ValueError("missing fraction must be a finite number")
     if not 0.0 <= missing_frac:
         raise ValueError("missing fraction must be nonnegative")
     if missing_frac > 0 and missing_frac >= (lambda_count - 1) / lambda_count:

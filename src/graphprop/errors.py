@@ -28,10 +28,6 @@ class TooFewObserved(GraphPropError, ValueError):
     """Fewer than k+1 observed fibers: the kNN construction is undefined."""
 
 
-class SingularDegree(GraphPropError):
-    """A retained node has degree zero, making the degree matrix singular."""
-
-
 class EmptyGraph(GraphPropError):
     """The graph has no edges; adjacency normalisation is undefined."""
 

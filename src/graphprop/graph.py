@@ -265,15 +265,6 @@ class SparseGraph:
     n: int
     adjacency: sp.csr_array
     degrees: np.ndarray
-    zero_degree_ids: np.ndarray
-
-    @classmethod
-    def from_adjacency(cls, adjacency: sp.csr_array) -> "SparseGraph":
-        """Wrap a symmetric adjacency, deriving degrees and the ids of
-        zero-degree nodes (reported, not removed)."""
-        degrees = np.asarray(adjacency.sum(axis=1)).ravel()
-        zero_degree = np.nonzero(degrees == 0)[0].astype(np.int64)
-        return cls(adjacency.shape[0], adjacency, degrees, zero_degree)
 
     @cached_property
     def lam_max(self) -> float:
@@ -294,7 +285,7 @@ def build_graph(e: EdgeSet) -> SparseGraph:
     adjacency = sp.csr_array(
         (np.ones(rows.size, dtype=np.float64), (rows, cols)), shape=(e.n, e.n)
     )
-    return SparseGraph.from_adjacency(adjacency)
+    return SparseGraph(e.n, adjacency, np.asarray(adjacency.sum(axis=1)).ravel())
 
 
 @dataclass(frozen=True, eq=False)

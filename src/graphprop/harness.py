@@ -53,7 +53,7 @@ from .errors import (
     NoMissingEntries,
 )
 from .graph import ObservationSet, build_graph, load_edge_list
-from .metrics import MPSNR_VARIANTS, ErrorField, accuracy, mae, mpsnr, mse, rmse
+from .metrics import ErrorField, accuracy, mae, mpsnr, mse, rmse
 from .propagation import graphprop, median_threshold, solve_steady_state
 from .tensor import DenseTensor, FiberMatrix, load_tensor, matricize, refold, save_tensor
 
@@ -139,8 +139,6 @@ class ExperimentConfig:
     inputs: tuple[str, ...] = ()
     observation_files: tuple[str, ...] = ()
     truth_files: tuple[str, ...] = ()
-    # metric variants
-    mpsnr_variant: str = "maxerr"
     solver: SolverSettings = field(default_factory=SolverSettings)
 
 
@@ -224,8 +222,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("repeats must be at least 1")
     if cfg.workers < 1:
         raise ConfigError("workers must be at least 1")
-    if cfg.mpsnr_variant not in MPSNR_VARIANTS:
-        raise ConfigError(f"mpsnr_variant must be one of {MPSNR_VARIANTS}")
     if cfg.solver.method not in ("cg", "splu"):
         raise ConfigError(f"unknown solver method {cfg.solver.method!r}")
     if cfg.kind in ("rank-sweep", "missing-sweep", "bound-report"):
@@ -531,14 +527,12 @@ def run_missing_sweep(cfg: ExperimentConfig, *, write: bool = True) -> list[Resu
     return _run_sweep(cfg, write)
 
 
-def _metric_rows(coords: dict, method: str, ef: ErrorField, runtime: float,
-                 mpsnr_variant: str, peak: float) -> list[ResultRow]:
+def _metric_rows(coords: dict, method: str, ef: ErrorField, runtime: float) -> list[ResultRow]:
     values = [
         ("mse", "", mse(ef)),
         ("rmse", "sqrt-mean", rmse(ef)),
         ("mae", "", mae(ef)),
-        ("mpsnr", mpsnr_variant,
-         mpsnr(ef, mpsnr_variant, peak if mpsnr_variant == "standard" else None)),
+        ("mpsnr", "maxerr", mpsnr(ef, "maxerr")),
     ]
     return [
         ResultRow(**coords, method=method, metric=name, variant=variant,
@@ -576,7 +570,6 @@ def run_overlap_sim(cfg: ExperimentConfig, rasters=None, *, write: bool = True):
     h, w, bands = rasters[0].shape
     n = h * w
     truth_fibers = [matricize(t, 3).values for t in rasters]
-    peak = float(max(np.abs(t.values).max() for t in rasters))
     out_dir = Path(cfg.out_dir)
     if write:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -633,8 +626,7 @@ def run_overlap_sim(cfg: ExperimentConfig, rasters=None, *, write: bool = True):
                 ef = ErrorField.from_completions(
                     truth_fibers, estimates[method], omegas, never_observed=never
                 )
-                rows.extend(_metric_rows(coords, method, ef, timings[method],
-                                         cfg.mpsnr_variant, peak))
+                rows.extend(_metric_rows(coords, method, ef, timings[method]))
             except NoMissingEntries:
                 notes[area_key][method] = "NoMissingEntries"
                 log.warning("area %s: no missing entries, metrics skipped", area)

@@ -234,6 +234,8 @@ def graphprop(acquisitions, k: int, *, method: str = "cg") -> list[CompletionRes
             raise ValueError(
                 f"observed values must be ({om.observed.size}, {channels}), got {f.shape}"
             )
+        if not np.all(np.isfinite(f)):
+            raise NonFiniteInput("observed fiber values must be finite")
 
     covered = np.zeros(n, dtype=bool)
     for _, om in acquisitions:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from graphprop import BoundReport, EdgeSet, ObservationSet, SparseGraph, partition_blocks
-from graphprop.bounds import _require_invertible_degrees
 
 
 def edge_pairs(e: EdgeSet) -> set[tuple[int, int]]:
@@ -50,8 +49,11 @@ class BoundMatrices:
 
 
 def bound_matrices(g: SparseGraph, omega: ObservationSet) -> BoundMatrices:
-    """Materialise P, Q, U, V, Y as dense arrays."""
-    _require_invertible_degrees(g)
+    """Materialise P, Q, U, V, Y as dense arrays; every node needs an edge,
+    since D must be invertible."""
+    zero_degree = np.count_nonzero(g.degrees == 0)
+    if zero_degree:
+        raise ValueError(f"{zero_degree} node(s) have degree zero")
     if omega.n != g.n:
         raise ValueError(f"observation set is over {omega.n} nodes, graph has {g.n}")
     perm = np.concatenate([omega.observed, omega.missing])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -7,6 +9,7 @@ from graphprop import (
     EdgeSet,
     FiberMatrix,
     ObservationSet,
+    OverlapSpec,
     SynthSpec,
     build_graph,
     evaluate_bounds,
@@ -15,14 +18,22 @@ from graphprop import (
     gtvm_inpaint,
     halrtc_complete,
     matricize,
+    partial_overlap_masks,
     refold,
     sample_observation_sets,
+    smooth_raster_pair,
     solve_steady_state,
     stack_acquisitions,
     unstack_acquisitions,
 )
 from graphprop import baselines, bounds
-from graphprop.errors import AllMissing, EmptyGraph, SingularSystemWarning, UnreachableComponent
+from graphprop.errors import (
+    AllMissing,
+    CoverageViolationWarning,
+    EmptyGraph,
+    SingularSystemWarning,
+    UnreachableComponent,
+)
 from graphprop.harness import _observed_fiber_mask
 from halrtc_reference import halrtc_svd_reference, nuclear_objective, svd_shrink
 from oracles import gtvm_objective
@@ -141,26 +152,36 @@ def test_gtvm_iteration_cap_warns(monkeypatch):
 
 
 def test_lam_max_computed_once_per_graph(monkeypatch):
+    # one lambda_max per graph, then phi and q per acquisition: the bound
+    # scalars never rebuild the graph, not even around the zero-degree
+    # corners that the overlap pair observes in neither acquisition
     spec = SynthSpec(12, 12, 2, r=2, lambda_count=2, missing_frac=0.3, seed=4)
-    fibers = [matricize(t, 3).values for t in generate_acquisitions(spec)]
-    omegas = sample_observation_sets(144, 0.3, 2, seed=5)
-    results = graphprop([(f[om.observed], om) for f, om in zip(fibers, omegas)], k=4)
-    graph = results[0].graph
-    assert graph.zero_degree_ids.size == 0  # evaluate_bounds keeps the graph
-    on_adjacency = []
+    synthetic = ([matricize(t, 3).values for t in generate_acquisitions(spec)],
+                 sample_observation_sets(144, 0.3, 2, seed=5))
+    masks = partial_overlap_masks(OverlapSpec(16, 16, 0.3))
+    assert not (masks[0] | masks[1]).all()
+    overlap = ([matricize(t, 3).values for t in smooth_raster_pair(16, 16, 2, seed=2)],
+               [ObservationSet(256, np.flatnonzero(m.ravel(order="F"))) for m in masks])
     real = bounds.spectral_norm
+    for fibers, omegas in (synthetic, overlap):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CoverageViolationWarning)
+            results = graphprop([(f[om.observed], om) for f, om in zip(fibers, omegas)], k=4)
+        graph = results[0].graph
+        on_adjacency = []
 
-    def counted(matrix):
-        on_adjacency.append(matrix is graph.adjacency)
-        return real(matrix)
+        def counted(matrix):
+            on_adjacency.append(matrix is graph.adjacency)
+            return real(matrix)
 
-    for module in (bounds, baselines):
-        monkeypatch.setattr(module, "spectral_norm", counted, raising=False)
-    for f, om, res in zip(fibers, omegas, results):
-        evaluate_bounds(graph, om, f, res.completed)
-    for f, om in zip(fibers, omegas):
-        gtvm_inpaint(graph, om, f[om.observed])
-    assert sum(on_adjacency) == 1
+        for module in (bounds, baselines):
+            monkeypatch.setattr(module, "spectral_norm", counted, raising=False)
+        for f, om, res in zip(fibers, omegas, results):
+            evaluate_bounds(graph, om, f, res.completed)
+        for f, om in zip(fibers, omegas):
+            gtvm_inpaint(graph, om, f[om.observed])
+        assert sum(on_adjacency) == 1
+        assert len(on_adjacency) == 1 + 2 * len(omegas)
 
 
 def test_gtvm_needs_edges():

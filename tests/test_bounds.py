@@ -23,7 +23,7 @@ from graphprop import (
     spectral_norm,
 )
 from graphprop.datagen import SynthSpec, generate_acquisitions, sample_observation_sets
-from graphprop.errors import EmptyGraph, SingularDegree, SpectralNormNotConverged
+from graphprop.errors import EmptyGraph, SpectralNormNotConverged
 from graphprop.graph import partition_blocks
 from graphprop.tensor import matricize
 from oracles import bound_matrices, report_from_dict, report_to_json
@@ -43,7 +43,7 @@ def random_instance(seed, n_lo=5, n_hi=40, channels=2, require_missing=True):
         if not keep.any():
             continue
         g = build_graph(EdgeSet(n, tri[keep]))
-        if g.zero_degree_ids.size:
+        if (g.degrees == 0).any():
             continue
         n_obs = int(rng.integers(1, n))
         omega = ObservationSet(n, np.sort(rng.choice(n, size=n_obs, replace=False)))
@@ -71,7 +71,7 @@ def test_matrices_path_example():
 
 def test_matrices_require_degrees():
     g = build_graph(EdgeSet.from_pairs(3, [(0, 1)]))
-    with pytest.raises(SingularDegree):
+    with pytest.raises(ValueError, match="degree zero"):
         bound_matrices(g, ObservationSet(3, [0]))
 
 
@@ -261,8 +261,8 @@ def test_graphprop_bound_holds_when_error_equals_psi():
     # No two missing nodes are adjacent, so U = I and the steady state is
     # each missing node's neighbour mean: the error equals psi in exact
     # arithmetic. Rounding can put the measured error a few eps above psi
-    # (the offset of 16 widens that gap); only the rounding allowance that
-    # spectral_norm adds to phi keeps the bound above it.
+    # (the offset of 16 widens that gap); psi's own rounding allowance must
+    # keep the bound above it, even at the exact phi of 1.
     rng = np.random.default_rng(27)
     n_obs, n = 12, 20
     pairs = {(i, i + 1) for i in range(n_obs - 1)}
@@ -277,6 +277,7 @@ def test_graphprop_bound_holds_when_error_equals_psi():
     report = evaluate_bounds(g, omega, f0, res.completed)
     assert report.phi > 1.0
     assert report.measured_error <= report.bound
+    assert report.measured_error <= graphprop_bound(report.psi, 1.0)
 
 
 @given(

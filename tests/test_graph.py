@@ -209,7 +209,7 @@ def test_build_graph_path():
     g = build_graph(EdgeSet.from_pairs(3, [(0, 1), (1, 2)]))
     assert np.array_equal(g.degrees, [1.0, 2.0, 1.0])
     assert np.array_equal(g.adjacency.toarray(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-    assert g.zero_degree_ids.size == 0
+    assert np.count_nonzero(g.degrees == 0) == 0
 
 
 def test_build_graph_int32_indices():
@@ -222,7 +222,7 @@ def test_build_graph_int32_indices():
 def test_build_graph_empty_edges():
     g = build_graph(EdgeSet.from_pairs(3, []))
     assert g.adjacency.nnz == 0
-    assert np.array_equal(g.zero_degree_ids, [0, 1, 2])
+    assert np.array_equal(np.flatnonzero(g.degrees == 0), [0, 1, 2])
 
 
 def test_build_graph_k4_spectrum():

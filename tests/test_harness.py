@@ -101,11 +101,31 @@ def test_config_validation_errors():
                     {"halrtc": {"max_iters": 10}}):
         with pytest.raises(ConfigError):
             config_from_dict({"kind": "rank-sweep", **removed})
-    # removed: the blogs-only repeat count (now the full-scale preset's) and
-    # complete's bound-report flag (now set truth_files)
-    for removed, value in (("blogs_repeats", 2), ("emit_bound_report", True)):
+    # removed: the blogs-only repeat count (now the full-scale preset's),
+    # complete's bound-report flag (now set truth_files) and the mpsnr
+    # variant (results.csv always reports "maxerr")
+    for removed, value in (("blogs_repeats", 2), ("emit_bound_report", True),
+                           ("mpsnr_variant", "maxerr")):
         with pytest.raises(ConfigError, match=rf"unknown config keys: \['{removed}'\]"):
             config_from_dict({"kind": "blogs", "two_block_size": 10, removed: value})
+
+
+@pytest.mark.parametrize("kind", ["bound-report", "rank-sweep"])
+@pytest.mark.parametrize("frac", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_missing_fraction(kind, frac):
+    with pytest.raises(ConfigError, match="missing fraction must be a finite number"):
+        config_from_dict({"kind": kind, "missing_frac": frac})
+
+
+def test_cli_rejects_json_nan_missing_fraction(tmp_path, caplog):
+    cfg_path = tmp_path / "cfg.json"
+    # json.dumps writes a NaN float as the bare literal NaN, as json.loads reads it
+    cfg_path.write_text(json.dumps({"missing_frac": float("nan"),
+                                    "out_dir": str(tmp_path / "never")}))
+    assert "NaN" in cfg_path.read_text()
+    assert main(["bound-report", "--config", str(cfg_path)]) == 2
+    assert "missing fraction must be a finite number" in caplog.text
+    assert not (tmp_path / "never").exists()
 
 
 def test_missing_sweep_ignores_its_unused_missing_frac():
@@ -129,7 +149,7 @@ WRONG_TYPES = [
     {"k": "3"}, {"k": True}, {"k": 2.0}, {"rank": 2.0}, {"repeats": 2.5},  # int
     {"i1": "12", "i2": 12, "i3": 2, "k": 3},
     {"missing_frac": "0.3"}, {"missing_frac": True},  # float
-    {"mpsnr_variant": 3}, {"graph_file": None},  # str
+    {"labels_file": 3}, {"graph_file": None},  # str
     {"full_scale": 1}, {"full_scale": "yes"},  # bool
     {"rank_grid": "2"}, {"rank_grid": 2}, {"rank_grid": [2, True]},  # tuple[int, ...]
     {"area_grid": "0.4"}, {"area_grid": [0.4, "0.5"]},  # tuple[float, ...]

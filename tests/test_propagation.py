@@ -114,6 +114,14 @@ def test_zero_degree_node_always_excluded():
 def test_nonfinite_observed_rejected():
     with pytest.raises(NonFiniteInput):
         solve_steady_state(path3(), ObservationSet(3, [0, 2]), np.array([[np.nan], [1.0]]))
+    # graphprop() checks every acquisition before any graph is built
+    om = ObservationSet(6, [0, 1, 2, 3])
+    clean = np.arange(8.0).reshape(4, 2)
+    for bad in (np.nan, np.inf):
+        dirty = clean.copy()
+        dirty[2, 1] = bad
+        with pytest.raises(NonFiniteInput):
+            graphprop([(clean, om), (dirty, ObservationSet(6, [1, 2, 4, 5]))], k=2)
 
 
 def test_no_observed_node_rejected():
