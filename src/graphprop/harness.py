@@ -7,7 +7,9 @@ Each runner writes, under the configured output directory:
   schema-versioned comment line on top; byte-identical across re-runs of
   the same config and seed,
 * ``summary.csv``    mean/std over repeats per sweep coordinate,
-* ``timings.csv``    informational per-method runtimes (never asserted),
+* ``timings.csv``    informational per-method runtimes (never asserted):
+  the seconds of each method's call, timed by the same stage that records
+  its warnings, so blogs' median thresholding is not counted,
 * ``manifest.json``  config echo plus per-run notes; every runner lists in
   ``notes["warnings"]`` (per area for overlap-sim) each warning raised,
   with its category, message, method and sweep coordinates,
@@ -16,7 +18,6 @@ and any experiment-specific artifacts (completed tensors, bound reports).
 """
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import json
@@ -244,12 +245,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.kind == "overlap-sim":
         if not cfg.area_grid:
             raise ConfigError("area grid must be nonempty")
-        if any(not 0.0 <= a <= 0.7 for a in cfg.area_grid):
-            raise ConfigError("area fractions must lie in [0, 0.7]")
         if cfg.inputs and len(cfg.inputs) != 2:
             raise ConfigError("overlap-sim needs exactly two input rasters")
-        if not cfg.inputs and min(cfg.height, cfg.width, cfg.bands) < 1:
-            raise ConfigError("raster height, width and bands must be positive")
+        if cfg.bands < 1:
+            raise ConfigError("raster bands must be positive")
+        # extents and area range: OverlapSpec's own checks
+        try:
+            for area in cfg.area_grid:
+                OverlapSpec(cfg.height, cfg.width, area)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     if cfg.kind == "blogs":
         if not cfg.label_fracs:
             raise ConfigError("label fraction grid must be nonempty")
@@ -351,12 +356,24 @@ def _write_csv(path: Path, columns, dict_rows) -> None:
             writer.writerow([_cell(row[c]) for c in columns])
 
 
-def write_outputs(cfg: ExperimentConfig, rows, notes: dict | None = None,
-                  artifacts: list[str] | None = None) -> Path:
-    """Persist rows, summary, timings, and the manifest; returns the
-    output directory."""
+def _out_dir(cfg: ExperimentConfig) -> Path:
+    """The output directory, created on first use."""
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
+def write_outputs(cfg: ExperimentConfig, rows, notes: dict | None = None,
+                  artifacts: list[str] | None = None, reports=None) -> Path:
+    """Persist rows, summary, timings, the manifest and, given bound
+    ``reports``, ``bound_report.json``; returns the output directory."""
+    out_dir = _out_dir(cfg)
+    artifacts = list(artifacts or [])
+    if reports is not None:
+        (out_dir / "bound_report.json").write_text(
+            json.dumps([rep.to_dict() for rep in reports], indent=2, sort_keys=True) + "\n",
+            encoding="utf-8")
+        artifacts.append("bound_report.json")
     rows = sorted(rows, key=_sort_key)
     _write_csv(out_dir / "results.csv", RESULT_COLUMNS,
                [{**asdict(r)} for r in rows])
@@ -376,7 +393,7 @@ def write_outputs(cfg: ExperimentConfig, rows, notes: dict | None = None,
         "kind": cfg.kind,
         "config": asdict(cfg),
         "n_rows": len(rows),
-        "artifacts": sorted(artifacts or []),
+        "artifacts": sorted(artifacts),
         "notes": notes or {},
     }
     (out_dir / "manifest.json").write_text(
@@ -408,29 +425,47 @@ def _halrtc_fibers(tensors, omegas) -> list[np.ndarray]:
     return [matricize(t, 3).values for t in unstack_acquisitions(completed)]
 
 
-@contextlib.contextmanager
-def _recording(into: list, **where):
-    """Record every warning raised in the block as a manifest entry
-    appended to ``into``, tagged with ``where``; the warnings are not
-    re-issued."""
-    with warnings.catch_warnings(record=True) as caught:
+def _stage(caught: list, where: dict, call, *args, **kwargs):
+    """``call(*args, **kwargs)`` and its wall-clock seconds. Every warning
+    the call raises is appended to ``caught`` as a manifest entry tagged
+    with ``where``, and is not re-issued."""
+    with warnings.catch_warnings(record=True) as raised:
         warnings.simplefilter("always")
-        yield
-    into.extend({**where, "category": w.category.__name__, "message": str(w.message)}
-                for w in caught)
+        start = time.perf_counter()
+        result = call(*args, **kwargs)
+        seconds = time.perf_counter() - start
+    caught.extend({**where, "category": w.category.__name__, "message": str(w.message)}
+                  for w in raised)
+    return result, seconds
 
 
-def _write_bound_report(out_dir: Path, reports) -> str:
-    """Write ``bound_report.json`` and return its artifact name."""
-    (out_dir / "bound_report.json").write_text(
-        json.dumps([rep.to_dict() for rep in reports], indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
-    return "bound_report.json"
+def _propagate(cfg: ExperimentConfig, fibers, omegas):
+    """:func:`graphprop` on each acquisition's observed rows of its
+    ``(n, channels)`` fiber array, with the configured k and solve method."""
+    # graphprop is read from the module at call time, so a patched
+    # harness.graphprop is the one called
+    return graphprop([(f[om.observed], om) for f, om in zip(fibers, omegas)],
+                     cfg.k, method=cfg.solver.method)
 
 
-def _completion_rmse(truth_fibers, est_fibers, omegas) -> float:
-    ef = ErrorField.from_completions(truth_fibers, est_fibers, omegas)
-    return rmse(ef)
+def _load_tensors(paths, shape=None) -> list[DenseTensor]:
+    """The tensors stored at ``paths``; raises :class:`DataError` naming
+    the first file whose shape is not ``shape`` (default: the first
+    file's)."""
+    tensors = [load_tensor(p) for p in paths]
+    shape = shape or tensors[0].shape
+    for t, p in zip(tensors, paths):
+        if t.shape != shape:
+            raise DataError(f"{p}: shape {t.shape} does not match {shape}")
+    return tensors
+
+
+def _save_fibers(cfg: ExperimentConfig, artifacts: list, name: str, values, shape) -> None:
+    """Refold the fiber rows ``values`` to ``shape`` along its last mode,
+    save the tensor as ``name`` in the output directory and list it in
+    ``artifacts``."""
+    save_tensor(refold(FiberMatrix(values), shape, len(shape)), _out_dir(cfg) / name)
+    artifacts.append(name)
 
 
 def _sweep_grid(cfg: ExperimentConfig) -> tuple[tuple[int, ...], tuple[float, ...]]:
@@ -471,34 +506,30 @@ def _synth_point(cfg: ExperimentConfig, r: int, frac: float,
         area_frac=None, label_frac=None, repeat=rep,
     )
     where = dict(r=r, missing_frac=frac, repeat=rep)
-    rows = []
     caught: list[dict] = []
-
-    start = time.perf_counter()
-    with _recording(caught, **where, method="graphprop"):
-        results = graphprop(
-            [(f[om.observed], om) for f, om in zip(fibers, omegas)],
-            cfg.k, method=cfg.solver.method,
-        )
-    gp_time = time.perf_counter() - start
-    gp_rmse = _completion_rmse(fibers, [res.completed.values for res in results], omegas)
-    rows.append(ResultRow(**coords, method="graphprop", metric="rmse",
-                          variant="sqrt-mean", value=gp_rmse, runtime=gp_time))
-
-    start = time.perf_counter()
-    with _recording(caught, **where, method="halrtc"):
-        est_fibers = _halrtc_fibers(tensors, omegas)
-    ha_time = time.perf_counter() - start
-    ha_rmse = _completion_rmse(fibers, est_fibers, omegas)
-    rows.append(ResultRow(**coords, method="halrtc", metric="rmse",
-                          variant="sqrt-mean", value=ha_rmse, runtime=ha_time))
+    results, gp_time = _stage(caught, dict(where, method="graphprop"),
+                              _propagate, cfg, fibers, omegas)
+    ha_fibers, ha_time = _stage(caught, dict(where, method="halrtc"),
+                                _halrtc_fibers, tensors, omegas)
+    rows = [
+        ResultRow(**coords, method=method, metric="rmse", variant="sqrt-mean",
+                  value=rmse(ErrorField.from_completions(fibers, est, omegas)),
+                  runtime=runtime)
+        for method, est, runtime in (
+            ("graphprop", [res.completed.values for res in results], gp_time),
+            ("halrtc", ha_fibers, ha_time))
+    ]
     return rows, caught
 
 
-def _run_sweep(cfg: ExperimentConfig, write: bool) -> list[ResultRow]:
-    """Every (rank, fraction, repeat) point of ``_sweep_grid``, serially or
-    over ``cfg.workers`` processes; the manifest notes list the warnings
-    raised, in point order either way."""
+def _run_sweep(cfg: ExperimentConfig, *, write: bool = True) -> list[ResultRow]:
+    """Completion quality of the propagation pipeline and the low-rank
+    baseline: over the rank grid at a fixed missing fraction
+    (``rank-sweep``), or over the missing-fraction grid with one tile per
+    configured rank (``missing-sweep``). Every (rank, fraction, repeat)
+    point of ``_sweep_grid`` runs serially or over ``cfg.workers``
+    processes; the manifest notes list the warnings raised, in point order
+    either way."""
     ranks, fracs = _sweep_grid(cfg)
     points = [(cfg, r, frac, rep) for r in ranks for frac in fracs
               for rep in range(cfg.repeats)]
@@ -514,17 +545,7 @@ def _run_sweep(cfg: ExperimentConfig, write: bool) -> list[ResultRow]:
     return rows
 
 
-def run_rank_sweep(cfg: ExperimentConfig, *, write: bool = True) -> list[ResultRow]:
-    """Completion quality as a function of the rank parameter, at a fixed
-    missing fraction, for the propagation pipeline and the low-rank
-    baseline."""
-    return _run_sweep(cfg, write)
-
-
-def run_missing_sweep(cfg: ExperimentConfig, *, write: bool = True) -> list[ResultRow]:
-    """Completion quality as a function of the per-acquisition missing
-    fraction, one tile per configured rank."""
-    return _run_sweep(cfg, write)
+run_rank_sweep = run_missing_sweep = _run_sweep
 
 
 def _metric_rows(coords: dict, method: str, ef: ErrorField, runtime: float) -> list[ResultRow]:
@@ -541,38 +562,29 @@ def _metric_rows(coords: dict, method: str, ef: ErrorField, runtime: float) -> l
     ]
 
 
-def run_overlap_sim(cfg: ExperimentConfig, rasters=None, *, write: bool = True):
+def run_overlap_sim(cfg: ExperimentConfig, *, write: bool = True):
     """Partial-overlap simulation on a co-registered raster pair.
 
-    ``rasters`` may be two DenseTensor acquisitions; otherwise they are
-    loaded from ``cfg.inputs`` or synthesised (smooth raster pair). GTVM
-    runs on the union graph graphprop() builds for each area fraction;
-    metrics cover pixels observed at least once, and never-observed
-    corners are flagged. Warnings raised by graphprop() and GTVM are
-    recorded per area in the manifest notes, each tagged with its method.
+    The two rasters are loaded from ``cfg.inputs`` or synthesised (smooth
+    raster pair). GTVM runs on the union graph :func:`graphprop` builds for
+    each area fraction; metrics cover pixels observed at least once, and
+    never-observed corners are flagged. Warnings raised by graphprop, GTVM
+    and HaLRTC are recorded per area in the manifest notes, each tagged
+    with its method.
     """
-    if rasters is None:
-        if cfg.inputs:
-            rasters = tuple(load_tensor(p) for p in cfg.inputs)
-        else:
-            rasters = smooth_raster_pair(
-                cfg.height, cfg.width, cfg.bands,
-                seed=_derived_seed(cfg.seed, _KIND_TAGS["overlap-sim"]),
-            )
-    rasters = tuple(rasters)
-    if len(rasters) != 2:
-        raise DataError("overlap simulation needs exactly two rasters")
-    if rasters[0].shape != rasters[1].shape or rasters[0].order != 3:
-        raise DataError(
-            f"rasters must be two equal-shape (height, width, bands) tensors, "
-            f"got {rasters[0].shape} and {rasters[1].shape}"
+    if cfg.inputs:
+        rasters = _load_tensors(cfg.inputs)
+        if rasters[0].order != 3:
+            raise DataError(f"{cfg.inputs[0]}: rasters must be (height, width, bands) "
+                            f"tensors, got shape {rasters[0].shape}")
+    else:
+        rasters = smooth_raster_pair(
+            cfg.height, cfg.width, cfg.bands,
+            seed=_derived_seed(cfg.seed, _KIND_TAGS["overlap-sim"]),
         )
     h, w, bands = rasters[0].shape
     n = h * w
     truth_fibers = [matricize(t, 3).values for t in rasters]
-    out_dir = Path(cfg.out_dir)
-    if write:
-        out_dir.mkdir(parents=True, exist_ok=True)
 
     rows: list[ResultRow] = []
     notes: dict = {}
@@ -580,47 +592,35 @@ def run_overlap_sim(cfg: ExperimentConfig, rasters=None, *, write: bool = True):
     for area in cfg.area_grid:
         spec = OverlapSpec(h, w, area)
         mask1, mask2 = partial_overlap_masks(spec)
-        area_key = f"area={area}"
-        notes[area_key] = {
-            "crop_count": spec.crop_count,
-            "achieved_frac": spec.achieved_frac,
-        }
         omegas = [
             ObservationSet(n, np.nonzero(m.ravel(order="F"))[0])
             for m in (mask1, mask2)
         ]
-        never = np.nonzero(~(mask1 | mask2).ravel(order="F"))[0]
-        notes[area_key]["never_observed"] = int(never.size)
+        never_mask = ~(mask1 | mask2).ravel(order="F")
+        never = np.nonzero(never_mask)[0]
+        caught: list[dict] = []
+        area_notes = notes[f"area={area}"] = {
+            "crop_count": spec.crop_count,
+            "achieved_frac": spec.achieved_frac,
+            "never_observed": int(never.size),
+            "warnings": caught,
+        }
         coords = dict(experiment="overlap-sim", seed=cfg.seed, r=None,
                       missing_frac=None, area_frac=area, label_frac=None, repeat=0)
 
         estimates: dict[str, list[np.ndarray]] = {}
         timings: dict[str, float] = {}
-
-        caught = notes[area_key]["warnings"] = []
-
-        start = time.perf_counter()
-        with _recording(caught, method="graphprop"):
-            gp = graphprop(
-                [(f[om.observed], om) for f, om in zip(truth_fibers, omegas)],
-                cfg.k, method=cfg.solver.method,
-            )
+        gp, timings["graphprop"] = _stage(caught, {"method": "graphprop"},
+                                          _propagate, cfg, truth_fibers, omegas)
         estimates["graphprop"] = [r.completed.values for r in gp]
-        timings["graphprop"] = time.perf_counter() - start
+        estimates["gtvm"], timings["gtvm"] = _stage(
+            caught, {"method": "gtvm"},
+            lambda: [gtvm_inpaint(gp[0].graph, om, f[om.observed]).values
+                     for f, om in zip(truth_fibers, omegas)])
+        estimates["halrtc"], timings["halrtc"] = _stage(caught, {"method": "halrtc"},
+                                                        _halrtc_fibers, rasters, omegas)
 
-        start = time.perf_counter()
-        with _recording(caught, method="gtvm"):
-            gtvm = [
-                gtvm_inpaint(gp[0].graph, om, f[om.observed])
-                for f, om in zip(truth_fibers, omegas)
-            ]
-        estimates["gtvm"] = [g.values for g in gtvm]
-        timings["gtvm"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        estimates["halrtc"] = _halrtc_fibers(rasters, omegas)
-        timings["halrtc"] = time.perf_counter() - start
-
+        pct = int(round(area * 100))
         for method in ("graphprop", "halrtc", "gtvm"):
             try:
                 ef = ErrorField.from_completions(
@@ -628,23 +628,15 @@ def run_overlap_sim(cfg: ExperimentConfig, rasters=None, *, write: bool = True):
                 )
                 rows.extend(_metric_rows(coords, method, ef, timings[method]))
             except NoMissingEntries:
-                notes[area_key][method] = "NoMissingEntries"
+                area_notes[method] = "NoMissingEntries"
                 log.warning("area %s: no missing entries, metrics skipped", area)
             if write:
-                pct = int(round(area * 100))
-                for lam in range(2):
-                    name = f"completed_{method}_acq{lam + 1}_area{pct:02d}.tenb"
-                    est = refold(FiberMatrix(estimates[method][lam]), (h, w, bands), 3)
-                    save_tensor(est, out_dir / name)
-                    artifacts.append(name)
+                for lam, est in enumerate(estimates[method], start=1):
+                    _save_fibers(cfg, artifacts, f"completed_{method}_acq{lam}_area{pct:02d}.tenb",
+                                 est, (h, w, bands))
         if write:
-            pct = int(round(area * 100))
-            flag_name = f"never_observed_area{pct:02d}.tenb"
-            flag = DenseTensor.from_array(
-                (~(mask1 | mask2)).astype(np.float64)[:, :, None]
-            )
-            save_tensor(flag, out_dir / flag_name)
-            artifacts.append(flag_name)
+            _save_fibers(cfg, artifacts, f"never_observed_area{pct:02d}.tenb",
+                         never_mask[:, None].astype(np.float64), (h, w, 1))
     if write:
         write_outputs(cfg, rows, notes=notes, artifacts=artifacts)
     return rows
@@ -704,27 +696,19 @@ def run_blogs(cfg: ExperimentConfig, *, write: bool = True) -> list[ResultRow]:
                           missing_frac=None, area_frac=None, label_frac=frac,
                           repeat=rep)
 
-            start = time.perf_counter()
-            with _recording(caught_warnings, label_frac=frac, repeat=rep,
-                            method="graphprop"):
-                res = solve_steady_state(graph, om, f_obs, method=cfg.solver.method)
-            pred = labels.copy()
-            pred[om.missing] = median_threshold(res.completed.values[:, 0], om.missing,
-                                                res.filled_ids)
-            gp_time = time.perf_counter() - start
-            rows.append(ResultRow(**coords, method="graphprop", metric="accuracy",
-                                  variant="", value=accuracy(pred, labels, om.missing),
-                                  runtime=gp_time))
-
-            start = time.perf_counter()
-            with _recording(caught_warnings, label_frac=frac, repeat=rep, method="gtvm"):
-                est = gtvm_inpaint(graph, om, f_obs)
-            pred = labels.copy()
-            pred[om.missing] = median_threshold(est.values[:, 0], om.missing, res.filled_ids)
-            gtvm_time = time.perf_counter() - start
-            rows.append(ResultRow(**coords, method="gtvm", metric="accuracy",
-                                  variant="", value=accuracy(pred, labels, om.missing),
-                                  runtime=gtvm_time))
+            where = dict(label_frac=frac, repeat=rep)
+            res, gp_time = _stage(caught_warnings, dict(where, method="graphprop"),
+                                  solve_steady_state, graph, om, f_obs,
+                                  method=cfg.solver.method)
+            est, gtvm_time = _stage(caught_warnings, dict(where, method="gtvm"),
+                                    gtvm_inpaint, graph, om, f_obs)
+            for method, values, runtime in (("graphprop", res.completed.values, gp_time),
+                                            ("gtvm", est.values, gtvm_time)):
+                pred = labels.copy()
+                pred[om.missing] = median_threshold(values[:, 0], om.missing, res.filled_ids)
+                rows.append(ResultRow(**coords, method=method, metric="accuracy",
+                                      variant="", value=accuracy(pred, labels, om.missing),
+                                      runtime=runtime))
     if write:
         write_outputs(cfg, rows, notes={"warnings": caught_warnings})
     return rows
@@ -762,51 +746,34 @@ def run_complete(cfg: ExperimentConfig, *, write: bool = True):
     them) and each acquisition's excluded, mean-filled nodes. With
     ``truth_files`` set it also writes ``bound_report.json`` and returns
     the reports, otherwise ``None``."""
-    tensors = [load_tensor(p) for p in cfg.inputs]
+    tensors = _load_tensors(cfg.inputs)
     shape = tensors[0].shape
-    for t, p in zip(tensors, cfg.inputs):
-        if t.shape != shape:
-            raise DataError(f"{p}: shape {t.shape} does not match {shape}")
     order = len(shape)
     n = int(np.prod(shape[:-1]))
     omegas = [load_observation_set(p, n) for p in cfg.observation_files]
-    fibers = [matricize(t, order) for t in tensors]
 
     caught: list[dict] = []
-    with _recording(caught, method="graphprop"):
-        results = graphprop(
-            [(f.values[om.observed], om) for f, om in zip(fibers, omegas)],
-            cfg.k, method=cfg.solver.method,
-        )
-
-    out_dir = Path(cfg.out_dir)
+    results, _ = _stage(caught, {"method": "graphprop"}, _propagate, cfg,
+                        [matricize(t, order).values for t in tensors], omegas)
     notes = {
         "never_observed": functools.reduce(
             np.intersect1d, [om.missing for om in omegas]).tolist(),
         "excluded_per_acquisition": [r.excluded_ids.tolist() for r in results],
         "warnings": caught,
     }
-    artifacts = []
+    artifacts: list[str] = []
     if write:
-        out_dir.mkdir(parents=True, exist_ok=True)
         for i, res in enumerate(results, start=1):
-            name = f"completed_acq{i}.tenb"
-            save_tensor(refold(res.completed, shape, order), out_dir / name)
-            artifacts.append(name)
+            _save_fibers(cfg, artifacts, f"completed_acq{i}.tenb", res.completed.values, shape)
     reports = None
     if cfg.truth_files:
-        truths = [load_tensor(p) for p in cfg.truth_files]
-        for t, p in zip(truths, cfg.truth_files):
-            if t.shape != shape:
-                raise DataError(f"{p}: truth shape {t.shape} does not match {shape}")
+        truths = _load_tensors(cfg.truth_files, shape)
         reports = [
             evaluate_bounds(res.graph, om, matricize(t, order), res.completed)
             for om, t, res in zip(omegas, truths, results)
         ]
-        if write:
-            artifacts.append(_write_bound_report(out_dir, reports))
     if write:
-        write_outputs(cfg, [], notes=notes, artifacts=artifacts)
+        write_outputs(cfg, [], notes=notes, artifacts=artifacts, reports=reports)
     return results, reports
 
 
@@ -816,26 +783,19 @@ def run_bound_report(cfg: ExperimentConfig, *, write: bool = True):
     never should be on noiseless observations)."""
     tensors, omegas = _synth_instance(cfg, cfg.rank, cfg.missing_frac,
                                       _KIND_TAGS["bound-report"])
-    fibers = [matricize(t, 3) for t in tensors]
+    fibers = [matricize(t, 3).values for t in tensors]
     caught: list[dict] = []
-    with _recording(caught, method="graphprop"):
-        results = graphprop(
-            [(f.values[om.observed], om) for f, om in zip(fibers, omegas)],
-            cfg.k, method=cfg.solver.method,
-        )
+    results, _ = _stage(caught, {"method": "graphprop"}, _propagate, cfg, fibers, omegas)
     reports = []
     for om, f, res in zip(omegas, fibers, results):
         report = evaluate_bounds(res.graph, om, f, res.completed)
-        if report.applicable and report.measured_error > report.bound + 1e-9:
+        if report.applicable and report.measured_error > report.bound:
             raise BoundViolation(
                 f"bound violated: measured {report.measured_error} > bound {report.bound}"
             )
         reports.append(report)
     if write:
-        out_dir = Path(cfg.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_outputs(cfg, [], notes={"warnings": caught},
-                      artifacts=[_write_bound_report(out_dir, reports)])
+        write_outputs(cfg, [], notes={"warnings": caught}, reports=reports)
     return reports
 
 

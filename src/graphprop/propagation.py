@@ -70,7 +70,6 @@ class CompletionResult:
     """
 
     completed: FiberMatrix
-    observed_ids: np.ndarray
     filled_ids: np.ndarray
     excluded_ids: np.ndarray
     stats: SolverStats
@@ -178,7 +177,7 @@ def solve_steady_state(
         )
     if kept.size == 0:
         completed = fill_rows(omega, f_obs, kept, np.empty((0, f_obs.shape[1])), excluded)
-        return CompletionResult(completed, omega.observed, kept, excluded,
+        return CompletionResult(completed, kept, excluded,
                                 SolverStats(method, 0, 0.0, True), g)
 
     # L_kk = D_kk - A_kk and b = A_ko F_o over the kept missing ids
@@ -201,7 +200,7 @@ def solve_steady_state(
     residual = float(np.linalg.norm(l_kk @ solution - b))
     completed = fill_rows(omega, f_obs, kept, solution, excluded)
     stats = SolverStats(method, iterations, residual, converged)
-    return CompletionResult(completed, omega.observed, kept, excluded, stats, g)
+    return CompletionResult(completed, kept, excluded, stats, g)
 
 
 def graphprop(acquisitions, k: int, *, method: str = "cg") -> list[CompletionResult]:
