@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from .errors import AllMissing, EmptyGraph, SingularSystemWarning
 from .graph import ObservationSet, SparseGraph, partition_blocks, split_reachable
-from .propagation import CG_ITERS_PER_UNKNOWN, check_observed, fill_rows, jacobi_cg
+from .propagation import check_observed, fill_rows, jacobi_cg
 from .tensor import DenseTensor, FiberMatrix, refold
 
 # HaLRTC's ADMM penalty: starts at HALRTC_RHO, grows by HALRTC_RHO_GROWTH
@@ -72,11 +72,11 @@ def gtvm_inpaint(
     x[omega.observed] = t_obs
     b_x = x - (g.adjacency @ x) / lam_max
     rhs = ((g.adjacency @ b_x) / lam_max - b_x)[kept]
-    solution, _, converged = jacobi_cg(gram, rhs)
+    solution, iterations, converged = jacobi_cg(gram, rhs)
     if not converged:
         warnings.warn(
-            f"inpainting conjugate gradient hit the {CG_ITERS_PER_UNKNOWN * kept.size}"
-            "-iteration cap; last iterate kept",
+            f"inpainting conjugate gradient hit the {iterations}-iteration cap; "
+            "last iterate kept",
             SingularSystemWarning,
         )
     return fill_rows(omega, t_obs, kept, solution, excluded)

@@ -1,5 +1,6 @@
-"""kNN edge sets over observed fibers, edge-set unions, adjacency assembly,
-and the observed/unknown block split.
+"""kNN edge sets over observed fibers, edge-set unions, adjacency assembly
+(of one edge set or, in one pass, the union of several), and the
+observed/unknown block split.
 
 Node ids are 0-based throughout the Python API; the text edge-list format
 uses 1-based ids.
@@ -245,15 +246,22 @@ def knn_edges(features: FiberMatrix, observed: ObservationSet, k: int) -> EdgeSe
     return EdgeSet(observed.n, pairs)
 
 
-def union_edges(sets) -> EdgeSet:
-    """Set union of edge sets sharing the same node count."""
-    sets = list(sets)
+def _shared_node_count(sets) -> int:
+    """The node count of the edge sets; ``ValueError`` when none is given or
+    the counts differ."""
     if not sets:
         raise ValueError("need at least one edge set")
     n = sets[0].n
     for s in sets[1:]:
         if s.n != n:
             raise ValueError(f"mismatched node counts: {s.n} != {n}")
+    return n
+
+
+def union_edges(sets) -> EdgeSet:
+    """Set union of edge sets sharing the same node count."""
+    sets = list(sets)
+    n = _shared_node_count(sets)
     stacked = np.concatenate([s.edges for s in sets], axis=0)
     return EdgeSet(n, stacked)
 
@@ -276,16 +284,27 @@ class SparseGraph:
         return spectral_norm(self.adjacency)
 
 
-def build_graph(e: EdgeSet) -> SparseGraph:
-    """Assemble the unweighted adjacency of an edge set, with int32 index
-    arrays whenever the node ids fit (half the index memory of int64)."""
-    edges = e.edges.astype(np.int32) if e.n < 2**31 else e.edges
+def build_graph(*edge_sets: EdgeSet) -> SparseGraph:
+    """Assemble the unweighted adjacency of the union of one or more edge
+    sets over the same nodes in one ``csr_array`` pass: both orientations of
+    every edge of every set are stacked, duplicates summed, and every stored
+    value then set to 1. Index arrays are int32 whenever the node ids fit
+    (half the index memory of int64).
+
+    Given one edge set this is its adjacency; given several it equals
+    ``build_graph(union_edges(edge_sets))`` bit for bit. Raises
+    ``ValueError`` when no set is given or the node counts differ.
+    """
+    n = _shared_node_count(edge_sets)
+    edges = np.concatenate([e.edges for e in edge_sets],
+                           dtype=np.int32 if n < 2**31 else np.int64)
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
     adjacency = sp.csr_array(
-        (np.ones(rows.size, dtype=np.float64), (rows, cols)), shape=(e.n, e.n)
+        (np.ones(rows.size, dtype=np.float64), (rows, cols)), shape=(n, n)
     )
-    return SparseGraph(e.n, adjacency, np.asarray(adjacency.sum(axis=1)).ravel())
+    adjacency.data[:] = 1.0  # an edge in several sets was summed
+    return SparseGraph(n, adjacency, np.asarray(adjacency.sum(axis=1)).ravel())
 
 
 @dataclass(frozen=True, eq=False)

@@ -739,13 +739,30 @@ def save_observation_set(omega: ObservationSet, path) -> None:
     Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
 
 
+def _bound_reports(omegas, truths, results) -> list:
+    """One bound report per acquisition, from its truth fibers and its
+    completion; raises :class:`BoundViolation` when a measured error exceeds
+    an applicable bound, so a runner checks before it writes any file."""
+    reports = []
+    for om, f, res in zip(omegas, truths, results):
+        report = evaluate_bounds(res.graph, om, f, res.completed)
+        if report.applicable and report.measured_error > report.bound:
+            raise BoundViolation(
+                f"bound violated: measured {report.measured_error} > bound {report.bound}"
+            )
+        reports.append(report)
+    return reports
+
+
 def run_complete(cfg: ExperimentConfig, *, write: bool = True):
     """Generic completion of user-supplied acquisitions; a thin shell over
     the library pipeline. The manifest notes list the nodes missing in
     every acquisition (``never_observed``; :func:`graphprop` warns about
     them) and each acquisition's excluded, mean-filled nodes. With
     ``truth_files`` set it also writes ``bound_report.json`` and returns
-    the reports, otherwise ``None``."""
+    the reports, otherwise ``None``; a violated bound raises
+    :class:`BoundViolation` before any file is written, as in
+    :func:`run_bound_report`."""
     tensors = _load_tensors(cfg.inputs)
     shape = tensors[0].shape
     order = len(shape)
@@ -761,18 +778,14 @@ def run_complete(cfg: ExperimentConfig, *, write: bool = True):
         "excluded_per_acquisition": [r.excluded_ids.tolist() for r in results],
         "warnings": caught,
     }
-    artifacts: list[str] = []
-    if write:
-        for i, res in enumerate(results, start=1):
-            _save_fibers(cfg, artifacts, f"completed_acq{i}.tenb", res.completed.values, shape)
     reports = None
     if cfg.truth_files:
         truths = _load_tensors(cfg.truth_files, shape)
-        reports = [
-            evaluate_bounds(res.graph, om, matricize(t, order), res.completed)
-            for om, t, res in zip(omegas, truths, results)
-        ]
+        reports = _bound_reports(omegas, [matricize(t, order).values for t in truths], results)
     if write:
+        artifacts: list[str] = []
+        for i, res in enumerate(results, start=1):
+            _save_fibers(cfg, artifacts, f"completed_acq{i}.tenb", res.completed.values, shape)
         write_outputs(cfg, [], notes=notes, artifacts=artifacts, reports=reports)
     return results, reports
 
@@ -786,14 +799,7 @@ def run_bound_report(cfg: ExperimentConfig, *, write: bool = True):
     fibers = [matricize(t, 3).values for t in tensors]
     caught: list[dict] = []
     results, _ = _stage(caught, {"method": "graphprop"}, _propagate, cfg, fibers, omegas)
-    reports = []
-    for om, f, res in zip(omegas, fibers, results):
-        report = evaluate_bounds(res.graph, om, f, res.completed)
-        if report.applicable and report.measured_error > report.bound:
-            raise BoundViolation(
-                f"bound violated: measured {report.measured_error} > bound {report.bound}"
-            )
-        reports.append(report)
+    reports = _bound_reports(omegas, fibers, results)
     if write:
         write_outputs(cfg, [], notes={"warnings": caught}, reports=reports)
     return reports

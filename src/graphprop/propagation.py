@@ -1,8 +1,11 @@
 """Masked diffusion over the unified graph: the steady-state solve, the
 end-to-end multi-acquisition pipeline, and median thresholding for label
 tasks. The solve's input check (:func:`check_observed`), conjugate
-gradient (:func:`jacobi_cg`) and fill rule (:func:`fill_rows`) are shared
-with total-variation inpainting in :mod:`graphprop.baselines`.
+gradient (:func:`jacobi_cg`, every channel's recurrence in one loop with
+one sparse product per iteration) and fill rule (:func:`fill_rows`) are
+shared with total-variation inpainting in :mod:`graphprop.baselines`.
+:func:`graphprop` assembles the union graph of its acquisitions' kNN edge
+sets in one :func:`~graphprop.graph.build_graph` call.
 
 The steady state pins observed fibers and drives every missing fiber to
 the arithmetic mean of its neighbours' fibers, i.e. it solves the grounded
@@ -40,12 +43,12 @@ from .graph import (
     knn_edges,
     partition_blocks,
     split_reachable,
-    union_edges,
 )
 from .tensor import FiberMatrix
 
 DEFAULT_TOL = 1e-10
-# jacobi_cg stops each column after this many iterations per unknown.
+# jacobi_cg stops each column after this many iterations per unknown
+# (the product with the unknown count, rounded down).
 CG_ITERS_PER_UNKNOWN = 10
 
 
@@ -98,35 +101,61 @@ def check_observed(g: SparseGraph, omega: ObservationSet, f_obs) -> np.ndarray:
     return f_obs
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of ``a`` with the same row of ``b``, one
+    BLAS ``dot`` per row, so every row rounds as a lone vector does."""
+    return np.fromiter(map(np.dot, a, b), dtype=np.float64, count=a.shape[0])
+
+
 def jacobi_cg(matrix: sp.csr_array, rhs: np.ndarray) -> tuple[np.ndarray, int, bool]:
-    """Solve the symmetric positive definite ``matrix X = rhs`` column by
-    column with Jacobi-preconditioned conjugate gradient, to a relative
-    residual of ``DEFAULT_TOL`` in at most ``CG_ITERS_PER_UNKNOWN`` times
-    the unknown count iterations each.
+    """Solve the symmetric positive definite ``matrix X = rhs`` with one
+    independent Jacobi-preconditioned conjugate gradient per column, every
+    column advanced in the same loop.
+
+    Each iteration makes one sparse product over the live columns. Before
+    each step a column whose residual norm is below ``DEFAULT_TOL`` times
+    the norm of its right-hand side stops and is frozen; a zero column
+    takes no step and is solved by 0. The iteration cap is
+    ``CG_ITERS_PER_UNKNOWN`` times the unknown count. These are the stopping
+    rules of ``scipy.sparse.linalg.cg`` applied column by column, and each
+    column's recurrence takes the same floating-point steps as that call.
 
     Returns the solution, the largest iteration count over the columns,
-    and whether every column converged (otherwise its last iterate is
-    kept).
+    and whether every column converged (otherwise the last iterate of each
+    live column is kept and the count is the cap).
     """
-    solution = np.empty_like(rhs)
-    precond = sp.diags_array(1.0 / matrix.diagonal(), format="csr")
-    cap = CG_ITERS_PER_UNKNOWN * rhs.shape[0]
+    cap = int(CG_ITERS_PER_UNKNOWN * rhs.shape[0])
+    inv_diag = 1.0 / matrix.diagonal()
+    solution = np.zeros_like(rhs)
+    # One row per column, so the vector updates run over contiguous rows.
+    r = np.ascontiguousarray(rhs.T)
+    tol = DEFAULT_TOL * np.sqrt(_row_dots(r, r))
+    live = np.flatnonzero(tol > 0)
+    tol, r = tol[live], r[live]
+    x = np.zeros_like(r)
+    p = np.zeros_like(r)
+    rho_prev = np.ones(live.size)  # p is 0, so the first step sets p = z
     iterations = 0
-    converged = True
-    for j in range(rhs.shape[1]):
-        count = 0
-
-        def _cb(_xk):
-            nonlocal count
-            count += 1
-
-        solution[:, j], info = spla.cg(
-            matrix, rhs[:, j], rtol=DEFAULT_TOL, atol=0.0, maxiter=cap, M=precond,
-            callback=_cb,
-        )
-        iterations = max(iterations, count)
-        converged = converged and info == 0
-    return solution, iterations, converged
+    for step in range(cap):
+        done = np.sqrt(_row_dots(r, r)) < tol
+        if done.any():
+            solution[:, live[done]] = x[done].T
+            iterations = step
+            keep = ~done
+            live, tol, rho_prev, r, x, p = (a[keep] for a in (live, tol, rho_prev, r, x, p))
+        if not live.size:
+            return solution, iterations, True
+        z = r * inv_diag
+        rho = _row_dots(r, z)
+        p *= (rho / rho_prev)[:, None]
+        p += z
+        q = np.ascontiguousarray((matrix @ p.T).T)
+        alpha = (rho / _row_dots(p, q))[:, None]
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    solution[:, live] = x.T
+    return solution, cap, not live.size
 
 
 def fill_rows(omega: ObservationSet, f_obs: np.ndarray, solved: np.ndarray,
@@ -189,7 +218,7 @@ def solve_steady_state(
         solution, iterations, converged = jacobi_cg(l_kk, b)
         if not converged:
             warnings.warn(
-                f"conjugate gradient hit the {CG_ITERS_PER_UNKNOWN * kept.size}-iteration cap",
+                f"conjugate gradient hit the {iterations}-iteration cap",
                 MaxItersExceeded,
             )
     else:
@@ -251,7 +280,7 @@ def graphprop(acquisitions, k: int, *, method: str = "cg") -> list[CompletionRes
         features = np.zeros((n, channels), dtype=np.float64)
         features[om.observed] = f
         edge_sets.append(knn_edges(FiberMatrix(features), om, k))
-    graph = build_graph(union_edges(edge_sets))
+    graph = build_graph(*edge_sets)
 
     return [
         solve_steady_state(graph, om, f, method=method)

@@ -3,6 +3,8 @@
 ``bound_matrices`` materialises the block shorthands of the bound
 machinery (see the ``graphprop.bounds`` module docstring) as dense arrays;
 the library computes its bound scalars from sparse blocks instead.
+``scipy_jacobi_cg`` is the column-by-column reference for
+``graphprop.propagation.jacobi_cg``.
 """
 from __future__ import annotations
 
@@ -10,8 +12,11 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from graphprop import BoundReport, EdgeSet, ObservationSet, SparseGraph, partition_blocks
+from graphprop import propagation
 
 
 def edge_pairs(e: EdgeSet) -> set[tuple[int, int]]:
@@ -27,6 +32,31 @@ def edge_degrees(e: EdgeSet) -> np.ndarray:
 def gtvm_objective(g: SparseGraph, values: np.ndarray) -> float:
     """Objective ``||F - A' F||_F^2`` of the inpainting quadratic."""
     return float(np.linalg.norm(values - (g.adjacency @ values) / g.lam_max) ** 2)
+
+
+def scipy_jacobi_cg(matrix: sp.csr_array, rhs: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """``jacobi_cg`` as one ``scipy.sparse.linalg.cg`` call per column, with
+    the library's tolerance and iteration cap: the solution, the largest
+    iteration count over the columns, and whether every column converged."""
+    solution = np.empty_like(rhs)
+    precond = sp.diags_array(1.0 / matrix.diagonal(), format="csr")
+    cap = int(propagation.CG_ITERS_PER_UNKNOWN * rhs.shape[0])
+    iterations = 0
+    converged = True
+    for j in range(rhs.shape[1]):
+        count = 0
+
+        def _cb(_xk):
+            nonlocal count
+            count += 1
+
+        solution[:, j], info = spla.cg(
+            matrix, rhs[:, j], rtol=propagation.DEFAULT_TOL, atol=0.0, maxiter=cap,
+            M=precond, callback=_cb,
+        )
+        iterations = max(iterations, count)
+        converged = converged and info == 0
+    return solution, iterations, converged
 
 
 def report_to_json(report: BoundReport) -> str:

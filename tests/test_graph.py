@@ -225,6 +225,31 @@ def test_build_graph_empty_edges():
     assert np.array_equal(np.flatnonzero(g.degrees == 0), [0, 1, 2])
 
 
+@pytest.mark.parametrize("channels", [2, 20], ids=["tree", "brute-force"])
+def test_build_graph_of_several_sets_is_their_union(channels):
+    rng = np.random.default_rng(8)
+    n, k = 300, 6
+    feats = rng.standard_normal((n, channels))
+    first = knn_edges(FiberMatrix(feats), ObservationSet(n, np.arange(0, 200)), k)
+    second = knn_edges(FiberMatrix(feats * 1.5 + 0.25),
+                       ObservationSet(n, np.arange(100, n)), k)
+    assert edge_pairs(first) & edge_pairs(second)  # the sets overlap
+    got = build_graph(first, second)
+    want = build_graph(union_edges([first, second]))
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got.adjacency, name), getattr(want.adjacency, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.degrees.dtype == want.degrees.dtype
+    assert np.array_equal(got.degrees, want.degrees)
+
+
+def test_build_graph_rejects_mismatched_node_counts():
+    with pytest.raises(ValueError, match="mismatched node counts"):
+        build_graph(EdgeSet.from_pairs(3, [(0, 1)]), EdgeSet.from_pairs(4, [(0, 1)]))
+    with pytest.raises(ValueError, match="at least one edge set"):
+        build_graph()
+
+
 def test_build_graph_k4_spectrum():
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     g = build_graph(EdgeSet.from_pairs(4, pairs))

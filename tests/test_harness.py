@@ -619,6 +619,27 @@ def test_cli_bound_violation_exit_code(tmp_path, monkeypatch, caplog, measured_e
     assert all(rec.exc_info is None for rec in caplog.records)
 
 
+def test_cli_complete_bound_violation_exit_code(tmp_path, monkeypatch, caplog):
+    # complete with truth files checks its bounds as bound-report does, and
+    # before it writes anything
+    violated = BoundReport(psi=0.1, phi=0.5, bound=0.1 / 1.5, measured_error=1.0,
+                           gtvm_eta=0.0, gtvm_q=0.0, gtvm_bound=None, applicable=True)
+    monkeypatch.setattr(harness, "evaluate_bounds", lambda *args, **kwargs: violated)
+    _, _, paths = make_complete_inputs(tmp_path, seed=5)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "kind": "complete", "k": 4,
+        "inputs": [str(paths[1][0]), str(paths[2][0])],
+        "observation_files": [str(paths[1][1]), str(paths[2][1])],
+        "truth_files": [str(paths[1][0]), str(paths[2][0])],
+    }))
+    code = main(["complete", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert "bound violated" in caplog.text
+    assert all(rec.exc_info is None for rec in caplog.records)
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_spectral_norm_non_convergence_exit_code(tmp_path, monkeypatch, caplog):
     def no_convergence(operator, k, **kwargs):
         raise spla.ArpackNoConvergence("no convergence", np.empty(0),

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
@@ -18,11 +18,13 @@ from graphprop import (
     gtvm_inpaint,
     knn_edges,
     matricize,
+    partition_blocks,
     rmse,
     sample_observation_sets,
     solve_steady_state,
     union_edges,
 )
+from graphprop import propagation
 from graphprop.errors import (
     AllMissing,
     CoverageViolationWarning,
@@ -31,7 +33,8 @@ from graphprop.errors import (
     UnreachableComponent,
 )
 from graphprop.metrics import ErrorField
-from graphprop.propagation import median_threshold
+from graphprop.propagation import jacobi_cg, median_threshold
+from oracles import scipy_jacobi_cg
 
 
 def path3():
@@ -150,13 +153,58 @@ def test_cg_iteration_cap_warns_and_flags(monkeypatch):
     g, omega, f_obs = random_connected_instance(9)
     full = solve_steady_state(g, omega, f_obs, method="cg")
     assert full.stats.converged and full.stats.iterations > 1
-    real_cg = scipy.sparse.linalg.cg
-    monkeypatch.setattr(scipy.sparse.linalg, "cg",
-                        lambda *args, **kwargs: real_cg(*args, **{**kwargs, "maxiter": 1}))
-    with pytest.warns(MaxItersExceeded):
+    # 1.5 iterations per unknown over all the unknowns is a cap of 1
+    monkeypatch.setattr(propagation, "CG_ITERS_PER_UNKNOWN", 1.5 / full.filled_ids.size)
+    with pytest.warns(MaxItersExceeded, match="hit the 1-iteration cap"):
         res = solve_steady_state(g, omega, f_obs, method="cg")
     assert res.stats.converged is False
     assert res.stats.iterations == 1
+
+
+def grid_laplacian(side=16, observed_cols=4):
+    """Grounded Laplacian of a side x side grid graph whose first
+    ``observed_cols`` columns are observed: CG needs tens of iterations."""
+    ids = np.arange(side * side).reshape(side, side)
+    pairs = np.concatenate([np.column_stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()]),
+                            np.column_stack([ids[:-1].ravel(), ids[1:].ravel()])])
+    g = build_graph(EdgeSet(side * side, pairs))
+    omega = ObservationSet(side * side, ids[:, :observed_cols].ravel())
+    blocks = partition_blocks(g, omega.observed, omega.missing)
+    return (sp.diags_array(blocks.d_cc, format="csr") - blocks.a_cc).tocsr()
+
+
+@pytest.mark.parametrize("capped", [False, True], ids=["converged", "capped"])
+@pytest.mark.parametrize("columns", [1, 3, 7, 24])
+def test_jacobi_cg_matches_scipy_reference(monkeypatch, columns, capped):
+    l_kk = grid_laplacian()
+    n = l_kk.shape[0]
+    rng = np.random.default_rng(columns)
+    rhs = rng.standard_normal((n, columns))
+    if columns > 1:
+        # D^(1/2) times two eigenvectors of D^(-1/2) L D^(-1/2): that column
+        # converges in about two steps, well before the others
+        d_half = np.sqrt(l_kk.diagonal())
+        _, vecs = np.linalg.eigh(l_kk.toarray() / np.outer(d_half, d_half))
+        rhs[:, 0] = d_half * (vecs[:, 3] + vecs[:, 40])
+        rhs[:, -1] = 0.0
+    if capped:
+        monkeypatch.setattr(propagation, "CG_ITERS_PER_UNKNOWN", 5.5 / n)
+    want, want_iters, want_converged = scipy_jacobi_cg(l_kk, rhs)
+    got, iters, converged = jacobi_cg(l_kk, rhs)
+    assert iters == want_iters
+    assert converged is want_converged is (not capped)
+    assert iters == 5 if capped else iters > 20
+    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+    if columns > 1:
+        assert not got[:, -1].any()
+        early, early_iters, _ = jacobi_cg(l_kk, rhs[:, :1])
+        assert early_iters <= 4 and np.allclose(early[:, 0], got[:, 0], rtol=0, atol=1e-12)
+
+
+def test_jacobi_cg_zero_right_hand_side():
+    l_kk = grid_laplacian()
+    solution, iterations, converged = jacobi_cg(l_kk, np.zeros((l_kk.shape[0], 3)))
+    assert not solution.any() and iterations == 0 and converged is True
 
 
 def test_unknown_solver_method_rejected():
