@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .errors import InfeasibleFraction
 from .graph import EdgeSet, ObservationSet, build_graph
@@ -222,9 +221,7 @@ def two_block_graph(block_size: int, seed: int) -> tuple[EdgeSet, np.ndarray]:
             cross_pairs[rng.choice(len(cross_pairs), size=n_cross, replace=False)],
         ]
         edges = EdgeSet(n, np.concatenate(chosen, axis=0))
-        graph = build_graph(edges)
-        n_components, _ = connected_components(graph.adjacency, directed=False)
-        if n_components == 1:
+        if build_graph(edges).component_labels.max() == 0:  # connected
             return edges, labels
 
 

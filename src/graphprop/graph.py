@@ -2,6 +2,15 @@
 (of one edge set or, in one pass, the union of several), and the
 observed/unknown block split.
 
+kNN is exact: each observed fiber links to its k nearest by float64
+Euclidean distance, ties to the smaller node id. Up to
+``KDTREE_MAX_CHANNELS`` channels a kd-tree finds them; above, a blocked
+brute-force pass in float32 shortlists candidates within a rigorous
+rounding allowance and exact float64 distances select among them. The
+features are scaled by a power of two first, so the edges are the same at
+any power-of-two scale of the input, up to feature sets whose own dynamic
+range in squared distance exceeds about 1e300.
+
 Node ids are 0-based throughout the Python API; the text edge-list format
 uses 1-based ids.
 """
@@ -24,7 +33,7 @@ from .tensor import FiberMatrix
 # blocked brute-force path is used.
 KDTREE_MAX_CHANNELS = 16
 
-# Distance-matrix block of the brute-force path, in doubles (8 MB).
+# Distance-matrix block of the brute-force path, in float32 entries (4 MB).
 _BRUTE_BLOCK = 1_000_000
 
 # Relative gap under which two kd-tree distances count as tied.
@@ -110,12 +119,18 @@ def _nearest_k(
     """Pick k candidates per row by (exact distance, smaller id).
 
     ``rows`` and ``cands`` are flat, equally long arrays of point indices,
-    each row given at least k candidates other than itself. The exact
-    distance is the Euclidean norm of the feature difference, summed
-    channel by channel, so identical differences give identical values.
-    Memory is a few arrays of the pair count; the feature rows of the
-    pairs are never materialised.
+    each row given at least k candidates other than itself. A row given
+    exactly k keeps them as they are; for the others the exact distance
+    is the Euclidean norm of the feature difference, summed channel by
+    channel, so identical differences give identical values. Memory is a
+    few arrays of the pair count; the feature rows of the pairs are never
+    materialised.
     """
+    few = np.bincount(rows, minlength=pts.shape[0])[rows] <= k
+    if few.all():
+        return rows, cands
+    kept_rows, kept_cands = rows[few], cands[few]
+    rows, cands = rows[~few], cands[~few]
     dist2 = np.zeros(rows.size)
     for ch in range(pts.shape[1]):
         diff = pts[cands, ch] - pts[rows, ch]
@@ -126,7 +141,7 @@ def _nearest_k(
     counts = np.diff(np.r_[starts, rows.size])
     rank = np.arange(rows.size) - np.repeat(starts, counts)
     keep = rank < k
-    return rows[keep], cands[keep]
+    return np.concatenate([kept_rows, rows[keep]]), np.concatenate([kept_cands, cands[keep]])
 
 
 def _knn_neighbors_tree(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -169,43 +184,93 @@ def _knn_neighbors_tree(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
 
 
 def _knn_neighbors_brute(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Directed kNN relations by blocked brute force, shortlist then refine.
+    """Directed kNN relations by blocked brute force: a float32 filter
+    shortlists, exact float64 distances select.
 
-    Per block of rows, the Gram expansion of the squared distances gives
-    each row's k-th smallest value in O(n) (``np.partition``); every column
-    within a rigorous rounding allowance of it is shortlisted, and
-    :func:`_nearest_k` picks k by exact distance, then smaller id.
-    Working memory is two blocks of ``_BRUTE_BLOCK`` doubles (8 MB each)
-    plus a few arrays of the block's shortlist length, which is about k
-    per row and at most one block, whatever the point count.
+    The points are centred and scaled by a power of two into (-1, 1), then
+    cast to float32. Per block of rows, one float32 GEMM against the
+    column operand times -2 plus the (shrunk) squared column norms gives
+    each pair's squared distance less the row's own squared norm, which
+    does not change a row's order. The row's k-th smallest group minimum
+    (column groups of about eight) bounds its k-th smallest value from
+    above; every column within a rigorous rounding allowance of it is
+    shortlisted, and :func:`_nearest_k` picks k by exact float64 distance,
+    then smaller id, so the float32 pass only narrows the candidates.
+    Working memory is one block of ``_BRUTE_BLOCK`` float32 values (4 MB),
+    its group minima (an eighth of that) and a few arrays of the block's
+    shortlist length, which is about k per row.
     """
     n_obs, m = pts.shape
     # Distances do not change under translation; centring keeps the
-    # squared norms, and with them the rounding allowance, small.
+    # squared norms, and with them the rounding allowance, small. The
+    # power-of-two scale is exact; it is capped at 2**470 (see below).
     centred = pts - pts.mean(axis=0)
-    sq = np.einsum("ij,ij->i", centred, centred)
-    # Rounding allowance: the expanded value and the squared exact
-    # distance each stray from the true squared distance by at most about
-    # (m + 5) * eps * (sq_i + sq_j), and c is twice their sum. Shrinking the
-    # column term by c * sq_j charges each pair its own share, so one
-    # far-off point cannot widen every row's shortlist. A true neighbour j
-    # of row i then has d2_ij <= kth_i + 2c * (sq_i + sq_l) for some l among
-    # the k smallest, and sq_l <= 3 * (sq_i + max(kth_i, 0)).
-    c = 4.0 * (m + 5) * np.finfo(np.float64).eps
-    col_sq = (1.0 - c) * sq
+    e = max(int(np.frexp(np.max(np.abs(centred)))[1]), -470)
+    x = np.ldexp(centred, -e)
+    sq = np.einsum("ij,ij->i", x, x)
+    # Rounding allowance. Write a_i = |x_i|^2, t_ij = |x_i - x_j|^2,
+    # u = 2**-24, lam = 2**-126 (float32's smallest normal) and
+    # g_n = n u / (1 - n u). Every float32 result is its exact value times
+    # (1 + d), |d| <= u, plus an underflow error of at most lam (gradual
+    # underflow or flush to zero), and |x| < 1.
+    # - Inputs: y = float32(x) has |y - x| <= u|x| + lam per entry, so
+    #   |y_i.y_j - x_i.x_j| <= (u + u^2/2)(a_i + a_j) + 2.01 m lam.
+    # - GEMM: y_i against -2 y_j (exact) in any summation order, with or
+    #   without fused multiply-add, errs by at most g_m times
+    #   2 sum|y_i||y_j| <= (1 + u)^2 (a_i + a_j) + 4.02 m lam, plus 2.2 m
+    #   lam of underflow.
+    # - Column term: float32((1 - c) a_j) from the float64 a_j errs by at
+    #   most 1.01 u a_j + lam; adding it to the GEMM value errs by at most
+    #   u (1.08 a_i + 2.09 a_j) + 1.5 lam.
+    # With g_m <= c <= 1/14 these sum to: the filter value F_ij stays within
+    # c0 (a_i + a_j) + t0 of t_ij - a_i - c a_j, with c0 = g_{m+6} and
+    # t0 = 9 m lam. Shrinking the column term by c a_j charges each pair
+    # its own share, so one far-off point cannot widen every row's
+    # shortlist: a true neighbour j of row i has
+    # F_ij <= t_ij - a_i + c0 a_i + t0. The k-th smallest group minimum
+    # kth_i is the largest F over k distinct columns L (the row itself is
+    # NaN, never among them), and j is no farther than some l in L, whose
+    # t_il <= kth_i + a_i + c0 a_i + 2c a_l + t0; as a_l <= 2 a_i + 2 t_il,
+    # a_l <= 3 (a_i + w_i + t0) with w_i = max(kth_i + a_i, 0). So
+    #     F_ij <= kth_i + 2 c0 a_i + 6c (a_i + w_i) + 3 t0.
+    # The shortlist bound kth_i + 8c (a_i + w_i) + 28 m lam, rounded up to
+    # float32, exceeds this by at least 2u a_i + 2c w_i, with
+    # c = 1.1 (m + 7) u >= g_{m+7} >= c0 + u. That margin covers what
+    # float64 adds: the centring, the exact distances' own rounding and
+    # the bound's arithmetic, all within 2**-30 (a_i + w_i) up to a million
+    # channels. Their underflow, at most m 2**-1074 per distance in feature
+    # units, is m 2**-134 after the capped scale, inside the 28 m lam.
+    u = 2.0**-24
+    c = 1.1 * (m + 7) * u
+    tau = 28 * m * float(np.finfo(np.float32).tiny)
+    if c > 1 / 14:  # past about 1.09 million channels: keep every column
+        c, tau = 0.0, np.inf
+    y = x.astype(np.float32)
+    cols = -2.0 * y.T
+    col_sq = ((1.0 - c) * sq).astype(np.float32)
+    # Group g holds the columns g, g + groups, g + 2 groups, ...; at least
+    # k + 1 groups leave k whose minimum is not the row's own NaN.
+    groups = max(k + 1, -(-n_obs // 8))
     rows_per_block = max(1, _BRUTE_BLOCK // n_obs)
     src = []
     dst = []
     for start in range(0, n_obs, rows_per_block):
         stop = min(start + rows_per_block, n_obs)
-        d2 = centred[start:stop] @ centred.T
-        d2 *= -2.0
-        d2 += sq[start:stop, None]
+        d2 = y[start:stop] @ cols
         d2 += col_sq
         local = np.arange(stop - start)
-        d2[local, local + start] = np.inf
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-        bound = kth + c * (8.0 * sq[start:stop] + 6.0 * np.maximum(kth, 0.0))
+        # NaN fails every comparison, even with an infinite bound, and
+        # partitions last.
+        d2[local, local + start] = np.nan
+        least = d2[:, :groups].copy()
+        for lo in range(groups, n_obs, groups):
+            part = d2[:, lo:lo + groups]
+            np.minimum(least[:, :part.shape[1]], part, out=least[:, :part.shape[1]])
+        least.partition(k - 1, axis=1)
+        kth = least[:, k - 1].astype(np.float64)
+        sq_rows = sq[start:stop]
+        bound = kth + 8.0 * c * (sq_rows + np.maximum(kth + sq_rows, 0.0)) + tau
+        bound = np.nextafter(bound.astype(np.float32), np.float32(np.inf))
         rows, cands = np.divmod(np.flatnonzero(d2 <= bound[:, None]), n_obs)
         rows, cands = _nearest_k(pts, rows + start, cands, k)
         src.append(rows)
@@ -219,9 +284,18 @@ def knn_edges(features: FiberMatrix, observed: ObservationSet, k: int) -> EdgeSe
 
     Nearness is the exact Euclidean distance of the feature difference;
     ties go to the smaller node id. Both search paths (kd-tree up to
-    ``KDTREE_MAX_CHANNELS`` channels, blocked brute force above) apply
-    this rule and give the same edges. Duplicate feature rows are legal
-    neighbours (distance zero) but a node is never its own neighbour.
+    ``KDTREE_MAX_CHANNELS`` channels; above, a float32 shortlist from
+    which exact float64 distances select) apply this rule and give the
+    same edges. Duplicate feature rows are legal neighbours (distance zero)
+    but a node is never its own neighbour.
+
+    The observed features are first scaled by a power of two so that their
+    peak magnitude lies in [0.5, 1). The scale is exact, so the edges do
+    not change when every feature is multiplied by a power of two, however
+    large or small, and squared distances neither overflow nor underflow.
+    The limit is the feature set's own dynamic range: squared differences
+    below about 1e-300 of the squared peak underflow, and such near
+    duplicates tie at distance zero, going to the smaller id.
     """
     if features.n != observed.n:
         raise ValueError(
@@ -238,6 +312,7 @@ def knn_edges(features: FiberMatrix, observed: ObservationSet, k: int) -> EdgeSe
     pts = np.ascontiguousarray(features.values[obs])
     if not np.all(np.isfinite(pts)):
         raise NonFiniteInput("observed fiber features must be finite")
+    np.ldexp(pts, -np.frexp(np.max(np.abs(pts)))[1], out=pts)
     if pts.shape[1] <= KDTREE_MAX_CHANNELS:
         src, dst = _knn_neighbors_tree(pts, k)
     else:
@@ -282,6 +357,15 @@ class SparseGraph:
         from .bounds import spectral_norm  # bounds imports this module
 
         return spectral_norm(self.adjacency)
+
+    @cached_property
+    def component_labels(self) -> np.ndarray:
+        """Connected-component label of every node, as
+        ``scipy.sparse.csgraph.connected_components`` numbers them;
+        computed on first use and kept."""
+        _, labels = connected_components(self.adjacency, directed=False)
+        labels.setflags(write=False)
+        return labels
 
 
 def build_graph(*edge_sets: EdgeSet) -> SparseGraph:
@@ -334,7 +418,7 @@ def split_reachable(g: SparseGraph, omega: ObservationSet) -> tuple[np.ndarray, 
     """Split the missing ids into those whose connected component holds an
     observed node and the rest: zero-degree nodes and the nodes of
     components with edges but no observed node."""
-    _, labels = connected_components(g.adjacency, directed=False)
+    labels = g.component_labels
     observed_labels = np.zeros(labels.max() + 1, dtype=bool)
     observed_labels[labels[omega.observed]] = True
     reachable = observed_labels[labels[omega.missing]]

@@ -174,6 +174,83 @@ def test_knn_larger_instance_matches_oracle():
     assert edge_pairs(e) == brute_force_knn(points, 10)
 
 
+@pytest.mark.parametrize("limit", [20, 19], ids=["tree", "brute-force"])
+@pytest.mark.parametrize("exponent", [-540, 540, 510])
+def test_knn_edges_unchanged_by_power_of_two_feature_scales(monkeypatch, limit, exponent):
+    # at 2**-540 every squared difference underflows, at 2**510 it
+    # overflows, unless the features are rescaled before the search
+    monkeypatch.setattr(graph, "KDTREE_MAX_CHANNELS", limit)
+    for seed in range(3):
+        points = tie_points(seed, 3, 20, quantize=seed == 1, duplicate=seed == 2)
+        omega = all_observed(len(points))
+        want = knn_edges(FiberMatrix(points), omega, 3)
+        assert edge_pairs(want) == brute_force_knn(points, 3)
+        got = knn_edges(FiberMatrix(np.ldexp(points, exponent)), omega, 3)
+        assert np.array_equal(got.edges, want.edges)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_knn_brute_force_near_ties_below_float32_resolution(seed):
+    # clusters of copies perturbed by about 2**-30 relative: float32 cannot
+    # tell the copies apart, float64 can, so the float32 filter must hand
+    # every copy on to the exact selection
+    rng = np.random.default_rng(seed)
+    centres = rng.standard_normal((6, 20)) + 3.0
+    copies = np.repeat(centres, 6, axis=0)
+    copies *= 1.0 + np.ldexp(rng.standard_normal(copies.shape), -30)
+    points = np.concatenate([copies, rng.standard_normal((10, 20)) + 3.0])
+    rounded = points.astype(np.float32).astype(np.float64)
+    assert len(np.unique(rounded, axis=0)) < len(np.unique(points, axis=0))
+    for k in (1, 3, 7):
+        e = knn_edges(FiberMatrix(points), all_observed(len(points)), k)
+        assert edge_pairs(e) == brute_force_knn(points, k)
+
+
+@pytest.mark.parametrize("block", [1, 97, 400])
+def test_knn_brute_force_across_blocks(monkeypatch, block):
+    # row blocks of one row, of a few rows, and of ragged sizes
+    rng = np.random.default_rng(block)
+    points = np.concatenate([rng.standard_normal((60, 20)),
+                             np.floor(rng.standard_normal((20, 20)) * 2.0)])
+    points = np.concatenate([points, points[:10]])  # exact duplicates
+    omega = all_observed(len(points))
+    whole = knn_edges(FiberMatrix(points), omega, 4)
+    monkeypatch.setattr(graph, "_BRUTE_BLOCK", block)
+    blocked = knn_edges(FiberMatrix(points), omega, 4)
+    assert np.array_equal(blocked.edges, whole.edges)
+    assert edge_pairs(blocked) == brute_force_knn(points, 4)
+
+
+def test_knn_brute_force_past_the_certified_channel_count():
+    # beyond about 1.09 million channels the float32 filter certifies
+    # nothing and keeps every other column; a node is still never its own
+    # neighbour (k = n - 1 leaves exactly the other two)
+    points = np.zeros((3, 1_089_431))
+    points[1, ::2] = 1.0
+    points[2, 1::3] = -1.0
+    e = knn_edges(FiberMatrix(points), all_observed(3), 2)
+    assert edge_pairs(e) == {(0, 1), (0, 2), (1, 2)}
+
+
+def test_component_labels_computed_once(monkeypatch):
+    calls = []
+    original = graph.connected_components
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(graph, "connected_components", counting)
+    g = build_graph(EdgeSet.from_pairs(6, [(0, 1), (1, 2), (3, 4)]))
+    first = graph.split_reachable(g, ObservationSet(6, [0]))
+    second = graph.split_reachable(g, ObservationSet(6, [3, 5]))
+    assert len(calls) == 1
+    assert np.array_equal(g.component_labels, original(g.adjacency, directed=False)[1])
+    assert not g.component_labels.flags.writeable
+    assert [a.tolist() for a in first] == [[1, 2], [3, 4, 5]]
+    assert [a.tolist() for a in second] == [[4], [0, 1, 2]]
+
+
 def test_union_idempotent():
     e = EdgeSet.from_pairs(4, [(0, 1), (2, 3)])
     assert edge_pairs(union_edges([e, e])) == edge_pairs(e)
