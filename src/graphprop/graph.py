@@ -2,6 +2,10 @@
 (of one edge set or, in one pass, the union of several), and the
 observed/unknown block split.
 
+An edge set lists node-id pairs in either orientation. Only
+:func:`build_graph` gives edges a canonical form: its one CSR pass
+symmetrises the pairs and collapses reversed and repeated ones.
+
 kNN is exact: each observed fiber links to its k nearest by float64
 Euclidean distance, ties to the smaller node id. Up to
 ``KDTREE_MAX_CHANNELS`` channels a kd-tree finds them; above, a blocked
@@ -74,8 +78,9 @@ class ObservationSet:
 
 @dataclass(frozen=True, eq=False)
 class EdgeSet:
-    """Undirected edges without self-loops, stored as canonical (u, v)
-    rows with u < v, lexicographically sorted and unique."""
+    """Undirected edges without self-loops, as (u, v) rows in either
+    orientation and in any order; a reversed or repeated row is the same
+    edge. The rows are a read-only copy of the input."""
 
     n: int
     edges: np.ndarray
@@ -84,7 +89,7 @@ class EdgeSet:
         n = int(self.n)
         if n < 1:
             raise ValueError("node count must be positive")
-        arr = np.asarray(self.edges, dtype=np.int64)
+        arr = np.array(self.edges, dtype=np.int64)
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
@@ -94,23 +99,9 @@ class EdgeSet:
                 raise ValueError(f"edge endpoints must lie in [0, {n})")
             if np.any(arr[:, 0] == arr[:, 1]):
                 raise ValueError("self-loops are not allowed")
-            lo = np.minimum(arr[:, 0], arr[:, 1])
-            hi = np.maximum(arr[:, 0], arr[:, 1])
-            # hi < n, so sorting lo * n + hi sorts (lo, hi) lexicographically
-            key = np.unique(lo * n + hi)
-            arr = np.column_stack(np.divmod(key, n))
         arr.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", arr)
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs) -> "EdgeSet":
-        arr = np.array(sorted((int(u), int(v)) for u, v in pairs), dtype=np.int64)
-        return cls(n, arr.reshape(-1, 2))
-
-    @property
-    def n_edges(self) -> int:
-        return int(self.edges.shape[0])
 
 
 def _nearest_k(
@@ -279,8 +270,10 @@ def _knn_neighbors_brute(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
 
 
 def knn_edges(features: FiberMatrix, observed: ObservationSet, k: int) -> EdgeSet:
-    """Connect each observed fiber to its k nearest observed fibers by
-    Euclidean distance, symmetrised by union of the directed relations.
+    """The directed kNN relations over the observed fibers: one (fiber,
+    neighbour) row for each of every observed fiber's k nearest observed
+    fibers by Euclidean distance. A mutual pair appears once in each
+    orientation; :func:`build_graph` symmetrises the relations by union.
 
     Nearness is the exact Euclidean distance of the feature difference;
     ties go to the smaller node id. Both search paths (kd-tree up to
@@ -317,8 +310,7 @@ def knn_edges(features: FiberMatrix, observed: ObservationSet, k: int) -> EdgeSe
         src, dst = _knn_neighbors_tree(pts, k)
     else:
         src, dst = _knn_neighbors_brute(pts, k)
-    pairs = np.column_stack([obs[src], obs[dst]])
-    return EdgeSet(observed.n, pairs)
+    return EdgeSet(observed.n, np.column_stack([obs[src], obs[dst]]))
 
 
 def _shared_node_count(sets) -> int:
@@ -334,11 +326,10 @@ def _shared_node_count(sets) -> int:
 
 
 def union_edges(sets) -> EdgeSet:
-    """Set union of edge sets sharing the same node count."""
+    """Union of edge sets sharing the same node count: their rows, set
+    after set. An edge in several sets collapses in :func:`build_graph`."""
     sets = list(sets)
-    n = _shared_node_count(sets)
-    stacked = np.concatenate([s.edges for s in sets], axis=0)
-    return EdgeSet(n, stacked)
+    return EdgeSet(_shared_node_count(sets), np.concatenate([s.edges for s in sets]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,23 +362,25 @@ class SparseGraph:
 def build_graph(*edge_sets: EdgeSet) -> SparseGraph:
     """Assemble the unweighted adjacency of the union of one or more edge
     sets over the same nodes in one ``csr_array`` pass: both orientations of
-    every edge of every set are stacked, duplicates summed, and every stored
-    value then set to 1. Index arrays are int32 whenever the node ids fit
-    (half the index memory of int64).
+    every row of every set are stacked as boolean ``True``, duplicates
+    summed (a logical or, so a reversed or repeated row is one edge, at one
+    byte per stacked pair), and the values then cast to float64 1.0. Index
+    arrays are int32 whenever the node ids fit (half the index memory of
+    int64).
 
-    Given one edge set this is its adjacency; given several it equals
-    ``build_graph(union_edges(edge_sets))`` bit for bit. Raises
-    ``ValueError`` when no set is given or the node counts differ.
+    Given several sets it equals ``build_graph(union_edges(edge_sets))``
+    bit for bit. Raises ``ValueError`` when no set is given or the node
+    counts differ.
     """
     n = _shared_node_count(edge_sets)
-    edges = np.concatenate([e.edges for e in edge_sets],
-                           dtype=np.int32 if n < 2**31 else np.int64)
-    rows = np.concatenate([edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    index = np.int32 if n < 2**31 else np.int64
+    heads = [e.edges[:, 0] for e in edge_sets]
+    tails = [e.edges[:, 1] for e in edge_sets]
+    rows = np.concatenate(heads + tails, dtype=index)
+    cols = np.concatenate(tails + heads, dtype=index)
     adjacency = sp.csr_array(
-        (np.ones(rows.size, dtype=np.float64), (rows, cols)), shape=(n, n)
-    )
-    adjacency.data[:] = 1.0  # an edge in several sets was summed
+        (np.ones(rows.size, dtype=bool), (rows, cols)), shape=(n, n)
+    ).astype(np.float64)
     return SparseGraph(n, adjacency, np.asarray(adjacency.sum(axis=1)).ravel())
 
 
@@ -430,18 +423,21 @@ _EDGE_HEADER = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
 
 def save_edge_list(e: EdgeSet, path) -> None:
     """Text edge list: header '# n=<N>', then one '<u> <v>' line per edge,
-    1-based ids."""
+    1-based ids: the upper triangle of ``build_graph(e)``'s adjacency, u < v
+    in lexicographic order, each edge once."""
+    upper = sp.triu(build_graph(e).adjacency, k=1, format="coo")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# n={e.n}\n")
-        for u, v in e.edges:
+        for u, v in zip(upper.row, upper.col):
             fh.write(f"{u + 1} {v + 1}\n")
 
 
 def load_edge_list(path) -> EdgeSet:
     """Parse the text edge-list format written by :func:`save_edge_list`.
 
-    Duplicate edges collapse to one; self-loop lines are skipped (external
-    datasets sometimes carry them, the graphs here never do).
+    Duplicate and reversed lines are kept and collapse into one edge in
+    :func:`build_graph`; self-loop lines are skipped (external datasets
+    sometimes carry them, the graphs here never do).
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     it = iter(enumerate(lines, start=1))
@@ -474,6 +470,6 @@ def load_edge_list(path) -> EdgeSet:
             continue
         pairs.append((u - 1, v - 1))
     try:
-        return EdgeSet.from_pairs(n, pairs)
+        return EdgeSet(n, pairs)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc

@@ -553,7 +553,7 @@ def _metric_rows(coords: dict, method: str, ef: ErrorField, runtime: float) -> l
         ("mse", "", mse(ef)),
         ("rmse", "sqrt-mean", rmse(ef)),
         ("mae", "", mae(ef)),
-        ("mpsnr", "maxerr", mpsnr(ef, "maxerr")),
+        ("mpsnr", "maxerr", mpsnr(ef)),
     ]
     return [
         ResultRow(**coords, method=method, metric=name, variant=variant,

@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import EmptyEvaluationSet, NoMissingEntries, ZeroErrorBandWarning
 
-MPSNR_VARIANTS = ("maxerr", "standard")
-
 
 @dataclass(frozen=True, eq=False)
 class ErrorField:
@@ -99,21 +97,13 @@ def mae(e: ErrorField) -> float:
     return float(np.sum(np.abs(stacked)) / e.entry_count)
 
 
-def mpsnr(e: ErrorField, variant: str = "maxerr", peak: float | None = None) -> float:
-    """Band-averaged PSNR.
-
-    variant='maxerr' computes, per band, ``10 log10(max|w| / mean(w^2))``
-    with the maximum absolute error in the numerator (unsquared, an
-    error-vector norm rather than a signal peak; nonstandard but what the
-    harness reports by default). variant='standard' computes the textbook
-    ``10 log10(peak^2 / mean(w^2))`` and needs ``peak`` (the ground-truth
-    peak value). Bands with zero error would be infinite and are excluded
+def mpsnr(e: ErrorField) -> float:
+    """Band-averaged PSNR, the harness's ``maxerr`` variant: per band,
+    ``10 log10(max|w| / mean(w^2))`` with the maximum absolute error in the
+    numerator (unsquared, an error-vector norm rather than a signal peak;
+    nonstandard). Bands with zero error would be infinite and are excluded
     from the average with :class:`ZeroErrorBandWarning`.
     """
-    if variant not in MPSNR_VARIANTS:
-        raise ValueError(f"variant must be one of {MPSNR_VARIANTS}, got {variant!r}")
-    if variant == "standard" and peak is None:
-        raise ValueError("the standard variant needs an explicit peak value")
     stacked = _require_entries(e)
     rows = stacked.shape[0]
     per_band = []
@@ -124,11 +114,7 @@ def mpsnr(e: ErrorField, variant: str = "maxerr", peak: float | None = None) -> 
         if mean_square == 0.0:
             zero_bands += 1
             continue
-        if variant == "maxerr":
-            ratio = float(np.max(np.abs(w))) / mean_square
-        else:
-            ratio = peak**2 / mean_square
-        per_band.append(10.0 * np.log10(ratio))
+        per_band.append(10.0 * np.log10(float(np.max(np.abs(w))) / mean_square))
     if zero_bands:
         warnings.warn(
             f"{zero_bands} band(s) had zero error; excluded from the PSNR average",

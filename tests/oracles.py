@@ -4,7 +4,8 @@
 machinery (see the ``graphprop.bounds`` module docstring) as dense arrays;
 the library computes its bound scalars from sparse blocks instead.
 ``scipy_jacobi_cg`` is the column-by-column reference for
-``graphprop.propagation.jacobi_cg``.
+``graphprop.propagation.jacobi_cg``, and ``canonical_adjacency`` the
+dedup-first reference for ``graphprop.build_graph``.
 """
 from __future__ import annotations
 
@@ -20,13 +21,30 @@ from graphprop import propagation
 
 
 def edge_pairs(e: EdgeSet) -> set[tuple[int, int]]:
-    """The edges of ``e`` as a set of (u, v) pairs with u < v."""
-    return {(int(u), int(v)) for u, v in e.edges}
+    """The distinct edges of ``e`` as a set of (u, v) pairs with u < v."""
+    return {(int(min(u, v)), int(max(u, v))) for u, v in e.edges}
 
 
 def edge_degrees(e: EdgeSet) -> np.ndarray:
-    """Per-node edge counts of ``e``."""
-    return np.bincount(e.edges.ravel(), minlength=e.n).astype(np.int64)
+    """Per-node counts of the distinct edges of ``e``."""
+    pairs = np.array(sorted(edge_pairs(e)), dtype=np.int64).reshape(-1, 2)
+    return np.bincount(pairs.ravel(), minlength=e.n).astype(np.int64)
+
+
+def canonical_adjacency(*edge_sets: EdgeSet) -> sp.csr_array:
+    """The union adjacency assembled dedup first: every row made (u, v) with
+    u < v, the rows sorted and made unique by ``np.unique``, then both
+    orientations of each unique edge put into a ``csr_array`` with value 1
+    and int32 indices."""
+    n = edge_sets[0].n
+    arr = np.concatenate([e.edges for e in edge_sets])
+    lo = np.minimum(arr[:, 0], arr[:, 1])
+    hi = np.maximum(arr[:, 0], arr[:, 1])
+    # hi < n, so sorting lo * n + hi sorts (lo, hi) lexicographically
+    lo, hi = np.divmod(np.unique(lo * n + hi), n)
+    rows = np.concatenate([lo, hi]).astype(np.int32)
+    cols = np.concatenate([hi, lo]).astype(np.int32)
+    return sp.csr_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
 
 
 def gtvm_objective(g: SparseGraph, values: np.ndarray) -> float:

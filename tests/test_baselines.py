@@ -39,7 +39,7 @@ from oracles import gtvm_objective
 
 
 def path3():
-    return build_graph(EdgeSet.from_pairs(3, [(0, 1), (1, 2)]))
+    return build_graph(EdgeSet(3, [(0, 1), (1, 2)]))
 
 
 def test_gtvm_all_observed_identity():
@@ -110,7 +110,7 @@ def test_gtvm_disconnected_observed_component_flagged(n):
     # second component has no observed node: the quadratic is singular there;
     # nodes 4.. are isolated and missing, which is not singular. Both get the
     # observed mean; node 1 solves to the observed value.
-    g = build_graph(EdgeSet.from_pairs(n, [(0, 1), (2, 3)]))
+    g = build_graph(EdgeSet(n, [(0, 1), (2, 3)]))
     omega = ObservationSet(n, [0])
     with pytest.warns(SingularSystemWarning, match="2 missing node"):
         out = gtvm_inpaint(g, omega, np.array([[2.0]]))
@@ -120,7 +120,7 @@ def test_gtvm_disconnected_observed_component_flagged(n):
 def test_gtvm_and_steady_state_fill_excluded_nodes_alike():
     # nodes 0-2 form a path with two observed nodes, 3-5 a triangle with
     # none (stranded), node 6 has no edge (zero degree)
-    g = build_graph(EdgeSet.from_pairs(7, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)]))
+    g = build_graph(EdgeSet(7, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)]))
     omega = ObservationSet(7, [0, 2])
     t_obs = np.array([[1.0, -2.0], [4.0, 3.5]])
     with pytest.warns(SingularSystemWarning, match="3 missing node"):
@@ -183,7 +183,7 @@ def test_lam_max_computed_once_per_graph(monkeypatch):
 
 
 def test_gtvm_needs_edges():
-    g = build_graph(EdgeSet.from_pairs(2, []))
+    g = build_graph(EdgeSet(2, []))
     with pytest.raises(EmptyGraph):
         gtvm_inpaint(g, ObservationSet(2, [0]), np.array([[1.0]]))
 

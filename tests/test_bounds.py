@@ -30,7 +30,7 @@ from oracles import bound_matrices, report_from_dict, report_to_json
 
 
 def path3():
-    return build_graph(EdgeSet.from_pairs(3, [(0, 1), (1, 2)]))
+    return build_graph(EdgeSet(3, [(0, 1), (1, 2)]))
 
 
 def random_instance(seed, n_lo=5, n_hi=40, channels=2, require_missing=True):
@@ -55,7 +55,7 @@ def random_instance(seed, n_lo=5, n_hi=40, channels=2, require_missing=True):
 
 def test_matrices_with_no_missing_adjacency():
     # two missing nodes, no edges between them
-    g = build_graph(EdgeSet.from_pairs(4, [(0, 2), (0, 3), (1, 2), (1, 3)]))
+    g = build_graph(EdgeSet(4, [(0, 2), (0, 3), (1, 2), (1, 3)]))
     omega = ObservationSet(4, [0, 1])
     m = bound_matrices(g, omega)
     assert np.array_equal(m.u, np.eye(2))
@@ -70,7 +70,7 @@ def test_matrices_path_example():
 
 
 def test_matrices_require_degrees():
-    g = build_graph(EdgeSet.from_pairs(3, [(0, 1)]))
+    g = build_graph(EdgeSet(3, [(0, 1)]))
     with pytest.raises(ValueError, match="degree zero"):
         bound_matrices(g, ObservationSet(3, [0]))
 
@@ -126,7 +126,7 @@ def test_psi_matches_dense_p():
 
 
 def test_phi_identity_when_no_missing_edges():
-    g = build_graph(EdgeSet.from_pairs(4, [(0, 2), (0, 3), (1, 2), (1, 3)]))
+    g = build_graph(EdgeSet(4, [(0, 2), (0, 3), (1, 2), (1, 3)]))
     assert abs(compute_phi(g, ObservationSet(4, [0, 1])) - 1.0) <= 1e-9
     with pytest.raises(ValueError):
         compute_phi(g, ObservationSet(5, [0, 1]))
@@ -134,7 +134,7 @@ def test_phi_identity_when_no_missing_edges():
 
 def test_phi_pair_example():
     # two missing nodes joined to each other and one observed node each
-    g = build_graph(EdgeSet.from_pairs(4, [(0, 1), (0, 2), (1, 3)]))
+    g = build_graph(EdgeSet(4, [(0, 1), (0, 2), (1, 3)]))
     omega = ObservationSet(4, [2, 3])
     assert abs(compute_phi(g, omega) - 1.5) <= 1e-8
 
@@ -245,7 +245,7 @@ def test_gtvm_bound_path_numeric():
 
 
 def test_gtvm_bound_needs_edges():
-    g = build_graph(EdgeSet.from_pairs(3, []))
+    g = build_graph(EdgeSet(3, []))
     with pytest.raises(EmptyGraph):
         gtvm_bound(g, ObservationSet(3, [0]), np.zeros((3, 1)))
 
@@ -269,7 +269,7 @@ def test_graphprop_bound_holds_when_error_equals_psi():
     for c in range(n_obs, n):
         for o in rng.choice(n_obs, size=int(rng.integers(2, 5)), replace=False):
             pairs.add((int(o), c))
-    g = build_graph(EdgeSet.from_pairs(n, sorted(pairs)))
+    g = build_graph(EdgeSet(n, sorted(pairs)))
     omega = ObservationSet(n, np.arange(n_obs))
     f0 = rng.standard_normal((n, 2)) + 16.0
     assert partition_blocks(g, omega.observed, omega.missing).a_cc.nnz == 0
@@ -348,7 +348,7 @@ def test_bound_report_serialisation():
 
 def test_evaluate_bounds_drops_zero_degree_nodes():
     # node 3 isolated: bounds computed on the remaining subgraph
-    g = build_graph(EdgeSet.from_pairs(4, [(0, 1), (1, 2)]))
+    g = build_graph(EdgeSet(4, [(0, 1), (1, 2)]))
     omega = ObservationSet(4, [0, 2])
     f0 = np.array([[0.0], [0.9], [1.0], [5.0]])
     fhat = f0.copy()

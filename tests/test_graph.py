@@ -16,7 +16,7 @@ from graphprop import (
 )
 from graphprop import graph
 from graphprop.errors import DataError, NonFiniteInput, TooFewObserved
-from oracles import edge_degrees, edge_pairs
+from oracles import canonical_adjacency, edge_degrees, edge_pairs
 
 
 def exact_distance(a, b):
@@ -47,6 +47,13 @@ def all_observed(n):
     return ObservationSet(n, np.arange(n))
 
 
+def assert_same_adjacency(got, want):
+    """Equal CSR arrays, dtypes included."""
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 def test_knn_line_features():
     feats = FiberMatrix(np.array([[0.0], [1.0], [10.0]]))
     e = knn_edges(feats, all_observed(3), 1)
@@ -63,7 +70,7 @@ def test_knn_complete_graph_when_k_saturates():
     rng = np.random.default_rng(0)
     feats = FiberMatrix(rng.standard_normal((6, 2)))
     e = knn_edges(feats, all_observed(6), 5)
-    assert e.n_edges == 15
+    assert len(edge_pairs(e)) == 15
 
 
 def test_knn_restricted_to_observed():
@@ -136,7 +143,7 @@ def test_knn_tree_and_brute_force_paths_agree(monkeypatch, seed):
     tree = knn_edges(feats, omega, 2)
     monkeypatch.setattr(graph, "KDTREE_MAX_CHANNELS", 19)
     brute = knn_edges(feats, omega, 2)
-    assert np.array_equal(tree.edges, brute.edges)
+    assert edge_pairs(tree) == edge_pairs(brute)
 
 
 @pytest.mark.parametrize("limit", [20, 19], ids=["tree", "brute-force"])
@@ -151,7 +158,7 @@ def test_knn_k_plus_one_observed_matches_oracle(monkeypatch, limit, k):
                    np.zeros((k + 1, 20))):
         e = knn_edges(FiberMatrix(points), all_observed(k + 1), k)
         assert edge_pairs(e) == brute_force_knn(points, k)
-        assert e.n_edges == k * (k + 1) // 2
+        assert len(edge_pairs(e)) == k * (k + 1) // 2
     # observed subset of a larger node set
     feats = FiberMatrix(rng.standard_normal((k + 4, 20)))
     omega = ObservationSet(k + 4, np.arange(1, k + 2))
@@ -186,7 +193,7 @@ def test_knn_edges_unchanged_by_power_of_two_feature_scales(monkeypatch, limit, 
         want = knn_edges(FiberMatrix(points), omega, 3)
         assert edge_pairs(want) == brute_force_knn(points, 3)
         got = knn_edges(FiberMatrix(np.ldexp(points, exponent)), omega, 3)
-        assert np.array_equal(got.edges, want.edges)
+        assert edge_pairs(got) == edge_pairs(want)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -217,7 +224,7 @@ def test_knn_brute_force_across_blocks(monkeypatch, block):
     whole = knn_edges(FiberMatrix(points), omega, 4)
     monkeypatch.setattr(graph, "_BRUTE_BLOCK", block)
     blocked = knn_edges(FiberMatrix(points), omega, 4)
-    assert np.array_equal(blocked.edges, whole.edges)
+    assert edge_pairs(blocked) == edge_pairs(whole)
     assert edge_pairs(blocked) == brute_force_knn(points, 4)
 
 
@@ -241,7 +248,7 @@ def test_component_labels_computed_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(graph, "connected_components", counting)
-    g = build_graph(EdgeSet.from_pairs(6, [(0, 1), (1, 2), (3, 4)]))
+    g = build_graph(EdgeSet(6, [(0, 1), (1, 2), (3, 4)]))
     first = graph.split_reachable(g, ObservationSet(6, [0]))
     second = graph.split_reachable(g, ObservationSet(6, [3, 5]))
     assert len(calls) == 1
@@ -252,19 +259,19 @@ def test_component_labels_computed_once(monkeypatch):
 
 
 def test_union_idempotent():
-    e = EdgeSet.from_pairs(4, [(0, 1), (2, 3)])
+    e = EdgeSet(4, [(0, 1), (2, 3)])
     assert edge_pairs(union_edges([e, e])) == edge_pairs(e)
 
 
 def test_union_merges():
-    a = EdgeSet.from_pairs(3, [(0, 1)])
-    b = EdgeSet.from_pairs(3, [(1, 2)])
+    a = EdgeSet(3, [(0, 1)])
+    b = EdgeSet(3, [(1, 2)])
     assert edge_pairs(union_edges([a, b])) == {(0, 1), (1, 2)}
 
 
 def test_union_rejects_mismatched_n():
     with pytest.raises(ValueError):
-        union_edges([EdgeSet.from_pairs(3, []), EdgeSet.from_pairs(4, [])])
+        union_edges([EdgeSet(3, []), EdgeSet(4, [])])
 
 
 def test_union_degree_guarantee():
@@ -283,7 +290,7 @@ def test_union_degree_guarantee():
 
 
 def test_build_graph_path():
-    g = build_graph(EdgeSet.from_pairs(3, [(0, 1), (1, 2)]))
+    g = build_graph(EdgeSet(3, [(0, 1), (1, 2)]))
     assert np.array_equal(g.degrees, [1.0, 2.0, 1.0])
     assert np.array_equal(g.adjacency.toarray(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
     assert np.count_nonzero(g.degrees == 0) == 0
@@ -291,13 +298,13 @@ def test_build_graph_path():
 
 def test_build_graph_int32_indices():
     for pairs in ([(0, 1), (1, 2)], []):
-        g = build_graph(EdgeSet.from_pairs(3, pairs))
+        g = build_graph(EdgeSet(3, pairs))
         assert g.adjacency.indices.dtype == np.int32
         assert g.adjacency.indptr.dtype == np.int32
 
 
 def test_build_graph_empty_edges():
-    g = build_graph(EdgeSet.from_pairs(3, []))
+    g = build_graph(EdgeSet(3, []))
     assert g.adjacency.nnz == 0
     assert np.array_equal(np.flatnonzero(g.degrees == 0), [0, 1, 2])
 
@@ -313,23 +320,41 @@ def test_build_graph_of_several_sets_is_their_union(channels):
     assert edge_pairs(first) & edge_pairs(second)  # the sets overlap
     got = build_graph(first, second)
     want = build_graph(union_edges([first, second]))
-    for name in ("indptr", "indices", "data"):
-        a, b = getattr(got.adjacency, name), getattr(want.adjacency, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert_same_adjacency(got.adjacency, want.adjacency)
+    assert_same_adjacency(got.adjacency, canonical_adjacency(first, second))
     assert got.degrees.dtype == want.degrees.dtype
     assert np.array_equal(got.degrees, want.degrees)
 
 
+@pytest.mark.parametrize("channels", [3, 20], ids=["tree", "brute-force"])
+def test_build_graph_of_knn_pairs_matches_canonical_oracle(channels):
+    # knn_edges hands over directed pairs, mutual ones in both orientations;
+    # exact duplicates and integer grids add tie rows on both search paths
+    rng = np.random.default_rng(channels)
+    points = np.concatenate([rng.standard_normal((150, channels)),
+                             np.floor(rng.standard_normal((100, channels)) * 2.0)])
+    points = np.concatenate([points, points[:30]])
+    n = len(points) + 20  # the last 20 nodes are never observed
+    feats = np.zeros((n, channels))
+    feats[:len(points)] = points
+    for k in (1, 5, 10):
+        e = knn_edges(FiberMatrix(feats), ObservationSet(n, np.arange(len(points))), k)
+        assert len(e.edges) > len(edge_pairs(e))  # mutual pairs come twice
+        g = build_graph(e)
+        assert_same_adjacency(g.adjacency, canonical_adjacency(e))
+        assert np.array_equal(g.degrees, edge_degrees(e))
+
+
 def test_build_graph_rejects_mismatched_node_counts():
     with pytest.raises(ValueError, match="mismatched node counts"):
-        build_graph(EdgeSet.from_pairs(3, [(0, 1)]), EdgeSet.from_pairs(4, [(0, 1)]))
+        build_graph(EdgeSet(3, [(0, 1)]), EdgeSet(4, [(0, 1)]))
     with pytest.raises(ValueError, match="at least one edge set"):
         build_graph()
 
 
 def test_build_graph_k4_spectrum():
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-    g = build_graph(EdgeSet.from_pairs(4, pairs))
+    g = build_graph(EdgeSet(4, pairs))
     assert np.allclose(g.degrees, 3.0)
     eigvals = np.linalg.eigvalsh(np.diag(g.degrees) - g.adjacency.toarray())
     assert abs(eigvals[-1] - 4.0) <= 1e-12
@@ -340,7 +365,7 @@ def split(omega):
 
 
 def test_partition_all_observed():
-    g = build_graph(EdgeSet.from_pairs(3, [(0, 1), (1, 2)]))
+    g = build_graph(EdgeSet(3, [(0, 1), (1, 2)]))
     blocks = partition_blocks(g, *split(all_observed(3)))
     assert blocks.a_cc.shape == (0, 0)
     assert blocks.a_co.shape == (0, 3)
@@ -348,7 +373,7 @@ def test_partition_all_observed():
 
 
 def test_partition_path_example():
-    g = build_graph(EdgeSet.from_pairs(3, [(0, 1), (1, 2)]))
+    g = build_graph(EdgeSet(3, [(0, 1), (1, 2)]))
     blocks = partition_blocks(g, *split(ObservationSet(3, [0, 2])))
     assert np.array_equal(np.diag(blocks.d_cc) - blocks.a_cc.toarray(), [[2.0]])
     assert np.array_equal(blocks.a_co.toarray(), [[1.0, 1.0]])
@@ -386,12 +411,25 @@ def test_partition_roundtrip_exact(seed):
 
 
 def test_edge_set_canonicalisation():
-    e = EdgeSet(4, np.array([[2, 1], [1, 2], [0, 3]]))
-    assert np.array_equal(e.edges, [[0, 3], [1, 2]])
+    # reversed and repeated rows are the same edges as the canonical form
+    e = EdgeSet(4, np.array([[2, 1], [1, 2], [0, 3], [3, 0], [2, 1]]))
+    assert_same_adjacency(build_graph(e).adjacency,
+                          build_graph(EdgeSet(4, [[0, 3], [1, 2]])).adjacency)
+    assert edge_pairs(e) == {(0, 3), (1, 2)}
     with pytest.raises(ValueError):
         EdgeSet(4, np.array([[1, 1]]))
     with pytest.raises(ValueError):
         EdgeSet(2, np.array([[0, 5]]))
+    with pytest.raises(ValueError):
+        EdgeSet(4, np.array([0, 1, 2]))
+
+
+def test_edge_set_leaves_the_input_writable():
+    arr = np.array([[1, 0], [2, 3]])
+    e = EdgeSet(4, arr)
+    assert arr.flags.writeable and not e.edges.flags.writeable
+    arr[0, 0] = 3
+    assert e.edges.tolist() == [[1, 0], [2, 3]]
 
 
 def test_observation_set_validation():
@@ -404,8 +442,18 @@ def test_observation_set_validation():
         ObservationSet(5, [5])
 
 
+def test_save_edge_list_bytes_ignore_orientation_and_repeats(tmp_path):
+    canonical = EdgeSet(6, [(0, 1), (0, 5), (1, 2), (3, 4)])
+    messy = EdgeSet(6, [(4, 3), (1, 0), (2, 1), (0, 1), (5, 0), (3, 4), (1, 2)])
+    save_edge_list(canonical, tmp_path / "canonical.txt")
+    save_edge_list(messy, tmp_path / "messy.txt")
+    text = (tmp_path / "canonical.txt").read_bytes()
+    assert text == b"# n=6\n1 2\n1 6\n2 3\n4 5\n"
+    assert (tmp_path / "messy.txt").read_bytes() == text
+
+
 def test_edge_list_roundtrip(tmp_path):
-    e = EdgeSet.from_pairs(5, [(0, 1), (2, 4)])
+    e = EdgeSet(5, [(0, 1), (2, 4)])
     path = tmp_path / "graph.txt"
     save_edge_list(e, path)
     text = path.read_text()

@@ -378,7 +378,7 @@ def test_blogs_scores_both_methods_by_one_median_rule(tmp_path, monkeypatch):
     pairs = [tuple(e) for e in edges.edges] + [(30, 31), (32, 33), (34, 35)]
     graph_path = tmp_path / "graph.txt"
     labels_path = tmp_path / "labels.txt"
-    save_edge_list(EdgeSet.from_pairs(38, pairs), graph_path)
+    save_edge_list(EdgeSet(38, pairs), graph_path)
     extra = [1, 1, 0, 1, 1, 0, 1, 0]
     labels_path.write_text("\n".join(str(int(v)) for v in list(labels) + extra) + "\n")
     monkeypatch.setattr(harness, "gtvm_inpaint",

@@ -63,27 +63,18 @@ def test_mae_examples():
 
 def test_mpsnr_constant_band():
     e = ErrorField((np.full((100, 1), 0.1),), 1)
-    assert mpsnr(e, "maxerr") == pytest.approx(10.0, abs=1e-12)
-
-
-def test_mpsnr_standard_variant():
-    e = ErrorField((np.full((100, 1), 0.1),), 1)  # band MSE = 0.01
-    assert mpsnr(e, "standard", peak=1.0) == pytest.approx(20.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        mpsnr(e, "standard")
-    with pytest.raises(ValueError):
-        mpsnr(e, "typo")
+    assert mpsnr(e) == pytest.approx(10.0, abs=1e-12)
 
 
 def test_mpsnr_zero_band_sentinel():
     blocks = (np.column_stack([np.zeros(5), np.full(5, 0.1)]),)
     e = ErrorField(blocks, 2)
     with pytest.warns(ZeroErrorBandWarning):
-        value = mpsnr(e, "maxerr")
+        value = mpsnr(e)
     assert value == pytest.approx(10.0, abs=1e-12)  # zero band excluded
     all_zero = ErrorField((np.zeros((4, 1)),), 1)
     with pytest.warns(ZeroErrorBandWarning):
-        assert mpsnr(all_zero, "maxerr") == float("inf")
+        assert mpsnr(all_zero) == float("inf")
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -100,7 +91,7 @@ def test_metrics_match_brute_force(seed):
     assert abs(mse(e) - ref_mse) <= 1e-12 * max(1.0, abs(ref_mse))
     assert abs(rmse(e) - ref_rmse) <= 1e-12 * max(1.0, abs(ref_rmse))
     assert abs(mae(e) - ref_mae) <= 1e-12 * max(1.0, abs(ref_mae))
-    assert abs(mpsnr(e, "maxerr") - ref_psnr) <= 1e-12 * max(1.0, abs(ref_psnr))
+    assert abs(mpsnr(e) - ref_psnr) <= 1e-12 * max(1.0, abs(ref_psnr))
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -152,7 +143,7 @@ def test_no_missing_entries_raised():
         with pytest.raises(NoMissingEntries):
             metric(empty)
     with pytest.raises(NoMissingEntries):
-        mpsnr(empty, "maxerr")
+        mpsnr(empty)
 
 
 def test_accuracy_examples():

@@ -38,7 +38,7 @@ from oracles import scipy_jacobi_cg
 
 
 def path3():
-    return build_graph(EdgeSet.from_pairs(3, [(0, 1), (1, 2)]))
+    return build_graph(EdgeSet(3, [(0, 1), (1, 2)]))
 
 
 def random_connected_instance(seed, n_lo=8, n_hi=60, channels=2):
@@ -80,7 +80,7 @@ def test_all_observed_identity():
 def test_star_centre_is_leaf_mean():
     d = 5
     pairs = [(0, i) for i in range(1, d + 1)]
-    g = build_graph(EdgeSet.from_pairs(d + 1, pairs))
+    g = build_graph(EdgeSet(d + 1, pairs))
     leaf_values = np.arange(1.0, d + 1.0)[:, None]
     res = solve_steady_state(g, ObservationSet(d + 1, np.arange(1, d + 1)), leaf_values)
     assert abs(res.completed.values[0, 0] - leaf_values.mean()) <= 1e-12
@@ -94,7 +94,7 @@ def test_observed_rows_bit_identical():
 
 def test_unreachable_component_warns_and_excludes():
     # two components: 0-1 observed anchors only in the first
-    g = build_graph(EdgeSet.from_pairs(4, [(0, 1), (2, 3)]))
+    g = build_graph(EdgeSet(4, [(0, 1), (2, 3)]))
     omega = ObservationSet(4, [0])
     f = np.array([[4.0]])
     with pytest.warns(UnreachableComponent, match="2 missing node"):
@@ -107,7 +107,7 @@ def test_unreachable_component_warns_and_excludes():
 
 def test_zero_degree_node_always_excluded():
     # a node with no edge is excluded without a warning
-    g = build_graph(EdgeSet.from_pairs(3, [(0, 1)]))
+    g = build_graph(EdgeSet(3, [(0, 1)]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = solve_steady_state(g, ObservationSet(3, [0]), np.array([[1.0]]))
@@ -306,7 +306,7 @@ def test_graphprop_desk_scale_low_rank_rmse():
 
 
 def test_median_threshold_basic():
-    g = build_graph(EdgeSet.from_pairs(4, [(0, 1), (1, 2), (2, 3)]))
+    g = build_graph(EdgeSet(4, [(0, 1), (1, 2), (2, 3)]))
     omega = ObservationSet(4, [0, 3])
     res = solve_steady_state(g, omega, np.array([[0.0], [1.0]]))
     labels = median_threshold(res.completed.values[:, 0], omega.missing, res.filled_ids)
@@ -319,7 +319,7 @@ def test_median_threshold_ignores_excluded_nodes():
     # isolated labelled node 6: the excluded nodes get the observed mean 2/3.
     # The median over the solved nodes (1/3, 2/3) is 0.5; over every missing
     # node it would be 2/3, which labels node 2 and the pair 0 instead.
-    g = build_graph(EdgeSet.from_pairs(7, [(0, 1), (1, 2), (2, 3), (4, 5)]))
+    g = build_graph(EdgeSet(7, [(0, 1), (1, 2), (2, 3), (4, 5)]))
     omega = ObservationSet(7, [0, 3, 6])
     with pytest.warns(UnreachableComponent):
         res = solve_steady_state(g, omega, np.array([[0.0], [1.0], [1.0]]))
@@ -337,7 +337,7 @@ def test_median_threshold_without_solved_nodes():
 
 
 def test_classify_all_equal_goes_low():
-    g = build_graph(EdgeSet.from_pairs(3, [(0, 1), (1, 2)]))
+    g = build_graph(EdgeSet(3, [(0, 1), (1, 2)]))
     res = solve_steady_state(g, ObservationSet(3, [0, 2]), np.array([[1.0], [1.0]]))
     labels = median_threshold(res.completed.values[:, 0], np.array([1]), res.filled_ids)
     assert labels.tolist() == [0]
@@ -349,7 +349,7 @@ def test_two_clique_classification():
     pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
     pairs += [(size + i, size + j) for i in range(size) for j in range(i + 1, size)]
     pairs.append((0, size))
-    g = build_graph(EdgeSet.from_pairs(2 * size, pairs))
+    g = build_graph(EdgeSet(2 * size, pairs))
     truth = np.repeat([0, 1], size)
     omega = ObservationSet(2 * size, [1, size + 1])
     res = solve_steady_state(g, omega, truth[[1, size + 1]].astype(float)[:, None])
