@@ -6,12 +6,7 @@ with error-bound diagnostics, total-variation and low-rank baselines,
 synthetic data generators, metrics, and an experiment harness.
 """
 
-from .baselines import (
-    gtvm_inpaint,
-    halrtc_complete,
-    stack_acquisitions,
-    unstack_acquisitions,
-)
+from .baselines import gtvm_inpaint, halrtc_complete
 from .bounds import (
     BoundReport,
     GtvmBound,

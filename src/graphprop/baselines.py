@@ -165,23 +165,3 @@ def halrtc_complete(t: DenseTensor, mask: np.ndarray) -> DenseTensor:
         rho = min(rho * HALRTC_RHO_GROWTH, HALRTC_RHO_CAP)
     return DenseTensor(t.shape, x)
 
-
-def stack_acquisitions(tensors) -> DenseTensor:
-    """Stack same-shape acquisitions along a new trailing mode."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ValueError("need at least one tensor")
-    shape = tensors[0].shape
-    for t in tensors[1:]:
-        if t.shape != shape:
-            raise ValueError(f"shape mismatch: {t.shape} != {shape}")
-    stacked = np.stack([t.values for t in tensors], axis=-1)
-    return DenseTensor(tuple(stacked.shape), stacked)
-
-
-def unstack_acquisitions(t: DenseTensor) -> list[DenseTensor]:
-    """Inverse of :func:`stack_acquisitions`."""
-    return [
-        DenseTensor(t.shape[:-1], np.ascontiguousarray(t.values[..., i]))
-        for i in range(t.shape[-1])
-    ]

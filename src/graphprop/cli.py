@@ -8,7 +8,6 @@ error. Logs go to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path

@@ -71,10 +71,6 @@ class ObservationSet:
         out.setflags(write=False)
         return out
 
-    @property
-    def n_observed(self) -> int:
-        return int(self.observed.size)
-
 
 @dataclass(frozen=True, eq=False)
 class EdgeSet:

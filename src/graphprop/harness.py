@@ -26,17 +26,12 @@ import time
 import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, astuple, dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .baselines import (
-    gtvm_inpaint,
-    halrtc_complete,
-    stack_acquisitions,
-    unstack_acquisitions,
-)
+from .baselines import gtvm_inpaint, halrtc_complete
 from .bounds import evaluate_bounds
 from .datagen import (
     OverlapSpec,
@@ -55,7 +50,7 @@ from .errors import (
 )
 from .graph import ObservationSet, build_graph, load_edge_list
 from .metrics import ErrorField, accuracy, mae, mpsnr, mse, rmse
-from .propagation import graphprop, median_threshold, solve_steady_state
+from .propagation import SOLVE_METHODS, graphprop, median_threshold, solve_steady_state
 from .tensor import DenseTensor, FiberMatrix, load_tensor, matricize, refold, save_tensor
 
 log = logging.getLogger("graphprop")
@@ -223,7 +218,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("repeats must be at least 1")
     if cfg.workers < 1:
         raise ConfigError("workers must be at least 1")
-    if cfg.solver.method not in ("cg", "splu"):
+    if cfg.solver.method not in SOLVE_METHODS:
         raise ConfigError(f"unknown solver method {cfg.solver.method!r}")
     if cfg.kind in ("rank-sweep", "missing-sweep", "bound-report"):
         ranks, fracs = _sweep_grid(cfg)
@@ -311,19 +306,10 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _sort_key(row: ResultRow):
-    return (
-        row.experiment,
-        row.seed,
-        -1 if row.r is None else row.r,
-        -1.0 if row.missing_frac is None else row.missing_frac,
-        -1.0 if row.area_frac is None else row.area_frac,
-        -1.0 if row.label_frac is None else row.label_frac,
-        row.repeat,
-        row.method,
-        row.metric,
-        row.variant,
-    )
+def _none_first(values) -> tuple:
+    """A sort key over sweep coordinates: None counts as -1, so an unset
+    coordinate sorts before every set one."""
+    return tuple(-1 if v is None else v for v in values)
 
 
 def summarize_rows(rows) -> list[dict]:
@@ -335,7 +321,7 @@ def summarize_rows(rows) -> list[dict]:
                row.label_frac, row.method, row.metric, row.variant)
         groups.setdefault(key, []).append(row.value)
     out = []
-    for key in sorted(groups, key=lambda k: tuple(-1 if v is None else v for v in k)):
+    for key in sorted(groups, key=_none_first):
         values = np.asarray(groups[key])
         out.append({
             "experiment": key[0], "r": key[1], "missing_frac": key[2],
@@ -374,7 +360,8 @@ def write_outputs(cfg: ExperimentConfig, rows, notes: dict | None = None,
             json.dumps([rep.to_dict() for rep in reports], indent=2, sort_keys=True) + "\n",
             encoding="utf-8")
         artifacts.append("bound_report.json")
-    rows = sorted(rows, key=_sort_key)
+    # ResultRow's first ten fields, experiment to variant, are the sort key
+    rows = sorted(rows, key=lambda r: _none_first(astuple(r)[:10]))
     _write_csv(out_dir / "results.csv", RESULT_COLUMNS,
                [{**asdict(r)} for r in rows])
     _write_csv(out_dir / "summary.csv", SUMMARY_COLUMNS, summarize_rows(rows))
@@ -417,12 +404,15 @@ def _observed_fiber_mask(omega: ObservationSet, i1: int, i2: int, i3: int) -> np
 def _halrtc_fibers(tensors, omegas) -> list[np.ndarray]:
     """HaLRTC on the (i1, i2, i3) acquisitions stacked along a trailing
     mode, every acquisition masked to its observed fibers; returns each
-    acquisition's completed mode-3 fiber matrix."""
-    stacked = stack_acquisitions(tensors)
+    acquisition's completed mode-3 fiber matrix. The stacked tensor's
+    mode-3 fiber matrix holds the acquisitions' fiber matrices as
+    consecutive row blocks, in input order, so splitting it into equal
+    blocks recovers them."""
+    stacked = DenseTensor.from_array(np.stack([t.values for t in tensors], axis=-1))
     i1, i2, i3 = stacked.shape[:3]
     mask = np.stack([_observed_fiber_mask(om, i1, i2, i3) for om in omegas], axis=-1)
     completed = halrtc_complete(stacked, mask)
-    return [matricize(t, 3).values for t in unstack_acquisitions(completed)]
+    return np.split(matricize(completed, 3).values, len(tensors))
 
 
 def _stage(caught: list, where: dict, call, *args, **kwargs):

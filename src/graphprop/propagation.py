@@ -50,6 +50,13 @@ DEFAULT_TOL = 1e-10
 # jacobi_cg stops each column after this many iterations per unknown
 # (the product with the unknown count, rounded down).
 CG_ITERS_PER_UNKNOWN = 10
+# The steady-state solve methods (see solve_steady_state).
+SOLVE_METHODS = ("cg", "splu")
+
+
+def _check_method(method: str) -> None:
+    if method not in SOLVE_METHODS:
+        raise ValueError(f"unknown method {method!r}")
 
 
 @dataclass(frozen=True)
@@ -193,8 +200,7 @@ def solve_steady_state(
     edges (not zero-degree) are reported with :class:`UnreachableComponent`.
     """
     f_obs = check_observed(g, omega, f_obs)
-    if method not in ("cg", "splu"):
-        raise ValueError(f"unknown method {method!r}")
+    _check_method(method)
 
     kept, excluded = split_reachable(g, omega)
     stranded = excluded[g.degrees[excluded] > 0]
@@ -248,8 +254,10 @@ def graphprop(acquisitions, k: int, *, method: str = "cg") -> list[CompletionRes
     :class:`CoverageViolationWarning` and end up excluded with the mean
     fill policy; so do missing nodes cut off from every node observed in
     their acquisition, with an :class:`UnreachableComponent` warning from
-    that acquisition's solve.
+    that acquisition's solve. An unknown ``method`` raises ``ValueError``
+    before any graph work.
     """
+    _check_method(method)
     acquisitions = [(np.asarray(f, dtype=np.float64), om) for f, om in acquisitions]
     if not acquisitions:
         raise ValueError("need at least one acquisition")

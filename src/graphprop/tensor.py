@@ -8,7 +8,9 @@ Node enumeration contract used across the package: for a tensor of shape
 over the leading m-1 indices. ``matricize``/``refold`` below, the binary
 file layout, and the graph construction all share this enumeration. For a
 general mode, the fiber index runs over the remaining axes in their
-original order, earliest axis fastest.
+original order, earliest axis fastest. Stacking order-m tensors along a
+new trailing mode therefore stacks their mode-m fiber matrices as
+consecutive row blocks.
 """
 from __future__ import annotations
 

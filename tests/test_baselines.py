@@ -22,8 +22,6 @@ from graphprop import (
     sample_observation_sets,
     smooth_raster_pair,
     solve_steady_state,
-    stack_acquisitions,
-    unstack_acquisitions,
 )
 from graphprop import baselines, bounds, propagation
 from graphprop.errors import (
@@ -33,7 +31,7 @@ from graphprop.errors import (
     SingularSystemWarning,
     UnreachableComponent,
 )
-from graphprop.harness import _observed_fiber_mask
+from graphprop.harness import _halrtc_fibers, _observed_fiber_mask
 from halrtc_reference import halrtc_svd_reference, nuclear_objective, svd_shrink
 from oracles import gtvm_objective
 
@@ -321,7 +319,8 @@ def stacked_fiber_instance(seed):
     fibers, as the harness hands it to HaLRTC."""
     spec = SynthSpec(20, 20, 3, r=4, lambda_count=2, missing_frac=0.4, seed=seed)
     omegas = sample_observation_sets(spec.n, 0.4, 2, seed=seed + 1)
-    stacked = stack_acquisitions(generate_acquisitions(spec))
+    stacked = DenseTensor.from_array(
+        np.stack([t.values for t in generate_acquisitions(spec)], axis=-1))
     mask = np.stack([_observed_fiber_mask(om, 20, 20, 3) for om in omegas], axis=-1)
     return stacked, mask
 
@@ -369,16 +368,28 @@ def test_nuclear_objective_matches_svd():
     assert abs(nuclear_objective(t, alphas) - expected) <= 1e-10
 
 
-def test_stack_shapes_and_roundtrip():
-    a = DenseTensor.from_array(np.zeros((200, 200, 3)))
-    b = DenseTensor.from_array(np.ones((200, 200, 3)))
-    stacked = stack_acquisitions([a, b])
-    assert stacked.shape == (200, 200, 3, 2)
-    single = stack_acquisitions([a])
-    assert single.shape == (200, 200, 3, 1)
-    back = unstack_acquisitions(stacked)
-    assert len(back) == 2
-    assert np.array_equal(back[0].values, a.values)
-    assert np.array_equal(back[1].values, b.values)
-    with pytest.raises(ValueError):
-        stack_acquisitions([a, DenseTensor.from_array(np.zeros((2, 2)))])
+def halrtc_pair(observed):
+    """Two 5x4x3 acquisitions with different values, and their observation
+    sets over the 20 fibers."""
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((5, 4, 3))
+    tensors = [DenseTensor.from_array(a), DenseTensor.from_array(10.0 - 3.0 * a[::-1])]
+    return tensors, [ObservationSet(20, ids) for ids in observed]
+
+
+def test_halrtc_fibers_fully_observed_returns_each_input():
+    tensors, omegas = halrtc_pair([np.arange(20), np.arange(20)])
+    blocks = _halrtc_fibers(tensors, omegas)
+    assert len(blocks) == 2
+    for block, t in zip(blocks, tensors):
+        assert block.tobytes() == matricize(t, 3).values.tobytes()
+
+
+def test_halrtc_fibers_keep_each_acquisitions_observed_rows():
+    tensors, omegas = halrtc_pair([np.arange(0, 14), np.arange(6, 20)])
+    blocks = _halrtc_fibers(tensors, omegas)
+    assert len(blocks) == 2
+    for block, t, om in zip(blocks, tensors, omegas):
+        assert block.shape == (20, 3)
+        given = matricize(t, 3).values
+        assert block[om.observed].tobytes() == given[om.observed].tobytes()

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from graphprop import (
+    DenseTensor,
     OverlapSpec,
     SynthSpec,
     build_graph,
@@ -14,7 +15,6 @@ from graphprop import (
     partial_overlap_masks,
     sample_observation_sets,
     smooth_raster_pair,
-    stack_acquisitions,
     two_block_graph,
 )
 from graphprop.datagen import CORE_MEAN, CORE_STD
@@ -63,7 +63,8 @@ def test_second_acquisition_is_channel_scaled():
 
 def test_stacked_tucker_ranks():
     spec = SynthSpec(20, 20, 3, r=6, lambda_count=2, seed=4)
-    stacked = stack_acquisitions(generate_acquisitions(spec))
+    stacked = DenseTensor.from_array(
+        np.stack([t.values for t in generate_acquisitions(spec)], axis=-1))
     for mode, expected in ((1, 6), (2, 6), (4, 2)):
         sv = np.linalg.svd(matricize(stacked, mode).values, compute_uv=False)
         numerical_rank = int(np.sum(sv > 1e-8 * sv[0]))
@@ -113,7 +114,7 @@ def test_unit_scale_normalisation():
 def test_observation_sets_zero_fraction():
     oms = sample_observation_sets(50, 0.0, 2, seed=1)
     for om in oms:
-        assert om.n_observed == 50
+        assert om.observed.size == 50
 
 
 def test_observation_sets_disjoint_and_covering():

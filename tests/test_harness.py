@@ -252,7 +252,8 @@ def test_overlap_sim_zero_area_notes(tmp_path):
     assert rows == []
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     area_notes = manifest["notes"]["area=0.0"]
-    assert area_notes["graphprop"] == "NoMissingEntries"
+    for method in ("graphprop", "halrtc", "gtvm"):
+        assert area_notes[method] == "NoMissingEntries"
     # completed rasters equal the inputs
     for lam, raster in enumerate(rasters, start=1):
         for method in ("graphprop", "halrtc", "gtvm"):

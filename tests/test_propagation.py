@@ -213,6 +213,18 @@ def test_unknown_solver_method_rejected():
                            method="cholesky")
 
 
+def test_graphprop_rejects_unknown_method_before_knn(monkeypatch):
+    calls = []
+    real = propagation.knn_edges
+    monkeypatch.setattr(propagation, "knn_edges", lambda *a: calls.append(1) or real(*a))
+    rng = np.random.default_rng(2)
+    f = rng.standard_normal((12, 2))
+    omegas = [ObservationSet(12, np.arange(0, 8)), ObservationSet(12, np.arange(4, 12))]
+    with pytest.raises(ValueError, match="'chol'"):
+        graphprop([(f[om.observed], om) for om in omegas], k=3, method="chol")
+    assert calls == []
+
+
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=30, deadline=None)
 def test_harmonic_and_maximum_principle(seed):
