@@ -15,12 +15,22 @@ features are scaled by a power of two first, so the edges are the same at
 any power-of-two scale of the input, up to feature sets whose own dynamic
 range in squared distance exceeds about 1e300.
 
+The brute-force row blocks run on one lane per CPU the process may use:
+the calling thread and pool threads, with one ``_BRUTE_BLOCK`` of float32
+distances in flight over all lanes. Its relations come sorted by (fiber,
+neighbour), so they are the same arrays at any lane count. The harness's
+``workers`` > 1 runs points in separate processes, and each process
+starts its own lanes.
+
 Node ids are 0-based throughout the Python API; the text edge-list format
 uses 1-based ids.
 """
 from __future__ import annotations
 
+import os
 import re
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -37,7 +47,8 @@ from .tensor import FiberMatrix
 # blocked brute-force path is used.
 KDTREE_MAX_CHANNELS = 16
 
-# Distance-matrix block of the brute-force path, in float32 entries (4 MB).
+# Distance-matrix entries in flight on the brute-force path, over all its
+# lanes, in float32 (4 MB).
 _BRUTE_BLOCK = 1_000_000
 
 # Relative gap under which two kd-tree distances count as tied.
@@ -170,22 +181,41 @@ def _knn_neighbors_tree(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     return np.concatenate(src), np.concatenate(dst)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity set where the
+    platform has one, else every CPU)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _knn_neighbors_brute(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Directed kNN relations by blocked brute force: a float32 filter
     shortlists, exact float64 distances select.
 
     The points are centred and scaled by a power of two into (-1, 1), then
-    cast to float32. Per block of rows, one float32 GEMM against the
-    column operand times -2 plus the (shrunk) squared column norms gives
-    each pair's squared distance less the row's own squared norm, which
-    does not change a row's order. The row's k-th smallest group minimum
-    (column groups of about eight) bounds its k-th smallest value from
-    above; every column within a rigorous rounding allowance of it is
-    shortlisted, and :func:`_nearest_k` picks k by exact float64 distance,
-    then smaller id, so the float32 pass only narrows the candidates.
-    Working memory is one block of ``_BRUTE_BLOCK`` float32 values (4 MB),
-    its group minima (an eighth of that) and a few arrays of the block's
-    shortlist length, which is about k per row.
+    cast to float32. Per block of rows, one float32 GEMM of the rows, each
+    with a trailing 1, against the column operand times -2 with the
+    (shrunk) squared column norms as its last row gives each pair's squared
+    distance less the row's own squared norm, which does not change a
+    row's order. The row's k-th smallest group minimum (column groups of
+    about eight) bounds its k-th smallest value from above; every column
+    within a rigorous rounding allowance of it is shortlisted, and
+    :func:`_nearest_k` picks k by exact float64 distance, then smaller id,
+    so the float32 pass only narrows the candidates.
+
+    The row blocks are independent and run on lanes, one per CPU the
+    process may use (:func:`_usable_cpus`) but no more than the blocks one
+    lane would make: the calling thread is lane 0, pool threads the rest,
+    and each lane claims the next unclaimed block until none is left. Each
+    lane allocates its block of ``_BRUTE_BLOCK // lanes`` float32 values
+    and the block's boolean shortlist mask once, so the blocks in flight
+    hold ``_BRUTE_BLOCK`` values (4 MB) in total, plus their group minima
+    (an eighth of that) and a few arrays of each block's shortlist length,
+    which is about k per row. Each block's relations are sorted by (row,
+    neighbour) and the blocks concatenated in block order, so the result
+    is sorted too: the same arrays at any lane count and block size.
     """
     n_obs, m = pts.shape
     # Distances do not change under translation; centring keeps the
@@ -202,67 +232,97 @@ def _knn_neighbors_brute(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
     # underflow or flush to zero), and |x| < 1.
     # - Inputs: y = float32(x) has |y - x| <= u|x| + lam per entry, so
     #   |y_i.y_j - x_i.x_j| <= (u + u^2/2)(a_i + a_j) + 2.01 m lam.
-    # - GEMM: y_i against -2 y_j (exact) in any summation order, with or
-    #   without fused multiply-add, errs by at most g_m times
-    #   2 sum|y_i||y_j| <= (1 + u)^2 (a_i + a_j) + 4.02 m lam, plus 2.2 m
-    #   lam of underflow.
-    # - Column term: float32((1 - c) a_j) from the float64 a_j errs by at
-    #   most 1.01 u a_j + lam; adding it to the GEMM value errs by at most
-    #   u (1.08 a_i + 2.09 a_j) + 1.5 lam.
-    # With g_m <= c <= 1/14 these sum to: the filter value F_ij stays within
-    # c0 (a_i + a_j) + t0 of t_ij - a_i - c a_j, with c0 = g_{m+6} and
-    # t0 = 9 m lam. Shrinking the column term by c a_j charges each pair
-    # its own share, so one far-off point cannot widen every row's
-    # shortlist: a true neighbour j of row i has
+    # - Column term: s_j = float32((1 - c) a_j) from the float64 a_j errs
+    #   by at most 1.01 u a_j + lam.
+    # - GEMM: m + 1 terms, y_i against -2 y_j (exact) and 1 against s_j,
+    #   in any summation order, with or without fused multiply-add, err by
+    #   at most g_{m+1} times 2 sum|y_i||y_j| + s_j, which is at most
+    #   (1 + u)^2 (a_i + a_j) + (1 + 2u) a_j + 4.02 m lam + lam, plus
+    #   2.2 (m + 1) lam of underflow.
+    # With c1 <= c <= 1/14 these sum to: the filter value F_ij stays within
+    # c0 a_i + c1 a_j + t0 of t_ij - a_i - c a_j, with c0 = g_{m+6},
+    # c1 = g_{2m+8} and t0 = 10 m lam. Shrinking the column term by c a_j
+    # charges each pair its own share, so one far-off point cannot widen
+    # every row's shortlist: a true neighbour j of row i has
     # F_ij <= t_ij - a_i + c0 a_i + t0. The k-th smallest group minimum
     # kth_i is the largest F over k distinct columns L (the row itself is
     # NaN, never among them), and j is no farther than some l in L, whose
     # t_il <= kth_i + a_i + c0 a_i + 2c a_l + t0; as a_l <= 2 a_i + 2 t_il,
     # a_l <= 3 (a_i + w_i + t0) with w_i = max(kth_i + a_i, 0). So
     #     F_ij <= kth_i + 2 c0 a_i + 6c (a_i + w_i) + 3 t0.
-    # The shortlist bound kth_i + 8c (a_i + w_i) + 28 m lam, rounded up to
+    # The shortlist bound kth_i + 8c (a_i + w_i) + 31 m lam, rounded up to
     # float32, exceeds this by at least 2u a_i + 2c w_i, with
-    # c = 1.1 (m + 7) u >= g_{m+7} >= c0 + u. That margin covers what
-    # float64 adds: the centring, the exact distances' own rounding and
-    # the bound's arithmetic, all within 2**-30 (a_i + w_i) up to a million
-    # channels. Their underflow, at most m 2**-1074 per distance in feature
-    # units, is m 2**-134 after the capped scale, inside the 28 m lam.
+    # c = 1.1 (2m + 8) u >= g_{2m+8} = c1 >= c0 + u: the column norms,
+    # summed inside the GEMM, make c1 about twice c0, and c covers c1. That
+    # margin covers what float64 adds: the centring, the exact distances'
+    # own rounding and the bound's arithmetic, all within 2**-30
+    # (a_i + w_i) up to half a million channels. Their underflow, at most
+    # m 2**-1074 per distance in feature units, is m 2**-134 after the
+    # capped scale, inside the 31 m lam.
     u = 2.0**-24
-    c = 1.1 * (m + 7) * u
-    tau = 28 * m * float(np.finfo(np.float32).tiny)
-    if c > 1 / 14:  # past about 1.09 million channels: keep every column
+    c = 1.1 * (2 * m + 8) * u
+    tau = 31 * m * float(np.finfo(np.float32).tiny)
+    if c > 1 / 14:  # past about 545 thousand channels: keep every column
         c, tau = 0.0, np.inf
-    y = x.astype(np.float32)
-    cols = -2.0 * y.T
-    col_sq = ((1.0 - c) * sq).astype(np.float32)
+    rows_op = np.ones((n_obs, m + 1), dtype=np.float32)
+    rows_op[:, :m] = x
+    cols = np.empty_like(rows_op)
+    np.multiply(rows_op[:, :m], -2.0, out=cols[:, :m])
+    cols[:, m] = (1.0 - c) * sq
+    cols = cols.T
     # Group g holds the columns g, g + groups, g + 2 groups, ...; at least
     # k + 1 groups leave k whose minimum is not the row's own NaN.
     groups = max(k + 1, -(-n_obs // 8))
-    rows_per_block = max(1, _BRUTE_BLOCK // n_obs)
-    src = []
-    dst = []
-    for start in range(0, n_obs, rows_per_block):
-        stop = min(start + rows_per_block, n_obs)
-        d2 = y[start:stop] @ cols
-        d2 += col_sq
-        local = np.arange(stop - start)
-        # NaN fails every comparison, even with an infinite bound, and
-        # partitions last.
-        d2[local, local + start] = np.nan
-        least = d2[:, :groups].copy()
-        for lo in range(groups, n_obs, groups):
-            part = d2[:, lo:lo + groups]
-            np.minimum(least[:, :part.shape[1]], part, out=least[:, :part.shape[1]])
-        least.partition(k - 1, axis=1)
-        kth = least[:, k - 1].astype(np.float64)
-        sq_rows = sq[start:stop]
-        bound = kth + 8.0 * c * (sq_rows + np.maximum(kth + sq_rows, 0.0)) + tau
-        bound = np.nextafter(bound.astype(np.float32), np.float32(np.inf))
-        rows, cands = np.divmod(np.flatnonzero(d2 <= bound[:, None]), n_obs)
-        rows, cands = _nearest_k(pts, rows + start, cands, k)
-        src.append(rows)
-        dst.append(cands)
-    return np.concatenate(src), np.concatenate(dst)
+    lanes = min(_usable_cpus(), -(-n_obs // max(1, _BRUTE_BLOCK // n_obs)))
+    rows_per_block = max(1, _BRUTE_BLOCK // (lanes * n_obs))
+    starts = range(0, n_obs, rows_per_block)
+    found = [None] * len(starts)
+    unclaimed = iter(range(len(starts)))
+    claim = threading.Lock()
+
+    def lane(block, mask, group_min):
+        while True:
+            with claim:
+                b = next(unclaimed, None)
+            if b is None:
+                return
+            start = starts[b]
+            stop = min(start + rows_per_block, n_obs)
+            size = stop - start
+            d2 = np.matmul(rows_op[start:stop], cols, out=block[:size])
+            local = np.arange(size)
+            # NaN fails every comparison, even with an infinite bound, and
+            # partitions last.
+            d2[local, local + start] = np.nan
+            least = group_min[:size]
+            np.copyto(least, d2[:, :groups])
+            for lo in range(groups, n_obs, groups):
+                part = d2[:, lo:lo + groups]
+                np.minimum(least[:, :part.shape[1]], part, out=least[:, :part.shape[1]])
+            least.partition(k - 1, axis=1)
+            kth = least[:, k - 1].astype(np.float64)
+            sq_rows = sq[start:stop]
+            bound = kth + 8.0 * c * (sq_rows + np.maximum(kth + sq_rows, 0.0)) + tau
+            bound = np.nextafter(bound.astype(np.float32), np.float32(np.inf))
+            shortlist = np.less_equal(d2, bound[:, None], out=mask[:size])
+            rows, cands = np.divmod(np.flatnonzero(shortlist), n_obs)
+            rows, cands = _nearest_k(pts, rows + start, cands, k)
+            found[b] = np.sort(rows * n_obs + cands)
+
+    # The calling thread allocates every lane's buffers: allocated in a
+    # pool thread, they come from that thread's own malloc arena, which
+    # raised the peak resident set by 2-3 MiB on 96x96x24 inputs.
+    buffers = [(np.empty((rows_per_block, n_obs), dtype=np.float32),
+                np.empty((rows_per_block, n_obs), dtype=bool),
+                np.empty((rows_per_block, groups), dtype=np.float32))
+               for _ in range(lanes)]
+    # A pool starts no thread before its first submit.
+    with ThreadPoolExecutor(max(lanes - 1, 1)) as pool:
+        helpers = [pool.submit(lane, *buf) for buf in buffers[1:]]
+        lane(*buffers[0])
+        for helper in helpers:
+            helper.result()
+    return np.divmod(np.concatenate(found), n_obs)
 
 
 def knn_edges(features: FiberMatrix, observed: ObservationSet, k: int) -> EdgeSet:
@@ -270,6 +330,7 @@ def knn_edges(features: FiberMatrix, observed: ObservationSet, k: int) -> EdgeSe
     neighbour) row for each of every observed fiber's k nearest observed
     fibers by Euclidean distance. A mutual pair appears once in each
     orientation; :func:`build_graph` symmetrises the relations by union.
+    The brute-force path lists the rows sorted by (fiber, neighbour).
 
     Nearness is the exact Euclidean distance of the feature difference;
     ties go to the smaller node id. Both search paths (kd-tree up to

@@ -38,14 +38,17 @@ class ErrorField:
         """Build the error field from full (n, channels) truth/estimate
         arrays per acquisition, stacking the acquisitions' missing rows in
         input order; ``never_observed`` ids are excluded from every
-        acquisition."""
+        acquisition. Raises ``ValueError`` naming the acquisition (1-based)
+        whose truth and estimate differ in shape."""
         truth = [t.values if hasattr(t, "values") else np.asarray(t, float) for t in truth]
         estimates = [e.values if hasattr(e, "values") else np.asarray(e, float) for e in estimates]
         if not (len(truth) == len(estimates) == len(omegas)):
             raise ValueError("need one truth, estimate, and observation set per acquisition")
         drop = np.asarray(sorted(never_observed), dtype=np.int64)
         blocks = []
-        for t, e, om in zip(truth, estimates, omegas):
+        for i, (t, e, om) in enumerate(zip(truth, estimates, omegas), start=1):
+            if t.shape != e.shape:
+                raise ValueError(f"acquisition {i}: truth is {t.shape}, estimate {e.shape}")
             rows = np.setdiff1d(om.missing, drop)
             blocks.append(t[rows] - e[rows])
         return cls(np.concatenate(blocks, axis=0))

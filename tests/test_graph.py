@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -228,11 +231,86 @@ def test_knn_brute_force_across_blocks(monkeypatch, block):
     assert edge_pairs(blocked) == brute_force_knn(points, 4)
 
 
+def lane_points(seed):
+    """Integer-grid points, each given twice 45 rows apart, so exact
+    distance ties (zero among the copies, equal lattice distances among the
+    rest) straddle row blocks of every size below 45."""
+    rng = np.random.default_rng(seed)
+    base = np.floor(rng.standard_normal((45, 20)) * 2.0)
+    return np.concatenate([base, base])
+
+
+class CountingPool(ThreadPoolExecutor):
+    submits = 0
+
+    def submit(self, *args, **kwargs):
+        CountingPool.submits += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_knn_brute_force_lanes_give_identical_arrays(monkeypatch, seed):
+    # 500 entries per block in flight: 5, 2 and 1 rows per block at 1, 2
+    # and 3 lanes, so every lane count cuts the rows differently
+    points = lane_points(seed)
+    omega = all_observed(len(points))
+    monkeypatch.setattr(graph, "_BRUTE_BLOCK", 500)
+    monkeypatch.setattr(graph, "ThreadPoolExecutor", CountingPool)
+    for k in (1, 3, 5):
+        arrays = []
+        for lanes in (1, 2, 3):
+            monkeypatch.setattr(graph, "_usable_cpus", lambda lanes=lanes: lanes)
+            CountingPool.submits = 0
+            arrays.append(knn_edges(FiberMatrix(points), omega, k).edges)
+            assert CountingPool.submits == lanes - 1
+        for other in arrays[1:]:
+            assert other.dtype == arrays[0].dtype and np.array_equal(other, arrays[0])
+        assert edge_pairs(EdgeSet(len(points), arrays[0])) == brute_force_knn(points, k)
+
+
+def test_knn_brute_force_lanes_claim_each_block_once(monkeypatch):
+    # eight lanes, more than the CPUs, over 90 one-row blocks with the
+    # interpreter switching threads as often as it can: a block claimed
+    # twice would select twice, one never claimed would be missing
+    points = lane_points(1)
+    omega = all_observed(len(points))
+    monkeypatch.setattr(graph, "_usable_cpus", lambda: 1)
+    want = knn_edges(FiberMatrix(points), omega, 3).edges
+    selected = []
+
+    def counting(pts, rows, cands, k):
+        selected.append(rows[0])
+        return nearest_k(pts, rows, cands, k)
+
+    nearest_k = graph._nearest_k
+    monkeypatch.setattr(graph, "_nearest_k", counting)
+    monkeypatch.setattr(graph, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(graph, "_BRUTE_BLOCK", 8 * len(points))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = knn_edges(FiberMatrix(points), omega, 3).edges
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(selected) == list(range(len(points)))
+    assert np.array_equal(got, want)
+
+
+def test_knn_brute_force_one_block_starts_no_pool_thread(monkeypatch):
+    points = lane_points(0)
+    monkeypatch.setattr(graph, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(graph, "ThreadPoolExecutor", CountingPool)
+    CountingPool.submits = 0
+    e = knn_edges(FiberMatrix(points), all_observed(len(points)), 3)
+    assert len(points) ** 2 <= graph._BRUTE_BLOCK and CountingPool.submits == 0
+    assert edge_pairs(e) == brute_force_knn(points, 3)
+
+
 def test_knn_brute_force_past_the_certified_channel_count():
-    # beyond about 1.09 million channels the float32 filter certifies
-    # nothing and keeps every other column; a node is still never its own
-    # neighbour (k = n - 1 leaves exactly the other two)
-    points = np.zeros((3, 1_089_431))
+    # from 544,711 channels on the float32 filter certifies nothing and
+    # keeps every other column; a node is still never its own neighbour
+    # (k = n - 1 leaves exactly the other two)
+    points = np.zeros((3, 544_711))
     points[1, ::2] = 1.0
     points[2, 1::3] = -1.0
     e = knn_edges(FiberMatrix(points), all_observed(3), 2)

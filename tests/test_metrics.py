@@ -153,6 +153,17 @@ def test_excluded_ids_do_not_contribute():
     assert base.errors.shape[0] == 3 and excl.errors.shape[0] == 2
 
 
+def test_from_completions_rejects_mismatched_shapes():
+    # a (4, 1) estimate against a (4, 3) truth would broadcast to a (2, 3)
+    # field scored without complaint
+    omegas = [ObservationSet(4, [0, 1]), ObservationSet(4, [2, 3])]
+    truth = [np.ones((4, 3)), np.ones((4, 3))]
+    for estimates in ([np.zeros((4, 3)), np.zeros((4, 1))],
+                      [np.zeros((4, 3)), np.zeros((3, 3))]):
+        with pytest.raises(ValueError, match=r"acquisition 2: truth is \(4, 3\)"):
+            ErrorField.from_completions(truth, estimates, omegas)
+
+
 def test_no_missing_entries_raised():
     empty = ErrorField(np.empty((0, 2)))
     for metric in (mse, rmse, mae):
