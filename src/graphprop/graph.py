@@ -15,12 +15,14 @@ features are scaled by a power of two first, so the edges are the same at
 any power-of-two scale of the input, up to feature sets whose own dynamic
 range in squared distance exceeds about 1e300.
 
-The brute-force row blocks run on one lane per CPU the process may use:
-the calling thread and pool threads, with one ``_BRUTE_BLOCK`` of float32
-distances in flight over all lanes. Its relations come sorted by (fiber,
-neighbour), so they are the same arrays at any lane count. The harness's
-``workers`` > 1 runs points in separate processes, and each process
-starts its own lanes.
+Where BLAS runs one thread per call, the brute-force row blocks run on
+one lane per CPU the process may use, up to ``_BRUTE_MAX_LANES``: the
+calling thread and pool threads, with one ``_BRUTE_BLOCK`` of float32
+distances in flight over all lanes. Each block's relations are sorted and
+the blocks joined in block order, so the arrays are the same at any lane
+count; otherwise the calling thread runs every block. The harness's
+``workers`` > 1 runs points in separate processes, and each process starts
+its own lanes.
 
 Node ids are 0-based throughout the Python API; the text edge-list format
 uses 1-based ids.
@@ -50,6 +52,11 @@ KDTREE_MAX_CHANNELS = 16
 # Distance-matrix entries in flight on the brute-force path, over all its
 # lanes, in float32 (4 MB).
 _BRUTE_BLOCK = 1_000_000
+
+# Most brute-force lanes, so a lane's block keeps 250k entries or more:
+# on one thread 250k-entry blocks ran no slower than 1M, smaller ones up
+# to about twice as slow.
+_BRUTE_MAX_LANES = 4
 
 # Relative gap under which two kd-tree distances count as tied.
 _TIE_RTOL = 1e-12
@@ -181,9 +188,16 @@ def _knn_neighbors_tree(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     return np.concatenate(src), np.concatenate(dst)
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (its affinity set where the
-    platform has one, else every CPU)."""
+def _lane_cpus() -> int:
+    """The CPUs the brute-force lanes may fill: those this process may run
+    on (its affinity set where the platform has one, else every CPU), but
+    only one unless the environment pins OpenBLAS, which numpy's wheels
+    bundle, to one thread per call (``OPENBLAS_NUM_THREADS``, else
+    ``OMP_NUM_THREADS``, is 1). Lanes whose GEMMs each start BLAS threads
+    contend for the same CPUs: with OpenBLAS's default threads on 2 CPUs,
+    two lanes took a 5,530x24 search from 75-90 ms to 100-128 ms."""
+    if os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS")) != "1":
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
@@ -195,27 +209,27 @@ def _knn_neighbors_brute(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
     shortlists, exact float64 distances select.
 
     The points are centred and scaled by a power of two into (-1, 1), then
-    cast to float32. Per block of rows, one float32 GEMM of the rows, each
-    with a trailing 1, against the column operand times -2 with the
-    (shrunk) squared column norms as its last row gives each pair's squared
-    distance less the row's own squared norm, which does not change a
-    row's order. The row's k-th smallest group minimum (column groups of
-    about eight) bounds its k-th smallest value from above; every column
-    within a rigorous rounding allowance of it is shortlisted, and
-    :func:`_nearest_k` picks k by exact float64 distance, then smaller id,
-    so the float32 pass only narrows the candidates.
+    cast to float32. Per block of rows, one float32 GEMM against the
+    column operand times -2 plus the (shrunk) squared column norms gives
+    each pair's squared distance less the row's own squared norm, which
+    does not change a row's order. The row's k-th smallest group minimum
+    (column groups of about eight) bounds its k-th smallest value from
+    above; every column within a rigorous rounding allowance of it is
+    shortlisted, and :func:`_nearest_k` picks k by exact float64 distance,
+    then smaller id, so the float32 pass only narrows the candidates.
 
-    The row blocks are independent and run on lanes, one per CPU the
-    process may use (:func:`_usable_cpus`) but no more than the blocks one
-    lane would make: the calling thread is lane 0, pool threads the rest,
-    and each lane claims the next unclaimed block until none is left. Each
-    lane allocates its block of ``_BRUTE_BLOCK // lanes`` float32 values
-    and the block's boolean shortlist mask once, so the blocks in flight
-    hold ``_BRUTE_BLOCK`` values (4 MB) in total, plus their group minima
-    (an eighth of that) and a few arrays of each block's shortlist length,
-    which is about k per row. Each block's relations are sorted by (row,
-    neighbour) and the blocks concatenated in block order, so the result
-    is sorted too: the same arrays at any lane count and block size.
+    The row blocks are independent and run on lanes, one per CPU that
+    :func:`_lane_cpus` grants but no more than ``_BRUTE_MAX_LANES`` or the
+    blocks one lane would make: the calling thread is lane 0, pool threads
+    the rest, and each lane claims the next unclaimed block until none is
+    left. The calling thread allocates each lane's block of
+    ``_BRUTE_BLOCK // lanes`` float32 values and the block's boolean
+    shortlist mask once, so the blocks in flight hold ``_BRUTE_BLOCK``
+    values (4 MB) in total, plus their group minima (an eighth of that)
+    and a few arrays of each block's shortlist length, which is about k
+    per row. Each block's relations are sorted by (row, neighbour) and the
+    blocks concatenated in block order, so the result is sorted too: the
+    same arrays at any lane count and block size.
     """
     n_obs, m = pts.shape
     # Distances do not change under translation; centring keeps the
@@ -232,48 +246,43 @@ def _knn_neighbors_brute(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
     # underflow or flush to zero), and |x| < 1.
     # - Inputs: y = float32(x) has |y - x| <= u|x| + lam per entry, so
     #   |y_i.y_j - x_i.x_j| <= (u + u^2/2)(a_i + a_j) + 2.01 m lam.
-    # - Column term: s_j = float32((1 - c) a_j) from the float64 a_j errs
-    #   by at most 1.01 u a_j + lam.
-    # - GEMM: m + 1 terms, y_i against -2 y_j (exact) and 1 against s_j,
-    #   in any summation order, with or without fused multiply-add, err by
-    #   at most g_{m+1} times 2 sum|y_i||y_j| + s_j, which is at most
-    #   (1 + u)^2 (a_i + a_j) + (1 + 2u) a_j + 4.02 m lam + lam, plus
-    #   2.2 (m + 1) lam of underflow.
-    # With c1 <= c <= 1/14 these sum to: the filter value F_ij stays within
-    # c0 a_i + c1 a_j + t0 of t_ij - a_i - c a_j, with c0 = g_{m+6},
-    # c1 = g_{2m+8} and t0 = 10 m lam. Shrinking the column term by c a_j
-    # charges each pair its own share, so one far-off point cannot widen
-    # every row's shortlist: a true neighbour j of row i has
+    # - GEMM: y_i against -2 y_j (exact) in any summation order, with or
+    #   without fused multiply-add, errs by at most g_m times
+    #   2 sum|y_i||y_j| <= (1 + u)^2 (a_i + a_j) + 4.02 m lam, plus 2.2 m
+    #   lam of underflow.
+    # - Column term: float32((1 - c) a_j) from the float64 a_j errs by at
+    #   most 1.01 u a_j + lam; adding it to the GEMM value errs by at most
+    #   u (1.08 a_i + 2.09 a_j) + 1.5 lam.
+    # With g_m <= c <= 1/14 these sum to: the filter value F_ij stays within
+    # c0 (a_i + a_j) + t0 of t_ij - a_i - c a_j, with c0 = g_{m+6} and
+    # t0 = 9 m lam. Shrinking the column term by c a_j charges each pair
+    # its own share, so one far-off point cannot widen every row's
+    # shortlist: a true neighbour j of row i has
     # F_ij <= t_ij - a_i + c0 a_i + t0. The k-th smallest group minimum
     # kth_i is the largest F over k distinct columns L (the row itself is
     # NaN, never among them), and j is no farther than some l in L, whose
     # t_il <= kth_i + a_i + c0 a_i + 2c a_l + t0; as a_l <= 2 a_i + 2 t_il,
     # a_l <= 3 (a_i + w_i + t0) with w_i = max(kth_i + a_i, 0). So
     #     F_ij <= kth_i + 2 c0 a_i + 6c (a_i + w_i) + 3 t0.
-    # The shortlist bound kth_i + 8c (a_i + w_i) + 31 m lam, rounded up to
+    # The shortlist bound kth_i + 8c (a_i + w_i) + 28 m lam, rounded up to
     # float32, exceeds this by at least 2u a_i + 2c w_i, with
-    # c = 1.1 (2m + 8) u >= g_{2m+8} = c1 >= c0 + u: the column norms,
-    # summed inside the GEMM, make c1 about twice c0, and c covers c1. That
-    # margin covers what float64 adds: the centring, the exact distances'
-    # own rounding and the bound's arithmetic, all within 2**-30
-    # (a_i + w_i) up to half a million channels. Their underflow, at most
-    # m 2**-1074 per distance in feature units, is m 2**-134 after the
-    # capped scale, inside the 31 m lam.
+    # c = 1.1 (m + 7) u >= g_{m+7} >= c0 + u. That margin covers what
+    # float64 adds: the centring, the exact distances' own rounding and
+    # the bound's arithmetic, all within 2**-30 (a_i + w_i) up to a million
+    # channels. Their underflow, at most m 2**-1074 per distance in feature
+    # units, is m 2**-134 after the capped scale, inside the 28 m lam.
     u = 2.0**-24
-    c = 1.1 * (2 * m + 8) * u
-    tau = 31 * m * float(np.finfo(np.float32).tiny)
-    if c > 1 / 14:  # past about 545 thousand channels: keep every column
+    c = 1.1 * (m + 7) * u
+    tau = 28 * m * float(np.finfo(np.float32).tiny)
+    if c > 1 / 14:  # past about 1.09 million channels: keep every column
         c, tau = 0.0, np.inf
-    rows_op = np.ones((n_obs, m + 1), dtype=np.float32)
-    rows_op[:, :m] = x
-    cols = np.empty_like(rows_op)
-    np.multiply(rows_op[:, :m], -2.0, out=cols[:, :m])
-    cols[:, m] = (1.0 - c) * sq
-    cols = cols.T
+    y = x.astype(np.float32)
+    cols = -2.0 * y.T
+    col_sq = ((1.0 - c) * sq).astype(np.float32)
     # Group g holds the columns g, g + groups, g + 2 groups, ...; at least
     # k + 1 groups leave k whose minimum is not the row's own NaN.
     groups = max(k + 1, -(-n_obs // 8))
-    lanes = min(_usable_cpus(), -(-n_obs // max(1, _BRUTE_BLOCK // n_obs)))
+    lanes = min(_lane_cpus(), _BRUTE_MAX_LANES, -(-n_obs // max(1, _BRUTE_BLOCK // n_obs)))
     rows_per_block = max(1, _BRUTE_BLOCK // (lanes * n_obs))
     starts = range(0, n_obs, rows_per_block)
     found = [None] * len(starts)
@@ -289,7 +298,8 @@ def _knn_neighbors_brute(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
             start = starts[b]
             stop = min(start + rows_per_block, n_obs)
             size = stop - start
-            d2 = np.matmul(rows_op[start:stop], cols, out=block[:size])
+            d2 = np.matmul(y[start:stop], cols, out=block[:size])
+            d2 += col_sq
             local = np.arange(size)
             # NaN fails every comparison, even with an infinite bound, and
             # partitions last.
@@ -330,7 +340,6 @@ def knn_edges(features: FiberMatrix, observed: ObservationSet, k: int) -> EdgeSe
     neighbour) row for each of every observed fiber's k nearest observed
     fibers by Euclidean distance. A mutual pair appears once in each
     orientation; :func:`build_graph` symmetrises the relations by union.
-    The brute-force path lists the rows sorted by (fiber, neighbour).
 
     Nearness is the exact Euclidean distance of the feature difference;
     ties go to the smaller node id. Both search paths (kd-tree up to

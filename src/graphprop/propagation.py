@@ -53,12 +53,6 @@ CG_ITERS_PER_UNKNOWN = 10
 # The steady-state solve methods (see solve_steady_state).
 SOLVE_METHODS = ("cg", "splu")
 
-# Row-by-row dot products of two C-contiguous arrays: one BLAS dot per row,
-# so every row rounds as a lone vector does. numpy < 2 has no vecdot; its
-# matmul of (1, n) by (n, 1) stacks calls the same dot.
-_vecdot = getattr(np, "vecdot", None) or (
-    lambda a, b: np.matmul(a[:, None], b[:, :, None])[:, 0, 0])
-
 
 def _check_method(method: str) -> None:
     if method not in SOLVE_METHODS:
@@ -114,6 +108,13 @@ def check_observed(g: SparseGraph, omega: ObservationSet, f_obs) -> np.ndarray:
     return f_obs
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of ``a`` with the same row of ``b``: a
+    stacked (1, n) by (n, 1) matmul, one BLAS ``dot`` per row, so every row
+    rounds as a lone vector does."""
+    return np.matmul(a[:, None], b[:, :, None])[:, 0, 0]
+
+
 def jacobi_cg(matrix: sp.csr_array, rhs: np.ndarray) -> tuple[np.ndarray, int, bool]:
     """Solve the symmetric positive definite ``matrix X = rhs`` with one
     independent Jacobi-preconditioned conjugate gradient per column, every
@@ -136,7 +137,7 @@ def jacobi_cg(matrix: sp.csr_array, rhs: np.ndarray) -> tuple[np.ndarray, int, b
     solution = np.zeros_like(rhs)
     # One row per column, so the vector updates run over contiguous rows.
     r = np.ascontiguousarray(rhs.T)
-    tol = DEFAULT_TOL * np.sqrt(_vecdot(r, r))
+    tol = DEFAULT_TOL * np.sqrt(_row_dots(r, r))
     live = np.flatnonzero(tol > 0)
     tol, r = tol[live], r[live]
     x = np.zeros_like(r)
@@ -144,7 +145,7 @@ def jacobi_cg(matrix: sp.csr_array, rhs: np.ndarray) -> tuple[np.ndarray, int, b
     rho_prev = np.ones(live.size)  # p is 0, so the first step sets p = z
     iterations = 0
     for step in range(cap):
-        done = np.sqrt(_vecdot(r, r)) < tol
+        done = np.sqrt(_row_dots(r, r)) < tol
         if done.any():
             solution[:, live[done]] = x[done].T
             iterations = step
@@ -153,11 +154,11 @@ def jacobi_cg(matrix: sp.csr_array, rhs: np.ndarray) -> tuple[np.ndarray, int, b
         if not live.size:
             return solution, iterations, True
         z = r * inv_diag
-        rho = _vecdot(r, z)
+        rho = _row_dots(r, z)
         p *= (rho / rho_prev)[:, None]
         p += z
         q = np.ascontiguousarray((matrix @ p.T).T)
-        alpha = (rho / _vecdot(p, q))[:, None]
+        alpha = (rho / _row_dots(p, q))[:, None]
         x += alpha * p
         r -= alpha * q
         rho_prev = rho

@@ -1,3 +1,4 @@
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -259,7 +260,7 @@ def test_knn_brute_force_lanes_give_identical_arrays(monkeypatch, seed):
     for k in (1, 3, 5):
         arrays = []
         for lanes in (1, 2, 3):
-            monkeypatch.setattr(graph, "_usable_cpus", lambda lanes=lanes: lanes)
+            monkeypatch.setattr(graph, "_lane_cpus", lambda lanes=lanes: lanes)
             CountingPool.submits = 0
             arrays.append(knn_edges(FiberMatrix(points), omega, k).edges)
             assert CountingPool.submits == lanes - 1
@@ -269,12 +270,12 @@ def test_knn_brute_force_lanes_give_identical_arrays(monkeypatch, seed):
 
 
 def test_knn_brute_force_lanes_claim_each_block_once(monkeypatch):
-    # eight lanes, more than the CPUs, over 90 one-row blocks with the
-    # interpreter switching threads as often as it can: a block claimed
-    # twice would select twice, one never claimed would be missing
+    # eight lanes (cap lifted), more than the CPUs, over 90 one-row blocks
+    # with the interpreter switching threads as often as it can: a block
+    # claimed twice would select twice, one never claimed would be missing
     points = lane_points(1)
     omega = all_observed(len(points))
-    monkeypatch.setattr(graph, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(graph, "_lane_cpus", lambda: 1)
     want = knn_edges(FiberMatrix(points), omega, 3).edges
     selected = []
 
@@ -284,7 +285,8 @@ def test_knn_brute_force_lanes_claim_each_block_once(monkeypatch):
 
     nearest_k = graph._nearest_k
     monkeypatch.setattr(graph, "_nearest_k", counting)
-    monkeypatch.setattr(graph, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(graph, "_lane_cpus", lambda: 8)
+    monkeypatch.setattr(graph, "_BRUTE_MAX_LANES", 8)
     monkeypatch.setattr(graph, "_BRUTE_BLOCK", 8 * len(points))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -296,9 +298,34 @@ def test_knn_brute_force_lanes_claim_each_block_once(monkeypatch):
     assert np.array_equal(got, want)
 
 
+def test_knn_brute_force_lanes_capped(monkeypatch):
+    # sixteen CPUs and 90 blocks still make only _BRUTE_MAX_LANES lanes
+    points = lane_points(2)
+    monkeypatch.setattr(graph, "_BRUTE_BLOCK", len(points))
+    monkeypatch.setattr(graph, "_lane_cpus", lambda: 16)
+    monkeypatch.setattr(graph, "ThreadPoolExecutor", CountingPool)
+    CountingPool.submits = 0
+    e = knn_edges(FiberMatrix(points), all_observed(len(points)), 3)
+    assert CountingPool.submits == graph._BRUTE_MAX_LANES - 1
+    assert edge_pairs(e) == brute_force_knn(points, 3)
+
+
+def test_knn_brute_force_lanes_only_on_single_threaded_blas(monkeypatch):
+    # lanes whose GEMMs each start BLAS threads oversubscribe the CPUs
+    cpus = len(os.sched_getaffinity(0))
+    for openblas, omp, want in ((None, None, 1), ("1", None, cpus), (None, "1", cpus),
+                                ("2", "1", 1), (None, "4", 1)):
+        for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+            if value is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, value)
+        assert graph._lane_cpus() == want
+
+
 def test_knn_brute_force_one_block_starts_no_pool_thread(monkeypatch):
     points = lane_points(0)
-    monkeypatch.setattr(graph, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(graph, "_lane_cpus", lambda: 3)
     monkeypatch.setattr(graph, "ThreadPoolExecutor", CountingPool)
     CountingPool.submits = 0
     e = knn_edges(FiberMatrix(points), all_observed(len(points)), 3)
@@ -307,10 +334,10 @@ def test_knn_brute_force_one_block_starts_no_pool_thread(monkeypatch):
 
 
 def test_knn_brute_force_past_the_certified_channel_count():
-    # from 544,711 channels on the float32 filter certifies nothing and
-    # keeps every other column; a node is still never its own neighbour
-    # (k = n - 1 leaves exactly the other two)
-    points = np.zeros((3, 544_711))
+    # beyond about 1.09 million channels the float32 filter certifies
+    # nothing and keeps every other column; a node is still never its own
+    # neighbour (k = n - 1 leaves exactly the other two)
+    points = np.zeros((3, 1_089_431))
     points[1, ::2] = 1.0
     points[2, 1::3] = -1.0
     e = knn_edges(FiberMatrix(points), all_observed(3), 2)
