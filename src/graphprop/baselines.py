@@ -1,7 +1,9 @@
-"""Comparison methods: total-variation graph inpainting (one conjugate-
-gradient solve of its normal equations at every graph size) and low-rank
-tensor completion via mode-wise singular-value thresholding (HaLRTC, an
-ADMM with uniform mode weights ``1 / order`` and the fixed ``HALRTC_*``
+"""Comparison methods: total-variation graph inpainting (its normal
+equations over the reachable missing nodes, solved by conjugate gradient
+in :func:`~graphprop.propagation.solve_reachable`, the steady-state
+solve's one solve, input check and fill rule) and low-rank tensor
+completion via mode-wise singular-value thresholding (HaLRTC, an ADMM
+with uniform mode weights ``1 / order`` and the fixed ``HALRTC_*``
 schedule). Each thresholding step takes ``eigh`` of the small Gram of a
 mode unfolding M instead of a full SVD, shrinks M through its eigenvectors
 and refolds it; it agrees with the SVD thresholding of M at threshold
@@ -9,14 +11,12 @@ tau to about ``I_m eps ||M||_2^2 / tau`` in Frobenius norm, with I_m the
 mode's extent (for tau up to ``||M||_2 / 100``; see ``_shrink_mode``)."""
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import AllMissing, EmptyGraph, SingularSystemWarning
-from .graph import ObservationSet, SparseGraph, partition_blocks, split_reachable
-from .propagation import check_observed, fill_rows, jacobi_cg
+from .graph import ObservationSet, SparseGraph
+from .propagation import solve_reachable
 from .tensor import DenseTensor, FiberMatrix, refold
 
 # HaLRTC's ADMM penalty: starts at HALRTC_RHO, grows by HALRTC_RHO_GROWTH
@@ -37,49 +37,31 @@ def gtvm_inpaint(
     """Graph total-variation inpainting.
 
     Minimises ``||F - A' F||_F^2`` subject to ``F_o = t_obs``, where A' is
-    the adjacency scaled by ``g.lam_max``. The missing nodes that share a
-    component with an observed node solve the normal equations of the
-    quadratic with :func:`~graphprop.propagation.jacobi_cg` (hitting its
-    iteration cap warns :class:`SingularSystemWarning` and keeps the last
-    iterate). The other missing nodes get the per-channel mean of the
-    observed rows, the fill rule of
-    :func:`~graphprop.propagation.solve_steady_state`; those in a component
-    with edges but no observed node make the system singular there and are
-    reported with :class:`SingularSystemWarning`, as the steady-state solve
-    reports them with :class:`~graphprop.errors.UnreachableComponent`.
+    the adjacency scaled by ``g.lam_max``. The normal equations of the
+    quadratic over the missing nodes that share a component with an
+    observed node are solved by :func:`~graphprop.propagation.solve_reachable`
+    with conjugate gradient, as the steady-state solve is; the other
+    missing nodes get the per-channel mean of the observed rows. Both of
+    that solve's warnings are :class:`SingularSystemWarning` here: missing
+    nodes in a component with edges but no observed node (the system is
+    singular there), and the iteration cap (the last iterate is kept).
     """
     if g.adjacency.nnz == 0:
         raise EmptyGraph("adjacency has no edges")
-    t_obs = check_observed(g, omega, t_obs)
-    kept, excluded = split_reachable(g, omega)
-    stranded = excluded[g.degrees[excluded] > 0]
-    if stranded.size:
-        warnings.warn(
-            f"{stranded.size} missing node(s) lie in components with no observed "
-            "node; the inpainting system is singular there and they are mean-filled",
-            SingularSystemWarning,
-        )
-    if kept.size == 0:
-        return fill_rows(omega, t_obs, kept, np.empty((0, t_obs.shape[1])), excluded)
 
-    lam_max = g.lam_max
-    blocks = partition_blocks(g, omega.observed, kept)
-    b_kk = sp.eye_array(kept.size, format="csr") - blocks.a_cc / lam_max
-    gram = (b_kk @ b_kk + (blocks.a_co @ blocks.a_co.T) / lam_max**2).tocsr()
-    # B is symmetric, so B_k^T B_o F_o = (B B x)_k with x the observed
-    # values padded with zeros (no edge joins k to the other missing nodes).
-    x = np.zeros((g.n, t_obs.shape[1]), dtype=np.float64)
-    x[omega.observed] = t_obs
-    b_x = x - (g.adjacency @ x) / lam_max
-    rhs = ((g.adjacency @ b_x) / lam_max - b_x)[kept]
-    solution, iterations, converged = jacobi_cg(gram, rhs)
-    if not converged:
-        warnings.warn(
-            f"inpainting conjugate gradient hit the {iterations}-iteration cap; "
-            "last iterate kept",
-            SingularSystemWarning,
-        )
-    return fill_rows(omega, t_obs, kept, solution, excluded)
+    def normal_equations(kept, blocks, t_obs):
+        lam_max = g.lam_max
+        b_kk = sp.eye_array(kept.size, format="csr") - blocks.a_cc / lam_max
+        gram = (b_kk @ b_kk + (blocks.a_co @ blocks.a_co.T) / lam_max**2).tocsr()
+        # B is symmetric, so B_k^T B_o F_o = (B B x)_k with x the observed
+        # values padded with zeros (no edge joins k to the other missing nodes).
+        x = np.zeros((g.n, t_obs.shape[1]), dtype=np.float64)
+        x[omega.observed] = t_obs
+        b_x = x - (g.adjacency @ x) / lam_max
+        return gram, ((g.adjacency @ b_x) / lam_max - b_x)[kept]
+
+    return solve_reachable(g, omega, t_obs, normal_equations, "cg",
+                           SingularSystemWarning, SingularSystemWarning).completed
 
 
 def _shrink_mode(x: np.ndarray, mode: int, threshold: float) -> np.ndarray:

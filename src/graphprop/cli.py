@@ -13,29 +13,9 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, DataError, GraphPropError, InfeasibleFraction
-from .harness import (
-    EXPERIMENT_KINDS,
-    config_from_dict,
-    convert_raster,
-    load_config,
-    run_blogs,
-    run_bound_report,
-    run_complete,
-    run_missing_sweep,
-    run_overlap_sim,
-    run_rank_sweep,
-)
+from .harness import EXPERIMENT_KINDS, RUNNERS, config_from_dict, convert_raster, load_config
 
 log = logging.getLogger("graphprop")
-
-_RUNNERS = {
-    "rank-sweep": run_rank_sweep,
-    "missing-sweep": run_missing_sweep,
-    "overlap-sim": run_overlap_sim,
-    "blogs": run_blogs,
-    "complete": run_complete,
-    "bound-report": run_bound_report,
-}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -106,7 +86,7 @@ def main(argv=None) -> int:
             log.info("wrote %s with shape %s", args.output, tensor.shape)
             return 0
         cfg = _build_config(args)
-        _RUNNERS[cfg.kind](cfg)
+        RUNNERS[cfg.kind](cfg)
     except (ConfigError, InfeasibleFraction) as exc:
         log.error("configuration error: %s", exc)
         return 2

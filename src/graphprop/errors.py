@@ -70,11 +70,13 @@ class UnreachableComponent(RuntimeWarning):
 
 
 class SingularSystemWarning(RuntimeWarning):
-    """Total-variation inpainting could not pin every missing node: some
-    lie in a component with edges but no observed node (filled with the
-    per-channel mean of the observed rows, as the steady-state solve fills
-    its excluded nodes), or its conjugate-gradient solve hit the iteration
-    cap (the last iterate is kept)."""
+    """Total-variation inpainting could not pin every missing node.
+    :func:`~graphprop.propagation.solve_reachable` raises it for GTVM
+    where the steady-state solve raises :class:`UnreachableComponent`
+    (missing nodes in a component with edges but no observed node, where
+    the system is singular; they are mean-filled) or
+    :class:`MaxItersExceeded` (the conjugate-gradient iteration cap; the
+    last iterate is kept)."""
 
 
 class CoverageViolationWarning(UserWarning):

@@ -57,17 +57,6 @@ log = logging.getLogger("graphprop")
 
 SCHEMA_VERSION = "graphprop.results.v1"
 
-EXPERIMENT_KINDS = (
-    "rank-sweep",
-    "missing-sweep",
-    "overlap-sim",
-    "blogs",
-    "complete",
-    "bound-report",
-)
-
-_KIND_TAGS = {kind: i for i, kind in enumerate(EXPERIMENT_KINDS, start=1)}
-
 # Applied on top of the defaults when full_scale is set, for keys the user
 # did not set explicitly.
 FULL_SCALE_PRESET = {
@@ -729,10 +718,23 @@ def save_observation_set(omega: ObservationSet, path) -> None:
     Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
 
 
-def _bound_reports(omegas, truths, results) -> list:
-    """One bound report per acquisition, from its truth fibers and its
-    completion; raises :class:`BoundViolation` when a measured error exceeds
-    an applicable bound, so a runner checks before it writes any file."""
+def _complete(cfg: ExperimentConfig, fibers, omegas, truths=None):
+    """The ``graphprop`` stage on the acquisitions' fiber arrays, its
+    manifest notes (nodes missing in every acquisition, ``never_observed``;
+    each acquisition's excluded, mean-filled nodes; the warnings) and,
+    given truth fibers, one bound report per acquisition, else ``None``. A
+    measured error above an applicable bound raises :class:`BoundViolation`
+    here, so no file is written."""
+    caught: list[dict] = []
+    results, _ = _stage(caught, {"method": "graphprop"}, _propagate, cfg, fibers, omegas)
+    notes = {
+        "never_observed": functools.reduce(
+            np.intersect1d, [om.missing for om in omegas]).tolist(),
+        "excluded_per_acquisition": [r.excluded_ids.tolist() for r in results],
+        "warnings": caught,
+    }
+    if truths is None:
+        return results, notes, None
     reports = []
     for om, f, res in zip(omegas, truths, results):
         report = evaluate_bounds(res.graph, om, f, res.completed)
@@ -741,16 +743,14 @@ def _bound_reports(omegas, truths, results) -> list:
                 f"bound violated: measured {report.measured_error} > bound {report.bound}"
             )
         reports.append(report)
-    return reports
+    return results, notes, reports
 
 
 def run_complete(cfg: ExperimentConfig, *, write: bool = True):
     """Generic completion of user-supplied acquisitions; a thin shell over
-    the library pipeline. The manifest notes list the nodes missing in
-    every acquisition (``never_observed``; :func:`graphprop` warns about
-    them) and each acquisition's excluded, mean-filled nodes. With
-    ``truth_files`` set it also writes ``bound_report.json`` and returns
-    the reports, otherwise ``None``; a violated bound raises
+    the library pipeline, with the manifest notes of :func:`_complete`.
+    With ``truth_files`` set it also writes ``bound_report.json`` and
+    returns the reports, otherwise ``None``; a violated bound raises
     :class:`BoundViolation` before any file is written, as in
     :func:`run_bound_report`."""
     tensors = _load_tensors(cfg.inputs)
@@ -758,20 +758,11 @@ def run_complete(cfg: ExperimentConfig, *, write: bool = True):
     order = len(shape)
     n = int(np.prod(shape[:-1]))
     omegas = [load_observation_set(p, n) for p in cfg.observation_files]
-
-    caught: list[dict] = []
-    results, _ = _stage(caught, {"method": "graphprop"}, _propagate, cfg,
-                        [matricize(t, order).values for t in tensors], omegas)
-    notes = {
-        "never_observed": functools.reduce(
-            np.intersect1d, [om.missing for om in omegas]).tolist(),
-        "excluded_per_acquisition": [r.excluded_ids.tolist() for r in results],
-        "warnings": caught,
-    }
-    reports = None
+    truths = None
     if cfg.truth_files:
-        truths = _load_tensors(cfg.truth_files, shape)
-        reports = _bound_reports(omegas, [matricize(t, order).values for t in truths], results)
+        truths = [matricize(t, order).values for t in _load_tensors(cfg.truth_files, shape)]
+    results, notes, reports = _complete(
+        cfg, [matricize(t, order).values for t in tensors], omegas, truths)
     if write:
         artifacts: list[str] = []
         for i, res in enumerate(results, start=1):
@@ -781,17 +772,16 @@ def run_complete(cfg: ExperimentConfig, *, write: bool = True):
 
 
 def run_bound_report(cfg: ExperimentConfig, *, write: bool = True):
-    """Bound quantities and measured errors on one synthetic instance;
-    raises :class:`BoundViolation` if a computed bound is violated (it
-    never should be on noiseless observations)."""
+    """Bound quantities and measured errors on one synthetic instance,
+    with the manifest notes of :func:`_complete`; raises
+    :class:`BoundViolation` if a computed bound is violated (it never
+    should be on noiseless observations)."""
     tensors, omegas = _synth_instance(cfg, cfg.rank, cfg.missing_frac,
                                       _KIND_TAGS["bound-report"])
     fibers = [matricize(t, 3).values for t in tensors]
-    caught: list[dict] = []
-    results, _ = _stage(caught, {"method": "graphprop"}, _propagate, cfg, fibers, omegas)
-    reports = _bound_reports(omegas, fibers, results)
+    _, notes, reports = _complete(cfg, fibers, omegas, fibers)
     if write:
-        write_outputs(cfg, [], notes={"warnings": caught}, reports=reports)
+        write_outputs(cfg, [], notes=notes, reports=reports)
     return reports
 
 
@@ -812,7 +802,7 @@ def convert_raster(input_path, sidecar_path, output_path) -> DenseTensor:
     h, w, bands = meta["height"], meta["width"], meta["bands"]
     if not all(type(v) is int and v >= 1 for v in (h, w, bands)):
         raise DataError(f"{sidecar_path}: extents must be positive JSON integers")
-    if meta["dtype"] not in _RASTER_DTYPES:
+    if not isinstance(meta["dtype"], str) or meta["dtype"] not in _RASTER_DTYPES:
         raise DataError(
             f"{sidecar_path}: dtype must be one of {sorted(_RASTER_DTYPES)}"
         )
@@ -827,3 +817,17 @@ def convert_raster(input_path, sidecar_path, output_path) -> DenseTensor:
         raise DataError(f"{input_path}: {exc}") from exc
     save_tensor(tensor, output_path)
     return tensor
+
+
+# Experiment kind to runner. The order fixes each kind's tag in the seed
+# tree (1-based), so new kinds go at the end.
+RUNNERS = {
+    "rank-sweep": run_rank_sweep,
+    "missing-sweep": run_missing_sweep,
+    "overlap-sim": run_overlap_sim,
+    "blogs": run_blogs,
+    "complete": run_complete,
+    "bound-report": run_bound_report,
+}
+EXPERIMENT_KINDS = tuple(RUNNERS)
+_KIND_TAGS = {kind: i for i, kind in enumerate(EXPERIMENT_KINDS, start=1)}

@@ -1,11 +1,13 @@
 """Masked diffusion over the unified graph: the steady-state solve, the
 end-to-end multi-acquisition pipeline, and median thresholding for label
-tasks. The solve's input check (:func:`check_observed`), conjugate
+tasks. :func:`solve_reachable` is the one solve over the missing nodes an
+observed node can reach: input check (:func:`check_observed`), conjugate
 gradient (:func:`jacobi_cg`, every channel's recurrence in one loop with
-one sparse product per iteration) and fill rule (:func:`fill_rows`) are
+one sparse product per iteration) or sparse LU, and fill rule. It is
 shared with total-variation inpainting in :mod:`graphprop.baselines`.
-:func:`graphprop` assembles the union graph of its acquisitions' kNN edge
-sets in one :func:`~graphprop.graph.build_graph` call.
+:func:`graphprop` checks every acquisition with :func:`check_observed` and
+assembles the union graph of their kNN edge sets in one
+:func:`~graphprop.graph.build_graph` call.
 
 The steady state pins observed fibers and drives every missing fiber to
 the arithmetic mean of its neighbours' fibers, i.e. it solves the grounded
@@ -86,16 +88,13 @@ class CompletionResult:
     graph: SparseGraph
 
 
-def check_observed(g: SparseGraph, omega: ObservationSet, f_obs) -> np.ndarray:
+def check_observed(omega: ObservationSet, f_obs) -> np.ndarray:
     """Observed values as a float64 ``(n_observed, channels)`` array.
 
-    Raises ``ValueError`` unless the graph and the observation set share
-    their node count and ``f_obs`` has one row per observed id,
+    Raises ``ValueError`` unless ``f_obs`` has one row per observed id,
     :class:`AllMissing` when no node is observed (the fill rule needs an
     observed mean), and :class:`NonFiniteInput` for NaN or infinite values.
     """
-    if g.n != omega.n:
-        raise ValueError(f"graph has {g.n} nodes, observation set {omega.n}")
     f_obs = np.asarray(f_obs, dtype=np.float64)
     if f_obs.ndim != 2 or f_obs.shape[0] != omega.observed.size:
         raise ValueError(
@@ -166,16 +165,62 @@ def jacobi_cg(matrix: sp.csr_array, rhs: np.ndarray) -> tuple[np.ndarray, int, b
     return solution, cap, not live.size
 
 
-def fill_rows(omega: ObservationSet, f_obs: np.ndarray, solved: np.ndarray,
-              solution: np.ndarray, excluded: np.ndarray) -> FiberMatrix:
-    """The completed fiber matrix: observed rows bit for bit, ``solution``
-    at the ``solved`` missing ids, and the per-channel mean of the observed
-    rows at the ``excluded`` missing ids."""
+def solve_reachable(g: SparseGraph, omega: ObservationSet, f_obs, system,
+                    method: str, stranded: type[Warning],
+                    capped: type[Warning]) -> CompletionResult:
+    """Solve one symmetric positive definite system over the missing nodes
+    that share a component with an observed node, and fill every row.
+
+    ``system(kept, blocks, f_obs)`` returns the system's ``(matrix, rhs)``
+    over the ``kept`` missing ids, given their
+    :func:`~graphprop.graph.partition_blocks` slices and the checked
+    observed values. ``method`` is 'cg' (:func:`jacobi_cg`; hitting its
+    iteration cap warns ``capped`` and sets ``stats.converged`` to False)
+    or 'splu' (sparse direct). The other missing nodes are excluded and
+    get the per-channel mean of the observed rows; those in a component
+    with edges (not zero-degree) are reported with ``stranded``. Observed
+    rows are returned bit for bit.
+    """
+    if g.n != omega.n:
+        raise ValueError(f"graph has {g.n} nodes, observation set {omega.n}")
+    f_obs = check_observed(omega, f_obs)
+    kept, excluded = split_reachable(g, omega)
+    unreached = int(np.count_nonzero(g.degrees[excluded] > 0))
+    if unreached:
+        warnings.warn(
+            f"{unreached} missing node(s) lie in components with no observed "
+            "node; they are excluded and mean-filled",
+            stranded,
+        )
+    solution = np.empty((0, f_obs.shape[1]))
+    stats = SolverStats(method, 0, 0.0, True)
+    if kept.size:
+        matrix, rhs = system(kept, partition_blocks(g, omega.observed, kept), f_obs)
+        if method == "cg":
+            solution, iterations, converged = jacobi_cg(matrix, rhs)
+            if not converged:
+                warnings.warn(
+                    f"conjugate gradient hit the {iterations}-iteration cap; "
+                    "last iterate kept",
+                    capped,
+                )
+        else:
+            solution = spla.splu(matrix.tocsc()).solve(rhs)
+            iterations, converged = 0, True
+        residual = float(np.linalg.norm(matrix @ solution - rhs))
+        stats = SolverStats(method, iterations, residual, converged)
+
     values = np.empty((omega.n, f_obs.shape[1]), dtype=np.float64)
     values[omega.observed] = f_obs
-    values[solved] = solution
+    values[kept] = solution
     values[excluded] = f_obs.mean(axis=0)
-    return FiberMatrix(values)
+    return CompletionResult(FiberMatrix(values), kept, excluded, stats, g)
+
+
+def _grounded_laplacian(kept, blocks, f_obs):
+    """``L_kk = D_kk - A_kk`` and ``b = A_ko F_o`` over the kept missing ids."""
+    l_kk = (sp.diags_array(blocks.d_cc, format="csr") - blocks.a_cc).tocsr()
+    return l_kk, blocks.a_co @ f_obs
 
 
 def solve_steady_state(
@@ -199,44 +244,11 @@ def solve_steady_state(
     Missing nodes with no path to an observed node are excluded and get
     the per-channel mean of the observed rows; those in a component with
     edges (not zero-degree) are reported with :class:`UnreachableComponent`.
+    See :func:`solve_reachable`.
     """
-    f_obs = check_observed(g, omega, f_obs)
     _check_method(method)
-
-    kept, excluded = split_reachable(g, omega)
-    stranded = excluded[g.degrees[excluded] > 0]
-    if stranded.size:
-        warnings.warn(
-            f"{stranded.size} missing node(s) lie in components with no observed "
-            "node; they are excluded and mean-filled",
-            UnreachableComponent,
-        )
-    if kept.size == 0:
-        completed = fill_rows(omega, f_obs, kept, np.empty((0, f_obs.shape[1])), excluded)
-        return CompletionResult(completed, kept, excluded,
-                                SolverStats(method, 0, 0.0, True), g)
-
-    # L_kk = D_kk - A_kk and b = A_ko F_o over the kept missing ids
-    blocks = partition_blocks(g, omega.observed, kept)
-    l_kk = (sp.diags_array(blocks.d_cc, format="csr") - blocks.a_cc).tocsr()
-    b = blocks.a_co @ f_obs
-
-    if method == "cg":
-        solution, iterations, converged = jacobi_cg(l_kk, b)
-        if not converged:
-            warnings.warn(
-                f"conjugate gradient hit the {iterations}-iteration cap",
-                MaxItersExceeded,
-            )
-    else:
-        lu = spla.splu(l_kk.tocsc())
-        solution = lu.solve(b)
-        iterations, converged = 0, True
-
-    residual = float(np.linalg.norm(l_kk @ solution - b))
-    completed = fill_rows(omega, f_obs, kept, solution, excluded)
-    stats = SolverStats(method, iterations, residual, converged)
-    return CompletionResult(completed, kept, excluded, stats, g)
+    return solve_reachable(g, omega, f_obs, _grounded_laplacian, method,
+                           UnreachableComponent, MaxItersExceeded)
 
 
 def graphprop(acquisitions, k: int, *, method: str = "cg") -> list[CompletionResult]:
@@ -255,11 +267,12 @@ def graphprop(acquisitions, k: int, *, method: str = "cg") -> list[CompletionRes
     :class:`CoverageViolationWarning` and end up excluded with the mean
     fill policy; so do missing nodes cut off from every node observed in
     their acquisition, with an :class:`UnreachableComponent` warning from
-    that acquisition's solve. An unknown ``method`` raises ``ValueError``
-    before any graph work.
+    that acquisition's solve. An unknown ``method``, an acquisition that
+    fails :func:`check_observed`, or node or channel counts that differ
+    between acquisitions raise before any graph work.
     """
     _check_method(method)
-    acquisitions = [(np.asarray(f, dtype=np.float64), om) for f, om in acquisitions]
+    acquisitions = [(check_observed(om, f), om) for f, om in acquisitions]
     if not acquisitions:
         raise ValueError("need at least one acquisition")
     n = acquisitions[0][1].n
@@ -267,12 +280,8 @@ def graphprop(acquisitions, k: int, *, method: str = "cg") -> list[CompletionRes
     for f, om in acquisitions:
         if om.n != n:
             raise ValueError("acquisitions must share the node count")
-        if f.ndim != 2 or f.shape != (om.observed.size, channels):
-            raise ValueError(
-                f"observed values must be ({om.observed.size}, {channels}), got {f.shape}"
-            )
-        if not np.all(np.isfinite(f)):
-            raise NonFiniteInput("observed fiber values must be finite")
+        if f.shape[1] != channels:
+            raise ValueError("acquisitions must share the channel count")
 
     covered = np.zeros(n, dtype=bool)
     for _, om in acquisitions:

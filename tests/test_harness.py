@@ -39,6 +39,7 @@ from graphprop.harness import (
     run_rank_sweep,
     save_observation_set,
 )
+from graphprop.tensor import FORMAT_DTYPE, FORMAT_LAYOUT
 
 
 def tiny_rank_cfg(out_dir, **extra):
@@ -696,3 +697,104 @@ def test_cli_convert_raster(tmp_path, caplog):
     data.tofile(raw)
     assert main(["convert-raster", str(raw), str(sidecar), str(out)]) == 3
     assert str(raw) in caplog.text
+
+
+def _write(path, content):
+    path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    return str(path)
+
+
+def _tensor_file(path, shape):
+    save_tensor(DenseTensor.from_array(np.arange(float(np.prod(shape))).reshape(shape)), path)
+    return str(path)
+
+
+def _header_file(path, header):
+    return _write(path, json.dumps(header) + "\n")
+
+
+def _complete_with(tmp_path, tensor, observed='{"n": 9, "observed": [1, 2]}'):
+    """A complete config on one input tensor and one observation file."""
+    return {"kind": "complete", "inputs": [tensor],
+            "observation_files": [_write(tmp_path / "om.json", observed)]}
+
+
+def _overlap_with(tmp_path, *shapes):
+    return {"kind": "overlap-sim", "k": 3, "inputs": [
+        _tensor_file(tmp_path / f"r{i}.tenb", shape) for i, shape in enumerate(shapes)]}
+
+
+_SHAPE_HEADER = {"shape": [3, 3, 2], "dtype": FORMAT_DTYPE, "layout": FORMAT_LAYOUT}
+
+# (function of the test's tmp_path returning the experiment config or the
+# convert-raster sidecar, exit code, message fragment).
+REJECTED_INPUTS = {
+    "config-not-an-object": (lambda t: [1, 2], 2, "config must be a JSON object"),
+    "workers-zero": (lambda t: {"kind": "bound-report", "workers": 0}, 2,
+                     "workers must be at least 1"),
+    "empty-area-grid": (lambda t: {"kind": "overlap-sim", "area_grid": []}, 2,
+                        "area grid must be nonempty"),
+    "three-overlap-inputs": (lambda t: {"kind": "overlap-sim", "inputs": ["a", "b", "c"]}, 2,
+                             "exactly two input rasters"),
+    "empty-label-fracs": (lambda t: {"kind": "blogs", "two_block_size": 10, "label_fracs": []},
+                          2, "label fraction grid must be nonempty"),
+    "label-frac-above-one": (lambda t: {"kind": "blogs", "two_block_size": 10,
+                                        "label_fracs": [1.5]}, 2, "must lie in (0, 1]"),
+    "complete-without-inputs": (lambda t: {"kind": "complete"}, 2,
+                                "at least one input tensor"),
+    "complete-observation-count": (lambda t: {"kind": "complete", "inputs": ["a", "b"],
+                                              "observation_files": ["a"]}, 2,
+                                   "one observation file per input"),
+    "complete-truth-count": (lambda t: {"kind": "complete", "inputs": ["a"],
+                                        "observation_files": ["a"], "truth_files": ["a", "b"]},
+                             2, "one truth tensor per input"),
+    "observation-set-invalid-json": (
+        lambda t: _complete_with(t, _tensor_file(t / "x.tenb", (3, 3, 2)), "{"), 3,
+        "not valid JSON"),
+    "observation-set-wrong-keys": (
+        lambda t: _complete_with(t, _tensor_file(t / "x.tenb", (3, 3, 2)), '{"n": 9}'), 3,
+        "exactly the keys"),
+    "observation-set-duplicate-ids": (
+        lambda t: _complete_with(t, _tensor_file(t / "x.tenb", (3, 3, 2)),
+                                 '{"n": 9, "observed": [1, 1, 2]}'), 3, "must be unique"),
+    "tensor-without-header-line": (
+        lambda t: _complete_with(t, _write(t / "x.tenb", b"no newline")), 3,
+        "missing header line"),
+    "tensor-extra-header-key": (
+        lambda t: _complete_with(t, _header_file(t / "x.tenb", {**_SHAPE_HEADER, "extra": 1})),
+        3, "exactly shape/dtype/layout"),
+    "tensor-unknown-layout": (
+        lambda t: _complete_with(t, _header_file(t / "x.tenb", {**_SHAPE_HEADER,
+                                                                "layout": "rows"})),
+        3, "unsupported layout"),
+    "overlap-order-2-rasters": (lambda t: _overlap_with(t, (4, 5), (4, 5)), 3,
+                                "rasters must be (height, width, bands)"),
+    "overlap-mismatched-rasters": (lambda t: _overlap_with(t, (4, 5, 2), (4, 6, 2)), 3,
+                                   "does not match"),
+    "sidecar-invalid-json": (lambda t: "{", 3, "not valid JSON"),
+    "sidecar-missing-keys": (lambda t: {"height": 4, "width": 5}, 3, "needs keys"),
+    "sidecar-array-dtype": (lambda t: {"height": 4, "width": 5, "bands": 2, "dtype": ["f64"]},
+                            3, "dtype must be one of"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED_INPUTS)
+def test_cli_rejects_bad_input(case, tmp_path, caplog, capsys):
+    # one error line, the exit code of its class, no traceback, no output
+    make, code, fragment = REJECTED_INPUTS[case]
+    content = make(tmp_path)
+    text = content if isinstance(content, str) else json.dumps(content)
+    path = _write(tmp_path / "input.json", text)
+    if case.startswith("sidecar"):
+        argv = ["convert-raster", str(tmp_path / "r.bin"), path, str(tmp_path / "r.tenb")]
+    else:
+        kind = content["kind"] if isinstance(content, dict) else "bound-report"
+        argv = [kind, "--config", path, "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == code
+    prefix = "configuration error: " if code == 2 else "data error: "
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].startswith(prefix), errors
+    assert fragment in errors[0]
+    assert all(r.exc_info is None for r in caplog.records)
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "r.tenb").exists()

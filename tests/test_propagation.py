@@ -225,6 +225,25 @@ def test_graphprop_rejects_unknown_method_before_knn(monkeypatch):
     assert calls == []
 
 
+def test_graphprop_checks_every_acquisition_before_knn(monkeypatch):
+    # each acquisition goes through check_observed; across acquisitions only
+    # the node and channel counts must match
+    calls = []
+    real = propagation.knn_edges
+    monkeypatch.setattr(propagation, "knn_edges", lambda *a: calls.append(1) or real(*a))
+    f = np.random.default_rng(4).standard_normal((12, 2))
+    full = ObservationSet(12, np.arange(12))
+    with pytest.raises(AllMissing):
+        graphprop([(f, full), (np.empty((0, 2)), ObservationSet(12, []))], k=3)
+    with pytest.raises(ValueError, match="channel count"):
+        graphprop([(f, full), (f[:, :1], full)], k=3)
+    with pytest.raises(ValueError, match="node count"):
+        graphprop([(f, full), (f[:6], ObservationSet(13, np.arange(6)))], k=3)
+    with pytest.raises(ValueError, match=r"\(6, channels\)"):
+        graphprop([(f, full), (f, ObservationSet(12, np.arange(6)))], k=3)
+    assert calls == []
+
+
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=30, deadline=None)
 def test_harmonic_and_maximum_principle(seed):
