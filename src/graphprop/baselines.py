@@ -8,14 +8,24 @@ schedule). Each thresholding step takes ``eigh`` of the small Gram of a
 mode unfolding M instead of a full SVD, shrinks M through its eigenvectors
 and refolds it; it agrees with the SVD thresholding of M at threshold
 tau to about ``I_m eps ||M||_2^2 / tau`` in Frobenius norm, with I_m the
-mode's extent (for tau up to ``||M||_2 / 100``; see ``_shrink_mode``)."""
+mode's extent (for tau up to ``||M||_2 / 100``; see ``_shrink_mode``).
+
+An ADMM iteration's mode shrinks are independent and run on lanes
+(:mod:`graphprop.lanes`), one per CPU that
+:func:`~graphprop.lanes.lane_cpus` grants, up to the tensor's order. The
+refolds, the consensus iterate, the dual updates and the stopping test stay
+on the calling thread, in mode order, so HaLRTC's output is byte-identical
+at any lane count."""
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import AllMissing, EmptyGraph, SingularSystemWarning
 from .graph import ObservationSet, SparseGraph
+from .lanes import lane_cpus, run_lanes
 from .propagation import solve_reachable
 from .tensor import DenseTensor, FiberMatrix, refold
 
@@ -27,6 +37,9 @@ HALRTC_RHO_GROWTH = 1.05
 HALRTC_RHO_CAP = 1e3
 HALRTC_TOL = 1e-5
 HALRTC_MAX_ITERS = 300
+
+# Entries per chunk of HaLRTC's consensus step (64 KB of float64).
+_HALRTC_CHUNK = 8192
 
 
 def gtvm_inpaint(
@@ -64,6 +77,14 @@ def gtvm_inpaint(
                            SingularSystemWarning, SingularSystemWarning).completed
 
 
+def _fiber_axes(ndim: int, mode: int) -> list[int]:
+    """The axis order whose C layout holds the mode-``mode`` (0-based)
+    fibers as the rows of ``matricize``'s layout: the other axes reversed,
+    so the rows run earliest axis fastest, then ``mode``."""
+    rest = [axis for axis in range(ndim) if axis != mode]
+    return rest[::-1] + [mode]
+
+
 def _shrink_mode(x: np.ndarray, mode: int, threshold: float) -> np.ndarray:
     """Singular-value shrinkage by ``threshold`` of the mode-``mode``
     (0-based) unfolding of ``x``, returned as fiber rows in the layout of
@@ -80,11 +101,12 @@ def _shrink_mode(x: np.ndarray, mode: int, threshold: float) -> np.ndarray:
     That bound is checked for ``t <= ||M||_2 / 100``; nearer the top of the
     spectrum the rounding of the eigenvectors themselves, a few tens of
     ``eps ||M||_2``, can exceed it.
+
+    M is read without a copy when the memory of ``x`` already holds it in
+    that layout.
     """
     extent = x.shape[mode]
-    rest = [axis for axis in range(x.ndim) if axis != mode]
-    # Remaining axes reversed, so the C-order rows run earliest axis fastest.
-    fibers = np.transpose(x, rest[::-1] + [mode]).reshape(-1, extent)
+    fibers = np.transpose(x, _fiber_axes(x.ndim, mode)).reshape(-1, extent)
     w, v = np.linalg.eigh(fibers.T @ fibers)
     s = np.sqrt(np.maximum(w, 0.0))
     keep = s > threshold
@@ -110,6 +132,18 @@ def halrtc_complete(t: DenseTensor, mask: np.ndarray) -> DenseTensor:
     about ``I_m eps ||M||_2^2 / tau`` in Frobenius norm of the SVD
     thresholding (for tau up to ``||M||_2 / 100``). Raises ``ValueError`` if
     a working tensor or a surrogate is not finite.
+
+    The modes are independent within an iteration and run on lanes
+    (:func:`~graphprop.lanes.run_lanes`), one per CPU that
+    :func:`~graphprop.lanes.lane_cpus` grants but no more than the order.
+    For its mode, a lane forms the working tensor ``x + Y_m / rho``
+    straight in the mode's fiber layout, in a buffer the calling thread
+    allocated, checks it, shrinks it and puts the shrunk fibers back in
+    that buffer. The calling thread then refolds the surrogates, forms the
+    consensus iterate, updates the duals and tests for convergence, in mode
+    order. Every mode takes the same floating-point steps at any lane
+    count, so the result is byte-identical across lane counts, and a
+    failure raises the error of the lowest failing mode, as one lane would.
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != t.shape:
@@ -119,31 +153,76 @@ def halrtc_complete(t: DenseTensor, mask: np.ndarray) -> DenseTensor:
     if mask.all():
         return DenseTensor(t.shape, t.values.copy())
 
-    observed = t.values[mask]
     x = np.zeros_like(t.values)
-    x[mask] = observed
+    np.putmask(x, mask, t.values)
     duals = [np.zeros_like(x) for _ in range(t.order)]
     alpha = 1.0 / t.order
     rho = HALRTC_RHO
+    lanes = min(lane_cpus(), t.order)
+    # Each mode's buffer, allocated in the calling thread (see
+    # graphprop.lanes), then its shrunk fibers or the ValueError it raised.
+    shrunk = [None] * t.order
+    chunk = np.empty(_HALRTC_CHUNK)
 
-    for _ in range(HALRTC_MAX_ITERS):
-        surrogates = []
-        for mode in range(t.order):
-            work = x + duals[mode] / rho
+    def shrink(mode, _lane):
+        # x + Y_m / rho, written in the buffer's memory order, which is the
+        # layout of the mode's fiber matrix: _shrink_mode reads it in place.
+        # The shrunk fibers then take its place, so no lane holds a result
+        # of its own past its piece.
+        axes = _fiber_axes(t.order, mode)
+        fibers = shrunk[mode].reshape([t.shape[axis] for axis in axes])
+        np.divide(duals[mode].transpose(axes), rho, out=fibers, order="C")
+        np.add(x.transpose(axes), fibers, out=fibers, order="C")
+        work = fibers.transpose(np.argsort(axes))
+        rows = shrunk[mode].reshape(-1, t.shape[mode])
+        try:
             if not np.isfinite(work).all():
                 raise ValueError(f"HaLRTC mode-{mode + 1} working tensor is not finite")
+            np.copyto(rows, _shrink_mode(work, mode, alpha / rho))
             # FiberMatrix rejects a non-finite surrogate with ValueError.
-            shrunk = FiberMatrix(_shrink_mode(work, mode, alpha / rho))
-            surrogates.append(refold(shrunk, t.shape, mode + 1).values)
-        x_new = sum(m - y / rho for m, y in zip(surrogates, duals)) / t.order
-        x_new[mask] = observed
-        for mode in range(t.order):
-            duals[mode] -= rho * (surrogates[mode] - x_new)
-        change = np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1e-300)
-        gap = max(np.linalg.norm(m - x_new) for m in surrogates)
-        x = x_new
-        if change <= HALRTC_TOL and gap <= HALRTC_TOL * max(1.0, np.linalg.norm(x)):
-            break
-        rho = min(rho * HALRTC_RHO_GROWTH, HALRTC_RHO_CAP)
-    return DenseTensor(t.shape, x)
+            shrunk[mode] = FiberMatrix(rows)
+        except ValueError as exc:  # raised in mode order below
+            shrunk[mode] = exc
 
+    def surrogate(mode):
+        fibers, shrunk[mode] = shrunk[mode], None
+        if isinstance(fibers, ValueError):
+            raise fibers
+        return refold(fibers, t.shape, mode + 1).values
+
+    with ThreadPoolExecutor(max(lanes - 1, 1)) as pool:
+        for _ in range(HALRTC_MAX_ITERS):
+            shrunk[:] = (np.empty(x.size) for _ in range(t.order))
+            run_lanes(pool, lanes, t.order, shrink)
+            surrogates = [surrogate(mode) for mode in range(t.order)]
+            # x_new = (sum of m - y / rho over the modes) / order, one chunk
+            # of entries at a time so that no term needs a full-size
+            # temporary; the first term is added to 0.0, so a -0.0 entry of
+            # it becomes +0.0.
+            x_new = np.empty_like(x)
+            for lo in range(0, x.size, chunk.size):
+                part = x_new.reshape(-1)[lo:lo + chunk.size]
+                term = chunk[:part.size]
+                for mode, (m, y) in enumerate(zip(surrogates, duals)):
+                    np.divide(y.reshape(-1)[lo:lo + term.size], rho, out=term)
+                    np.subtract(m.reshape(-1)[lo:lo + term.size], term, out=term)
+                    np.add(part if mode else 0.0, term, out=part)
+            x_new /= t.order
+            np.putmask(x_new, mask, t.values)
+            # x is spent once its norm is taken: x_new - x goes in its place.
+            x_norm = np.linalg.norm(x)
+            change = np.linalg.norm(np.subtract(x_new, x, out=x)) / max(x_norm, 1e-300)
+            # Each surrogate becomes its gap m - x_new, then the dual step.
+            gap = 0.0
+            for m, y in zip(surrogates, duals):
+                np.subtract(m, x_new, out=m)
+                gap = max(gap, np.linalg.norm(m))
+                m *= rho
+                y -= m
+            # The surrogates are spent; free them before the lanes run.
+            del surrogates, m
+            x = x_new
+            if change <= HALRTC_TOL and gap <= HALRTC_TOL * max(1.0, np.linalg.norm(x)):
+                break
+            rho = min(rho * HALRTC_RHO_GROWTH, HALRTC_RHO_CAP)
+    return DenseTensor(t.shape, x)

@@ -15,23 +15,18 @@ features are scaled by a power of two first, so the edges are the same at
 any power-of-two scale of the input, up to feature sets whose own dynamic
 range in squared distance exceeds about 1e300.
 
-Where BLAS runs one thread per call, the brute-force row blocks run on
-one lane per CPU the process may use, up to ``_BRUTE_MAX_LANES``: the
-calling thread and pool threads, with one ``_BRUTE_BLOCK`` of float32
-distances in flight over all lanes. Each block's relations are sorted and
-the blocks joined in block order, so the arrays are the same at any lane
-count; otherwise the calling thread runs every block. The harness's
-``workers`` > 1 runs points in separate processes, and each process starts
-its own lanes.
+The brute-force row blocks run on lanes (:mod:`graphprop.lanes`): one per
+CPU that :func:`~graphprop.lanes.lane_cpus` grants, up to
+``_BRUTE_MAX_LANES``, with one ``_BRUTE_BLOCK`` of float32 distances in
+flight over all lanes. Each block's relations are sorted and the blocks
+joined in block order, so the arrays are the same at any lane count.
 
 Node ids are 0-based throughout the Python API; the text edge-list format
 uses 1-based ids.
 """
 from __future__ import annotations
 
-import os
 import re
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,6 +38,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import DataError, NonFiniteInput, TooFewObserved
+from .lanes import lane_cpus, run_lanes
 from .tensor import FiberMatrix
 
 # Exact tree search is only worthwhile in low dimension; above this the
@@ -188,22 +184,6 @@ def _knn_neighbors_tree(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     return np.concatenate(src), np.concatenate(dst)
 
 
-def _lane_cpus() -> int:
-    """The CPUs the brute-force lanes may fill: those this process may run
-    on (its affinity set where the platform has one, else every CPU), but
-    only one unless the environment pins OpenBLAS, which numpy's wheels
-    bundle, to one thread per call (``OPENBLAS_NUM_THREADS``, else
-    ``OMP_NUM_THREADS``, is 1). Lanes whose GEMMs each start BLAS threads
-    contend for the same CPUs: with OpenBLAS's default threads on 2 CPUs,
-    two lanes took a 5,530x24 search from 75-90 ms to 100-128 ms."""
-    if os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS")) != "1":
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _knn_neighbors_brute(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Directed kNN relations by blocked brute force: a float32 filter
     shortlists, exact float64 distances select.
@@ -218,11 +198,11 @@ def _knn_neighbors_brute(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
     shortlisted, and :func:`_nearest_k` picks k by exact float64 distance,
     then smaller id, so the float32 pass only narrows the candidates.
 
-    The row blocks are independent and run on lanes, one per CPU that
-    :func:`_lane_cpus` grants but no more than ``_BRUTE_MAX_LANES`` or the
-    blocks one lane would make: the calling thread is lane 0, pool threads
-    the rest, and each lane claims the next unclaimed block until none is
-    left. The calling thread allocates each lane's block of
+    The row blocks are independent and run on lanes
+    (:func:`~graphprop.lanes.run_lanes`), one per CPU that
+    :func:`~graphprop.lanes.lane_cpus` grants but no more than
+    ``_BRUTE_MAX_LANES`` or the blocks one lane would make. The calling
+    thread allocates each lane's block of
     ``_BRUTE_BLOCK // lanes`` float32 values and the block's boolean
     shortlist mask once, so the blocks in flight hold ``_BRUTE_BLOCK``
     values (4 MB) in total, plus their group minima (an eighth of that)
@@ -282,56 +262,44 @@ def _knn_neighbors_brute(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
     # Group g holds the columns g, g + groups, g + 2 groups, ...; at least
     # k + 1 groups leave k whose minimum is not the row's own NaN.
     groups = max(k + 1, -(-n_obs // 8))
-    lanes = min(_lane_cpus(), _BRUTE_MAX_LANES, -(-n_obs // max(1, _BRUTE_BLOCK // n_obs)))
+    lanes = min(lane_cpus(), _BRUTE_MAX_LANES, -(-n_obs // max(1, _BRUTE_BLOCK // n_obs)))
     rows_per_block = max(1, _BRUTE_BLOCK // (lanes * n_obs))
     starts = range(0, n_obs, rows_per_block)
     found = [None] * len(starts)
-    unclaimed = iter(range(len(starts)))
-    claim = threading.Lock()
 
-    def lane(block, mask, group_min):
-        while True:
-            with claim:
-                b = next(unclaimed, None)
-            if b is None:
-                return
-            start = starts[b]
-            stop = min(start + rows_per_block, n_obs)
-            size = stop - start
-            d2 = np.matmul(y[start:stop], cols, out=block[:size])
-            d2 += col_sq
-            local = np.arange(size)
-            # NaN fails every comparison, even with an infinite bound, and
-            # partitions last.
-            d2[local, local + start] = np.nan
-            least = group_min[:size]
-            np.copyto(least, d2[:, :groups])
-            for lo in range(groups, n_obs, groups):
-                part = d2[:, lo:lo + groups]
-                np.minimum(least[:, :part.shape[1]], part, out=least[:, :part.shape[1]])
-            least.partition(k - 1, axis=1)
-            kth = least[:, k - 1].astype(np.float64)
-            sq_rows = sq[start:stop]
-            bound = kth + 8.0 * c * (sq_rows + np.maximum(kth + sq_rows, 0.0)) + tau
-            bound = np.nextafter(bound.astype(np.float32), np.float32(np.inf))
-            shortlist = np.less_equal(d2, bound[:, None], out=mask[:size])
-            rows, cands = np.divmod(np.flatnonzero(shortlist), n_obs)
-            rows, cands = _nearest_k(pts, rows + start, cands, k)
-            found[b] = np.sort(rows * n_obs + cands)
+    def select(b, lane):
+        block, mask, group_min = buffers[lane]
+        start = starts[b]
+        stop = min(start + rows_per_block, n_obs)
+        size = stop - start
+        d2 = np.matmul(y[start:stop], cols, out=block[:size])
+        d2 += col_sq
+        local = np.arange(size)
+        # NaN fails every comparison, even with an infinite bound, and
+        # partitions last.
+        d2[local, local + start] = np.nan
+        least = group_min[:size]
+        np.copyto(least, d2[:, :groups])
+        for lo in range(groups, n_obs, groups):
+            part = d2[:, lo:lo + groups]
+            np.minimum(least[:, :part.shape[1]], part, out=least[:, :part.shape[1]])
+        least.partition(k - 1, axis=1)
+        kth = least[:, k - 1].astype(np.float64)
+        sq_rows = sq[start:stop]
+        bound = kth + 8.0 * c * (sq_rows + np.maximum(kth + sq_rows, 0.0)) + tau
+        bound = np.nextafter(bound.astype(np.float32), np.float32(np.inf))
+        shortlist = np.less_equal(d2, bound[:, None], out=mask[:size])
+        rows, cands = np.divmod(np.flatnonzero(shortlist), n_obs)
+        rows, cands = _nearest_k(pts, rows + start, cands, k)
+        found[b] = np.sort(rows * n_obs + cands)
 
-    # The calling thread allocates every lane's buffers: allocated in a
-    # pool thread, they come from that thread's own malloc arena, which
-    # raised the peak resident set by 2-3 MiB on 96x96x24 inputs.
+    # The calling thread allocates every lane's buffers (see graphprop.lanes).
     buffers = [(np.empty((rows_per_block, n_obs), dtype=np.float32),
                 np.empty((rows_per_block, n_obs), dtype=bool),
                 np.empty((rows_per_block, groups), dtype=np.float32))
                for _ in range(lanes)]
-    # A pool starts no thread before its first submit.
     with ThreadPoolExecutor(max(lanes - 1, 1)) as pool:
-        helpers = [pool.submit(lane, *buf) for buf in buffers[1:]]
-        lane(*buffers[0])
-        for helper in helpers:
-            helper.result()
+        run_lanes(pool, lanes, len(starts), select)
     return np.divmod(np.concatenate(found), n_obs)
 
 

@@ -1,4 +1,8 @@
+import sys
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -314,25 +318,52 @@ def test_halrtc_shrinkage_matches_svd_within_bound(shape, mode):
         assert err <= extent * np.finfo(float).eps * sv[0] ** 2 / tau, (tau, err)
 
 
-def stacked_fiber_instance(seed):
+def stacked_fiber_instance(seed, order=4):
     """A 20x20x3 two-acquisition instance stacked and masked to observed
-    fibers, as the harness hands it to HaLRTC."""
+    fibers, as the harness hands it to HaLRTC; with ``order`` 3, its first
+    acquisition alone."""
     spec = SynthSpec(20, 20, 3, r=4, lambda_count=2, missing_frac=0.4, seed=seed)
     omegas = sample_observation_sets(spec.n, 0.4, 2, seed=seed + 1)
     stacked = DenseTensor.from_array(
         np.stack([t.values for t in generate_acquisitions(spec)], axis=-1))
     mask = np.stack([_observed_fiber_mask(om, 20, 20, 3) for om in omegas], axis=-1)
+    if order == 3:
+        return DenseTensor.from_array(stacked.values[..., 0]), mask[..., 0]
     return stacked, mask
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_halrtc_matches_svd_reference_loop(seed, monkeypatch):
-    stacked, mask = stacked_fiber_instance(seed)
+class CountingPool(ThreadPoolExecutor):
+    submits = 0
+
+    def submit(self, *args, **kwargs):
+        CountingPool.submits += 1
+        return super().submit(*args, **kwargs)
+
+
+def halrtc_on_lanes(monkeypatch, lanes, t, mask):
+    """``halrtc_complete(t, mask)`` with the lane rule granting ``lanes``
+    CPUs, and the pool submits it made."""
+    with monkeypatch.context() as patch:
+        patch.setattr(baselines, "lane_cpus", lambda: lanes)
+        patch.setattr(baselines, "ThreadPoolExecutor", CountingPool)
+        CountingPool.submits = 0
+        return halrtc_complete(t, mask), CountingPool.submits
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 4])
+@pytest.mark.parametrize("seed, order", [(0, 4), (1, 4), (0, 3)])
+def test_halrtc_matches_svd_reference_loop(seed, order, lanes, monkeypatch):
+    # 4 lanes exceed the CPUs of most machines; on the 3-way tensor they
+    # are capped at the order, 3
+    stacked, mask = stacked_fiber_instance(seed, order)
     reference, ref_iters = halrtc_svd_reference(stacked, mask)
+    one_lane, _ = halrtc_on_lanes(monkeypatch, 1, stacked, mask)
     calls = []
     real = baselines._shrink_mode
     monkeypatch.setattr(baselines, "_shrink_mode", lambda *a: calls.append(1) or real(*a))
-    out = halrtc_complete(stacked, mask)
+    out, submits = halrtc_on_lanes(monkeypatch, lanes, stacked, mask)
+    assert out.values.tobytes() == one_lane.values.tobytes()
+    assert submits == (min(lanes, order) - 1) * ref_iters
     assert len(calls) == stacked.order * ref_iters
     assert np.linalg.norm(out.values - reference.values) <= 1e-10 * np.linalg.norm(
         reference.values)
@@ -345,8 +376,78 @@ def test_halrtc_non_finite_raises(bad, where, monkeypatch):
     stacked, mask = stacked_fiber_instance(0)
     monkeypatch.setattr(baselines, "_shrink_mode", lambda x, mode, tau: np.full(
         (x.size // x.shape[mode], x.shape[mode]), bad))
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match=where):
-        halrtc_complete(stacked, mask)
+    for lanes in (1, 2, 4):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=where):
+            halrtc_on_lanes(monkeypatch, lanes, stacked, mask)
+
+
+def test_halrtc_raises_the_lowest_failing_modes_error(monkeypatch):
+    # mode 0's surrogate is NaN and mode 1's shrink raises, sooner than
+    # mode 0's on two or more lanes; mode 0's error is raised, as on one
+    stacked, mask = stacked_fiber_instance(0)
+
+    def shrink(x, mode, tau):
+        if mode == 1:
+            raise ValueError("mode 1 failed")
+        time.sleep(0.01)
+        return np.full((x.size // x.shape[mode], x.shape[mode]), np.nan)
+
+    monkeypatch.setattr(baselines, "_shrink_mode", shrink)
+    for lanes in (1, 2, 4):
+        with pytest.raises(ValueError, match="FiberMatrix: values must be finite"):
+            halrtc_on_lanes(monkeypatch, lanes, stacked, mask)
+
+
+def test_halrtc_raises_a_pool_lanes_other_errors(monkeypatch):
+    # an error other than ValueError in mode 1's shrink, which runs on a
+    # pool lane when there are two or more, ends the call with that error
+    stacked, mask = stacked_fiber_instance(0)
+    real = baselines._shrink_mode
+
+    def shrink(x, mode, tau):
+        if mode == 1:
+            raise ZeroDivisionError("mode 1 failed")
+        time.sleep(0.01)
+        return real(x, mode, tau)
+
+    monkeypatch.setattr(baselines, "_shrink_mode", shrink)
+    for lanes in (1, 2, 4):
+        with pytest.raises(ZeroDivisionError, match="mode 1 failed"):
+            halrtc_on_lanes(monkeypatch, lanes, stacked, mask)
+
+
+def test_halrtc_lanes_keep_refold_on_the_calling_thread(monkeypatch):
+    # four lanes, more than the CPUs of most machines, with the interpreter
+    # switching threads as often as it can
+    stacked, mask = stacked_fiber_instance(1)
+    one_lane, _ = halrtc_on_lanes(monkeypatch, 1, stacked, mask)
+    refolds, shrinks = [], []
+    real_refold, real_shrink = baselines.refold, baselines._shrink_mode
+
+    def recording_refold(f, shape, mode):
+        refolds.append((threading.get_ident(), mode))
+        return real_refold(f, shape, mode)
+
+    def recording_shrink(x, mode, threshold):
+        shrinks.append(threading.get_ident())
+        return real_shrink(x, mode, threshold)
+
+    monkeypatch.setattr(baselines, "refold", recording_refold)
+    monkeypatch.setattr(baselines, "_shrink_mode", recording_shrink)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out, submits = halrtc_on_lanes(monkeypatch, 4, stacked, mask)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    assert out.values.tobytes() == one_lane.values.tobytes()
+    iters = len(refolds) // stacked.order
+    assert iters > 1 and submits == 3 * iters
+    assert refolds == [(threading.get_ident(), mode) for _ in range(iters)
+                       for mode in range(1, stacked.order + 1)]
+    assert len(shrinks) == len(refolds) and len(set(shrinks)) > 1
 
 
 def test_halrtc_validation():

@@ -20,6 +20,7 @@ from graphprop import (
 )
 from graphprop import graph
 from graphprop.errors import DataError, NonFiniteInput, TooFewObserved
+from graphprop.lanes import lane_cpus
 from oracles import canonical_adjacency, edge_degrees, edge_pairs
 
 
@@ -260,7 +261,7 @@ def test_knn_brute_force_lanes_give_identical_arrays(monkeypatch, seed):
     for k in (1, 3, 5):
         arrays = []
         for lanes in (1, 2, 3):
-            monkeypatch.setattr(graph, "_lane_cpus", lambda lanes=lanes: lanes)
+            monkeypatch.setattr(graph, "lane_cpus", lambda lanes=lanes: lanes)
             CountingPool.submits = 0
             arrays.append(knn_edges(FiberMatrix(points), omega, k).edges)
             assert CountingPool.submits == lanes - 1
@@ -275,7 +276,7 @@ def test_knn_brute_force_lanes_claim_each_block_once(monkeypatch):
     # claimed twice would select twice, one never claimed would be missing
     points = lane_points(1)
     omega = all_observed(len(points))
-    monkeypatch.setattr(graph, "_lane_cpus", lambda: 1)
+    monkeypatch.setattr(graph, "lane_cpus", lambda: 1)
     want = knn_edges(FiberMatrix(points), omega, 3).edges
     selected = []
 
@@ -285,7 +286,7 @@ def test_knn_brute_force_lanes_claim_each_block_once(monkeypatch):
 
     nearest_k = graph._nearest_k
     monkeypatch.setattr(graph, "_nearest_k", counting)
-    monkeypatch.setattr(graph, "_lane_cpus", lambda: 8)
+    monkeypatch.setattr(graph, "lane_cpus", lambda: 8)
     monkeypatch.setattr(graph, "_BRUTE_MAX_LANES", 8)
     monkeypatch.setattr(graph, "_BRUTE_BLOCK", 8 * len(points))
     interval = sys.getswitchinterval()
@@ -302,7 +303,7 @@ def test_knn_brute_force_lanes_capped(monkeypatch):
     # sixteen CPUs and 90 blocks still make only _BRUTE_MAX_LANES lanes
     points = lane_points(2)
     monkeypatch.setattr(graph, "_BRUTE_BLOCK", len(points))
-    monkeypatch.setattr(graph, "_lane_cpus", lambda: 16)
+    monkeypatch.setattr(graph, "lane_cpus", lambda: 16)
     monkeypatch.setattr(graph, "ThreadPoolExecutor", CountingPool)
     CountingPool.submits = 0
     e = knn_edges(FiberMatrix(points), all_observed(len(points)), 3)
@@ -320,12 +321,12 @@ def test_knn_brute_force_lanes_only_on_single_threaded_blas(monkeypatch):
                 monkeypatch.delenv(var, raising=False)
             else:
                 monkeypatch.setenv(var, value)
-        assert graph._lane_cpus() == want
+        assert lane_cpus() == want
 
 
 def test_knn_brute_force_one_block_starts_no_pool_thread(monkeypatch):
     points = lane_points(0)
-    monkeypatch.setattr(graph, "_lane_cpus", lambda: 3)
+    monkeypatch.setattr(graph, "lane_cpus", lambda: 3)
     monkeypatch.setattr(graph, "ThreadPoolExecutor", CountingPool)
     CountingPool.submits = 0
     e = knn_edges(FiberMatrix(points), all_observed(len(points)), 3)
