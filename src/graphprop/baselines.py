@@ -11,11 +11,11 @@ tau to about ``I_m eps ||M||_2^2 / tau`` in Frobenius norm, with I_m the
 mode's extent (for tau up to ``||M||_2 / 100``; see ``_shrink_mode``).
 
 An ADMM iteration's mode shrinks are independent and run on lanes
-(:mod:`graphprop.lanes`), one per CPU that
-:func:`~graphprop.lanes.lane_cpus` grants, up to the tensor's order. The
-refolds, the consensus iterate, the dual updates and the stopping test stay
-on the calling thread, in mode order, so HaLRTC's output is byte-identical
-at any lane count."""
+(:mod:`graphprop.lanes`), one per CPU that :func:`~graphprop.lanes.lane_cpus`
+grants, up to the tensor's order, each in its mode's fiber layout
+(:func:`~graphprop.tensor.fiber_axes`). The refolds, the consensus iterate,
+the dual updates and the stopping test stay on the calling thread, in mode
+order, so HaLRTC's output is byte-identical at any lane count."""
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +27,7 @@ from .errors import AllMissing, EmptyGraph, SingularSystemWarning
 from .graph import ObservationSet, SparseGraph
 from .lanes import lane_cpus, run_lanes
 from .propagation import solve_reachable
-from .tensor import DenseTensor, FiberMatrix, refold
+from .tensor import DenseTensor, FiberMatrix, fiber_axes, refold
 
 # HaLRTC's ADMM penalty: starts at HALRTC_RHO, grows by HALRTC_RHO_GROWTH
 # per iteration up to HALRTC_RHO_CAP; HALRTC_TOL is the stopping tolerance
@@ -77,18 +77,11 @@ def gtvm_inpaint(
                            SingularSystemWarning, SingularSystemWarning).completed
 
 
-def _fiber_axes(ndim: int, mode: int) -> list[int]:
-    """The axis order whose C layout holds the mode-``mode`` (0-based)
-    fibers as the rows of ``matricize``'s layout: the other axes reversed,
-    so the rows run earliest axis fastest, then ``mode``."""
-    rest = [axis for axis in range(ndim) if axis != mode]
-    return rest[::-1] + [mode]
-
-
 def _shrink_mode(x: np.ndarray, mode: int, threshold: float) -> np.ndarray:
     """Singular-value shrinkage by ``threshold`` of the mode-``mode``
-    (0-based) unfolding of ``x``, returned as fiber rows in the layout of
-    ``matricize`` (so ``refold`` puts it back in the shape of ``x``).
+    (0-based) unfolding of ``x``, returned as fiber rows in the layout that
+    :func:`~graphprop.tensor.fiber_axes` states (so ``refold`` puts it back
+    in the shape of ``x``).
 
     With M the fiber matrix, whose columns are indexed by mode ``mode``, and
     ``M = U diag(s) V^T``, the shrinkage ``U diag(max(s - t, 0)) V^T`` equals
@@ -105,8 +98,7 @@ def _shrink_mode(x: np.ndarray, mode: int, threshold: float) -> np.ndarray:
     M is read without a copy when the memory of ``x`` already holds it in
     that layout.
     """
-    extent = x.shape[mode]
-    fibers = np.transpose(x, _fiber_axes(x.ndim, mode)).reshape(-1, extent)
+    fibers = np.transpose(x, fiber_axes(x.ndim, mode + 1)).reshape(-1, x.shape[mode])
     w, v = np.linalg.eigh(fibers.T @ fibers)
     s = np.sqrt(np.maximum(w, 0.0))
     keep = s > threshold
@@ -169,7 +161,7 @@ def halrtc_complete(t: DenseTensor, mask: np.ndarray) -> DenseTensor:
         # layout of the mode's fiber matrix: _shrink_mode reads it in place.
         # The shrunk fibers then take its place, so no lane holds a result
         # of its own past its piece.
-        axes = _fiber_axes(t.order, mode)
+        axes = fiber_axes(t.order, mode + 1)
         fibers = shrunk[mode].reshape([t.shape[axis] for axis in axes])
         np.divide(duals[mode].transpose(axes), rho, out=fibers, order="C")
         np.add(x.transpose(axes), fibers, out=fibers, order="C")

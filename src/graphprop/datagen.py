@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InfeasibleFraction
 from .graph import EdgeSet, ObservationSet, build_graph
-from .tensor import DenseTensor, FiberMatrix, matricize, refold
+from .tensor import DenseTensor
 
 # Tucker core entries ~ N(CORE_MEAN, CORE_STD**2); the channel scales of
 # every further acquisition ~ N(SCALE_MEAN, SCALE_STD**2).
@@ -117,13 +117,10 @@ def generate_acquisitions(s: SynthSpec) -> list[DenseTensor]:
     scale = float(values.std())
     if scale > 0:
         values = values / scale
-    first = DenseTensor.from_array(values)
-    shape = (s.i1, s.i2, s.i3)
-    out = [first]
-    fibers = matricize(first, 3)
+    out = [DenseTensor.from_array(values)]
     for _ in range(1, s.lambda_count):
         scales = rng.normal(SCALE_MEAN, SCALE_STD, size=s.i3)
-        out.append(refold(FiberMatrix(fibers.values * scales), shape, 3))
+        out.append(DenseTensor.from_array(values * scales))
     return out
 
 

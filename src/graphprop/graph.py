@@ -41,8 +41,11 @@ from .errors import DataError, NonFiniteInput, TooFewObserved
 from .lanes import lane_cpus, run_lanes
 from .tensor import FiberMatrix
 
-# Exact tree search is only worthwhile in low dimension; above this the
-# blocked brute-force path is used.
+# A kd-tree searches up to this many channels, the blocked brute force above.
+# The cut-off is not tuned: the faster path follows the fibers' intrinsic
+# dimension, not their channel count. At 96x96, k = 10, one BLAS thread and two
+# lanes on 2 CPUs, the tree took 23-35 ms against 58-69 ms on smooth rasters of
+# 4-14 channels, but 107 ms against 66 ms on rank-10 Tucker fibers of 6 channels.
 KDTREE_MAX_CHANNELS = 16
 
 # Distance-matrix entries in flight on the brute-force path, over all its

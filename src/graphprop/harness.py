@@ -16,8 +16,6 @@ Each runner writes, under the configured output directory:
 
 and any experiment-specific artifacts (completed tensors, bound reports).
 """
-from __future__ import annotations
-
 import csv
 import functools
 import json
@@ -26,7 +24,7 @@ import time
 import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, field, is_dataclass
+from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -150,18 +148,10 @@ def _typed(key: str, value, hint):
     return value
 
 
-@functools.cache
-def _field_types(cls) -> dict:
-    """Field name to annotation of a config dataclass (it has no ClassVar);
-    cached because resolving the string annotations costs far more than a
-    check."""
-    return typing.get_type_hints(cls)
-
-
 def _typed_fields(cls, data: dict, prefix: str = "") -> dict:
     """The entries of ``data`` checked against the fields of dataclass
     ``cls``; unknown keys are rejected."""
-    hints = _field_types(cls)
+    hints = {f.name: f.type for f in fields(cls)}
     unknown = sorted(prefix + key for key in data if key not in hints)
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
@@ -196,6 +186,11 @@ def load_config(path, **overrides) -> ExperimentConfig:
     return config_from_dict(data, **overrides)
 
 
+# The grids each kind reads; a repeated value would run one point twice.
+_GRID_KEYS = {"rank-sweep": ("rank_grid",), "missing-sweep": ("rank_tiles", "missing_grid"),
+              "overlap-sim": ("area_grid",), "blogs": ("label_fracs",)}
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
@@ -209,6 +204,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("workers must be at least 1")
     if cfg.solver.method not in SOLVE_METHODS:
         raise ConfigError(f"unknown solver method {cfg.solver.method!r}")
+    for key in _GRID_KEYS.get(cfg.kind, ()):
+        grid = getattr(cfg, key)
+        if len(set(grid)) < len(grid):
+            raise ConfigError(f"{key} repeats a value: {list(grid)}")
     if cfg.kind in ("rank-sweep", "missing-sweep", "bound-report"):
         ranks, fracs = _sweep_grid(cfg)
         if not ranks or not fracs:

@@ -5,12 +5,13 @@ Node enumeration contract used across the package: for a tensor of shape
 
     p = i1 + I1*i2 + I1*I2*i3 + ...        (zero-based, i1 varies fastest)
 
-over the leading m-1 indices. ``matricize``/``refold`` below, the binary
-file layout, and the graph construction all share this enumeration. For a
-general mode, the fiber index runs over the remaining axes in their
-original order, earliest axis fastest. Stacking order-m tensors along a
-new trailing mode therefore stacks their mode-m fiber matrices as
-consecutive row blocks.
+over the leading m-1 indices. For a general mode, the fiber index runs over
+the remaining axes in their original order, earliest axis fastest. Stacking
+order-m tensors along a new trailing mode therefore stacks their mode-m
+fiber matrices as consecutive row blocks. :func:`fiber_axes` is the one
+statement of this layout, from which ``matricize``, ``refold``, the binary
+file layout and HaLRTC's mode shrinks derive; the graph construction shares
+the enumeration.
 """
 from __future__ import annotations
 
@@ -100,23 +101,31 @@ def _check_mode(order: int, mode: int) -> None:
         raise ValueError(f"mode must be in 1..{order}, got {mode}")
 
 
+def fiber_axes(order: int, mode: int) -> list[int]:
+    """The axis order whose C layout holds the mode-``mode`` (1-based)
+    fibers of an order-``order`` tensor as rows in the canonical
+    enumeration: the other axes reversed, so that the earliest runs
+    fastest, then the mode's own axis."""
+    _check_mode(order, mode)
+    rest = [axis for axis in range(order) if axis != mode - 1]
+    return rest[::-1] + [mode - 1]
+
+
 def matricize(t: DenseTensor, mode: int) -> FiberMatrix:
     """Arrange the mode-``mode`` fibers of ``t`` as matrix rows.
 
     ``mode`` is 1-based. Row p is the fiber whose remaining indices
     enumerate in the canonical order (earliest remaining axis fastest).
     """
-    _check_mode(t.order, mode)
-    moved = np.moveaxis(t.values, mode - 1, 0)
-    unfolded = np.reshape(moved, (t.shape[mode - 1], -1), order="F")
-    return FiberMatrix(np.ascontiguousarray(unfolded.T))
+    fibers = np.transpose(t.values, fiber_axes(t.order, mode))
+    return FiberMatrix(fibers.reshape(-1, t.shape[mode - 1]))
 
 
 def refold(f: FiberMatrix, shape, mode: int) -> DenseTensor:
     """Inverse of :func:`matricize`: rebuild the tensor of ``shape`` from
     rows of mode-``mode`` fibers."""
     shape = tuple(int(s) for s in shape)
-    _check_mode(len(shape), mode)
+    axes = fiber_axes(len(shape), mode)
     if shape[mode - 1] != f.channels:
         raise ValueError(
             f"shape[{mode}] = {shape[mode - 1]} does not match fiber length {f.channels}"
@@ -125,9 +134,10 @@ def refold(f: FiberMatrix, shape, mode: int) -> DenseTensor:
         raise ValueError(
             f"fiber matrix holds {f.n * f.channels} values, shape {shape} needs {math.prod(shape)}"
         )
-    rest = tuple(s for i, s in enumerate(shape) if i != mode - 1)
-    moved = np.reshape(f.values.T, (shape[mode - 1],) + rest, order="F")
-    return DenseTensor(shape, np.ascontiguousarray(np.moveaxis(moved, 0, mode - 1)))
+    values = np.empty(shape)
+    view = values.transpose(axes)
+    np.copyto(view, f.values.reshape(view.shape))
+    return DenseTensor(shape, values)
 
 
 def save_tensor(t: DenseTensor, path) -> None:
@@ -137,7 +147,7 @@ def save_tensor(t: DenseTensor, path) -> None:
     header = json.dumps(
         {"shape": list(t.shape), "dtype": FORMAT_DTYPE, "layout": FORMAT_LAYOUT}
     )
-    payload = matricize(t, t.order).values.astype("<f8").tobytes(order="C")
+    payload = np.transpose(t.values, fiber_axes(t.order, t.order)).astype("<f8", order="C")
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8"))
         fh.write(b"\n")
@@ -175,9 +185,7 @@ def load_tensor(path) -> DenseTensor:
         raise DataError(
             f"{path}: payload holds {len(payload)} bytes, header implies {expected}"
         )
-    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    channels = shape[-1]
-    rows = flat.reshape(math.prod(shape) // channels, channels)
+    rows = np.frombuffer(payload, dtype="<f8").reshape(-1, shape[-1])
     try:
         return refold(FiberMatrix(rows), shape, len(shape))
     except ValueError as exc:

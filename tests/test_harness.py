@@ -60,6 +60,16 @@ def test_config_defaults_and_unknown_keys():
         config_from_dict({})
 
 
+# A grid with a repeated value, per kind and key: each point would run twice.
+REPEATED_GRIDS = (
+    ("rank-sweep", "rank_grid", [2, 2]),
+    ("missing-sweep", "rank_tiles", [5, 30, 5]),
+    ("missing-sweep", "missing_grid", [0.15, 0.15]),
+    ("overlap-sim", "area_grid", [0.3, 0.3]),
+    ("blogs", "label_fracs", [0.1, 0.2, 0.1]),
+)
+
+
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
         config_from_dict({"kind": "nope"})
@@ -109,6 +119,10 @@ def test_config_validation_errors():
                            ("mpsnr_variant", "maxerr")):
         with pytest.raises(ConfigError, match=rf"unknown config keys: \['{removed}'\]"):
             config_from_dict({"kind": "blogs", "two_block_size": 10, removed: value})
+    # a repeated value in any grid the kind reads
+    for kind, key, grid in REPEATED_GRIDS:
+        with pytest.raises(ConfigError, match=f"{key} repeats a value"):
+            config_from_dict({"kind": kind, "two_block_size": 10, key: grid})
 
 
 @pytest.mark.parametrize("kind", ["bound-report", "rank-sweep"])
@@ -595,7 +609,9 @@ def test_cli_exit_codes(tmp_path):
                       ("blogs", {"two_block_size": 1}), ("blogs", {"two_block_size": -3}),
                       ("blogs", {"two_block_size": 10, "repeats": 0}),
                       ("blogs", {"two_block_size": 10, "seed": -1}),
-                      ("rank-sweep", {"i1": 10, "i2": 10, "i3": 2, "missing_frac": 0.0})):
+                      ("rank-sweep", {"i1": 10, "i2": 10, "i3": 2, "missing_frac": 0.0}),
+                      *((kind, {"two_block_size": 10, key: grid})
+                        for kind, key, grid in REPEATED_GRIDS)):
         bad_cfg.write_text(json.dumps({"kind": kind, **bad,
                                        "out_dir": str(tmp_path / "never")}))
         assert main([kind, "--config", str(bad_cfg)]) == 2

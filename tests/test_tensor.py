@@ -70,6 +70,7 @@ def tensors(draw, max_order=4, max_extent=5):
 def test_matricize_refold_roundtrip(t, data):
     mode = data.draw(st.integers(1, t.order))
     f = matricize(t, mode)
+    assert np.array_equal(f.values, fiber_oracle(t, mode))
     back = refold(f, t.shape, mode)
     assert np.array_equal(back.values, t.values)
     again = matricize(back, mode)
@@ -121,6 +122,11 @@ def test_save_layout_is_fiber_fastest(tmp_path):
     raw = path.read_bytes()
     payload = raw[raw.index(b"\n") + 1 :]
     assert np.array_equal(np.frombuffer(payload, dtype="<f8"), np.arange(12.0))
+    # order 4: the payload is the mode-4 fiber matrix, row by row
+    t = DenseTensor.from_array(np.arange(24.0).reshape(2, 3, 2, 2))
+    save_tensor(t, path)
+    raw = path.read_bytes()
+    assert raw[raw.index(b"\n") + 1 :] == fiber_oracle(t, 4).astype("<f8").tobytes()
 
 
 def test_load_rejects_bad_payload(tmp_path):
