@@ -77,13 +77,13 @@ def gtvm_inpaint(
                            SingularSystemWarning, SingularSystemWarning).completed
 
 
-def _shrink_mode(x: np.ndarray, mode: int, threshold: float) -> np.ndarray:
-    """Singular-value shrinkage by ``threshold`` of the mode-``mode``
-    (0-based) unfolding of ``x``, returned as fiber rows in the layout that
-    :func:`~graphprop.tensor.fiber_axes` states (so ``refold`` puts it back
-    in the shape of ``x``).
+def _shrink_mode(fibers: np.ndarray, threshold: float) -> np.ndarray:
+    """Singular-value shrinkage by ``threshold`` of the fiber matrix
+    ``fibers`` (one mode's fibers as rows, in the layout that
+    :func:`~graphprop.tensor.fiber_axes` states), returned as fiber rows of
+    the same shape.
 
-    With M the fiber matrix, whose columns are indexed by mode ``mode``, and
+    With M the fiber matrix, whose columns are indexed by the mode, and
     ``M = U diag(s) V^T``, the shrinkage ``U diag(max(s - t, 0)) V^T`` equals
     ``M P`` with ``P = V_k diag((s_k - t) / s_k) V_k^T`` over the singular
     values ``s_k > t``. V and ``s = sqrt(max(w, 0))`` come from ``eigh`` of
@@ -94,11 +94,7 @@ def _shrink_mode(x: np.ndarray, mode: int, threshold: float) -> np.ndarray:
     That bound is checked for ``t <= ||M||_2 / 100``; nearer the top of the
     spectrum the rounding of the eigenvectors themselves, a few tens of
     ``eps ||M||_2``, can exceed it.
-
-    M is read without a copy when the memory of ``x`` already holds it in
-    that layout.
     """
-    fibers = np.transpose(x, fiber_axes(x.ndim, mode + 1)).reshape(-1, x.shape[mode])
     w, v = np.linalg.eigh(fibers.T @ fibers)
     s = np.sqrt(np.maximum(w, 0.0))
     keep = s > threshold
@@ -158,19 +154,18 @@ def halrtc_complete(t: DenseTensor, mask: np.ndarray) -> DenseTensor:
 
     def shrink(mode, _lane):
         # x + Y_m / rho, written in the buffer's memory order, which is the
-        # layout of the mode's fiber matrix: _shrink_mode reads it in place.
-        # The shrunk fibers then take its place, so no lane holds a result
-        # of its own past its piece.
+        # layout of the mode's fiber matrix: _shrink_mode reads its rows in
+        # place. The shrunk fibers then take their place, so no lane holds
+        # a result of its own past its piece.
         axes = fiber_axes(t.order, mode + 1)
-        fibers = shrunk[mode].reshape([t.shape[axis] for axis in axes])
-        np.divide(duals[mode].transpose(axes), rho, out=fibers, order="C")
-        np.add(x.transpose(axes), fibers, out=fibers, order="C")
-        work = fibers.transpose(np.argsort(axes))
+        work = shrunk[mode].reshape([t.shape[axis] for axis in axes])
+        np.divide(duals[mode].transpose(axes), rho, out=work, order="C")
+        np.add(x.transpose(axes), work, out=work, order="C")
         rows = shrunk[mode].reshape(-1, t.shape[mode])
         try:
-            if not np.isfinite(work).all():
+            if not np.isfinite(rows).all():
                 raise ValueError(f"HaLRTC mode-{mode + 1} working tensor is not finite")
-            np.copyto(rows, _shrink_mode(work, mode, alpha / rho))
+            np.copyto(rows, _shrink_mode(rows, alpha / rho))
             # FiberMatrix rejects a non-finite surrogate with ValueError.
             shrunk[mode] = FiberMatrix(rows)
         except ValueError as exc:  # raised in mode order below

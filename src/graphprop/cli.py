@@ -22,7 +22,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="JSON config file")
     parser.add_argument("--seed", type=int, help="master seed (overrides config)")
     parser.add_argument("--out-dir", help="output directory (overrides config)")
-    parser.add_argument("--workers", type=int, help="parallel worker count")
+    parser.add_argument("--workers", type=int, help="parallel worker count (rank-sweep and missing-sweep only)")
     parser.add_argument("--full-scale", action="store_true", default=None,
                         help="switch to the full-scale preset dimensions")
 

@@ -109,11 +109,11 @@ def generate_acquisitions(s: SynthSpec) -> list[DenseTensor]:
     u3 = orthonormal_rows(rng, s.i3, s.i3)
     values = rng.normal(CORE_MEAN, CORE_STD, size=(s.r, s.r, s.i3))
     for mode, u in enumerate((u1, u2, u3)):
-        # m-mode product with u.T; the contiguous copy after each step
-        # fixes the operand layout tensordot sees, and so the output bits.
-        values = np.ascontiguousarray(
-            np.moveaxis(np.tensordot(u.T, values, axes=(1, mode)), 0, mode)
-        )
+        # m-mode product with u.T, its axis moved from first back to mode;
+        # the contiguous copy after each step fixes the operand layout
+        # tensordot sees, and so the output bits.
+        product = np.tensordot(u.T, values, axes=(1, mode))
+        values = np.ascontiguousarray(np.transpose(product, np.insert([1, 2], mode, 0)))
     scale = float(values.std())
     if scale > 0:
         values = values / scale

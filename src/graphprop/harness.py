@@ -17,7 +17,6 @@ Each runner writes, under the configured output directory:
 and any experiment-specific artifacts (completed tensors, bound reports).
 """
 import csv
-import functools
 import json
 import logging
 import time
@@ -86,6 +85,8 @@ class ExperimentConfig:
     a JSON object checked the same way against :class:`SolverSettings`.
     A mismatch or an unknown key raises :class:`ConfigError`.
 
+    ``workers`` is the number of processes that rank-sweep and
+    missing-sweep spread their points over; the other kinds ignore it.
     ``full_scale`` fills every key the config leaves unset from
     ``FULL_SCALE_PRESET``, with ``repeats`` 30 for blogs and 10 for the
     other kinds. For ``complete``, nonempty ``truth_files`` (one per
@@ -141,7 +142,10 @@ def _typed(key: str, value, hint):
         item = typing.get_args(hint)[0]
         return tuple(_typed(f"{key}[{i}]", v, item) for i, v in enumerate(value))
     if hint is float and type(value) is int:
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError as exc:
+            raise ConfigError(f"{key} must be a number within float range") from exc
     # bool is a subclass of int, but true is not an integer here
     if not isinstance(value, hint) or (isinstance(value, bool) and hint is not bool):
         raise ConfigError(f"{key} must be {_SCALAR_NAMES[hint]}, got {value!r}")
@@ -181,12 +185,13 @@ def load_config(path, **overrides) -> ExperimentConfig:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(data, **overrides)
 
 
-# The grids each kind reads; a repeated value would run one point twice.
+# The grids each kind reads; each must be nonempty, and a repeated value
+# would run one point twice.
 _GRID_KEYS = {"rank-sweep": ("rank_grid",), "missing-sweep": ("rank_tiles", "missing_grid"),
               "overlap-sim": ("area_grid",), "blogs": ("label_fracs",)}
 
@@ -206,12 +211,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown solver method {cfg.solver.method!r}")
     for key in _GRID_KEYS.get(cfg.kind, ()):
         grid = getattr(cfg, key)
+        if not grid:
+            raise ConfigError(f"{key} must be nonempty")
         if len(set(grid)) < len(grid):
             raise ConfigError(f"{key} repeats a value: {list(grid)}")
     if cfg.kind in ("rank-sweep", "missing-sweep", "bound-report"):
         ranks, fracs = _sweep_grid(cfg)
-        if not ranks or not fracs:
-            raise ConfigError("rank and missing-fraction grids must be nonempty")
         if cfg.kind == "rank-sweep" and cfg.missing_frac <= 0.0:
             raise ConfigError("rank-sweep needs missing_frac > 0 to score missing entries")
         if cfg.kind == "missing-sweep":
@@ -226,8 +231,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     if cfg.kind == "overlap-sim":
-        if not cfg.area_grid:
-            raise ConfigError("area grid must be nonempty")
         if cfg.inputs and len(cfg.inputs) != 2:
             raise ConfigError("overlap-sim needs exactly two input rasters")
         if cfg.bands < 1:
@@ -239,8 +242,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     if cfg.kind == "blogs":
-        if not cfg.label_fracs:
-            raise ConfigError("label fraction grid must be nonempty")
         if any(not 0.0 < f <= 1.0 for f in cfg.label_fracs):
             raise ConfigError("label fractions must lie in (0, 1]")
         if cfg.two_block_size < 0 or cfg.two_block_size == 1:
@@ -382,25 +383,24 @@ def _derived_seed(*components) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _observed_fiber_mask(omega: ObservationSet, i1: int, i2: int, i3: int) -> np.ndarray:
-    flat = np.zeros(omega.n, dtype=bool)
-    flat[omega.observed] = True
-    # node p = i1_index + I1 * i2_index, first index fastest
-    return np.broadcast_to(flat.reshape((i1, i2), order="F")[:, :, None], (i1, i2, i3))
-
-
-def _halrtc_fibers(tensors, omegas) -> list[np.ndarray]:
-    """HaLRTC on the (i1, i2, i3) acquisitions stacked along a trailing
-    mode, every acquisition masked to its observed fibers; returns each
-    acquisition's completed mode-3 fiber matrix. The stacked tensor's
-    mode-3 fiber matrix holds the acquisitions' fiber matrices as
-    consecutive row blocks, in input order, so splitting it into equal
-    blocks recovers them."""
-    stacked = DenseTensor.from_array(np.stack([t.values for t in tensors], axis=-1))
-    i1, i2, i3 = stacked.shape[:3]
-    mask = np.stack([_observed_fiber_mask(om, i1, i2, i3) for om in omegas], axis=-1)
+def _halrtc_fibers(fibers, omegas, shape) -> list[np.ndarray]:
+    """HaLRTC on the acquisitions of ``shape`` (i1, i2, i3), given as their
+    ``(n, i3)`` mode-3 fiber arrays, stacked along a trailing mode, every
+    acquisition masked to its observed fibers; returns each acquisition's
+    completed mode-3 fiber matrix. The stacked tensor's mode-3 fiber matrix
+    holds the acquisitions' fiber matrices as consecutive row blocks, in
+    input order, so the stack and its mask are refolded from the
+    concatenated rows and the completion splits back into equal blocks."""
+    n = fibers[0].shape[0]
+    stacked_shape = (*shape, len(fibers))
+    observed = np.zeros((len(fibers) * n, shape[-1]))
+    for block, om in enumerate(omegas):
+        observed[block * n + om.observed] = 1.0
+    mask = refold(FiberMatrix(observed), stacked_shape, 3).values == 1.0
+    del observed  # not held through HaLRTC
+    stacked = refold(FiberMatrix(np.concatenate(fibers)), stacked_shape, 3)
     completed = halrtc_complete(stacked, mask)
-    return np.split(matricize(completed, 3).values, len(tensors))
+    return np.split(matricize(completed, 3).values, len(fibers))
 
 
 def _stage(caught: list, where: dict, call, *args, **kwargs):
@@ -488,7 +488,7 @@ def _synth_point(cfg: ExperimentConfig, r: int, frac: float,
     results, gp_time = _stage(caught, dict(where, method="graphprop"),
                               _propagate, cfg, fibers, omegas)
     ha_fibers, ha_time = _stage(caught, dict(where, method="halrtc"),
-                                _halrtc_fibers, tensors, omegas)
+                                _halrtc_fibers, fibers, omegas, tensors[0].shape)
     rows = [
         ResultRow(**coords, method=method, metric="rmse", variant="sqrt-mean",
                   value=rmse(ErrorField.from_completions(fibers, est, omegas)),
@@ -546,9 +546,9 @@ def run_overlap_sim(cfg: ExperimentConfig, *, write: bool = True):
     The two rasters are loaded from ``cfg.inputs`` or synthesised (smooth
     raster pair). GTVM runs on the union graph :func:`graphprop` builds for
     each area fraction; metrics cover pixels observed at least once, and
-    never-observed corners are flagged. Warnings raised by graphprop, GTVM
-    and HaLRTC are recorded per area in the manifest notes, each tagged
-    with its method.
+    never-observed corners, the graph's zero-degree nodes, are flagged.
+    Warnings raised by graphprop, GTVM and HaLRTC are recorded per area in
+    the manifest notes, each tagged with its method.
     """
     if cfg.inputs:
         rasters = _load_tensors(cfg.inputs)
@@ -569,20 +569,9 @@ def run_overlap_sim(cfg: ExperimentConfig, *, write: bool = True):
     artifacts: list[str] = []
     for area in cfg.area_grid:
         spec = OverlapSpec(h, w, area)
-        mask1, mask2 = partial_overlap_masks(spec)
-        omegas = [
-            ObservationSet(n, np.nonzero(m.ravel(order="F"))[0])
-            for m in (mask1, mask2)
-        ]
-        never_mask = ~(mask1 | mask2).ravel(order="F")
-        never = np.nonzero(never_mask)[0]
+        crops = [DenseTensor.from_array(m[..., None]) for m in partial_overlap_masks(spec)]
+        omegas = [ObservationSet(n, np.flatnonzero(matricize(c, 3).values)) for c in crops]
         caught: list[dict] = []
-        area_notes = notes[f"area={area}"] = {
-            "crop_count": spec.crop_count,
-            "achieved_frac": spec.achieved_frac,
-            "never_observed": int(never.size),
-            "warnings": caught,
-        }
         coords = dict(experiment="overlap-sim", seed=cfg.seed, r=None,
                       missing_frac=None, area_frac=area, label_frac=None, repeat=0)
 
@@ -590,13 +579,21 @@ def run_overlap_sim(cfg: ExperimentConfig, *, write: bool = True):
         timings: dict[str, float] = {}
         gp, timings["graphprop"] = _stage(caught, {"method": "graphprop"},
                                           _propagate, cfg, truth_fibers, omegas)
+        never_mask = gp[0].graph.degrees == 0
+        never = np.flatnonzero(never_mask)
+        area_notes = notes[f"area={area}"] = {
+            "crop_count": spec.crop_count,
+            "achieved_frac": spec.achieved_frac,
+            "never_observed": int(never.size),
+            "warnings": caught,
+        }
         estimates["graphprop"] = [r.completed.values for r in gp]
         estimates["gtvm"], timings["gtvm"] = _stage(
             caught, {"method": "gtvm"},
             lambda: [gtvm_inpaint(gp[0].graph, om, f[om.observed]).values
                      for f, om in zip(truth_fibers, omegas)])
-        estimates["halrtc"], timings["halrtc"] = _stage(caught, {"method": "halrtc"},
-                                                        _halrtc_fibers, rasters, omegas)
+        estimates["halrtc"], timings["halrtc"] = _stage(
+            caught, {"method": "halrtc"}, _halrtc_fibers, truth_fibers, omegas, (h, w, bands))
 
         pct = int(round(area * 100))
         for method in ("graphprop", "halrtc", "gtvm"):
@@ -696,7 +693,7 @@ def load_observation_set(path, n: int) -> ObservationSet:
     """Observation-set JSON: {"n": N, "observed": [...]} with 1-based ids."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, digit limit
         raise DataError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or set(data) != {"n", "observed"}:
         raise DataError(f"{path}: expected exactly the keys 'n' and 'observed'")
@@ -719,16 +716,16 @@ def save_observation_set(omega: ObservationSet, path) -> None:
 
 def _complete(cfg: ExperimentConfig, fibers, omegas, truths=None):
     """The ``graphprop`` stage on the acquisitions' fiber arrays, its
-    manifest notes (nodes missing in every acquisition, ``never_observed``;
-    each acquisition's excluded, mean-filled nodes; the warnings) and,
-    given truth fibers, one bound report per acquisition, else ``None``. A
+    manifest notes (nodes missing in every acquisition, which are the
+    zero-degree nodes of the union graph, ``never_observed``; each
+    acquisition's excluded, mean-filled nodes; the warnings) and, given
+    truth fibers, one bound report per acquisition, else ``None``. A
     measured error above an applicable bound raises :class:`BoundViolation`
     here, so no file is written."""
     caught: list[dict] = []
     results, _ = _stage(caught, {"method": "graphprop"}, _propagate, cfg, fibers, omegas)
     notes = {
-        "never_observed": functools.reduce(
-            np.intersect1d, [om.missing for om in omegas]).tolist(),
+        "never_observed": np.flatnonzero(results[0].graph.degrees == 0).tolist(),
         "excluded_per_acquisition": [r.excluded_ids.tolist() for r in results],
         "warnings": caught,
     }
@@ -793,7 +790,7 @@ def convert_raster(input_path, sidecar_path, output_path) -> DenseTensor:
     height/width/bands/dtype into the tensor container format."""
     try:
         meta = json.loads(Path(sidecar_path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, digit limit
         raise DataError(f"{sidecar_path}: not valid JSON: {exc}") from exc
     required = {"height", "width", "bands", "dtype"}
     if not isinstance(meta, dict) or not required.issubset(meta):

@@ -263,13 +263,14 @@ def graphprop(acquisitions, k: int, *, method: str = "cg") -> list[CompletionRes
     only place the union graph is composed: the returned results, one per
     acquisition in input order, all carry that graph as ``result.graph``.
 
-    Nodes observed in no acquisition trigger a
-    :class:`CoverageViolationWarning` and end up excluded with the mean
-    fill policy; so do missing nodes cut off from every node observed in
-    their acquisition, with an :class:`UnreachableComponent` warning from
-    that acquisition's solve. An unknown ``method``, an acquisition that
-    fails :func:`check_observed`, or node or channel counts that differ
-    between acquisitions raise before any graph work.
+    Nodes observed in no acquisition, which are the zero-degree nodes of
+    the union graph, trigger a :class:`CoverageViolationWarning` once the
+    graph is built and end up excluded with the mean fill policy; so do
+    missing nodes cut off from every node observed in their acquisition,
+    with an :class:`UnreachableComponent` warning from that acquisition's
+    solve. An unknown ``method``, an acquisition that fails
+    :func:`check_observed`, or node or channel counts that differ between
+    acquisitions raise before any graph work.
     """
     _check_method(method)
     acquisitions = [(check_observed(om, f), om) for f, om in acquisitions]
@@ -283,22 +284,21 @@ def graphprop(acquisitions, k: int, *, method: str = "cg") -> list[CompletionRes
         if f.shape[1] != channels:
             raise ValueError("acquisitions must share the channel count")
 
-    covered = np.zeros(n, dtype=bool)
-    for _, om in acquisitions:
-        covered[om.observed] = True
-    if not covered.all():
-        warnings.warn(
-            f"{int((~covered).sum())} node(s) observed in no acquisition; "
-            "they will be excluded and mean-filled",
-            CoverageViolationWarning,
-        )
-
     edge_sets = []
     for f, om in acquisitions:
         features = np.zeros((n, channels), dtype=np.float64)
         features[om.observed] = f
         edge_sets.append(knn_edges(FiberMatrix(features), om, k))
     graph = build_graph(*edge_sets)
+    # every observed node has k >= 1 neighbours in its acquisition's kNN
+    # graph, so a node has zero degree exactly when no acquisition observes it
+    never = int(np.count_nonzero(graph.degrees == 0))
+    if never:
+        warnings.warn(
+            f"{never} node(s) observed in no acquisition; "
+            "they will be excluded and mean-filled",
+            CoverageViolationWarning,
+        )
 
     return [
         solve_steady_state(graph, om, f, method=method)

@@ -10,8 +10,10 @@ the remaining axes in their original order, earliest axis fastest. Stacking
 order-m tensors along a new trailing mode therefore stacks their mode-m
 fiber matrices as consecutive row blocks. :func:`fiber_axes` is the one
 statement of this layout, from which ``matricize``, ``refold``, the binary
-file layout and HaLRTC's mode shrinks derive; the graph construction shares
-the enumeration.
+file layout and HaLRTC's mode shrinks derive, and through them the
+harness's acquisition stack and its observed mask (refolded from
+concatenated fiber rows) and the overlap simulation's observation sets
+(matricized crop masks); the graph construction shares the enumeration.
 """
 from __future__ import annotations
 
@@ -163,7 +165,7 @@ def load_tensor(path) -> DenseTensor:
         raise DataError(f"{path}: missing header line")
     try:
         header = json.loads(raw[:sep].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, digit limit
         raise DataError(f"{path}: malformed header ({exc})") from exc
     if not isinstance(header, dict) or set(header) != {"shape", "dtype", "layout"}:
         raise DataError(f"{path}: header must carry exactly shape/dtype/layout")

@@ -10,7 +10,6 @@ import pytest
 from graphprop import (
     DenseTensor,
     EdgeSet,
-    FiberMatrix,
     ObservationSet,
     OverlapSpec,
     SynthSpec,
@@ -22,12 +21,11 @@ from graphprop import (
     halrtc_complete,
     matricize,
     partial_overlap_masks,
-    refold,
     sample_observation_sets,
     smooth_raster_pair,
     solve_steady_state,
 )
-from graphprop import baselines, bounds, propagation
+from graphprop import baselines, bounds, harness, propagation
 from graphprop.errors import (
     AllMissing,
     CoverageViolationWarning,
@@ -35,7 +33,7 @@ from graphprop.errors import (
     SingularSystemWarning,
     UnreachableComponent,
 )
-from graphprop.harness import _halrtc_fibers, _observed_fiber_mask
+from graphprop.harness import _halrtc_fibers
 from halrtc_reference import halrtc_svd_reference, nuclear_objective, svd_shrink
 from oracles import gtvm_objective
 
@@ -305,7 +303,6 @@ def test_halrtc_shrinkage_matches_svd_within_bound(shape, mode):
     rng = np.random.default_rng(sum(shape) + mode)
     extent = shape[mode]
     m = spectrum_matrix(rng, int(np.prod(shape)) // extent, extent)
-    x = refold(FiberMatrix(m), shape, mode + 1).values
     sv = np.linalg.svd(m, compute_uv=False)
     # alpha / rho_cap of a 4-way uniform HaLRTC up to ||M||_2 / 100, plus
     # thresholds 1e-10 either side of the largest singular value below 1
@@ -314,8 +311,19 @@ def test_halrtc_shrinkage_matches_svd_within_bound(shape, mode):
     if near > 1e-9:
         taus += [near - 1e-10, near + 1e-10]
     for tau in taus:
-        err = np.linalg.norm(baselines._shrink_mode(x, mode, tau) - svd_shrink(m, tau))
+        err = np.linalg.norm(baselines._shrink_mode(m, tau) - svd_shrink(m, tau))
         assert err <= extent * np.finfo(float).eps * sv[0] ** 2 / tau, (tau, err)
+
+
+def halrtc_input(fibers, omegas, shape):
+    """The stacked tensor and mask that ``_halrtc_fibers`` hands to
+    ``halrtc_complete`` for these acquisitions."""
+    handed = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "halrtc_complete",
+                      lambda t, mask: handed.append((t, mask)) or t)
+        _halrtc_fibers(fibers, omegas, shape)
+    return handed[0]
 
 
 def stacked_fiber_instance(seed, order=4):
@@ -324,9 +332,8 @@ def stacked_fiber_instance(seed, order=4):
     acquisition alone."""
     spec = SynthSpec(20, 20, 3, r=4, lambda_count=2, missing_frac=0.4, seed=seed)
     omegas = sample_observation_sets(spec.n, 0.4, 2, seed=seed + 1)
-    stacked = DenseTensor.from_array(
-        np.stack([t.values for t in generate_acquisitions(spec)], axis=-1))
-    mask = np.stack([_observed_fiber_mask(om, 20, 20, 3) for om in omegas], axis=-1)
+    fibers = [matricize(t, 3).values for t in generate_acquisitions(spec)]
+    stacked, mask = halrtc_input(fibers, omegas, (20, 20, 3))
     if order == 3:
         return DenseTensor.from_array(stacked.values[..., 0]), mask[..., 0]
     return stacked, mask
@@ -374,23 +381,24 @@ def test_halrtc_matches_svd_reference_loop(seed, order, lanes, monkeypatch):
                                         (1e308, "working tensor")])
 def test_halrtc_non_finite_raises(bad, where, monkeypatch):
     stacked, mask = stacked_fiber_instance(0)
-    monkeypatch.setattr(baselines, "_shrink_mode", lambda x, mode, tau: np.full(
-        (x.size // x.shape[mode], x.shape[mode]), bad))
+    monkeypatch.setattr(baselines, "_shrink_mode",
+                        lambda fibers, tau: np.full(fibers.shape, bad))
     for lanes in (1, 2, 4):
         with np.errstate(over="ignore"), pytest.raises(ValueError, match=where):
             halrtc_on_lanes(monkeypatch, lanes, stacked, mask)
 
 
 def test_halrtc_raises_the_lowest_failing_modes_error(monkeypatch):
-    # mode 0's surrogate is NaN and mode 1's shrink raises, sooner than
-    # mode 0's on two or more lanes; mode 0's error is raised, as on one
+    # the surrogates of modes 0, 1 and 3 are NaN and mode 2's shrink (the
+    # one with fibers of length 3) raises, sooner than mode 0's on four
+    # lanes; mode 0's error is raised, as on one
     stacked, mask = stacked_fiber_instance(0)
 
-    def shrink(x, mode, tau):
-        if mode == 1:
-            raise ValueError("mode 1 failed")
+    def shrink(fibers, tau):
+        if fibers.shape[1] == 3:
+            raise ValueError("mode 2 failed")
         time.sleep(0.01)
-        return np.full((x.size // x.shape[mode], x.shape[mode]), np.nan)
+        return np.full(fibers.shape, np.nan)
 
     monkeypatch.setattr(baselines, "_shrink_mode", shrink)
     for lanes in (1, 2, 4):
@@ -399,20 +407,21 @@ def test_halrtc_raises_the_lowest_failing_modes_error(monkeypatch):
 
 
 def test_halrtc_raises_a_pool_lanes_other_errors(monkeypatch):
-    # an error other than ValueError in mode 1's shrink, which runs on a
-    # pool lane when there are two or more, ends the call with that error
+    # an error other than ValueError in mode 2's shrink (the one with
+    # fibers of length 3), which runs on a pool lane on four lanes, ends
+    # the call with that error
     stacked, mask = stacked_fiber_instance(0)
     real = baselines._shrink_mode
 
-    def shrink(x, mode, tau):
-        if mode == 1:
-            raise ZeroDivisionError("mode 1 failed")
+    def shrink(fibers, tau):
+        if fibers.shape[1] == 3:
+            raise ZeroDivisionError("mode 2 failed")
         time.sleep(0.01)
-        return real(x, mode, tau)
+        return real(fibers, tau)
 
     monkeypatch.setattr(baselines, "_shrink_mode", shrink)
     for lanes in (1, 2, 4):
-        with pytest.raises(ZeroDivisionError, match="mode 1 failed"):
+        with pytest.raises(ZeroDivisionError, match="mode 2 failed"):
             halrtc_on_lanes(monkeypatch, lanes, stacked, mask)
 
 
@@ -428,9 +437,9 @@ def test_halrtc_lanes_keep_refold_on_the_calling_thread(monkeypatch):
         refolds.append((threading.get_ident(), mode))
         return real_refold(f, shape, mode)
 
-    def recording_shrink(x, mode, threshold):
+    def recording_shrink(fibers, threshold):
         shrinks.append(threading.get_ident())
-        return real_shrink(x, mode, threshold)
+        return real_shrink(fibers, threshold)
 
     monkeypatch.setattr(baselines, "refold", recording_refold)
     monkeypatch.setattr(baselines, "_shrink_mode", recording_shrink)
@@ -478,9 +487,25 @@ def halrtc_pair(observed):
     return tensors, [ObservationSet(20, ids) for ids in observed]
 
 
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_halrtc_fibers_stack_and_mask_match_the_index_map(count):
+    # entry (a, b, c, l) of the stack is fibers[l][a + I1*b, c], and the
+    # mask is true there iff node a + I1*b is observed in acquisition l
+    rng = np.random.default_rng(count)
+    fibers = [rng.standard_normal((20, 3)) for _ in range(count)]
+    omegas = [ObservationSet(20, np.sort(rng.choice(20, size, replace=False)))
+              for size in (7, 20, 13)[:count]]
+    stacked, mask = halrtc_input(fibers, omegas, (5, 4, 3))
+    assert stacked.shape == mask.shape == (5, 4, 3, count) and mask.dtype == bool
+    for a, b, c, lam in np.ndindex(stacked.shape):
+        node = a + 5 * b
+        assert stacked.values[a, b, c, lam] == fibers[lam][node, c]
+        assert mask[a, b, c, lam] == (node in omegas[lam].observed)
+
+
 def test_halrtc_fibers_fully_observed_returns_each_input():
     tensors, omegas = halrtc_pair([np.arange(20), np.arange(20)])
-    blocks = _halrtc_fibers(tensors, omegas)
+    blocks = _halrtc_fibers([matricize(t, 3).values for t in tensors], omegas, (5, 4, 3))
     assert len(blocks) == 2
     for block, t in zip(blocks, tensors):
         assert block.tobytes() == matricize(t, 3).values.tobytes()
@@ -488,7 +513,7 @@ def test_halrtc_fibers_fully_observed_returns_each_input():
 
 def test_halrtc_fibers_keep_each_acquisitions_observed_rows():
     tensors, omegas = halrtc_pair([np.arange(0, 14), np.arange(6, 20)])
-    blocks = _halrtc_fibers(tensors, omegas)
+    blocks = _halrtc_fibers([matricize(t, 3).values for t in tensors], omegas, (5, 4, 3))
     assert len(blocks) == 2
     for block, t, om in zip(blocks, tensors, omegas):
         assert block.shape == (20, 3)

@@ -741,19 +741,28 @@ def _overlap_with(tmp_path, *shapes):
 
 
 _SHAPE_HEADER = {"shape": [3, 3, 2], "dtype": FORMAT_DTYPE, "layout": FORMAT_LAYOUT}
+# A JSON integer of 5,000 digits: beyond the 4,300 digits that json.loads
+# converts on Python builds with the integer digit limit, which reject the
+# file as invalid JSON; on builds without the limit it loads, and each use
+# below fails the file's own checks instead. Either way the file is named.
+_HUGE_INT = "1" + "0" * 4999
 
 # (function of the test's tmp_path returning the experiment config or the
 # convert-raster sidecar, exit code, message fragment).
 REJECTED_INPUTS = {
     "config-not-an-object": (lambda t: [1, 2], 2, "config must be a JSON object"),
+    "config-not-utf8": (lambda t: b'{"kind": "bound-report"}\xff', 2, "not valid JSON"),
+    "config-float-out-of-range": (lambda t: {"kind": "bound-report", "i1": 12, "i2": 12, "i3": 2,
+                                             "k": 3, "missing_frac": 10**400}, 2,
+                                  "missing_frac must be a number within float range"),
     "workers-zero": (lambda t: {"kind": "bound-report", "workers": 0}, 2,
                      "workers must be at least 1"),
     "empty-area-grid": (lambda t: {"kind": "overlap-sim", "area_grid": []}, 2,
-                        "area grid must be nonempty"),
+                        "area_grid must be nonempty"),
     "three-overlap-inputs": (lambda t: {"kind": "overlap-sim", "inputs": ["a", "b", "c"]}, 2,
                              "exactly two input rasters"),
     "empty-label-fracs": (lambda t: {"kind": "blogs", "two_block_size": 10, "label_fracs": []},
-                          2, "label fraction grid must be nonempty"),
+                          2, "label_fracs must be nonempty"),
     "label-frac-above-one": (lambda t: {"kind": "blogs", "two_block_size": 10,
                                         "label_fracs": [1.5]}, 2, "must lie in (0, 1]"),
     "complete-without-inputs": (lambda t: {"kind": "complete"}, 2,
@@ -770,6 +779,9 @@ REJECTED_INPUTS = {
     "observation-set-wrong-keys": (
         lambda t: _complete_with(t, _tensor_file(t / "x.tenb", (3, 3, 2)), '{"n": 9}'), 3,
         "exactly the keys"),
+    "observation-set-huge-id": (
+        lambda t: _complete_with(t, _tensor_file(t / "x.tenb", (3, 3, 2)),
+                                 f'{{"n": 9, "observed": [{_HUGE_INT}]}}'), 3, "om.json"),
     "observation-set-duplicate-ids": (
         lambda t: _complete_with(t, _tensor_file(t / "x.tenb", (3, 3, 2)),
                                  '{"n": 9, "observed": [1, 1, 2]}'), 3, "must be unique"),
@@ -779,6 +791,9 @@ REJECTED_INPUTS = {
     "tensor-extra-header-key": (
         lambda t: _complete_with(t, _header_file(t / "x.tenb", {**_SHAPE_HEADER, "extra": 1})),
         3, "exactly shape/dtype/layout"),
+    "tensor-huge-dtype": (
+        lambda t: _complete_with(t, _write(t / "x.tenb", json.dumps(_SHAPE_HEADER).replace(
+            f'"{FORMAT_DTYPE}"', _HUGE_INT) + "\n")), 3, "x.tenb"),
     "tensor-unknown-layout": (
         lambda t: _complete_with(t, _header_file(t / "x.tenb", {**_SHAPE_HEADER,
                                                                 "layout": "rows"})),
@@ -789,6 +804,9 @@ REJECTED_INPUTS = {
                                    "does not match"),
     "sidecar-invalid-json": (lambda t: "{", 3, "not valid JSON"),
     "sidecar-missing-keys": (lambda t: {"height": 4, "width": 5}, 3, "needs keys"),
+    "sidecar-huge-dtype": (
+        lambda t: f'{{"height": 4, "width": 5, "bands": 2, "dtype": {_HUGE_INT}}}', 3,
+        "input.json"),
     "sidecar-array-dtype": (lambda t: {"height": 4, "width": 5, "bands": 2, "dtype": ["f64"]},
                             3, "dtype must be one of"),
 }
@@ -799,7 +817,7 @@ def test_cli_rejects_bad_input(case, tmp_path, caplog, capsys):
     # one error line, the exit code of its class, no traceback, no output
     make, code, fragment = REJECTED_INPUTS[case]
     content = make(tmp_path)
-    text = content if isinstance(content, str) else json.dumps(content)
+    text = content if isinstance(content, (str, bytes)) else json.dumps(content)
     path = _write(tmp_path / "input.json", text)
     if case.startswith("sidecar"):
         argv = ["convert-raster", str(tmp_path / "r.bin"), path, str(tmp_path / "r.tenb")]

@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -32,6 +33,7 @@ from graphprop.errors import (
     NonFiniteInput,
     UnreachableComponent,
 )
+from graphprop.graph import KDTREE_MAX_CHANNELS
 from graphprop.metrics import ErrorField
 from graphprop.propagation import jacobi_cg, median_threshold
 from oracles import scipy_jacobi_cg
@@ -315,6 +317,30 @@ def test_graphprop_node_missing_everywhere():
         results = graphprop([(f[:-1], omega), (f[:-1], omega)], k=3)
     for res in results:
         assert 19 in set(res.excluded_ids)
+
+
+@given(st.data(), st.integers(1, 3), st.integers(1, 4),
+       st.sampled_from([3, KDTREE_MAX_CHANNELS + 4]))
+@settings(max_examples=60, deadline=None)
+def test_graphprop_zero_degree_nodes_are_the_never_observed(data, count, k, channels):
+    # every observed node has k >= 1 kNN neighbours, so the union graph's
+    # zero-degree nodes are the nodes missing in every acquisition, on the
+    # kd-tree path and on the brute-force path alike; the coverage warning
+    # counts them
+    n = data.draw(st.integers(k + 1, 30), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1), label="seed"))
+    omegas = [ObservationSet(n, np.sort(rng.choice(
+        n, data.draw(st.integers(k + 1, n), label="observed"), replace=False)))
+        for _ in range(count)]
+    never = functools.reduce(np.intersect1d, [om.missing for om in omegas])
+    acquisitions = [(rng.standard_normal((om.observed.size, channels)), om) for om in omegas]
+    with warnings.catch_warnings(record=True) as raised:
+        warnings.simplefilter("always")
+        results = graphprop(acquisitions, k)
+    assert np.array_equal(np.flatnonzero(results[0].graph.degrees == 0), never)
+    coverage = [str(w.message) for w in raised
+                if issubclass(w.category, CoverageViolationWarning)]
+    assert [int(m.split()[0]) for m in coverage] == ([never.size] if never.size else [])
 
 
 def test_graphprop_desk_scale_low_rank_rmse():
