@@ -148,7 +148,7 @@ def halrtc_complete(t: DenseTensor, mask: np.ndarray) -> DenseTensor:
     rho = HALRTC_RHO
     lanes = min(lane_cpus(), t.order)
     # Each mode's buffer, allocated in the calling thread (see
-    # graphprop.lanes), then its shrunk fibers or the ValueError it raised.
+    # graphprop.lanes), then its shrunk fibers.
     shrunk = [None] * t.order
     chunk = np.empty(_HALRTC_CHUNK)
 
@@ -162,19 +162,14 @@ def halrtc_complete(t: DenseTensor, mask: np.ndarray) -> DenseTensor:
         np.divide(duals[mode].transpose(axes), rho, out=work, order="C")
         np.add(x.transpose(axes), work, out=work, order="C")
         rows = shrunk[mode].reshape(-1, t.shape[mode])
-        try:
-            if not np.isfinite(rows).all():
-                raise ValueError(f"HaLRTC mode-{mode + 1} working tensor is not finite")
-            np.copyto(rows, _shrink_mode(rows, alpha / rho))
-            # FiberMatrix rejects a non-finite surrogate with ValueError.
-            shrunk[mode] = FiberMatrix(rows)
-        except ValueError as exc:  # raised in mode order below
-            shrunk[mode] = exc
+        if not np.isfinite(rows).all():
+            raise ValueError(f"HaLRTC mode-{mode + 1} working tensor is not finite")
+        np.copyto(rows, _shrink_mode(rows, alpha / rho))
+        # FiberMatrix rejects a non-finite surrogate with ValueError.
+        shrunk[mode] = FiberMatrix(rows)
 
     def surrogate(mode):
         fibers, shrunk[mode] = shrunk[mode], None
-        if isinstance(fibers, ValueError):
-            raise fibers
         return refold(fibers, t.shape, mode + 1).values
 
     with ThreadPoolExecutor(max(lanes - 1, 1)) as pool:

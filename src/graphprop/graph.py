@@ -160,19 +160,21 @@ def _knn_neighbors_tree(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     tree = cKDTree(pts)
     kk = k + 2  # one slot for self plus one to certify the boundary
     dists, idxs = tree.query(pts, k=kk)
-    self_mask = idxs == np.arange(n_obs)[:, None]
-    # Distances to *other* points, ascending (self pushed to the end).
-    other_d = np.sort(np.where(self_mask, np.inf, dists), axis=1)
+    # Distances to *other* points: self's distance becomes infinite, so it
+    # sorts last and is never within a row's k-th distance.
+    dists[idxs == np.arange(n_obs)[:, None]] = np.inf
+    other_d = np.sort(dists, axis=1)
     dk = other_d[:, k - 1]
     # The tree's distances and the exact ones differ by rounding, so a gap
     # below _TIE_RTOL does not certify the boundary.
     tied = other_d[:, k] <= dk * (1.0 + _TIE_RTOL)
+    del other_d
 
-    strict = np.nonzero(~tied)[0]
-    sel = (~self_mask[strict]) & (dists[strict] <= dk[strict, None])
+    sel = dists <= dk[:, None]
+    sel[tied] = False
     rows, cols = np.nonzero(sel)
-    src = [strict[rows]]
-    dst = [idxs[strict[rows], cols]]
+    src = [rows]
+    dst = [idxs[rows, cols]]
     tie = np.nonzero(tied)[0]
     if tie.size:
         radius = dk[tie] * (1.0 + 2.0 * _TIE_RTOL) + 1e-300
@@ -331,6 +333,13 @@ def knn_edges(features: FiberMatrix, observed: ObservationSet, k: int) -> EdgeSe
         raise ValueError(
             f"features describe {features.n} nodes, observation set has {observed.n}"
         )
+    return _knn_observed(features.values[observed.observed], observed, k)
+
+
+def _knn_observed(rows: np.ndarray, observed: ObservationSet, k: int) -> EdgeSet:
+    """:func:`knn_edges` given the observed fibers themselves: ``rows`` holds
+    one row per id of ``observed.observed``, in that order. ``rows`` is
+    read, never written."""
     k = int(k)
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -339,10 +348,10 @@ def knn_edges(features: FiberMatrix, observed: ObservationSet, k: int) -> EdgeSe
         raise TooFewObserved(
             f"need at least {k + 1} observed fibers for k={k}, got {obs.size}"
         )
-    pts = np.ascontiguousarray(features.values[obs])
-    if not np.all(np.isfinite(pts)):
+    if not np.all(np.isfinite(rows)):
         raise NonFiniteInput("observed fiber features must be finite")
-    np.ldexp(pts, -np.frexp(np.max(np.abs(pts)))[1], out=pts)
+    # ldexp is exact and writes a new C-ordered array: the scaled copy
+    pts = np.ldexp(rows, -np.frexp(np.max(np.abs(rows)))[1], order="C")
     if pts.shape[1] <= KDTREE_MAX_CHANNELS:
         src, dst = _knn_neighbors_tree(pts, k)
     else:

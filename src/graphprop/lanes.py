@@ -1,17 +1,26 @@
 """Lanes: threads that share one call's independent pieces of work.
 
-Two sites run on lanes: the brute-force kNN row blocks
-(:mod:`graphprop.graph`) and HaLRTC's per-mode shrinks
-(:mod:`graphprop.baselines`). Each site asks :func:`lane_cpus` for the
-CPUs it may fill and caps that by its own limits. :func:`run_lanes` then
-runs the pieces: the calling thread is lane 0 and pool threads the rest,
-and each lane claims the lowest unclaimed piece under a lock until none is
-left. Each piece writes only its own result, and the site combines the
-results in piece order, so its output is the same at any lane count.
-Each site allocates the lanes' large buffers in the calling thread: a
-buffer allocated in a pool thread comes from that thread's own malloc
-arena, which raised the peak resident set by 2-3 MiB on 96x96x24
+Three sites run on lanes: the brute-force kNN row blocks
+(:mod:`graphprop.graph`), HaLRTC's per-mode shrinks
+(:mod:`graphprop.baselines`), and :func:`~graphprop.propagation.graphprop`'s
+per-acquisition kNN searches and steady-state solves. Each site asks
+:func:`lane_cpus` for the CPUs it may fill and caps that by its own limits.
+:func:`run_lanes` then runs the pieces: the calling thread is lane 0 and
+pool threads the rest, and each lane claims the lowest unclaimed piece
+under a lock until none is left. Each piece writes only its own result,
+and the site combines the results in piece order, so its output is the
+same at any lane count; a failure raises the lowest failing piece's error.
+Each site allocates the lanes' large buffers in the calling thread where
+it can: a buffer allocated in a pool thread comes from that thread's own
+malloc arena, which raised the peak resident set by 2-3 MiB on 96x96x24
 brute-force kNN inputs.
+
+One call has one lane budget: no lane starts lanes of its own. So
+``graphprop()`` runs its searches on the calling thread, one after
+another, whenever they take the brute-force path, whose row blocks have
+lanes already. ``graphprop()`` also keeps calls below its work gate
+(``propagation.LANE_MIN_WORK``, nodes times channels) on one lane, where
+lanes would contend for the interpreter lock more than they share work.
 
 A site's pool lives inside one call and starts no thread before its first
 submit, so importing the package starts none and no thread outlives the
@@ -48,18 +57,28 @@ def run_lanes(pool, lanes: int, count: int, work) -> None:
     """Run ``work(i, lane)`` for every ``i`` in ``range(count)`` on
     ``lanes`` lanes: lane 0 on the calling thread, lanes 1 to ``lanes - 1``
     submitted to ``pool``. Each lane claims the lowest unclaimed ``i`` until
-    none is left. Returns when every lane is done; an exception a lane
-    raises is raised here."""
+    none is left. Returns when every lane is done.
+
+    An exception a piece raises is kept, and no piece is claimed after it;
+    once every lane is done, the exception of the lowest failing piece is
+    raised. Pieces are claimed in increasing order, so every piece below a
+    failing one has run: the call fails with the same error at any lane
+    count, as one lane would."""
     unclaimed = iter(range(count))
     claim = threading.Lock()
+    errors: dict[int, Exception] = {}
 
     def lane(index):
         while True:
             with claim:
-                i = next(unclaimed, None)
+                i = None if errors else next(unclaimed, None)
             if i is None:
                 return
-            work(i, index)
+            try:
+                work(i, index)
+            except Exception as exc:  # raised in piece order below
+                with claim:
+                    errors[i] = exc
 
     # Pool threads run in a copy of the caller's context, so the caller's
     # np.errstate holds on every lane where numpy keeps it in a context
@@ -69,3 +88,5 @@ def run_lanes(pool, lanes: int, count: int, work) -> None:
     lane(0)
     for helper in helpers:
         helper.result()
+    if errors:
+        raise errors[min(errors)]

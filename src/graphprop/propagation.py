@@ -5,9 +5,13 @@ observed node can reach: input check (:func:`check_observed`), conjugate
 gradient (:func:`jacobi_cg`, every channel's recurrence in one loop with
 one sparse product per iteration) or sparse LU, and fill rule. It is
 shared with total-variation inpainting in :mod:`graphprop.baselines`.
-:func:`graphprop` checks every acquisition with :func:`check_observed` and
-assembles the union graph of their kNN edge sets in one
-:func:`~graphprop.graph.build_graph` call.
+:func:`graphprop` checks every acquisition with :func:`check_observed`,
+then runs three phases: the acquisitions' kNN searches on lanes
+(:mod:`graphprop.lanes`); on the calling thread, the union graph of their
+edge sets in one :func:`~graphprop.graph.build_graph` call, its coverage
+and unreachable-component warnings and its component labels; and the
+acquisitions' solves on lanes, warned about on the calling thread in
+acquisition order.
 
 The steady state pins observed fibers and drives every missing fiber to
 the arithmetic mean of its neighbours' fibers, i.e. it solves the grounded
@@ -25,12 +29,14 @@ node in a component with edges but no observed node with an
 from __future__ import annotations
 
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .bounds import frobenius_norm
 from .errors import (
     AllMissing,
     CoverageViolationWarning,
@@ -39,13 +45,17 @@ from .errors import (
     UnreachableComponent,
 )
 from .graph import (
+    KDTREE_MAX_CHANNELS,
     ObservationSet,
     SparseGraph,
+    _knn_observed,
     build_graph,
-    knn_edges,
+    # not called here; perfbench's tracer wraps propagation.knn_edges
+    knn_edges,  # noqa: F401
     partition_blocks,
     split_reachable,
 )
+from .lanes import lane_cpus, run_lanes
 from .tensor import FiberMatrix
 
 DEFAULT_TOL = 1e-10
@@ -54,6 +64,16 @@ DEFAULT_TOL = 1e-10
 CG_ITERS_PER_UNKNOWN = 10
 # The steady-state solve methods (see solve_steady_state).
 SOLVE_METHODS = ("cg", "splu")
+# graphprop() gives the acquisitions lanes of their own only when nodes
+# times channels reaches this: below it, lanes contend for the interpreter
+# lock more than they share work. Two acquisitions, k = 10, on 2 CPUs with
+# one BLAS thread, one lane against two: synthetic 48x48x3 (6,912) took
+# 22.9 ms against 26.2 ms and 100x100x3 (30,000) 82.1 ms against 63.0 ms.
+# Interleaved medians of 21 calls: synthetic 56x56x3 (9,408) 34.7 against
+# 34.5 ms and 64x64x3 (12,288) 52.8 against 45.3 ms; smooth raster pairs
+# with 40% overlap 40x40x7 (11,200) 26.1 against 36.7 ms and 48x48x7
+# (16,128) 50.4 against 49.4 ms.
+LANE_MIN_WORK = 12_000
 
 
 def _check_method(method: str) -> None:
@@ -180,10 +200,24 @@ def solve_reachable(g: SparseGraph, omega: ObservationSet, f_obs, system,
     get the per-channel mean of the observed rows; those in a component
     with edges (not zero-degree) are reported with ``stranded``. Observed
     rows are returned bit for bit.
+
+    The steps are :func:`check_observed`, :func:`_split_reachable`,
+    :func:`_solve_kept`, :func:`_warn_capped` and :func:`_completion`;
+    :func:`graphprop` runs the same steps with :func:`_solve_kept` on lanes.
     """
     if g.n != omega.n:
         raise ValueError(f"graph has {g.n} nodes, observation set {omega.n}")
     f_obs = check_observed(omega, f_obs)
+    kept, excluded = _split_reachable(g, omega, stranded)
+    solution, stats = _solve_kept(g, omega, f_obs, kept, system, method)
+    _warn_capped(stats, capped)
+    return _completion(g, omega, f_obs, kept, excluded, solution, stats)
+
+
+def _split_reachable(g: SparseGraph, omega: ObservationSet,
+                     stranded: type[Warning]) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`~graphprop.graph.split_reachable`, warning ``stranded`` when a
+    missing node it excludes lies in a component with edges."""
     kept, excluded = split_reachable(g, omega)
     unreached = int(np.count_nonzero(g.degrees[excluded] > 0))
     if unreached:
@@ -192,24 +226,42 @@ def solve_reachable(g: SparseGraph, omega: ObservationSet, f_obs, system,
             "node; they are excluded and mean-filled",
             stranded,
         )
-    solution = np.empty((0, f_obs.shape[1]))
-    stats = SolverStats(method, 0, 0.0, True)
-    if kept.size:
-        matrix, rhs = system(kept, partition_blocks(g, omega.observed, kept), f_obs)
-        if method == "cg":
-            solution, iterations, converged = jacobi_cg(matrix, rhs)
-            if not converged:
-                warnings.warn(
-                    f"conjugate gradient hit the {iterations}-iteration cap; "
-                    "last iterate kept",
-                    capped,
-                )
-        else:
-            solution = spla.splu(matrix.tocsc()).solve(rhs)
-            iterations, converged = 0, True
-        residual = float(np.linalg.norm(matrix @ solution - rhs))
-        stats = SolverStats(method, iterations, residual, converged)
+    return kept, excluded
 
+
+def _solve_kept(g: SparseGraph, omega: ObservationSet, f_obs: np.ndarray,
+                kept: np.ndarray, system, method: str) -> tuple[np.ndarray, SolverStats]:
+    """The numeric part of :func:`solve_reachable`: the ``(kept, channels)``
+    solution over the ``kept`` missing ids and its stats, with the residual
+    ``||matrix @ solution - rhs||_F``. It warns nothing and writes nothing
+    it was given, so the acquisitions of one graph may run it on lanes at
+    once."""
+    if not kept.size:
+        return np.empty((0, f_obs.shape[1])), SolverStats(method, 0, 0.0, True)
+    matrix, rhs = system(kept, partition_blocks(g, omega.observed, kept), f_obs)
+    if method == "cg":
+        solution, iterations, converged = jacobi_cg(matrix, rhs)
+    else:
+        solution = spla.splu(matrix.tocsc()).solve(rhs)
+        iterations, converged = 0, True
+    residual = frobenius_norm(matrix @ solution - rhs)
+    return solution, SolverStats(method, iterations, residual, converged)
+
+
+def _warn_capped(stats: SolverStats, capped: type[Warning]) -> None:
+    if not stats.converged:
+        warnings.warn(
+            f"conjugate gradient hit the {stats.iterations}-iteration cap; "
+            "last iterate kept",
+            capped,
+        )
+
+
+def _completion(g: SparseGraph, omega: ObservationSet, f_obs: np.ndarray,
+                kept: np.ndarray, excluded: np.ndarray, solution: np.ndarray,
+                stats: SolverStats) -> CompletionResult:
+    """Every row filled: the observed values bit for bit, the solution at
+    ``kept`` and the per-channel observed mean at ``excluded``."""
     values = np.empty((omega.n, f_obs.shape[1]), dtype=np.float64)
     values[omega.observed] = f_obs
     values[kept] = solution
@@ -263,14 +315,33 @@ def graphprop(acquisitions, k: int, *, method: str = "cg") -> list[CompletionRes
     only place the union graph is composed: the returned results, one per
     acquisition in input order, all carry that graph as ``result.graph``.
 
+    The call runs in three phases. The acquisitions' kNN searches run on
+    lanes (:func:`~graphprop.lanes.run_lanes`). The calling thread then
+    builds the union graph in one :func:`~graphprop.graph.build_graph`
+    call, warns on never-observed nodes, labels the graph's components and
+    splits each acquisition's missing nodes into the reachable and the
+    excluded, warning in acquisition order. Last, the acquisitions'
+    solves run on lanes; each writes only its own acquisition's slot, and
+    the calling thread warns of any capped solve in acquisition order.
+
+    An acquisition gets its own lane, one per CPU that
+    :func:`~graphprop.lanes.lane_cpus` grants, only when nodes times
+    channels reaches ``LANE_MIN_WORK``; smaller calls run on the calling
+    thread alone. Above ``KDTREE_MAX_CHANNELS`` channels the searches stay
+    on the calling thread, one after another, and each runs its own
+    brute-force row-block lanes, so no lane starts a pool of its own. Each
+    acquisition takes the same floating-point steps at any lane count, so
+    the results are byte-identical, and a failure raises the error of the
+    first failing acquisition, as one lane would.
+
     Nodes observed in no acquisition, which are the zero-degree nodes of
     the union graph, trigger a :class:`CoverageViolationWarning` once the
     graph is built and end up excluded with the mean fill policy; so do
     missing nodes cut off from every node observed in their acquisition,
-    with an :class:`UnreachableComponent` warning from that acquisition's
-    solve. An unknown ``method``, an acquisition that fails
-    :func:`check_observed`, or node or channel counts that differ between
-    acquisitions raise before any graph work.
+    with an :class:`UnreachableComponent` warning for that acquisition. An
+    unknown ``method``, an acquisition that fails :func:`check_observed`,
+    or node or channel counts that differ between acquisitions raise
+    before any graph work.
     """
     _check_method(method)
     acquisitions = [(check_observed(om, f), om) for f, om in acquisitions]
@@ -283,26 +354,43 @@ def graphprop(acquisitions, k: int, *, method: str = "cg") -> list[CompletionRes
             raise ValueError("acquisitions must share the node count")
         if f.shape[1] != channels:
             raise ValueError("acquisitions must share the channel count")
+    count = len(acquisitions)
+    lanes = min(lane_cpus(), count) if n * channels >= LANE_MIN_WORK else 1
+    # the brute-force path runs its own lanes: one level of lanes per call
+    search_lanes = lanes if channels <= KDTREE_MAX_CHANNELS else 1
+    edge_sets = [None] * count
+    solved = [None] * count
 
-    edge_sets = []
-    for f, om in acquisitions:
-        features = np.zeros((n, channels), dtype=np.float64)
-        features[om.observed] = f
-        edge_sets.append(knn_edges(FiberMatrix(features), om, k))
-    graph = build_graph(*edge_sets)
-    # every observed node has k >= 1 neighbours in its acquisition's kNN
-    # graph, so a node has zero degree exactly when no acquisition observes it
-    never = int(np.count_nonzero(graph.degrees == 0))
-    if never:
-        warnings.warn(
-            f"{never} node(s) observed in no acquisition; "
-            "they will be excluded and mean-filled",
-            CoverageViolationWarning,
-        )
+    def search(i, _lane):
+        f, om = acquisitions[i]
+        edge_sets[i] = _knn_observed(f, om, k)
 
+    def solve(i, _lane):
+        (f, om), (kept, _) = acquisitions[i], splits[i]
+        solved[i] = _solve_kept(graph, om, f, kept, _grounded_laplacian, method)
+
+    with ThreadPoolExecutor(max(lanes - 1, 1)) as pool:
+        run_lanes(pool, search_lanes, count, search)
+        graph = build_graph(*edge_sets)
+        del edge_sets[:]  # not held through the solves
+        # every observed node has k >= 1 neighbours in its acquisition's kNN
+        # graph, so a node has zero degree exactly when no acquisition observes it
+        never = int(np.count_nonzero(graph.degrees == 0))
+        if never:
+            warnings.warn(
+                f"{never} node(s) observed in no acquisition; "
+                "they will be excluded and mean-filled",
+                CoverageViolationWarning,
+            )
+        splits = [_split_reachable(graph, om, UnreachableComponent)
+                  for _, om in acquisitions]
+        run_lanes(pool, lanes, count, solve)
+    for solution, stats in solved:
+        _warn_capped(stats, MaxItersExceeded)
     return [
-        solve_steady_state(graph, om, f, method=method)
-        for f, om in acquisitions
+        _completion(graph, om, f, kept, excluded, solution, stats)
+        for (f, om), (kept, excluded), (solution, stats)
+        in zip(acquisitions, splits, solved)
     ]
 
 

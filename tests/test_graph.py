@@ -1,5 +1,6 @@
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -20,7 +21,7 @@ from graphprop import (
 )
 from graphprop import graph
 from graphprop.errors import DataError, NonFiniteInput, TooFewObserved
-from graphprop.lanes import lane_cpus
+from graphprop.lanes import lane_cpus, run_lanes
 from oracles import canonical_adjacency, edge_degrees, edge_pairs
 
 
@@ -309,6 +310,28 @@ def test_knn_brute_force_lanes_capped(monkeypatch):
     e = knn_edges(FiberMatrix(points), all_observed(len(points)), 3)
     assert CountingPool.submits == graph._BRUTE_MAX_LANES - 1
     assert edge_pairs(e) == brute_force_knn(points, 3)
+
+
+def test_run_lanes_raises_the_lowest_failing_pieces_error():
+    # every piece but 0 fails, at once on lane 0 (the calling thread) and
+    # 50 ms later on a pool lane, so on four lanes the calling thread's
+    # error comes first unless it holds piece 1; piece 1's error is raised
+    # all the same, as on one lane, and after a failure no lane claims
+    # more than the piece it holds
+    ran = []
+
+    def work(i, lane):
+        ran.append(i)
+        if lane:
+            time.sleep(0.05)
+        if i:
+            raise ValueError(f"piece {i}")
+
+    for lanes in (1, 4):
+        ran.clear()
+        with ThreadPoolExecutor(lanes) as pool, pytest.raises(ValueError, match="^piece 1$"):
+            run_lanes(pool, lanes, 12, work)
+        assert 1 in ran and max(ran) <= lanes
 
 
 def test_knn_brute_force_lanes_only_on_single_threaded_blas(monkeypatch):

@@ -11,7 +11,6 @@ from graphprop import (
     EdgeSet,
     ObservationSet,
     graphprop,
-    knn_edges,
     load_tensor,
     matricize,
     refold,
@@ -20,7 +19,7 @@ from graphprop import (
     smooth_raster_pair,
     two_block_graph,
 )
-from graphprop import harness, propagation
+from graphprop import graph, harness, propagation
 from graphprop.bounds import BoundReport
 from graphprop.cli import main
 from graphprop.errors import ConfigError, DataError, MaxItersExceeded, SingularSystemWarning
@@ -532,15 +531,17 @@ def test_run_complete_bound_report(tmp_path):
 
 
 def count_knn_calls(monkeypatch):
-    """Count kNN searches wherever graphprop() or the harness look them up."""
+    """Count kNN searches: graphprop() and knn_edges both search through
+    graph._knn_observed."""
     calls = []
+    real = graph._knn_observed
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return knn_edges(*args, **kwargs)
+        return real(*args, **kwargs)
 
-    for module in (propagation, harness):
-        monkeypatch.setattr(module, "knn_edges", counted, raising=False)
+    for module in (graph, propagation):
+        monkeypatch.setattr(module, "_knn_observed", counted)
     return calls
 
 

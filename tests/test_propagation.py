@@ -1,5 +1,9 @@
 import functools
+import sys
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,9 +13,11 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from graphprop import (
+    DenseTensor,
     EdgeSet,
     FiberMatrix,
     ObservationSet,
+    OverlapSpec,
     SynthSpec,
     build_graph,
     generate_acquisitions,
@@ -19,13 +25,15 @@ from graphprop import (
     gtvm_inpaint,
     knn_edges,
     matricize,
+    partial_overlap_masks,
     partition_blocks,
     rmse,
     sample_observation_sets,
+    smooth_raster_pair,
     solve_steady_state,
     union_edges,
 )
-from graphprop import propagation
+from graphprop import graph, harness, propagation
 from graphprop.errors import (
     AllMissing,
     CoverageViolationWarning,
@@ -217,8 +225,8 @@ def test_unknown_solver_method_rejected():
 
 def test_graphprop_rejects_unknown_method_before_knn(monkeypatch):
     calls = []
-    real = propagation.knn_edges
-    monkeypatch.setattr(propagation, "knn_edges", lambda *a: calls.append(1) or real(*a))
+    real = propagation._knn_observed
+    monkeypatch.setattr(propagation, "_knn_observed", lambda *a: calls.append(1) or real(*a))
     rng = np.random.default_rng(2)
     f = rng.standard_normal((12, 2))
     omegas = [ObservationSet(12, np.arange(0, 8)), ObservationSet(12, np.arange(4, 12))]
@@ -231,8 +239,8 @@ def test_graphprop_checks_every_acquisition_before_knn(monkeypatch):
     # each acquisition goes through check_observed; across acquisitions only
     # the node and channel counts must match
     calls = []
-    real = propagation.knn_edges
-    monkeypatch.setattr(propagation, "knn_edges", lambda *a: calls.append(1) or real(*a))
+    real = propagation._knn_observed
+    monkeypatch.setattr(propagation, "_knn_observed", lambda *a: calls.append(1) or real(*a))
     f = np.random.default_rng(4).standard_normal((12, 2))
     full = ObservationSet(12, np.arange(12))
     with pytest.raises(AllMissing):
@@ -341,6 +349,197 @@ def test_graphprop_zero_degree_nodes_are_the_never_observed(data, count, k, chan
     coverage = [str(w.message) for w in raised
                 if issubclass(w.category, CoverageViolationWarning)]
     assert [int(m.split()[0]) for m in coverage] == ([never.size] if never.size else [])
+
+
+def overlap_pair(side=24, channels=7, seed=0):
+    """A smooth raster pair with partial-overlap masks (never-observed
+    corners included), as ``(f_obs, omega)`` acquisitions."""
+    masks = partial_overlap_masks(OverlapSpec(side, side, 0.4))
+    acquisitions = []
+    for t, m in zip(smooth_raster_pair(side, side, channels, seed=seed), masks):
+        flags = matricize(DenseTensor((side, side, 1), m[:, :, None].astype(float)), 3)
+        omega = ObservationSet(side * side, np.flatnonzero(flags.values[:, 0]))
+        acquisitions.append((matricize(t, 3).values[omega.observed], omega))
+    return acquisitions
+
+
+def synthetic_acquisitions(count, channels=3, side=12, seed=0):
+    spec = SynthSpec(side, side, channels, r=3, lambda_count=count, missing_frac=0.2,
+                     seed=seed)
+    omegas = sample_observation_sets(spec.n, 0.2, count, seed=seed + 1)
+    return [(matricize(t, 3).values[om.observed], om)
+            for t, om in zip(generate_acquisitions(spec), omegas)]
+
+
+def counting_pool(submits: list):
+    """A ThreadPoolExecutor class that appends the submitting thread's id
+    to ``submits`` on every submit."""
+    class Pool(ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submits.append(threading.get_ident())
+            return super().submit(*args, **kwargs)
+    return Pool
+
+
+def graphprop_on_lanes(monkeypatch, lanes, acquisitions, k, *, gate=0, **kwargs):
+    """``graphprop`` with the lane rule granting ``lanes`` CPUs and the work
+    gate at ``gate``, and the submits to its own pool."""
+    submits = []
+    with monkeypatch.context() as patch:
+        patch.setattr(propagation, "lane_cpus", lambda: lanes)
+        patch.setattr(propagation, "LANE_MIN_WORK", gate)
+        patch.setattr(propagation, "ThreadPoolExecutor", counting_pool(submits))
+        return graphprop(acquisitions, k, **kwargs), submits
+
+
+@pytest.mark.parametrize("method", ["cg", "splu"])
+@pytest.mark.parametrize("instance", ["overlap-24", "synthetic-L3"])
+def test_graphprop_lanes_give_identical_results(monkeypatch, method, instance):
+    # every acquisition takes the same steps on any lane, so completions are
+    # byte-identical and the solver stats equal at 1, 2 and 4 lanes; 4
+    # lanes exceed the acquisitions and the CPUs of most machines, and the
+    # interpreter switches threads as often as it can
+    acquisitions = (overlap_pair() if instance == "overlap-24"
+                    else synthetic_acquisitions(3))
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CoverageViolationWarning)
+        one_lane, _ = graphprop_on_lanes(monkeypatch, 1, acquisitions, 5, method=method)
+        for lanes in (2, 4):
+            sys.setswitchinterval(1e-6)
+            try:
+                results, submits = graphprop_on_lanes(monkeypatch, lanes, acquisitions, 5,
+                                                      method=method)
+            finally:
+                sys.setswitchinterval(interval)
+            assert threading.active_count() == threads
+            # a pool lane per phase, searches and solves
+            assert len(submits) == 2 * (min(lanes, len(acquisitions)) - 1)
+            assert len(results) == len(one_lane)
+            for got, want in zip(results, one_lane):
+                assert got.completed.values.tobytes() == want.completed.values.tobytes()
+                assert np.array_equal(got.filled_ids, want.filled_ids)
+                assert np.array_equal(got.excluded_ids, want.excluded_ids)
+                assert got.stats == want.stats
+                assert got.graph is results[0].graph
+            assert (results[0].graph.adjacency != one_lane[0].graph.adjacency).nnz == 0
+    assert one_lane[0].stats.method == method
+    if instance == "overlap-24":
+        assert one_lane[0].excluded_ids.size  # the corners nobody observes
+
+
+def test_graphprop_brute_force_searches_keep_their_row_block_lanes(monkeypatch):
+    # above KDTREE_MAX_CHANNELS the searches run one after another on the
+    # calling thread, each with its own row-block lanes; only the solves
+    # take acquisition lanes, so no lane starts a pool
+    acquisitions = synthetic_acquisitions(2, channels=24)
+    rows = [f.shape[0] for f, _ in acquisitions]
+    block_submits, searches = [], []
+    real = graph._knn_neighbors_brute
+
+    def recording(pts, k):
+        searches.append(threading.get_ident())
+        return real(pts, k)
+
+    monkeypatch.setattr(graph, "_knn_neighbors_brute", recording)
+    monkeypatch.setattr(graph, "ThreadPoolExecutor", counting_pool(block_submits))
+    # one row per block, so every search has more blocks than lanes
+    monkeypatch.setattr(graph, "_BRUTE_BLOCK", max(rows))
+    one_lane, _ = graphprop_on_lanes(monkeypatch, 1, acquisitions, 4)
+    for lanes in (2, 4):
+        monkeypatch.setattr(graph, "lane_cpus", lambda lanes=lanes: lanes)
+        block_submits.clear()
+        searches.clear()
+        results, submits = graphprop_on_lanes(monkeypatch, lanes, acquisitions, 4)
+        caller = threading.get_ident()
+        assert searches == [caller, caller]
+        assert block_submits == [caller] * (2 * (lanes - 1))
+        assert submits == [caller]  # the second acquisition's solve
+        for got, want in zip(results, one_lane):
+            assert got.completed.values.tobytes() == want.completed.values.tobytes()
+            assert got.stats == want.stats
+
+
+def test_graphprop_below_the_work_gate_submits_nothing(monkeypatch):
+    acquisitions = overlap_pair()  # 576 nodes x 7 channels
+    assert 576 * 7 < propagation.LANE_MIN_WORK
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CoverageViolationWarning)
+        _, submits = graphprop_on_lanes(monkeypatch, 4, acquisitions, 5,
+                                        gate=propagation.LANE_MIN_WORK)
+    assert submits == []
+
+
+def test_graphprop_lanes_record_the_same_stage_notes(monkeypatch):
+    # three clusters of 4, 5 and 6 nodes, far apart, and a lone node 15
+    # observed by no acquisition; each acquisition misses one cluster,
+    # which it cannot reach, so each warns with its own count
+    rng = np.random.default_rng(3)
+    sizes = (4, 5, 6)
+    cluster = np.repeat(np.arange(3), sizes)
+    f = np.vstack([rng.standard_normal((15, 2)) + 100.0 * cluster[:, None],
+                   [[1e4, 1e4]]])
+    acquisitions = []
+    for skip in (2, 1, 0):
+        omega = ObservationSet(16, np.flatnonzero(cluster != skip))
+        acquisitions.append((f[omega.observed], omega))
+    # the first acquisition's split is the slowest, so a split on a lane
+    # would warn after the others
+    real = propagation.split_reachable
+
+    def slow_first(g, omega):
+        if omega is acquisitions[0][1]:
+            time.sleep(0.05)
+        return real(g, omega)
+
+    notes = {}
+    for lanes in (1, 2, 4):
+        caught = []
+        with monkeypatch.context() as patch:
+            patch.setattr(propagation, "lane_cpus", lambda lanes=lanes: lanes)
+            patch.setattr(propagation, "LANE_MIN_WORK", 0)
+            patch.setattr(propagation, "split_reachable", slow_first)
+            harness._stage(caught, {"method": "graphprop"}, graphprop, acquisitions, 2)
+        notes[lanes] = caught
+    assert [(w["category"], w["message"].split()[0]) for w in notes[1]] == [
+        ("CoverageViolationWarning", "1"), ("UnreachableComponent", "6"),
+        ("UnreachableComponent", "5"), ("UnreachableComponent", "4")]
+    assert notes[2] == notes[1] and notes[4] == notes[1]
+
+
+def test_graphprop_lanes_raise_and_warn_in_acquisition_order(monkeypatch):
+    # every solve fails; the first acquisition's fails last, after its
+    # lane sleeps, yet its error is the one raised, as on one lane
+    f = np.random.default_rng(5).standard_normal((144, 3))
+    omegas = [ObservationSet(144, np.arange(30, 144)), ObservationSet(144, np.arange(104))]
+    acquisitions = [(f[om.observed], om) for om in omegas]
+    kept = [r.filled_ids.size for r in graphprop(acquisitions, 4)]
+    assert kept == [30, 40]
+
+    def failing(matrix, rhs):
+        if rhs.shape[0] == kept[0]:
+            time.sleep(0.05)
+        raise ArithmeticError(f"{rhs.shape[0]} unknowns")
+
+    monkeypatch.setattr(propagation, "jacobi_cg", failing)
+    for lanes in (1, 2, 4):
+        with pytest.raises(ArithmeticError, match=f"^{kept[0]} unknowns$"):
+            graphprop_on_lanes(monkeypatch, lanes, acquisitions, 4)
+
+    # every solve hits its cap; the warnings come in acquisition order
+    def capped(matrix, rhs):
+        if rhs.shape[0] == kept[0]:
+            time.sleep(0.05)
+        return np.zeros_like(rhs), rhs.shape[0], False
+
+    monkeypatch.setattr(propagation, "jacobi_cg", capped)
+    for lanes in (1, 2, 4):
+        with pytest.warns(MaxItersExceeded) as raised:
+            results, _ = graphprop_on_lanes(monkeypatch, lanes, acquisitions, 4)
+        assert [str(w.message).split("-")[0] for w in raised] == [
+            f"conjugate gradient hit the {size}" for size in kept]
+        assert [r.stats.converged for r in results] == [False, False]
 
 
 def test_graphprop_desk_scale_low_rank_rmse():
