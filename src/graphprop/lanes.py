@@ -22,6 +22,13 @@ lanes already. ``graphprop()`` also keeps calls below its work gate
 (``propagation.LANE_MIN_WORK``, nodes times channels) on one lane, where
 lanes would contend for the interpreter lock more than they share work.
 
+No piece calls a layer function that perfbench's tracer wraps (the
+module attributes listed in ``perfbench/spans.py``): the tracer keeps one
+span stack and times calls on the calling thread only. So HaLRTC refolds
+on the calling thread, and ``graphprop()`` on lanes runs the private parts
+of ``knn_edges`` and ``solve_steady_state``, which it calls by name only
+on one lane.
+
 A site's pool lives inside one call and starts no thread before its first
 submit, so importing the package starts none and no thread outlives the
 call. The harness's ``workers`` > 1 runs points in separate processes, and

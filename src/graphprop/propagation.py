@@ -6,12 +6,13 @@ gradient (:func:`jacobi_cg`, every channel's recurrence in one loop with
 one sparse product per iteration) or sparse LU, and fill rule. It is
 shared with total-variation inpainting in :mod:`graphprop.baselines`.
 :func:`graphprop` checks every acquisition with :func:`check_observed`,
-then runs three phases: the acquisitions' kNN searches on lanes
-(:mod:`graphprop.lanes`); on the calling thread, the union graph of their
-edge sets in one :func:`~graphprop.graph.build_graph` call, its coverage
-and unreachable-component warnings and its component labels; and the
-acquisitions' solves on lanes, warned about on the calling thread in
-acquisition order.
+then runs three phases: the acquisitions' kNN searches, on lanes
+(:mod:`graphprop.lanes`) once the input passes a work gate; on the calling
+thread, the union graph of their edge sets in one
+:func:`~graphprop.graph.build_graph` call, its coverage warning and each
+acquisition's reachable split; and the acquisitions' solves, on lanes
+past the same gate. Every warning comes from the calling thread, in the
+order one lane gives it.
 
 The steady state pins observed fibers and drives every missing fiber to
 the arithmetic mean of its neighbours' fibers, i.e. it solves the grounded
@@ -50,8 +51,7 @@ from .graph import (
     SparseGraph,
     _knn_observed,
     build_graph,
-    # not called here; perfbench's tracer wraps propagation.knn_edges
-    knn_edges,  # noqa: F401
+    knn_edges,
     partition_blocks,
     split_reachable,
 )
@@ -72,8 +72,9 @@ SOLVE_METHODS = ("cg", "splu")
 # Interleaved medians of 21 calls: synthetic 56x56x3 (9,408) 34.7 against
 # 34.5 ms and 64x64x3 (12,288) 52.8 against 45.3 ms; smooth raster pairs
 # with 40% overlap 40x40x7 (11,200) 26.1 against 36.7 ms and 48x48x7
-# (16,128) 50.4 against 49.4 ms.
-LANE_MIN_WORK = 12_000
+# (16,128) 50.4 against 49.4 ms. The gate sits at the raster pairs'
+# break-even, so no input measured slower on two lanes passes it.
+LANE_MIN_WORK = 16_000
 
 
 def _check_method(method: str) -> None:
@@ -201,24 +202,24 @@ def solve_reachable(g: SparseGraph, omega: ObservationSet, f_obs, system,
     with edges (not zero-degree) are reported with ``stranded``. Observed
     rows are returned bit for bit.
 
-    The steps are :func:`check_observed`, :func:`_split_reachable`,
+    The steps are :func:`check_observed`,
+    :func:`~graphprop.graph.split_reachable`, :func:`_warn_stranded`,
     :func:`_solve_kept`, :func:`_warn_capped` and :func:`_completion`;
     :func:`graphprop` runs the same steps with :func:`_solve_kept` on lanes.
     """
     if g.n != omega.n:
         raise ValueError(f"graph has {g.n} nodes, observation set {omega.n}")
     f_obs = check_observed(omega, f_obs)
-    kept, excluded = _split_reachable(g, omega, stranded)
+    kept, excluded = split_reachable(g, omega)
+    _warn_stranded(g, excluded, stranded)
     solution, stats = _solve_kept(g, omega, f_obs, kept, system, method)
     _warn_capped(stats, capped)
     return _completion(g, omega, f_obs, kept, excluded, solution, stats)
 
 
-def _split_reachable(g: SparseGraph, omega: ObservationSet,
-                     stranded: type[Warning]) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`~graphprop.graph.split_reachable`, warning ``stranded`` when a
-    missing node it excludes lies in a component with edges."""
-    kept, excluded = split_reachable(g, omega)
+def _warn_stranded(g: SparseGraph, excluded: np.ndarray, stranded: type[Warning]) -> None:
+    """Warn ``stranded`` when an ``excluded`` missing node lies in a
+    component with edges."""
     unreached = int(np.count_nonzero(g.degrees[excluded] > 0))
     if unreached:
         warnings.warn(
@@ -226,7 +227,6 @@ def _split_reachable(g: SparseGraph, omega: ObservationSet,
             "node; they are excluded and mean-filled",
             stranded,
         )
-    return kept, excluded
 
 
 def _solve_kept(g: SparseGraph, omega: ObservationSet, f_obs: np.ndarray,
@@ -318,21 +318,26 @@ def graphprop(acquisitions, k: int, *, method: str = "cg") -> list[CompletionRes
     The call runs in three phases. The acquisitions' kNN searches run on
     lanes (:func:`~graphprop.lanes.run_lanes`). The calling thread then
     builds the union graph in one :func:`~graphprop.graph.build_graph`
-    call, warns on never-observed nodes, labels the graph's components and
-    splits each acquisition's missing nodes into the reachable and the
-    excluded, warning in acquisition order. Last, the acquisitions'
-    solves run on lanes; each writes only its own acquisition's slot, and
-    the calling thread warns of any capped solve in acquisition order.
+    call, warns on never-observed nodes, and splits each acquisition's
+    missing nodes into the reachable and the excluded, which labels the
+    graph's components before any lane reads them. Last, the acquisitions'
+    solves run on lanes, each writing only its own acquisition's slot.
 
     An acquisition gets its own lane, one per CPU that
     :func:`~graphprop.lanes.lane_cpus` grants, only when nodes times
-    channels reaches ``LANE_MIN_WORK``; smaller calls run on the calling
-    thread alone. Above ``KDTREE_MAX_CHANNELS`` channels the searches stay
-    on the calling thread, one after another, and each runs its own
-    brute-force row-block lanes, so no lane starts a pool of its own. Each
-    acquisition takes the same floating-point steps at any lane count, so
-    the results are byte-identical, and a failure raises the error of the
-    first failing acquisition, as one lane would.
+    channels reaches ``LANE_MIN_WORK``. A phase on one lane calls the
+    public per-acquisition functions, :func:`~graphprop.graph.knn_edges`
+    and :func:`solve_steady_state`, one after another on the calling
+    thread, where perfbench's tracer times each call; on lanes it runs
+    their private parts, :func:`~graphprop.graph._knn_observed` on the
+    observed rows and :func:`_solve_kept`. Above ``KDTREE_MAX_CHANNELS`` channels
+    the searches stay on one lane and each runs its own brute-force
+    row-block lanes, so no lane starts a pool of its own. Each acquisition
+    takes the same floating-point steps at any lane count, so the results
+    are byte-identical; the warnings come from the calling thread in the
+    order one lane gives them (each acquisition's
+    :class:`UnreachableComponent`, then its :class:`MaxItersExceeded`), and
+    a failure raises the error of the first failing acquisition.
 
     Nodes observed in no acquisition, which are the zero-degree nodes of
     the union graph, trigger a :class:`CoverageViolationWarning` once the
@@ -358,19 +363,22 @@ def graphprop(acquisitions, k: int, *, method: str = "cg") -> list[CompletionRes
     lanes = min(lane_cpus(), count) if n * channels >= LANE_MIN_WORK else 1
     # the brute-force path runs its own lanes: one level of lanes per call
     search_lanes = lanes if channels <= KDTREE_MAX_CHANNELS else 1
-    edge_sets = [None] * count
-    solved = [None] * count
-
-    def search(i, _lane):
-        f, om = acquisitions[i]
-        edge_sets[i] = _knn_observed(f, om, k)
-
-    def solve(i, _lane):
-        (f, om), (kept, _) = acquisitions[i], splits[i]
-        solved[i] = _solve_kept(graph, om, f, kept, _grounded_laplacian, method)
 
     with ThreadPoolExecutor(max(lanes - 1, 1)) as pool:
-        run_lanes(pool, search_lanes, count, search)
+        if search_lanes == 1:
+            edge_sets = []
+            for f, om in acquisitions:
+                features = np.zeros((n, channels), dtype=np.float64)
+                features[om.observed] = f
+                edge_sets.append(knn_edges(FiberMatrix(features), om, k))
+        else:
+            edge_sets = [None] * count
+
+            def search(i, _lane):
+                f, om = acquisitions[i]
+                edge_sets[i] = _knn_observed(f, om, k)
+
+            run_lanes(pool, search_lanes, count, search)
         graph = build_graph(*edge_sets)
         del edge_sets[:]  # not held through the solves
         # every observed node has k >= 1 neighbours in its acquisition's kNN
@@ -382,11 +390,26 @@ def graphprop(acquisitions, k: int, *, method: str = "cg") -> list[CompletionRes
                 "they will be excluded and mean-filled",
                 CoverageViolationWarning,
             )
-        splits = [_split_reachable(graph, om, UnreachableComponent)
-                  for _, om in acquisitions]
-        run_lanes(pool, lanes, count, solve)
-    for solution, stats in solved:
-        _warn_capped(stats, MaxItersExceeded)
+        if lanes == 1:
+            return [solve_steady_state(graph, om, f, method=method) for f, om in acquisitions]
+
+        splits = [split_reachable(graph, om) for _, om in acquisitions]
+        solved = [None] * count
+
+        def solve(i, _lane):
+            (f, om), (kept, _) = acquisitions[i], splits[i]
+            solved[i] = _solve_kept(graph, om, f, kept, _grounded_laplacian, method)
+
+        try:
+            run_lanes(pool, lanes, count, solve)
+        finally:
+            # Every solve below the first failing one has run. Warn as one
+            # lane would have, up to that acquisition, whose error follows.
+            for (_, excluded), done in zip(splits, solved):
+                _warn_stranded(graph, excluded, UnreachableComponent)
+                if done is None:
+                    break
+                _warn_capped(done[1], MaxItersExceeded)
     return [
         _completion(graph, om, f, kept, excluded, solution, stats)
         for (f, om), (kept, excluded), (solution, stats)

@@ -225,8 +225,8 @@ def test_unknown_solver_method_rejected():
 
 def test_graphprop_rejects_unknown_method_before_knn(monkeypatch):
     calls = []
-    real = propagation._knn_observed
-    monkeypatch.setattr(propagation, "_knn_observed", lambda *a: calls.append(1) or real(*a))
+    real = propagation.knn_edges
+    monkeypatch.setattr(propagation, "knn_edges", lambda *a: calls.append(1) or real(*a))
     rng = np.random.default_rng(2)
     f = rng.standard_normal((12, 2))
     omegas = [ObservationSet(12, np.arange(0, 8)), ObservationSet(12, np.arange(4, 12))]
@@ -239,8 +239,8 @@ def test_graphprop_checks_every_acquisition_before_knn(monkeypatch):
     # each acquisition goes through check_observed; across acquisitions only
     # the node and channel counts must match
     calls = []
-    real = propagation._knn_observed
-    monkeypatch.setattr(propagation, "_knn_observed", lambda *a: calls.append(1) or real(*a))
+    real = propagation.knn_edges
+    monkeypatch.setattr(propagation, "knn_edges", lambda *a: calls.append(1) or real(*a))
     f = np.random.default_rng(4).standard_normal((12, 2))
     full = ObservationSet(12, np.arange(12))
     with pytest.raises(AllMissing):
@@ -540,6 +540,76 @@ def test_graphprop_lanes_raise_and_warn_in_acquisition_order(monkeypatch):
         assert [str(w.message).split("-")[0] for w in raised] == [
             f"conjugate gradient hit the {size}" for size in kept]
         assert [r.stats.converged for r in results] == [False, False]
+
+
+def test_graphprop_lanes_interleave_each_acquisitions_warnings(monkeypatch):
+    # clusters of 6, 7 and 8 nodes, far apart, and a lone node 21 observed
+    # by no acquisition; acquisition i skips one cluster, which it cannot
+    # reach, and misses i + 1 nodes of a cluster it observes, which it
+    # solves; every solve hits its cap, and the second one fails if asked
+    rng = np.random.default_rng(6)
+    sizes = (6, 7, 8)
+    cluster = np.repeat(np.arange(3), sizes)
+    f = np.vstack([rng.standard_normal((21, 2)) + 100.0 * cluster[:, None],
+                   [[1e4, 1e4]]])
+    acquisitions = []
+    for skip, solved in ((2, [0]), (1, [13, 14]), (0, [6, 7, 8])):
+        seen = (cluster != skip) & ~np.isin(np.arange(21), solved)
+        omega = ObservationSet(22, np.flatnonzero(seen))
+        acquisitions.append((f[omega.observed], omega))
+    fail_second = [False]
+
+    def capped(matrix, rhs):
+        if rhs.shape[0] == 1:
+            time.sleep(0.05)  # the first acquisition's solve ends last
+        if fail_second[0] and rhs.shape[0] == 2:
+            raise ArithmeticError("second")
+        return np.zeros_like(rhs), rhs.shape[0], False
+
+    monkeypatch.setattr(propagation, "jacobi_cg", capped)
+    for fail in (False, True):
+        fail_second[0] = fail
+        notes = {}
+        for lanes in (1, 2, 4):
+            with warnings.catch_warnings(record=True) as raised:
+                warnings.simplefilter("always")
+                if fail:
+                    with pytest.raises(ArithmeticError, match="^second$"):
+                        graphprop_on_lanes(monkeypatch, lanes, acquisitions, 2)
+                else:
+                    graphprop_on_lanes(monkeypatch, lanes, acquisitions, 2)
+            notes[lanes] = [(w.category.__name__, str(w.message).split()[0]) for w in raised]
+        stranded = [("UnreachableComponent", str(size)) for size in (8, 7, 6)]
+        hit = ("MaxItersExceeded", "conjugate")
+        want = [("CoverageViolationWarning", "1"), stranded[0], hit, stranded[1]]
+        want += [] if fail else [hit, stranded[2], hit]
+        assert notes[1] == want
+        assert notes[2] == want and notes[4] == want
+
+
+def test_graphprop_calls_the_public_functions_only_on_one_lane(monkeypatch):
+    # one lane runs knn_edges and solve_steady_state per acquisition on the
+    # calling thread, where a wrapper of either (perfbench's tracer) sees
+    # every call; lanes run their private parts and call neither
+    acquisitions = synthetic_acquisitions(3)
+    calls = []
+    for name in ("knn_edges", "solve_steady_state"):
+        real = getattr(propagation, name)
+
+        def recording(*args, name=name, real=real, **kwargs):
+            calls.append((name, threading.get_ident()))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(propagation, name, recording)
+    one_lane, submits = graphprop_on_lanes(monkeypatch, 1, acquisitions, 5)
+    caller = threading.get_ident()
+    assert submits == []
+    assert calls == [("knn_edges", caller)] * 3 + [("solve_steady_state", caller)] * 3
+    calls.clear()
+    results, submits = graphprop_on_lanes(monkeypatch, 2, acquisitions, 5)
+    assert calls == [] and len(submits) == 2
+    for got, want in zip(results, one_lane):
+        assert got.completed.values.tobytes() == want.completed.values.tobytes()
 
 
 def test_graphprop_desk_scale_low_rank_rmse():
