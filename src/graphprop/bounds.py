@@ -84,6 +84,13 @@ def spectral_norm(matrix) -> float:
     result would depend on earlier calls. A single column (ARPACK needs
     two) uses the exact dense norm. Raises
     :class:`SpectralNormNotConverged` when ARPACK does not converge.
+
+    The result is reproducible at one BLAS thread count. ``m.data @
+    m.data``, the Rayleigh quotient's dot and norms, and ARPACK's own
+    vector operations are BLAS calls, which OpenBLAS splits over its
+    threads above about 10,000 entries; from there on the last digits
+    follow the thread count. The bound argument above holds in any
+    summation order, so the result is an upper bound at any count.
     """
     rows, cols = matrix.shape
     if cols == 0 or rows == 0:

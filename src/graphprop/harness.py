@@ -417,13 +417,18 @@ def _stage(caught: list, where: dict, call, *args, **kwargs):
     return result, seconds
 
 
-def _propagate(cfg: ExperimentConfig, fibers, omegas):
-    """:func:`graphprop` on each acquisition's observed rows of its
-    ``(n, channels)`` fiber array, with the configured k and solve method."""
+def _observed_rows(fibers, omegas) -> list[np.ndarray]:
+    """Each acquisition's observed rows of its ``(n, channels)`` fiber
+    array, in the order of ``omega.observed``."""
+    return [f[om.observed] for f, om in zip(fibers, omegas)]
+
+
+def _propagate(cfg: ExperimentConfig, rows, omegas):
+    """:func:`graphprop` on each acquisition's observed ``rows``, with the
+    configured k and solve method."""
     # graphprop is read from the module at call time, so a patched
     # harness.graphprop is the one called
-    return graphprop([(f[om.observed], om) for f, om in zip(fibers, omegas)],
-                     cfg.k, method=cfg.solver.method)
+    return graphprop(list(zip(rows, omegas)), cfg.k, method=cfg.solver.method)
 
 
 def _load_tensors(paths, shape=None) -> list[DenseTensor]:
@@ -486,7 +491,7 @@ def _synth_point(cfg: ExperimentConfig, r: int, frac: float,
     where = dict(r=r, missing_frac=frac, repeat=rep)
     caught: list[dict] = []
     results, gp_time = _stage(caught, dict(where, method="graphprop"),
-                              _propagate, cfg, fibers, omegas)
+                              _propagate, cfg, _observed_rows(fibers, omegas), omegas)
     ha_fibers, ha_time = _stage(caught, dict(where, method="halrtc"),
                                 _halrtc_fibers, fibers, omegas, tensors[0].shape)
     rows = [
@@ -577,8 +582,9 @@ def run_overlap_sim(cfg: ExperimentConfig, *, write: bool = True):
 
         estimates: dict[str, list[np.ndarray]] = {}
         timings: dict[str, float] = {}
+        observed = _observed_rows(truth_fibers, omegas)
         gp, timings["graphprop"] = _stage(caught, {"method": "graphprop"},
-                                          _propagate, cfg, truth_fibers, omegas)
+                                          _propagate, cfg, observed, omegas)
         never_mask = gp[0].graph.degrees == 0
         never = np.flatnonzero(never_mask)
         area_notes = notes[f"area={area}"] = {
@@ -590,8 +596,7 @@ def run_overlap_sim(cfg: ExperimentConfig, *, write: bool = True):
         estimates["graphprop"] = [r.completed.values for r in gp]
         estimates["gtvm"], timings["gtvm"] = _stage(
             caught, {"method": "gtvm"},
-            lambda: [gtvm_inpaint(gp[0].graph, om, f[om.observed]).values
-                     for f, om in zip(truth_fibers, omegas)])
+            lambda: [gtvm_inpaint(gp[0].graph, om, f).values for f, om in zip(observed, omegas)])
         estimates["halrtc"], timings["halrtc"] = _stage(
             caught, {"method": "halrtc"}, _halrtc_fibers, truth_fibers, omegas, (h, w, bands))
 
@@ -714,8 +719,8 @@ def save_observation_set(omega: ObservationSet, path) -> None:
     Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
 
 
-def _complete(cfg: ExperimentConfig, fibers, omegas, truths=None):
-    """The ``graphprop`` stage on the acquisitions' fiber arrays, its
+def _complete(cfg: ExperimentConfig, rows, omegas, truths=None):
+    """The ``graphprop`` stage on the acquisitions' observed ``rows``, its
     manifest notes (nodes missing in every acquisition, which are the
     zero-degree nodes of the union graph, ``never_observed``; each
     acquisition's excluded, mean-filled nodes; the warnings) and, given
@@ -723,7 +728,7 @@ def _complete(cfg: ExperimentConfig, fibers, omegas, truths=None):
     measured error above an applicable bound raises :class:`BoundViolation`
     here, so no file is written."""
     caught: list[dict] = []
-    results, _ = _stage(caught, {"method": "graphprop"}, _propagate, cfg, fibers, omegas)
+    results, _ = _stage(caught, {"method": "graphprop"}, _propagate, cfg, rows, omegas)
     notes = {
         "never_observed": np.flatnonzero(results[0].graph.degrees == 0).tolist(),
         "excluded_per_acquisition": [r.excluded_ids.tolist() for r in results],
@@ -754,11 +759,15 @@ def run_complete(cfg: ExperimentConfig, *, write: bool = True):
     order = len(shape)
     n = int(np.prod(shape[:-1]))
     omegas = [load_observation_set(p, n) for p in cfg.observation_files]
+    # Only the observed rows are kept: each loaded tensor and its full
+    # fiber array are released as soon as they are sliced, before graphprop.
+    rows = []
+    for om in omegas:
+        rows.append(matricize(tensors.pop(0), order).values[om.observed])
     truths = None
     if cfg.truth_files:
         truths = [matricize(t, order).values for t in _load_tensors(cfg.truth_files, shape)]
-    results, notes, reports = _complete(
-        cfg, [matricize(t, order).values for t in tensors], omegas, truths)
+    results, notes, reports = _complete(cfg, rows, omegas, truths)
     if write:
         artifacts: list[str] = []
         for i, res in enumerate(results, start=1):
@@ -775,7 +784,7 @@ def run_bound_report(cfg: ExperimentConfig, *, write: bool = True):
     tensors, omegas = _synth_instance(cfg, cfg.rank, cfg.missing_frac,
                                       _KIND_TAGS["bound-report"])
     fibers = [matricize(t, 3).values for t in tensors]
-    _, notes, reports = _complete(cfg, fibers, omegas, fibers)
+    _, notes, reports = _complete(cfg, _observed_rows(fibers, omegas), omegas, fibers)
     if write:
         write_outputs(cfg, [], notes=notes, reports=reports)
     return reports

@@ -131,7 +131,9 @@ def check_observed(omega: ObservationSet, f_obs) -> np.ndarray:
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The dot product of each row of ``a`` with the same row of ``b``: a
     stacked (1, n) by (n, 1) matmul, one BLAS ``dot`` per row, so every row
-    rounds as a lone vector does."""
+    rounds as a lone vector does at the same BLAS thread count. Above about
+    10,000 entries per row OpenBLAS splits a ``dot`` over its threads, so
+    the last bits then follow the thread count."""
     return np.matmul(a[:, None], b[:, :, None])[:, 0, 0]
 
 
@@ -146,22 +148,36 @@ def jacobi_cg(matrix: sp.csr_array, rhs: np.ndarray) -> tuple[np.ndarray, int, b
     takes no step and is solved by 0. The iteration cap is
     ``CG_ITERS_PER_UNKNOWN`` times the unknown count. These are the stopping
     rules of ``scipy.sparse.linalg.cg`` applied column by column, and each
-    column's recurrence takes the same floating-point steps as that call.
+    column's recurrence takes the same floating-point steps as that call,
+    alone or among other columns, at one BLAS thread count (above about
+    10,000 unknowns the row dot products follow the thread count, see
+    :func:`_row_dots`).
+
+    The working set is six blocks of ``rhs``'s size: the solution, the
+    residual, iterate and search direction of the live columns, one
+    scratch block, and the sparse product's result, which is the only
+    block allocated per iteration. The scratch serves z, then the
+    product's C-ordered operand, then q and alpha q, then alpha p.
 
     Returns the solution, the largest iteration count over the columns,
     and whether every column converged (otherwise the last iterate of each
     live column is kept and the count is the cap).
     """
-    cap = int(CG_ITERS_PER_UNKNOWN * rhs.shape[0])
+    n = rhs.shape[0]
+    cap = int(CG_ITERS_PER_UNKNOWN * n)
     inv_diag = 1.0 / matrix.diagonal()
     solution = np.zeros_like(rhs)
     # One row per column, so the vector updates run over contiguous rows.
-    r = np.ascontiguousarray(rhs.T)
+    # Always a copy: r is updated in place, and a one-column rhs.T is
+    # already C-ordered.
+    r = np.array(rhs.T, order="C")
     tol = DEFAULT_TOL * np.sqrt(_row_dots(r, r))
     live = np.flatnonzero(tol > 0)
-    tol, r = tol[live], r[live]
+    if live.size < tol.size:
+        tol, r = tol[live], r[live]
     x = np.zeros_like(r)
     p = np.zeros_like(r)
+    scratch = np.empty(r.size)
     rho_prev = np.ones(live.size)  # p is 0, so the first step sets p = z
     iterations = 0
     for step in range(cap):
@@ -170,17 +186,25 @@ def jacobi_cg(matrix: sp.csr_array, rhs: np.ndarray) -> tuple[np.ndarray, int, b
             solution[:, live[done]] = x[done].T
             iterations = step
             keep = ~done
-            live, tol, rho_prev, r, x, p = (a[keep] for a in (live, tol, rho_prev, r, x, p))
+            live, tol, rho_prev = live[keep], tol[keep], rho_prev[keep]
+            # one array at a time, so one block at most is held twice
+            r = r[keep]
+            x = x[keep]
+            p = p[keep]
         if not live.size:
             return solution, iterations, True
-        z = r * inv_diag
+        block = scratch[:r.size]
+        z = np.multiply(r, inv_diag, out=block.reshape(r.shape))
         rho = _row_dots(r, z)
         p *= (rho / rho_prev)[:, None]
         p += z
-        q = np.ascontiguousarray((matrix @ p.T).T)
+        operand = block.reshape(n, live.size)
+        np.copyto(operand, p.T)
+        q = block.reshape(r.shape)
+        np.copyto(q, (matrix @ operand).T)
         alpha = (rho / _row_dots(p, q))[:, None]
-        x += alpha * p
-        r -= alpha * q
+        r -= np.multiply(alpha, q, out=q)
+        x += np.multiply(alpha, p, out=q)
         rho_prev = rho
     solution[:, live] = x.T
     return solution, cap, not live.size

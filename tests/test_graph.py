@@ -1,7 +1,9 @@
 import os
+import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,6 +368,30 @@ def test_knn_brute_force_past_the_certified_channel_count():
     points[2, 1::3] = -1.0
     e = knn_edges(FiberMatrix(points), all_observed(3), 2)
     assert edge_pairs(e) == {(0, 1), (0, 2), (1, 2)}
+
+
+def test_knn_brute_force_never_loads_the_kd_tree():
+    """scipy.spatial is loaded only by a kd-tree search: a fresh process
+    whose searches all take the brute-force path never imports it."""
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "from graphprop import FiberMatrix, ObservationSet, knn_edges",
+        "from graphprop.graph import KDTREE_MAX_CHANNELS",
+        "rng = np.random.default_rng(0)",
+        "omega = ObservationSet(40, np.arange(0, 40, 2))",
+        "for channels in (KDTREE_MAX_CHANNELS + 1, 24):",
+        "    knn_edges(FiberMatrix(rng.standard_normal((40, channels))), omega, 3)",
+        "assert 'scipy.spatial' not in sys.modules",
+        "knn_edges(FiberMatrix(rng.standard_normal((40, 3))), omega, 3)",
+        "assert 'scipy.spatial' in sys.modules",
+    ])
+    src = str(Path(graph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_component_labels_computed_once(monkeypatch):

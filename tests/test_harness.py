@@ -1,6 +1,7 @@
 import csv
 import json
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from graphprop import (
     two_block_graph,
 )
 from graphprop import graph, harness, propagation
-from graphprop.bounds import BoundReport
+from graphprop.bounds import BoundReport, evaluate_bounds
 from graphprop.cli import main
 from graphprop.errors import ConfigError, DataError, MaxItersExceeded, SingularSystemWarning
 from graphprop.harness import (
@@ -528,6 +529,60 @@ def test_run_complete_bound_report(tmp_path):
     assert len(reports) == 2
     payload = json.loads((tmp_path / "out" / "bound_report.json").read_text())
     assert {"psi", "phi", "bound", "measured_error", "applicable"} <= set(payload[0])
+
+
+def test_run_complete_releases_its_inputs_before_graphprop(tmp_path, monkeypatch):
+    """Only the observed rows reach graphprop(): every loaded tensor and
+    its full fiber array are gone by then."""
+    _, _, paths = make_complete_inputs(tmp_path, seed=3)
+    refs = []
+    real_load, real_matricize, real_graphprop = (
+        harness.load_tensor, harness.matricize, harness.graphprop)
+
+    def load(path):
+        t = real_load(path)
+        refs.append(weakref.ref(t))
+        return t
+
+    def fibers(t, mode):
+        f = real_matricize(t, mode)
+        refs.extend([weakref.ref(f), weakref.ref(f.values)])
+        return f
+
+    released = []
+
+    def propagate(*args, **kwargs):
+        released.append([ref() is None for ref in refs])
+        return real_graphprop(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "load_tensor", load)
+    monkeypatch.setattr(harness, "matricize", fibers)
+    monkeypatch.setattr(harness, "graphprop", propagate)
+    results, _ = run_complete(config_from_dict(
+        dict(kind="complete", k=4,
+             inputs=[str(paths[1][0]), str(paths[2][0])],
+             observation_files=[str(paths[1][1]), str(paths[2][1])],
+             out_dir=str(tmp_path / "out"))
+    ))
+    assert released == [[True] * 6]
+    assert len(results) == 2
+
+
+def test_run_bound_report_file_matches_the_library(tmp_path):
+    """bound-report passes graphprop() the observed rows and keeps the
+    full fiber arrays as truths; its file holds, byte for byte, what
+    graphprop() and evaluate_bounds give on the instance."""
+    cfg = config_from_dict(dict(kind="bound-report", i1=12, i2=12, i3=2, k=3,
+                                out_dir=str(tmp_path)))
+    run_bound_report(cfg)
+    tensors, omegas = harness._synth_instance(cfg, cfg.rank, cfg.missing_frac,
+                                              harness._KIND_TAGS["bound-report"])
+    fibers = [matricize(t, 3).values for t in tensors]
+    results = graphprop([(f[om.observed], om) for f, om in zip(fibers, omegas)], cfg.k)
+    reports = [evaluate_bounds(res.graph, om, f, res.completed).to_dict()
+               for res, om, f in zip(results, omegas, fibers)]
+    expected = json.dumps(reports, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "bound_report.json").read_bytes() == expected.encode("utf-8")
 
 
 def count_knn_calls(monkeypatch):

@@ -2,6 +2,7 @@ import functools
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -207,8 +208,29 @@ def test_jacobi_cg_matches_scipy_reference(monkeypatch, columns, capped):
     assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
     if columns > 1:
         assert not got[:, -1].any()
-        early, early_iters, _ = jacobi_cg(l_kk, rhs[:, :1])
-        assert early_iters <= 4 and np.allclose(early[:, 0], got[:, 0], rtol=0, atol=1e-12)
+        assert jacobi_cg(l_kk, rhs[:, :1])[1] <= 4
+        # columns freeze at different steps and are compacted away; each
+        # still takes the steps it takes alone
+        for j in range(columns):
+            alone, _, _ = jacobi_cg(l_kk, rhs[:, j:j + 1])
+            assert np.array_equal(alone[:, 0], got[:, j]), j
+
+
+@pytest.mark.parametrize("columns", [7, 24])
+def test_jacobi_cg_working_set_is_six_blocks(columns):
+    """Peak traced memory of one solve, in blocks of the right-hand side's
+    size: the solution, r, x, p, one scratch block and the product's
+    result, plus a few vectors of the unknown count."""
+    l_kk = grid_laplacian(side=48)
+    rhs = np.random.default_rng(columns).standard_normal((l_kk.shape[0], columns))
+    tracemalloc.start()
+    try:
+        _, iterations, converged = jacobi_cg(l_kk, rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert converged and iterations > 20
+    assert peak <= 6.5 * rhs.nbytes, peak / rhs.nbytes
 
 
 def test_jacobi_cg_zero_right_hand_side():
