@@ -73,8 +73,8 @@ def gtvm_inpaint(
         b_x = x - (g.adjacency @ x) / lam_max
         return gram, ((g.adjacency @ b_x) / lam_max - b_x)[kept]
 
-    return solve_reachable(g, omega, t_obs, normal_equations, "cg",
-                           SingularSystemWarning, SingularSystemWarning).completed
+    return solve_reachable(g, [(t_obs, omega)], normal_equations, "cg",
+                           SingularSystemWarning, SingularSystemWarning)[0].completed
 
 
 def _shrink_mode(fibers: np.ndarray, threshold: float) -> np.ndarray:

@@ -199,14 +199,9 @@ def two_block_graph(block_size: int, seed: int) -> tuple[EdgeSet, np.ndarray]:
         raise ValueError("block size must be at least 2")
     n = 2 * block_size
     labels = np.repeat(np.array([0, 1], dtype=np.int64), block_size)
-    intra_pairs = np.array(
-        [(u, v) for u in range(block_size) for v in range(u + 1, block_size)],
-        dtype=np.int64,
-    )
-    cross_pairs = np.array(
-        [(u, block_size + v) for u in range(block_size) for v in range(block_size)],
-        dtype=np.int64,
-    )
+    intra_pairs = np.column_stack(np.triu_indices(block_size, 1)).astype(np.int64)
+    u, v = np.divmod(np.arange(block_size**2, dtype=np.int64), block_size)
+    cross_pairs = np.column_stack([u, block_size + v])
     n_intra = math.ceil(INTRA_DENSITY * len(intra_pairs))
     n_cross = max(1, math.ceil(CROSS_DENSITY * len(cross_pairs)))
     rng = np.random.default_rng(seed)

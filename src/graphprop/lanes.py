@@ -25,9 +25,9 @@ lanes would contend for the interpreter lock more than they share work.
 No piece calls a layer function that perfbench's tracer wraps (the
 module attributes listed in ``perfbench/spans.py``): the tracer keeps one
 span stack and times calls on the calling thread only. So HaLRTC refolds
-on the calling thread, and ``graphprop()`` on lanes runs the private parts
-of ``knn_edges`` and ``solve_steady_state``, which it calls by name only
-on one lane.
+on the calling thread, and ``graphprop()`` calls ``knn_edges`` and
+``solve_steady_state`` by name only on one lane; on lanes it runs
+``graph._knn_observed`` and ``propagation.solve_reachable``, the one solve.
 
 A site's pool lives inside one call and starts no thread before its first
 submit, so importing the package starts none and no thread outlives the

@@ -4,10 +4,13 @@ least once, plus classification accuracy.
 All metrics take an :class:`ErrorField`: one stacked array of error rows
 (truth minus estimate over each acquisition's missing fibers, never-observed
 nodes dropped, the acquisitions' rows one block after another). The entry
-count in the denominators is the array's size.
+count in the denominators is the array's size. Sums are numpy's pairwise
+``np.sum``, not a BLAS ``dot``, whose last bits follow the BLAS thread
+count above about 10,000 entries.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -69,8 +72,7 @@ def mse(e: ErrorField) -> float:
 def rmse(e: ErrorField) -> float:
     """Root mean squared error, the square root of :func:`mse`
     (``||W||_F / sqrt(W.size)``)."""
-    errors = _require_entries(e)
-    return float(np.linalg.norm(errors) / np.sqrt(errors.size))
+    return math.sqrt(mse(e))
 
 
 def mae(e: ErrorField) -> float:
@@ -92,7 +94,7 @@ def mpsnr(e: ErrorField) -> float:
     zero_bands = 0
     for band in range(channels):
         w = errors[:, band]
-        mean_square = float(w @ w) / rows
+        mean_square = float(np.sum(w * w)) / rows
         if mean_square == 0.0:
             zero_bands += 1
             continue

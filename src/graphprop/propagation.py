@@ -1,18 +1,17 @@
 """Masked diffusion over the unified graph: the steady-state solve, the
 end-to-end multi-acquisition pipeline, and median thresholding for label
 tasks. :func:`solve_reachable` is the one solve over the missing nodes an
-observed node can reach: input check (:func:`check_observed`), conjugate
+observed node can reach, of one acquisition or several on lanes
+(:mod:`graphprop.lanes`): input check (:func:`check_observed`), conjugate
 gradient (:func:`jacobi_cg`, every channel's recurrence in one loop with
-one sparse product per iteration) or sparse LU, and fill rule. It is
-shared with total-variation inpainting in :mod:`graphprop.baselines`.
-:func:`graphprop` checks every acquisition with :func:`check_observed`,
-then runs three phases: the acquisitions' kNN searches, on lanes
-(:mod:`graphprop.lanes`) once the input passes a work gate; on the calling
-thread, the union graph of their edge sets in one
-:func:`~graphprop.graph.build_graph` call, its coverage warning and each
-acquisition's reachable split; and the acquisitions' solves, on lanes
-past the same gate. Every warning comes from the calling thread, in the
-order one lane gives it.
+one sparse product per iteration) or sparse LU, warnings and fill rule.
+:func:`solve_steady_state`, :func:`graphprop` and total-variation
+inpainting in :mod:`graphprop.baselines` all solve through it.
+:func:`graphprop` runs the acquisitions' kNN searches, on lanes once the
+input passes a work gate, then on the calling thread builds the union
+graph in one :func:`~graphprop.graph.build_graph` call and warns on its
+coverage, and then solves. Every warning comes from the calling thread, in
+the order one lane gives it.
 
 The steady state pins observed fibers and drives every missing fiber to
 the arithmetic mean of its neighbours' fibers, i.e. it solves the grounded
@@ -210,87 +209,85 @@ def jacobi_cg(matrix: sp.csr_array, rhs: np.ndarray) -> tuple[np.ndarray, int, b
     return solution, cap, not live.size
 
 
-def solve_reachable(g: SparseGraph, omega: ObservationSet, f_obs, system,
-                    method: str, stranded: type[Warning],
-                    capped: type[Warning]) -> CompletionResult:
-    """Solve one symmetric positive definite system over the missing nodes
-    that share a component with an observed node, and fill every row.
+def solve_reachable(g: SparseGraph, acquisitions, system, method: str,
+                    stranded: type[Warning], capped: type[Warning], *,
+                    pool=None, lanes: int = 1) -> list[CompletionResult]:
+    """Solve, for each acquisition of ``g``, one symmetric positive definite
+    system over the missing nodes that share a component with an observed
+    node, and fill every row. Returns one result per acquisition, in order.
 
-    ``system(kept, blocks, f_obs)`` returns the system's ``(matrix, rhs)``
-    over the ``kept`` missing ids, given their
-    :func:`~graphprop.graph.partition_blocks` slices and the checked
+    ``acquisitions`` is a list of ``(f_obs, omega)`` pairs over ``g``'s
+    nodes. ``system(kept, blocks, f_obs)`` returns an acquisition's
+    ``(matrix, rhs)`` over its ``kept`` missing ids, given their
+    :func:`~graphprop.graph.partition_blocks` slices and its checked
     observed values. ``method`` is 'cg' (:func:`jacobi_cg`; hitting its
     iteration cap warns ``capped`` and sets ``stats.converged`` to False)
-    or 'splu' (sparse direct). The other missing nodes are excluded and
-    get the per-channel mean of the observed rows; those in a component
-    with edges (not zero-degree) are reported with ``stranded``. Observed
-    rows are returned bit for bit.
+    or 'splu' (sparse direct); ``stats.residual_norm`` is
+    ``||matrix @ solution - rhs||_F``. The other missing nodes are
+    excluded and get the per-channel mean of the observed rows; those in a
+    component with edges (not zero-degree) are reported with ``stranded``.
+    Observed rows are returned bit for bit.
 
-    The steps are :func:`check_observed`,
-    :func:`~graphprop.graph.split_reachable`, :func:`_warn_stranded`,
-    :func:`_solve_kept`, :func:`_warn_capped` and :func:`_completion`;
-    :func:`graphprop` runs the same steps with :func:`_solve_kept` on lanes.
+    The calling thread checks each acquisition (:func:`check_observed`)
+    and splits its missing nodes (:func:`~graphprop.graph.split_reachable`
+    labels the graph's components before any lane reads them). The
+    numeric solves run on ``lanes`` lanes (:func:`~graphprop.lanes.run_lanes`,
+    lanes past the first on ``pool``), each writing only its own slot, so
+    each takes the same floating-point steps at any lane count. Then the
+    calling thread warns as one lane would, each acquisition's
+    ``stranded`` then ``capped``, up to the first failing solve, whose
+    error follows.
     """
-    if g.n != omega.n:
-        raise ValueError(f"graph has {g.n} nodes, observation set {omega.n}")
-    f_obs = check_observed(omega, f_obs)
-    kept, excluded = split_reachable(g, omega)
-    _warn_stranded(g, excluded, stranded)
-    solution, stats = _solve_kept(g, omega, f_obs, kept, system, method)
-    _warn_capped(stats, capped)
-    return _completion(g, omega, f_obs, kept, excluded, solution, stats)
+    checked = []
+    for f_obs, omega in acquisitions:
+        if g.n != omega.n:
+            raise ValueError(f"graph has {g.n} nodes, observation set {omega.n}")
+        checked.append((check_observed(omega, f_obs), omega))
+    splits = [split_reachable(g, omega) for _, omega in checked]
+    solved = [None] * len(checked)
 
+    def solve(i, _lane):
+        (f_obs, omega), (kept, _) = checked[i], splits[i]
+        if not kept.size:
+            solved[i] = np.empty((0, f_obs.shape[1])), SolverStats(method, 0, 0.0, True)
+            return
+        matrix, rhs = system(kept, partition_blocks(g, omega.observed, kept), f_obs)
+        if method == "cg":
+            solution, iterations, converged = jacobi_cg(matrix, rhs)
+        else:
+            solution = spla.splu(matrix.tocsc()).solve(rhs)
+            iterations, converged = 0, True
+        residual = frobenius_norm(matrix @ solution - rhs)
+        solved[i] = solution, SolverStats(method, iterations, residual, converged)
 
-def _warn_stranded(g: SparseGraph, excluded: np.ndarray, stranded: type[Warning]) -> None:
-    """Warn ``stranded`` when an ``excluded`` missing node lies in a
-    component with edges."""
-    unreached = int(np.count_nonzero(g.degrees[excluded] > 0))
-    if unreached:
-        warnings.warn(
-            f"{unreached} missing node(s) lie in components with no observed "
-            "node; they are excluded and mean-filled",
-            stranded,
-        )
-
-
-def _solve_kept(g: SparseGraph, omega: ObservationSet, f_obs: np.ndarray,
-                kept: np.ndarray, system, method: str) -> tuple[np.ndarray, SolverStats]:
-    """The numeric part of :func:`solve_reachable`: the ``(kept, channels)``
-    solution over the ``kept`` missing ids and its stats, with the residual
-    ``||matrix @ solution - rhs||_F``. It warns nothing and writes nothing
-    it was given, so the acquisitions of one graph may run it on lanes at
-    once."""
-    if not kept.size:
-        return np.empty((0, f_obs.shape[1])), SolverStats(method, 0, 0.0, True)
-    matrix, rhs = system(kept, partition_blocks(g, omega.observed, kept), f_obs)
-    if method == "cg":
-        solution, iterations, converged = jacobi_cg(matrix, rhs)
-    else:
-        solution = spla.splu(matrix.tocsc()).solve(rhs)
-        iterations, converged = 0, True
-    residual = frobenius_norm(matrix @ solution - rhs)
-    return solution, SolverStats(method, iterations, residual, converged)
-
-
-def _warn_capped(stats: SolverStats, capped: type[Warning]) -> None:
-    if not stats.converged:
-        warnings.warn(
-            f"conjugate gradient hit the {stats.iterations}-iteration cap; "
-            "last iterate kept",
-            capped,
-        )
-
-
-def _completion(g: SparseGraph, omega: ObservationSet, f_obs: np.ndarray,
-                kept: np.ndarray, excluded: np.ndarray, solution: np.ndarray,
-                stats: SolverStats) -> CompletionResult:
-    """Every row filled: the observed values bit for bit, the solution at
-    ``kept`` and the per-channel observed mean at ``excluded``."""
-    values = np.empty((omega.n, f_obs.shape[1]), dtype=np.float64)
-    values[omega.observed] = f_obs
-    values[kept] = solution
-    values[excluded] = f_obs.mean(axis=0)
-    return CompletionResult(FiberMatrix(values), kept, excluded, stats, g)
+    try:
+        run_lanes(pool, lanes, len(checked), solve)
+    finally:
+        # every solve below the first failing one has run
+        for (_, excluded), done in zip(splits, solved):
+            unreached = int(np.count_nonzero(g.degrees[excluded] > 0))
+            if unreached:
+                warnings.warn(
+                    f"{unreached} missing node(s) lie in components with no observed "
+                    "node; they are excluded and mean-filled",
+                    stranded,
+                )
+            if done is None:
+                break
+            if not done[1].converged:
+                warnings.warn(
+                    f"conjugate gradient hit the {done[1].iterations}-iteration cap; "
+                    "last iterate kept",
+                    capped,
+                )
+    results = []
+    for (f_obs, omega), (kept, excluded), (solution, stats) in zip(checked, splits, solved):
+        values = np.empty((omega.n, f_obs.shape[1]), dtype=np.float64)
+        values[omega.observed] = f_obs
+        values[kept] = solution
+        values[excluded] = f_obs.mean(axis=0)
+        results.append(CompletionResult(FiberMatrix(values), kept, excluded, stats, g))
+    return results
 
 
 def _grounded_laplacian(kept, blocks, f_obs):
@@ -323,8 +320,8 @@ def solve_steady_state(
     See :func:`solve_reachable`.
     """
     _check_method(method)
-    return solve_reachable(g, omega, f_obs, _grounded_laplacian, method,
-                           UnreachableComponent, MaxItersExceeded)
+    return solve_reachable(g, [(f_obs, omega)], _grounded_laplacian, method,
+                           UnreachableComponent, MaxItersExceeded)[0]
 
 
 def graphprop(acquisitions, k: int, *, method: str = "cg") -> list[CompletionResult]:
@@ -339,29 +336,25 @@ def graphprop(acquisitions, k: int, *, method: str = "cg") -> list[CompletionRes
     only place the union graph is composed: the returned results, one per
     acquisition in input order, all carry that graph as ``result.graph``.
 
-    The call runs in three phases. The acquisitions' kNN searches run on
-    lanes (:func:`~graphprop.lanes.run_lanes`). The calling thread then
+    The acquisitions' kNN searches run first; then the calling thread
     builds the union graph in one :func:`~graphprop.graph.build_graph`
-    call, warns on never-observed nodes, and splits each acquisition's
-    missing nodes into the reachable and the excluded, which labels the
-    graph's components before any lane reads them. Last, the acquisitions'
-    solves run on lanes, each writing only its own acquisition's slot.
-
-    An acquisition gets its own lane, one per CPU that
-    :func:`~graphprop.lanes.lane_cpus` grants, only when nodes times
-    channels reaches ``LANE_MIN_WORK``. A phase on one lane calls the
-    public per-acquisition functions, :func:`~graphprop.graph.knn_edges`
-    and :func:`solve_steady_state`, one after another on the calling
-    thread, where perfbench's tracer times each call; on lanes it runs
-    their private parts, :func:`~graphprop.graph._knn_observed` on the
-    observed rows and :func:`_solve_kept`. Above ``KDTREE_MAX_CHANNELS`` channels
-    the searches stay on one lane and each runs its own brute-force
-    row-block lanes, so no lane starts a pool of its own. Each acquisition
-    takes the same floating-point steps at any lane count, so the results
-    are byte-identical; the warnings come from the calling thread in the
-    order one lane gives them (each acquisition's
-    :class:`UnreachableComponent`, then its :class:`MaxItersExceeded`), and
-    a failure raises the error of the first failing acquisition.
+    call and warns on never-observed nodes; last, each acquisition is
+    solved. An acquisition gets its own lane (:mod:`graphprop.lanes`), one
+    per CPU that :func:`~graphprop.lanes.lane_cpus` grants, only when
+    nodes times channels reaches ``LANE_MIN_WORK``. On one lane the call
+    runs the public per-acquisition functions,
+    :func:`~graphprop.graph.knn_edges` and :func:`solve_steady_state`, one
+    after another on the calling thread, where perfbench's tracer times
+    each call; on lanes it runs :func:`~graphprop.graph._knn_observed` on
+    the observed rows and one :func:`solve_reachable`, the one solve, over
+    every acquisition. Above ``KDTREE_MAX_CHANNELS`` channels the searches
+    stay on one lane and each runs its own brute-force row-block lanes, so
+    no lane starts a pool of its own. Each acquisition takes the same
+    floating-point steps at any lane count, so the results are
+    byte-identical; the warnings come in the order one lane gives them
+    (each acquisition's :class:`UnreachableComponent`, then its
+    :class:`MaxItersExceeded`), and a failure raises the error of the
+    first failing acquisition.
 
     Nodes observed in no acquisition, which are the zero-degree nodes of
     the union graph, trigger a :class:`CoverageViolationWarning` once the
@@ -417,28 +410,9 @@ def graphprop(acquisitions, k: int, *, method: str = "cg") -> list[CompletionRes
         if lanes == 1:
             return [solve_steady_state(graph, om, f, method=method) for f, om in acquisitions]
 
-        splits = [split_reachable(graph, om) for _, om in acquisitions]
-        solved = [None] * count
-
-        def solve(i, _lane):
-            (f, om), (kept, _) = acquisitions[i], splits[i]
-            solved[i] = _solve_kept(graph, om, f, kept, _grounded_laplacian, method)
-
-        try:
-            run_lanes(pool, lanes, count, solve)
-        finally:
-            # Every solve below the first failing one has run. Warn as one
-            # lane would have, up to that acquisition, whose error follows.
-            for (_, excluded), done in zip(splits, solved):
-                _warn_stranded(graph, excluded, UnreachableComponent)
-                if done is None:
-                    break
-                _warn_capped(done[1], MaxItersExceeded)
-    return [
-        _completion(graph, om, f, kept, excluded, solution, stats)
-        for (f, om), (kept, excluded), (solution, stats)
-        in zip(acquisitions, splits, solved)
-    ]
+        return solve_reachable(graph, acquisitions, _grounded_laplacian, method,
+                               UnreachableComponent, MaxItersExceeded,
+                               pool=pool, lanes=lanes)
 
 
 def median_threshold(values: np.ndarray, missing: np.ndarray,

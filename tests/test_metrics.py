@@ -66,6 +66,17 @@ def test_rmse_squares_to_mse(seed):
     assert abs(rmse(e) ** 2 - mse(e)) <= 1e-14 * max(1.0, mse(e))
 
 
+def test_rmse_and_mpsnr_sum_pairwise_on_large_fields():
+    # above about 10,000 entries a BLAS dot splits over its threads, so
+    # its last bits follow the thread count; numpy's pairwise sum does not
+    errors = np.random.default_rng(7).standard_normal((13_000, 4))
+    e = ErrorField(errors)
+    assert rmse(e) == math.sqrt(mse(e))
+    bands = [10.0 * np.log10(np.max(np.abs(w)) / (np.sum(w * w) / w.size))
+             for w in errors.T]
+    assert mpsnr(e) == float(np.mean(bands))
+
+
 def test_mae_examples():
     assert mae(constant_field(0.5)) == pytest.approx(0.5, abs=1e-15)
     assert mae(constant_field(0.0)) == 0.0

@@ -40,6 +40,7 @@ from graphprop.errors import (
     CoverageViolationWarning,
     MaxItersExceeded,
     NonFiniteInput,
+    SingularSystemWarning,
     UnreachableComponent,
 )
 from graphprop.graph import KDTREE_MAX_CHANNELS
@@ -170,6 +171,36 @@ def test_cg_iteration_cap_warns_and_flags(monkeypatch):
         res = solve_steady_state(g, omega, f_obs, method="cg")
     assert res.stats.converged is False
     assert res.stats.iterations == 1
+
+
+@pytest.mark.parametrize("solve, stranded, capped", [
+    (solve_steady_state, UnreachableComponent, MaxItersExceeded),
+    (gtvm_inpaint, SingularSystemWarning, SingularSystemWarning),
+], ids=["steady_state", "gtvm"])
+def test_one_acquisition_warns_stranded_then_capped(monkeypatch, solve, stranded, capped):
+    # path 0-1-2 observed at 0, and a pair 3-4 no observed node reaches
+    g = build_graph(EdgeSet(5, [(0, 1), (1, 2), (3, 4)]))
+    omega = ObservationSet(5, [0])
+    f = np.array([[1.0, 2.0]])
+
+    def capped_solve(matrix, rhs):
+        return np.zeros_like(rhs), 7, False
+
+    def failing_solve(matrix, rhs):
+        raise ArithmeticError("solve failed")
+
+    monkeypatch.setattr(propagation, "jacobi_cg", capped_solve)
+    with warnings.catch_warnings(record=True) as raised:
+        warnings.simplefilter("always")
+        solve(g, omega, f)
+    assert [(w.category, str(w.message).split()[0]) for w in raised] == [
+        (stranded, "2"), (capped, "conjugate")]
+    monkeypatch.setattr(propagation, "jacobi_cg", failing_solve)
+    with warnings.catch_warnings(record=True) as raised:
+        warnings.simplefilter("always")
+        with pytest.raises(ArithmeticError, match="^solve failed$"):
+            solve(g, omega, f)
+    assert [(w.category, str(w.message).split()[0]) for w in raised] == [(stranded, "2")]
 
 
 def grid_laplacian(side=16, observed_cols=4):
