@@ -23,7 +23,8 @@ import time
 import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -257,34 +258,37 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("bound reports need one truth tensor per input")
 
 
-@dataclass(frozen=True)
+# A result point's coordinates, in column order; the one list of them.
+# Each file's columns, summarize_rows' groups and write_outputs' sort and
+# timing rows are built from it.
+POINT_COLUMNS = (
+    "experiment", "seed", "r", "missing_frac", "area_frac", "label_frac", "repeat", "method",
+)
+RESULT_COLUMNS = POINT_COLUMNS + ("metric", "variant", "value")
+TIMING_COLUMNS = POINT_COLUMNS + ("runtime_seconds",)
+# A summary row pools the seeds and repeats of one point, metric and variant.
+_SUMMARY_KEY = tuple(c for c in RESULT_COLUMNS if c not in ("seed", "repeat", "value"))
+SUMMARY_COLUMNS = _SUMMARY_KEY + ("mean", "std", "count")
+
+
+@dataclass(frozen=True, kw_only=True)
 class ResultRow:
+    """One ``results.csv`` row (the fields of :data:`RESULT_COLUMNS`) and
+    its method's runtime. A runner names only the coordinates its kind
+    varies; the others stay unset (empty cells) and ``repeat`` 0."""
+
     experiment: str
     seed: int
-    r: int | None
-    missing_frac: float | None
-    area_frac: float | None
-    label_frac: float | None
-    repeat: int
+    r: int | None = None
+    missing_frac: float | None = None
+    area_frac: float | None = None
+    label_frac: float | None = None
+    repeat: int = 0
     method: str
     metric: str
     variant: str
     value: float
     runtime: float
-
-
-RESULT_COLUMNS = (
-    "experiment", "seed", "r", "missing_frac", "area_frac", "label_frac",
-    "repeat", "method", "metric", "variant", "value",
-)
-TIMING_COLUMNS = (
-    "experiment", "seed", "r", "missing_frac", "area_frac", "label_frac",
-    "repeat", "method", "runtime_seconds",
-)
-SUMMARY_COLUMNS = (
-    "experiment", "r", "missing_frac", "area_frac", "label_frac",
-    "method", "metric", "variant", "mean", "std", "count",
-)
 
 
 def _cell(value) -> str:
@@ -305,20 +309,14 @@ def summarize_rows(rows) -> list[dict]:
     """Mean and population standard deviation over repeats, per sweep
     coordinate, method, and metric."""
     groups: dict[tuple, list[float]] = {}
+    key_of = attrgetter(*_SUMMARY_KEY)
     for row in rows:
-        key = (row.experiment, row.r, row.missing_frac, row.area_frac,
-               row.label_frac, row.method, row.metric, row.variant)
-        groups.setdefault(key, []).append(row.value)
+        groups.setdefault(key_of(row), []).append(row.value)
     out = []
     for key in sorted(groups, key=_none_first):
         values = np.asarray(groups[key])
-        out.append({
-            "experiment": key[0], "r": key[1], "missing_frac": key[2],
-            "area_frac": key[3], "label_frac": key[4], "method": key[5],
-            "metric": key[6], "variant": key[7],
-            "mean": float(values.mean()), "std": float(values.std()),
-            "count": int(values.size),
-        })
+        out.append(dict(zip(_SUMMARY_KEY, key), mean=float(values.mean()),
+                        std=float(values.std()), count=int(values.size)))
     return out
 
 
@@ -349,21 +347,17 @@ def write_outputs(cfg: ExperimentConfig, rows, notes: dict | None = None,
             json.dumps([rep.to_dict() for rep in reports], indent=2, sort_keys=True) + "\n",
             encoding="utf-8")
         artifacts.append("bound_report.json")
-    # ResultRow's first ten fields, experiment to variant, are the sort key
-    rows = sorted(rows, key=lambda r: _none_first(astuple(r)[:10]))
-    _write_csv(out_dir / "results.csv", RESULT_COLUMNS,
-               [{**asdict(r)} for r in rows])
+    sort_key = attrgetter(*RESULT_COLUMNS[:-1])  # every column but the value
+    rows = sorted(rows, key=lambda r: _none_first(sort_key(r)))
+    _write_csv(out_dir / "results.csv", RESULT_COLUMNS, [asdict(r) for r in rows])
     _write_csv(out_dir / "summary.csv", SUMMARY_COLUMNS, summarize_rows(rows))
-    timing_rows = []
-    seen = set()
+    # one timing row per point, its first row's runtime
+    point_of = attrgetter(*POINT_COLUMNS)
+    timings = {}
     for r in rows:
-        key = (r.experiment, r.seed, r.r, r.missing_frac, r.area_frac,
-               r.label_frac, r.repeat, r.method)
-        if key in seen:
-            continue
-        seen.add(key)
-        timing_rows.append(dict(zip(TIMING_COLUMNS, key + (r.runtime,))))
-    _write_csv(out_dir / "timings.csv", TIMING_COLUMNS, timing_rows)
+        timings.setdefault(point_of(r), r.runtime)
+    _write_csv(out_dir / "timings.csv", TIMING_COLUMNS,
+               [dict(zip(TIMING_COLUMNS, point + (runtime,))) for point, runtime in timings.items()])
     manifest = {
         "schema": SCHEMA_VERSION,
         "kind": cfg.kind,
@@ -483,11 +477,9 @@ def _synth_point(cfg: ExperimentConfig, r: int, frac: float,
                                       round(frac * 1e6), rep)
     fibers = [matricize(t, 3).values for t in tensors]
 
-    coords = dict(
-        experiment=cfg.kind, seed=cfg.seed, r=r,
-        missing_frac=frac if cfg.kind == "missing-sweep" else None,
-        area_frac=None, label_frac=None, repeat=rep,
-    )
+    coords = dict(experiment=cfg.kind, seed=cfg.seed, r=r, repeat=rep)
+    if cfg.kind == "missing-sweep":  # rank-sweep's fraction is fixed, not a coordinate
+        coords["missing_frac"] = frac
     where = dict(r=r, missing_frac=frac, repeat=rep)
     caught: list[dict] = []
     results, gp_time = _stage(caught, dict(where, method="graphprop"),
@@ -577,8 +569,7 @@ def run_overlap_sim(cfg: ExperimentConfig, *, write: bool = True):
         crops = [DenseTensor.from_array(m[..., None]) for m in partial_overlap_masks(spec)]
         omegas = [ObservationSet(n, np.flatnonzero(matricize(c, 3).values)) for c in crops]
         caught: list[dict] = []
-        coords = dict(experiment="overlap-sim", seed=cfg.seed, r=None,
-                      missing_frac=None, area_frac=area, label_frac=None, repeat=0)
+        coords = dict(experiment="overlap-sim", seed=cfg.seed, area_frac=area)
 
         estimates: dict[str, list[np.ndarray]] = {}
         timings: dict[str, float] = {}
@@ -672,9 +663,7 @@ def run_blogs(cfg: ExperimentConfig, *, write: bool = True) -> list[ResultRow]:
             observed = np.sort(rng.choice(n, size=n_labelled, replace=False))
             om = ObservationSet(n, observed)
             f_obs = labels[observed].astype(np.float64)[:, None]
-            coords = dict(experiment="blogs", seed=cfg.seed, r=None,
-                          missing_frac=None, area_frac=None, label_frac=frac,
-                          repeat=rep)
+            coords = dict(experiment="blogs", seed=cfg.seed, label_frac=frac, repeat=rep)
 
             where = dict(label_frac=frac, repeat=rep)
             res, gp_time = _stage(caught_warnings, dict(where, method="graphprop"),

@@ -181,7 +181,7 @@ def load_tensor(path) -> DenseTensor:
     ):
         raise DataError(f"{path}: shape must be a list of positive integers")
     shape = tuple(shape)
-    payload = raw[sep + 1 :]
+    payload = memoryview(raw)[sep + 1 :]  # a view: the payload is not copied
     expected = math.prod(shape) * 8
     if len(payload) != expected:
         raise DataError(

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import warnings
 import weakref
@@ -247,12 +248,46 @@ def test_results_csv_cells_parse_as_numbers(tmp_path):
     assert harness._cell(np.float64(0.25)) == "0.25"
 
 
+def test_output_headers_and_unset_coordinates(tmp_path):
+    # literal headers: a change to the point's columns must show up here
+    point = "experiment,seed,r,missing_frac,area_frac,label_frac,repeat,method"
+    headers = {
+        "results.csv": point + ",metric,variant,value",
+        "summary.csv": "experiment,r,missing_frac,area_frac,label_frac,method,metric,variant,"
+                       "mean,std,count",
+        "timings.csv": point + ",runtime_seconds",
+    }
+    # a result row holds exactly the results.csv columns and its runtime
+    assert [f.name for f in dataclasses.fields(harness.ResultRow)] == [
+        *harness.RESULT_COLUMNS, "runtime"]
+    run_rank_sweep(tiny_rank_cfg(tmp_path / "rank", rank_grid=[2], repeats=1))
+    run_overlap_sim(config_from_dict(
+        dict(kind="overlap-sim", height=20, width=20, bands=2, k=3,
+             area_grid=[0.3], out_dir=str(tmp_path / "overlap"))))
+    # a coordinate the kind does not vary is an empty cell, repeat 0
+    first_cells = {"rank": "rank-sweep,1,2,,,,0,graphprop",
+                   "overlap": "overlap-sim,0,,,0.3,,0,graphprop"}
+    for run, point_cells in first_cells.items():
+        for name, header in headers.items():
+            lines = (tmp_path / run / name).read_text(encoding="utf-8").splitlines()
+            assert lines[1] == header, (run, name)
+        results = (tmp_path / run / "results.csv").read_text(encoding="utf-8").splitlines()
+        assert results[2].startswith(point_cells + ","), results[2]
+
+
 def test_rank_sweep_workers_match_serial(tmp_path):
     serial = run_rank_sweep(tiny_rank_cfg(tmp_path / "s"))
     parallel = run_rank_sweep(tiny_rank_cfg(tmp_path / "p", workers=2))
     assert [
         (r.r, r.repeat, r.method, r.value) for r in sorted(serial, key=str)
     ] == [(r.r, r.repeat, r.method, r.value) for r in sorted(parallel, key=str)]
+    for name in ("results.csv", "summary.csv"):
+        assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
+
+    def timings_without_seconds(out_dir):
+        lines = (out_dir / "timings.csv").read_text(encoding="utf-8").splitlines()
+        return [line.rsplit(",", 1)[0] for line in lines]
+    assert timings_without_seconds(tmp_path / "s") == timings_without_seconds(tmp_path / "p")
 
 
 def test_overlap_sim_zero_area_notes(tmp_path):

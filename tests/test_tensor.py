@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +139,21 @@ def test_load_rejects_bad_payload(tmp_path):
     path.write_bytes(data[:-8])
     with pytest.raises(DataError):
         load_tensor(path)
+
+
+def test_load_peak_memory_is_the_file_and_the_tensor(tmp_path):
+    # the file's bytes and the refolded tensor are the only payload-sized
+    # buffers: the payload is read in place, not sliced into a copy
+    t = DenseTensor.from_array(np.random.default_rng(0).standard_normal((64, 64, 24)))
+    path = tmp_path / "t.tenb"
+    save_tensor(t, path)
+    tracemalloc.start()
+    try:
+        load_tensor(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * t.values.nbytes
 
 
 def test_load_rejects_bad_header(tmp_path):
