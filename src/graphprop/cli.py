@@ -18,15 +18,6 @@ from .harness import EXPERIMENT_KINDS, RUNNERS, config_from_dict, convert_raster
 log = logging.getLogger("graphprop")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, help="JSON config file")
-    parser.add_argument("--seed", type=int, help="master seed (overrides config)")
-    parser.add_argument("--out-dir", help="output directory (overrides config)")
-    parser.add_argument("--workers", type=int, help="parallel worker count (rank-sweep and missing-sweep only)")
-    parser.add_argument("--full-scale", action="store_true", default=None,
-                        help="switch to the full-scale preset dimensions")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphprop",
@@ -37,15 +28,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for kind in EXPERIMENT_KINDS:
         p = sub.add_parser(kind, help=f"run the {kind} experiment")
-        _add_common(p)
-        if kind == "blogs":
-            p.add_argument("--graph", help="edge-list file ('# n=<N>' header)")
-            p.add_argument("--labels", help="label file (one 0/1 per line)")
-        if kind == "complete":
-            p.add_argument("--tensor", action="append", default=None,
-                           help="input tensor file (repeatable, one per acquisition)")
-            p.add_argument("--observed", action="append", default=None,
-                           help="observation-set JSON file (repeatable)")
+        p.add_argument("--config", type=Path, help="JSON config file")
+        p.add_argument("--seed", type=int, help="master seed (overrides config)")
+        p.add_argument("--out-dir", help="output directory (overrides config)")
     conv = sub.add_parser("convert-raster",
                           help="convert a flat binary raster into the tensor format")
     conv.add_argument("input", type=Path, help="band-interleaved-by-pixel binary")
@@ -55,19 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_config(args: argparse.Namespace):
-    overrides = {
-        "kind": args.command,
-        "seed": args.seed,
-        "out_dir": getattr(args, "out_dir", None),
-        "workers": args.workers,
-        "full_scale": args.full_scale,
-    }
-    if args.command == "blogs":
-        overrides["graph_file"] = args.graph
-        overrides["labels_file"] = args.labels
-    if args.command == "complete":
-        overrides["inputs"] = tuple(args.tensor) if args.tensor else None
-        overrides["observation_files"] = tuple(args.observed) if args.observed else None
+    overrides = {"kind": args.command, "seed": args.seed, "out_dir": args.out_dir}
     if args.config is not None:
         return load_config(args.config, **overrides)
     return config_from_dict({}, **overrides)

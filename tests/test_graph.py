@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -14,15 +15,22 @@ from graphprop import (
     EdgeSet,
     FiberMatrix,
     ObservationSet,
+    SynthSpec,
     build_graph,
+    generate_acquisitions,
     knn_edges,
     load_edge_list,
+    load_tensor,
+    matricize,
     partition_blocks,
+    sample_observation_sets,
     save_edge_list,
+    save_tensor,
     union_edges,
 )
 from graphprop import graph
 from graphprop.errors import DataError, NonFiniteInput, TooFewObserved
+from graphprop.harness import save_observation_set
 from graphprop.lanes import lane_cpus, run_lanes
 from oracles import canonical_adjacency, edge_degrees, edge_pairs
 
@@ -370,18 +378,32 @@ def test_knn_brute_force_past_the_certified_channel_count():
     assert edge_pairs(e) == {(0, 1), (0, 2), (1, 2)}
 
 
-def test_knn_brute_force_never_loads_the_kd_tree():
+def test_knn_brute_force_never_loads_the_kd_tree(tmp_path):
     """scipy.spatial is loaded only by a kd-tree search: a fresh process
-    whose searches all take the brute-force path never imports it."""
+    whose searches all take the brute-force path never imports it, the
+    CLI's ``complete`` on a 20-channel pair included. That run writes the
+    observed fibers back bit for bit."""
+    spec = SynthSpec(12, 12, 20, r=4, lambda_count=2, missing_frac=0.4, seed=6)
+    omegas = sample_observation_sets(spec.n, 0.4, 2, seed=7)
+    tensors = generate_acquisitions(spec)
+    config = {"k": 5, "inputs": [], "observation_files": []}
+    for i, (t, om) in enumerate(zip(tensors, omegas), start=1):
+        config["inputs"].append(str(tmp_path / f"t{i}.tenb"))
+        config["observation_files"].append(str(tmp_path / f"om{i}.json"))
+        save_tensor(t, config["inputs"][-1])
+        save_observation_set(om, config["observation_files"][-1])
+    (tmp_path / "complete.json").write_text(json.dumps(config), encoding="utf-8")
     code = "\n".join([
         "import sys",
         "import numpy as np",
         "from graphprop import FiberMatrix, ObservationSet, knn_edges",
+        "from graphprop.cli import main",
         "from graphprop.graph import KDTREE_MAX_CHANNELS",
         "rng = np.random.default_rng(0)",
         "omega = ObservationSet(40, np.arange(0, 40, 2))",
         "for channels in (KDTREE_MAX_CHANNELS + 1, 24):",
         "    knn_edges(FiberMatrix(rng.standard_normal((40, channels))), omega, 3)",
+        "assert main(['complete', '--config', sys.argv[1], '--out-dir', sys.argv[2]]) == 0",
         "assert 'scipy.spatial' not in sys.modules",
         "knn_edges(FiberMatrix(rng.standard_normal((40, 3))), omega, 3)",
         "assert 'scipy.spatial' in sys.modules",
@@ -389,9 +411,14 @@ def test_knn_brute_force_never_loads_the_kd_tree():
     src = str(Path(graph.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "complete.json"),
+                           str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    for i, (t, om) in enumerate(zip(tensors, omegas), start=1):
+        written = matricize(load_tensor(tmp_path / "out" / f"completed_acq{i}.tenb"), 3).values
+        given_rows = matricize(t, 3).values
+        assert written[om.observed].tobytes() == given_rows[om.observed].tobytes(), i
 
 
 def test_component_labels_computed_once(monkeypatch):

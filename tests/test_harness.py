@@ -1,8 +1,12 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,19 +300,27 @@ def test_overlap_sim_zero_area_notes(tmp_path):
     for raster, path in zip(rasters, inputs):
         save_tensor(raster, path)
     cfg = config_from_dict(
-        dict(kind="overlap-sim", k=3, area_grid=[0.0], inputs=inputs, out_dir=str(tmp_path))
+        dict(kind="overlap-sim", k=3, area_grid=[0.0, 0.3], inputs=inputs,
+             out_dir=str(tmp_path / "out"))
     )
     rows = run_overlap_sim(cfg)
-    assert rows == []
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    area_notes = manifest["notes"]["area=0.0"]
+    # area 0.0 has no missing entry to score; area 0.3 scores every method
+    assert {(row.area_frac, row.method) for row in rows if row.metric == "rmse"} == {
+        (0.3, "graphprop"), (0.3, "halrtc"), (0.3, "gtvm")}
+    notes = json.loads((tmp_path / "out" / "manifest.json").read_text())["notes"]
     for method in ("graphprop", "halrtc", "gtvm"):
-        assert area_notes[method] == "NoMissingEntries"
-    # completed rasters equal the inputs
-    for lam, raster in enumerate(rasters, start=1):
+        assert notes["area=0.0"][method] == "NoMissingEntries"
+        assert method not in notes["area=0.3"]
+    # at area 0.0 every completed raster is its input file, byte for byte
+    for lam, path in enumerate(inputs, start=1):
         for method in ("graphprop", "halrtc", "gtvm"):
-            out = load_tensor(tmp_path / f"completed_{method}_acq{lam}_area00.tenb")
-            assert np.allclose(out.values, raster.values, atol=1e-12)
+            out = tmp_path / "out" / f"completed_{method}_acq{lam}_area00.tenb"
+            assert out.read_bytes() == Path(path).read_bytes(), (method, lam)
+    # at area 0.3 every method completes both rasters, and the corners
+    # cropped from both are flagged
+    assert len(list((tmp_path / "out").glob("completed_*_area30.tenb"))) == 6
+    flagged = int(load_tensor(tmp_path / "out" / "never_observed_area30.tenb").values.sum())
+    assert flagged > 0 and notes["area=0.3"]["never_observed"] == flagged
 
 
 def test_overlap_sim_rows_and_artifacts(tmp_path):
@@ -324,6 +336,12 @@ def test_overlap_sim_rows_and_artifacts(tmp_path):
     flag = load_tensor(tmp_path / "never_observed_area30.tenb")
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["notes"]["area=0.3"]["never_observed"] == int(flag.values.sum())
+    # six completed tensors and the flag tensor, each listed in the manifest
+    tensors = sorted([f"completed_{method}_acq{lam}_area30.tenb"
+                      for method in ("graphprop", "halrtc", "gtvm") for lam in (1, 2)]
+                     + ["never_observed_area30.tenb"])
+    assert manifest["artifacts"] == tensors
+    assert sorted(p.name for p in tmp_path.glob("*.tenb")) == tensors
 
 
 def _warning_first(fn):
@@ -384,7 +402,9 @@ def test_missing_sweep_records_warnings_serial_and_parallel(tmp_path):
         )
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # recorded, not re-issued
-        run_missing_sweep(cfg("serial", 1))
+        rows = run_missing_sweep(cfg("serial", 1))
+    assert {(row.method, row.metric) for row in rows} == {("graphprop", "rmse"),
+                                                         ("halrtc", "rmse")}
     run_missing_sweep(cfg("parallel", 2))
     notes = [json.loads((tmp_path / out / "manifest.json").read_text())["notes"]
              for out in ("serial", "parallel")]
@@ -413,12 +433,22 @@ def test_blogs_from_files(tmp_path):
     labels_path = tmp_path / "labels.txt"
     save_edge_list(edges, graph_path)
     labels_path.write_text("\n".join(str(int(v)) for v in labels) + "\n")
-    cfg = config_from_dict(
-        dict(kind="blogs", graph_file=str(graph_path), labels_file=str(labels_path),
-             label_fracs=[0.2], repeats=1, out_dir=str(tmp_path / "out"), seed=1)
-    )
-    rows = run_blogs(cfg)
-    assert len(rows) == 2
+    # the same file listing every edge twice, once reversed
+    header, *lines = graph_path.read_text().splitlines()
+    doubled_path = tmp_path / "doubled.txt"
+    doubled_path.write_text("\n".join([header, *lines, *(" ".join(line.split()[::-1])
+                                                         for line in lines)]) + "\n")
+
+    def cfg(path, out):
+        return config_from_dict(
+            dict(kind="blogs", graph_file=str(path), labels_file=str(labels_path),
+                 label_fracs=[0.2], repeats=2, out_dir=str(tmp_path / out), seed=1)
+        )
+    rows = run_blogs(cfg(graph_path, "plain"))
+    assert len(rows) == 4
+    run_blogs(cfg(doubled_path, "doubled"))
+    assert ((tmp_path / "doubled" / "results.csv").read_bytes()
+            == (tmp_path / "plain" / "results.csv").read_bytes())
 
 
 def test_blogs_scores_both_methods_by_one_median_rule(tmp_path, monkeypatch):
@@ -541,9 +571,12 @@ def test_run_complete_flags_never_observed(tmp_path):
     cfg = config_from_dict(
         dict(kind="complete", k=3, inputs=[str(tmp_path / "t.tenb")],
              observation_files=[str(tmp_path / "om.json")],
-             out_dir=str(tmp_path / "out"))
+             truth_files=[str(tmp_path / "t.tenb")], out_dir=str(tmp_path / "out"))
     )
-    run_complete(cfg)
+    # the bound scalars run over the positive-degree nodes, so node 0 does
+    # not stop the bound report
+    _, reports = run_complete(cfg)
+    assert len(reports) == 1
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["notes"]["never_observed"] == [0]
     assert [(w["method"], w["category"]) for w in manifest["notes"]["warnings"]] == [
@@ -618,6 +651,10 @@ def test_run_bound_report_file_matches_the_library(tmp_path):
                for res, om, f in zip(results, omegas, fibers)]
     expected = json.dumps(reports, indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "bound_report.json").read_bytes() == expected.encode("utf-8")
+    # on this instance every report applies: phi < 2, the error within the bound
+    for report in reports:
+        assert report["applicable"] is True and report["phi"] < 2, report
+        assert report["measured_error"] <= report["bound"], report
 
 
 def count_knn_calls(monkeypatch):
@@ -701,6 +738,8 @@ def test_cli_exit_codes(tmp_path):
                       ("blogs", {"two_block_size": 10, "repeats": 0}),
                       ("blogs", {"two_block_size": 10, "seed": -1}),
                       ("rank-sweep", {"i1": 10, "i2": 10, "i3": 2, "missing_frac": 0.0}),
+                      ("bound-report", {"i1": 12, "i2": 12, "i3": 2, "k": 3,
+                                        "missing_frac": 0.5}),  # infeasible
                       *((kind, {"two_block_size": 10, key: grid})
                         for kind, key, grid in REPEATED_GRIDS)):
         bad_cfg.write_text(json.dumps({"kind": kind, **bad,
@@ -780,6 +819,33 @@ def test_cli_rank_sweep_runs(tmp_path):
     assert (out_dir / "results.csv").exists()
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 3
+
+
+def test_cli_runs_as_a_process(tmp_path):
+    """``python -m graphprop.cli``: a tiny bound report exits 0; a config
+    with a string where an integer belongs exits 2 with one error line on
+    stderr, no traceback and no output."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+    def run(name, config):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        return subprocess.run(
+            [sys.executable, "-m", "graphprop.cli", "bound-report", "--config", str(path),
+             "--out-dir", str(tmp_path / name)],
+            env=env, capture_output=True, text=True, timeout=120)
+
+    ok = run("ok", {"i1": 12, "i2": 12, "i3": 2, "k": 3})
+    assert ok.returncode == 0, ok.stderr
+    assert len(json.loads((tmp_path / "ok" / "bound_report.json").read_text())) == 2
+    bad = run("bad", {"i1": "12", "i2": 12, "i3": 2, "k": 3})
+    assert bad.returncode == 2, bad.stderr
+    assert [line for line in bad.stderr.splitlines() if line.startswith("ERROR")] == [
+        "ERROR graphprop: configuration error: i1 must be an integer, got '12'"]
+    assert "Traceback" not in bad.stderr
+    assert not (tmp_path / "bad").exists()
 
 
 def test_cli_convert_raster(tmp_path, caplog):
