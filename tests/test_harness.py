@@ -16,9 +16,11 @@ from graphprop import (
     DenseTensor,
     EdgeSet,
     ObservationSet,
+    OverlapSpec,
     graphprop,
     load_tensor,
     matricize,
+    partial_overlap_masks,
     refold,
     save_edge_list,
     save_tensor,
@@ -304,7 +306,9 @@ def test_overlap_sim_zero_area_notes(tmp_path):
              out_dir=str(tmp_path / "out"))
     )
     rows = run_overlap_sim(cfg)
-    # area 0.0 has no missing entry to score; area 0.3 scores every method
+    # area 0.0 has no missing entry to score, so no row of any metric;
+    # area 0.3 scores every method
+    assert not [row for row in rows if row.area_frac == 0.0]
     assert {(row.area_frac, row.method) for row in rows if row.metric == "rmse"} == {
         (0.3, "graphprop"), (0.3, "halrtc"), (0.3, "gtvm")}
     notes = json.loads((tmp_path / "out" / "manifest.json").read_text())["notes"]
@@ -577,11 +581,40 @@ def test_run_complete_flags_never_observed(tmp_path):
     # not stop the bound report
     _, reports = run_complete(cfg)
     assert len(reports) == 1
+    for report in reports:
+        if report.applicable:
+            assert report.measured_error <= report.bound, report
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["notes"]["never_observed"] == [0]
     assert [(w["method"], w["category"]) for w in manifest["notes"]["warnings"]] == [
         ("graphprop", "CoverageViolationWarning")]
     assert 0 in manifest["notes"]["excluded_per_acquisition"][0]
+
+
+def test_run_complete_bound_holds_with_never_observed_corners(tmp_path):
+    """A 20x20x2 raster pair cropped from opposing corners leaves both
+    corners observed nowhere; each report that applies keeps its error
+    within the bound taken over the positive-degree nodes."""
+    masks = partial_overlap_masks(OverlapSpec(20, 20, 0.3))
+    inputs, observed = [], []
+    for i, (t, m) in enumerate(zip(smooth_raster_pair(20, 20, 2, seed=0), masks), start=1):
+        om = ObservationSet(400, np.flatnonzero(matricize(
+            DenseTensor.from_array(m[..., None]), 3).values))
+        inputs.append(str(tmp_path / f"t{i}.tenb"))
+        observed.append(str(tmp_path / f"om{i}.json"))
+        save_tensor(t, inputs[-1])
+        save_observation_set(om, observed[-1])
+    cfg = config_from_dict(
+        dict(kind="complete", k=3, inputs=inputs, observation_files=observed,
+             truth_files=inputs, out_dir=str(tmp_path / "out"))
+    )
+    _, reports = run_complete(cfg)
+    notes = json.loads((tmp_path / "out" / "manifest.json").read_text())["notes"]
+    assert notes["never_observed"]
+    assert len(reports) == 2
+    for report in reports:
+        if report.applicable:
+            assert report.measured_error <= report.bound, report
 
 
 def test_run_complete_bound_report(tmp_path):
@@ -595,6 +628,9 @@ def test_run_complete_bound_report(tmp_path):
     )
     results, reports = run_complete(cfg)
     assert len(reports) == 2
+    for report in reports:
+        if report.applicable:
+            assert report.measured_error <= report.bound, report
     payload = json.loads((tmp_path / "out" / "bound_report.json").read_text())
     assert {"psi", "phi", "bound", "measured_error", "applicable"} <= set(payload[0])
 
