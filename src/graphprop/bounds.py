@@ -34,7 +34,7 @@ underestimated lambda_max would let ``||A'||_2`` exceed 1.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -248,9 +248,6 @@ class BoundReport:
     gtvm_q: float
     gtvm_bound: float | None
     applicable: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def evaluate_bounds(g: SparseGraph, omega: ObservationSet, f0, fhat) -> BoundReport:

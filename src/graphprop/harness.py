@@ -12,9 +12,13 @@ Each runner writes, under the configured output directory:
   its warnings, so blogs' median thresholding is not counted,
 * ``manifest.json``  config echo plus per-run notes; every runner lists in
   ``notes["warnings"]`` (per area for overlap-sim) each warning raised,
-  with its category, message, method and sweep coordinates,
+  with its category, message, method and sweep coordinates, and
+  complete, bound-report and overlap-sim each acquisition's
+  ``SolverStats`` in ``notes["solver_stats_per_acquisition"]``,
 
 and any experiment-specific artifacts (completed tensors, bound reports).
+The CSV files are written only for runs with result rows, so not by
+complete and bound-report.
 """
 import csv
 import json
@@ -55,19 +59,6 @@ log = logging.getLogger("graphprop")
 
 SCHEMA_VERSION = "graphprop.results.v1"
 
-# Applied on top of the defaults when full_scale is set, for keys the user
-# did not set explicitly.
-FULL_SCALE_PRESET = {
-    "i1": 200,
-    "i2": 200,
-    "height": 500,
-    "width": 500,
-    "bands": 7,
-    "repeats": 10,
-}
-# Per-kind entries win over FULL_SCALE_PRESET.
-FULL_SCALE_KIND_PRESET = {"blogs": {"repeats": 30}}
-
 
 @dataclass(frozen=True)
 class SolverSettings:
@@ -81,17 +72,15 @@ class ExperimentConfig:
     The field annotations are the only type rule: an ``int`` key takes a
     JSON integer (``true``/``false`` are not integers), a ``float`` key a
     JSON number (an integer is stored as a float), a ``str`` key a string,
-    a ``bool`` key ``true`` or ``false``, a ``tuple[X, ...]`` key a JSON
-    array (never a string) whose elements follow X's rule, and ``solver``
-    a JSON object checked the same way against :class:`SolverSettings`.
-    A mismatch or an unknown key raises :class:`ConfigError`.
+    a ``tuple[X, ...]`` key a JSON array (never a string) whose elements
+    follow X's rule, and ``solver`` a JSON object checked the same way
+    against :class:`SolverSettings`. A mismatch or an unknown key raises
+    :class:`ConfigError`.
 
     ``workers`` is the number of processes that rank-sweep and
     missing-sweep spread their points over; the other kinds ignore it.
-    ``full_scale`` fills every key the config leaves unset from
-    ``FULL_SCALE_PRESET``, with ``repeats`` 30 for blogs and 10 for the
-    other kinds. For ``complete``, nonempty ``truth_files`` (one per
-    input) turn on the bound report.
+    For ``complete``, nonempty ``truth_files`` (one per input) turn on
+    the bound report.
     """
 
     kind: str
@@ -100,7 +89,6 @@ class ExperimentConfig:
     repeats: int = 3
     workers: int = 1
     out_dir: str = "out"
-    full_scale: bool = False
     # synthetic sweep dimensions
     i1: int = 60
     i2: int = 60
@@ -127,7 +115,7 @@ class ExperimentConfig:
     solver: SolverSettings = field(default_factory=SolverSettings)
 
 
-_SCALAR_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+_SCALAR_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
 def _typed(key: str, value, hint):
@@ -147,8 +135,8 @@ def _typed(key: str, value, hint):
             value = float(value)
         except OverflowError as exc:
             raise ConfigError(f"{key} must be a number within float range") from exc
-    # bool is a subclass of int, but true is not an integer here
-    if not isinstance(value, hint) or (isinstance(value, bool) and hint is not bool):
+    # bool is a subclass of int, but true is not a number here
+    if not isinstance(value, hint) or isinstance(value, bool):
         raise ConfigError(f"{key} must be {_SCALAR_NAMES[hint]}, got {value!r}")
     return value
 
@@ -173,9 +161,6 @@ def config_from_dict(data: dict, **overrides) -> ExperimentConfig:
     values = _typed_fields(ExperimentConfig, data)
     if "kind" not in values:
         raise ConfigError("config must name the experiment kind")
-    if values.get("full_scale"):
-        values = {**FULL_SCALE_PRESET, **FULL_SCALE_KIND_PRESET.get(values["kind"], {}),
-                  **values}
     cfg = ExperimentConfig(**values)
     validate_config(cfg)
     return cfg
@@ -338,26 +323,29 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 
 def write_outputs(cfg: ExperimentConfig, rows, notes: dict | None = None,
                   artifacts: list[str] | None = None, reports=None) -> Path:
-    """Persist rows, summary, timings, the manifest and, given bound
-    ``reports``, ``bound_report.json``; returns the output directory."""
+    """Persist ``bound_report.json`` given bound ``reports``, the rows,
+    summary and timings given ``rows``, and the manifest; returns the
+    output directory."""
     out_dir = _out_dir(cfg)
     artifacts = list(artifacts or [])
     if reports is not None:
         (out_dir / "bound_report.json").write_text(
-            json.dumps([rep.to_dict() for rep in reports], indent=2, sort_keys=True) + "\n",
+            json.dumps([asdict(rep) for rep in reports], indent=2, sort_keys=True) + "\n",
             encoding="utf-8")
         artifacts.append("bound_report.json")
-    sort_key = attrgetter(*RESULT_COLUMNS[:-1])  # every column but the value
-    rows = sorted(rows, key=lambda r: _none_first(sort_key(r)))
-    _write_csv(out_dir / "results.csv", RESULT_COLUMNS, [asdict(r) for r in rows])
-    _write_csv(out_dir / "summary.csv", SUMMARY_COLUMNS, summarize_rows(rows))
-    # one timing row per point, its first row's runtime
-    point_of = attrgetter(*POINT_COLUMNS)
-    timings = {}
-    for r in rows:
-        timings.setdefault(point_of(r), r.runtime)
-    _write_csv(out_dir / "timings.csv", TIMING_COLUMNS,
-               [dict(zip(TIMING_COLUMNS, point + (runtime,))) for point, runtime in timings.items()])
+    if rows:
+        sort_key = attrgetter(*RESULT_COLUMNS[:-1])  # every column but the value
+        rows = sorted(rows, key=lambda r: _none_first(sort_key(r)))
+        _write_csv(out_dir / "results.csv", RESULT_COLUMNS, [asdict(r) for r in rows])
+        _write_csv(out_dir / "summary.csv", SUMMARY_COLUMNS, summarize_rows(rows))
+        # one timing row per point, its first row's runtime
+        point_of = attrgetter(*POINT_COLUMNS)
+        timings = {}
+        for r in rows:
+            timings.setdefault(point_of(r), r.runtime)
+        _write_csv(out_dir / "timings.csv", TIMING_COLUMNS,
+                   [dict(zip(TIMING_COLUMNS, point + (runtime,)))
+                    for point, runtime in timings.items()])
     manifest = {
         "schema": SCHEMA_VERSION,
         "kind": cfg.kind,
@@ -582,6 +570,7 @@ def run_overlap_sim(cfg: ExperimentConfig, *, write: bool = True):
             "crop_count": spec.crop_count,
             "achieved_frac": spec.achieved_frac,
             "never_observed": int(never.size),
+            "solver_stats_per_acquisition": [asdict(r.stats) for r in gp],
             "warnings": caught,
         }
         estimates["graphprop"] = [r.completed.values for r in gp]
@@ -712,15 +701,16 @@ def _complete(cfg: ExperimentConfig, rows, omegas, truths=None):
     """The ``graphprop`` stage on the acquisitions' observed ``rows``, its
     manifest notes (nodes missing in every acquisition, which are the
     zero-degree nodes of the union graph, ``never_observed``; each
-    acquisition's excluded, mean-filled nodes; the warnings) and, given
-    truth fibers, one bound report per acquisition, else ``None``. A
-    measured error above an applicable bound raises :class:`BoundViolation`
-    here, so no file is written."""
+    acquisition's excluded, mean-filled nodes and ``SolverStats``; the
+    warnings) and, given truth fibers, one bound report per acquisition,
+    else ``None``. A measured error above an applicable bound raises
+    :class:`BoundViolation` here, so no file is written."""
     caught: list[dict] = []
     results, _ = _stage(caught, {"method": "graphprop"}, _propagate, cfg, rows, omegas)
     notes = {
         "never_observed": np.flatnonzero(results[0].graph.degrees == 0).tolist(),
         "excluded_per_acquisition": [r.excluded_ids.tolist() for r in results],
+        "solver_stats_per_acquisition": [asdict(r.stats) for r in results],
         "warnings": caught,
     }
     if truths is None:

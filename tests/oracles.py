@@ -10,7 +10,7 @@ dedup-first reference for ``graphprop.build_graph``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -78,7 +78,7 @@ def scipy_jacobi_cg(matrix: sp.csr_array, rhs: np.ndarray) -> tuple[np.ndarray, 
 
 
 def report_to_json(report: BoundReport) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True)
+    return json.dumps(asdict(report), sort_keys=True)
 
 
 def report_from_dict(data: dict) -> BoundReport:

@@ -159,7 +159,8 @@ def test_lam_max_computed_once_per_graph(monkeypatch):
     masks = partial_overlap_masks(OverlapSpec(16, 16, 0.3))
     assert not (masks[0] | masks[1]).all()
     overlap = ([matricize(t, 3).values for t in smooth_raster_pair(16, 16, 2, seed=2)],
-               [ObservationSet(256, np.flatnonzero(m.ravel(order="F"))) for m in masks])
+               [ObservationSet(256, np.flatnonzero(matricize(
+                   DenseTensor.from_array(m[..., None]), 3).values)) for m in masks])
     real = bounds.spectral_norm
     for fibers, omegas in (synthetic, overlap):
         with warnings.catch_warnings():
@@ -473,8 +474,10 @@ def test_nuclear_objective_matches_svd():
     alphas = (0.2, 0.3, 0.5)
     expected = 0.0
     for mode, alpha in enumerate(alphas):
-        moved = np.moveaxis(t.values, mode, 0).reshape(t.shape[mode], -1, order="F")
-        expected += alpha * np.linalg.svd(moved, compute_uv=False).sum()
+        # the column order of an unfolding leaves its singular values alone
+        others = [m for m in range(t.order) if m != mode]
+        unfolded = np.transpose(t.values, [mode, *others]).reshape(t.shape[mode], -1)
+        expected += alpha * np.linalg.svd(unfolded, compute_uv=False).sum()
     assert abs(nuclear_objective(t, alphas) - expected) <= 1e-10
 
 

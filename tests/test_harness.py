@@ -119,9 +119,9 @@ def test_config_validation_errors():
                     {"halrtc": {"max_iters": 10}}):
         with pytest.raises(ConfigError):
             config_from_dict({"kind": "rank-sweep", **removed})
-    # removed: the blogs-only repeat count (now the full-scale preset's),
-    # complete's bound-report flag (now set truth_files) and the mpsnr
-    # variant (results.csv always reports "maxerr")
+    # removed: the blogs-only repeat count, complete's bound-report flag
+    # (now set truth_files) and the mpsnr variant (results.csv always
+    # reports "maxerr")
     for removed, value in (("blogs_repeats", 2), ("emit_bound_report", True),
                            ("mpsnr_variant", "maxerr")):
         with pytest.raises(ConfigError, match=rf"unknown config keys: \['{removed}'\]"):
@@ -158,21 +158,12 @@ def test_missing_sweep_ignores_its_unused_missing_frac():
         config_from_dict({"kind": "bound-report", "missing_frac": 0.6})
 
 
-def test_full_scale_preset_respects_explicit_keys():
-    cfg = config_from_dict({"kind": "rank-sweep", "full_scale": True, "i1": 100})
-    assert cfg.i1 == 100 and cfg.i2 == 200 and cfg.repeats == 10
-    blogs = {"kind": "blogs", "two_block_size": 20, "full_scale": True}
-    assert config_from_dict(blogs).repeats == 30
-    assert config_from_dict({**blogs, "repeats": 2}).repeats == 2
-
-
 # One wrongly typed value per annotation kind of ExperimentConfig.
 WRONG_TYPES = [
     {"k": "3"}, {"k": True}, {"k": 2.0}, {"rank": 2.0}, {"repeats": 2.5},  # int
     {"i1": "12", "i2": 12, "i3": 2, "k": 3},
     {"missing_frac": "0.3"}, {"missing_frac": True},  # float
     {"labels_file": 3}, {"graph_file": None},  # str
-    {"full_scale": 1}, {"full_scale": "yes"},  # bool
     {"rank_grid": "2"}, {"rank_grid": 2}, {"rank_grid": [2, True]},  # tuple[int, ...]
     {"area_grid": "0.4"}, {"area_grid": [0.4, "0.5"]},  # tuple[float, ...]
     {"inputs": "a.tenb"}, {"truth_files": [1]},  # tuple[str, ...]
@@ -325,6 +316,17 @@ def test_overlap_sim_zero_area_notes(tmp_path):
     assert len(list((tmp_path / "out").glob("completed_*_area30.tenb"))) == 6
     flagged = int(load_tensor(tmp_path / "out" / "never_observed_area30.tenb").values.sum())
     assert flagged > 0 and notes["area=0.3"]["never_observed"] == flagged
+    # each area records the SolverStats of its graphprop() call, per acquisition
+    fibers = [matricize(raster, 3).values for raster in rasters]
+    for area in (0.0, 0.3):
+        omegas = [ObservationSet(400, np.flatnonzero(matricize(
+            DenseTensor.from_array(m[..., None]), 3).values))
+            for m in partial_overlap_masks(OverlapSpec(20, 20, area))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            direct = graphprop([(f[om.observed], om) for f, om in zip(fibers, omegas)], 3)
+        assert notes[f"area={area}"]["solver_stats_per_acquisition"] == [
+            dataclasses.asdict(res.stats) for res in direct]
 
 
 def test_overlap_sim_rows_and_artifacts(tmp_path):
@@ -529,6 +531,10 @@ def make_complete_inputs(tmp_path, seed=0, n_side=8, channels=2):
     return (truth, scaled), omegas, paths
 
 
+def written_files(out_dir) -> list[str]:
+    return sorted(path.name for path in Path(out_dir).iterdir())
+
+
 def test_run_complete_matches_library(tmp_path):
     tensors, omegas, paths = make_complete_inputs(tmp_path)
     cfg = config_from_dict(
@@ -548,6 +554,13 @@ def test_run_complete_matches_library(tmp_path):
         written = load_tensor(tmp_path / "out" / f"completed_acq{i}.tenb")
         expected = refold(ref.completed, tensors[0].shape, 3)
         assert np.array_equal(written.values, expected.values)
+    # the manifest records each acquisition's SolverStats; with no result
+    # rows, no CSV file is written
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["notes"]["solver_stats_per_acquisition"] == [
+        dataclasses.asdict(ref.stats) for ref in direct]
+    assert written_files(tmp_path / "out") == [
+        "completed_acq1.tenb", "completed_acq2.tenb", "manifest.json"]
 
 
 def test_run_complete_all_observed_identity(tmp_path):
@@ -633,6 +646,8 @@ def test_run_complete_bound_report(tmp_path):
             assert report.measured_error <= report.bound, report
     payload = json.loads((tmp_path / "out" / "bound_report.json").read_text())
     assert {"psi", "phi", "bound", "measured_error", "applicable"} <= set(payload[0])
+    assert written_files(tmp_path / "out") == [
+        "bound_report.json", "completed_acq1.tenb", "completed_acq2.tenb", "manifest.json"]
 
 
 def test_run_complete_releases_its_inputs_before_graphprop(tmp_path, monkeypatch):
@@ -683,7 +698,7 @@ def test_run_bound_report_file_matches_the_library(tmp_path):
                                               harness._KIND_TAGS["bound-report"])
     fibers = [matricize(t, 3).values for t in tensors]
     results = graphprop([(f[om.observed], om) for f, om in zip(fibers, omegas)], cfg.k)
-    reports = [evaluate_bounds(res.graph, om, f, res.completed).to_dict()
+    reports = [dataclasses.asdict(evaluate_bounds(res.graph, om, f, res.completed))
                for res, om, f in zip(results, omegas, fibers)]
     expected = json.dumps(reports, indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "bound_report.json").read_bytes() == expected.encode("utf-8")
@@ -738,7 +753,7 @@ def test_run_bound_report(tmp_path):
     for rep in reports:
         if rep.applicable:
             assert rep.measured_error <= rep.bound
-    assert (tmp_path / "bound_report.json").exists()
+    assert written_files(tmp_path) == ["bound_report.json", "manifest.json"]
 
 
 def test_convert_raster_roundtrip(tmp_path):
@@ -950,6 +965,8 @@ REJECTED_INPUTS = {
                                   "missing_frac must be a number within float range"),
     "workers-zero": (lambda t: {"kind": "bound-report", "workers": 0}, 2,
                      "workers must be at least 1"),
+    "full-scale-preset-removed": (lambda t: {"kind": "bound-report", "full_scale": True}, 2,
+                                  "unknown config keys: ['full_scale']"),
     "empty-area-grid": (lambda t: {"kind": "overlap-sim", "area_grid": []}, 2,
                         "area_grid must be nonempty"),
     "three-overlap-inputs": (lambda t: {"kind": "overlap-sim", "inputs": ["a", "b", "c"]}, 2,

@@ -5,11 +5,12 @@
 Run from the repository root. Each config runs in this process through
 ``graphprop.cli.main``, in a temporary directory that is removed on exit.
 Standard output gets one ``sha256  run/file`` line per output file:
-``results.csv``, ``summary.csv``, every ``.tenb``, ``bound_report.json``,
-and ``manifest.json`` with the config echo's path keys dropped (the paths
-name the temporary directory). ``timings.csv`` is never hashed. After
-them come the ``SolverStats`` and excluded-node count of each acquisition
-of a direct ``graphprop()`` call on every ``complete`` run's inputs.
+``results.csv`` and ``summary.csv`` (the runs with result rows), every
+``.tenb``, ``bound_report.json``, and ``manifest.json`` with the config
+echo's path keys dropped (the paths name the temporary directory); its
+notes hold the ``SolverStats`` of each ``complete``, ``bound-report`` and
+overlap-sim acquisition, and the excluded nodes of the first two.
+``timings.csv`` is never hashed.
 
 The listing is meant to be compared, never checked in: the hashes follow
 the numpy and scipy versions. Two uses:
@@ -30,7 +31,6 @@ import hashlib
 import json
 import sys
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +39,6 @@ from graphprop import (
     DenseTensor,
     EdgeSet,
     ObservationSet,
-    graphprop,
-    load_tensor,
     matricize,
     save_edge_list,
     save_tensor,
@@ -56,7 +54,7 @@ from graphprop.datagen import (
     sample_observation_sets,
 )
 from graphprop.graph import KDTREE_MAX_CHANNELS
-from graphprop.harness import load_observation_set, save_observation_set
+from graphprop.harness import save_observation_set
 from graphprop.propagation import LANE_MIN_WORK
 
 # Config keys that hold a path; the manifest's config echo is hashed
@@ -164,32 +162,13 @@ def file_digest(path: Path) -> str:
     return _sha256(json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"))
 
 
-def solver_lines(run: str, config: dict) -> list[str]:
-    """``SolverStats`` and the excluded-node count of each acquisition of
-    one direct ``graphprop()`` call on a ``complete`` run's inputs."""
-    tensors = [load_tensor(p) for p in config["inputs"]]
-    n = int(np.prod(tensors[0].shape[:-1]))
-    acquisitions = []
-    for t, path in zip(tensors, config["observation_files"]):
-        om = load_observation_set(path, n)
-        acquisitions.append((matricize(t, t.order).values[om.observed], om))
-    method = config.get("solver", {}).get("method", "cg")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the run's manifest records them
-        results = graphprop(acquisitions, config["k"], method=method)
-    return [f"stats  {run}/acq{i}  method={r.stats.method} iterations={r.stats.iterations} "
-            f"residual_norm={r.stats.residual_norm!r} converged={r.stats.converged} "
-            f"excluded={r.excluded_ids.size}"
-            for i, r in enumerate(results, start=1)]
-
-
 def listing(work: Path) -> list[str]:
     """Run every config with its inputs under ``work / "in"`` and its
     outputs under ``work / "out" / <run>``; return the listing's lines."""
     inputs, outputs = work / "in", work / "out"
     inputs.mkdir(parents=True)
     runs = configs(inputs)
-    lines, stats = [], []
+    lines = []
     for run, (kind, config) in runs.items():
         path = inputs / f"{run}.json"
         path.write_text(json.dumps(config), encoding="utf-8")
@@ -199,9 +178,7 @@ def listing(work: Path) -> list[str]:
         for out in sorted((outputs / run).iterdir()):
             if out.name != UNHASHED:
                 lines.append(f"{file_digest(out)}  {run}/{out.name}")
-        if kind == "complete":
-            stats.extend(solver_lines(run, config))
-    return lines + stats
+    return lines
 
 
 def main() -> int:
