@@ -56,6 +56,12 @@ _BRUTE_BLOCK = 1_000_000
 # to about twice as slow.
 _BRUTE_MAX_LANES = 4
 
+# Float64 feature differences per chunk of _squared_distances (512 KiB): a
+# brute-force block's shortlist, about k pairs per row, fits in one chunk at
+# 24 channels, while a duplicate-heavy shortlist of any size holds two
+# chunks at a time.
+_DISTANCE_CHUNK = 1 << 16
+
 # Relative gap under which two kd-tree distances count as tied.
 _TIE_RTOL = 1e-12
 
@@ -116,6 +122,28 @@ class EdgeSet:
         object.__setattr__(self, "edges", arr)
 
 
+def _squared_distances(pts: np.ndarray, rows: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    """The squared feature distance of each (row, candidate) pair, summed
+    channel by channel in channel order, so identical differences give
+    identical values.
+
+    The pairs go in chunks of at most ``_DISTANCE_CHUNK`` float64
+    differences (one pair when a pair has more channels), each a
+    ``(channels, pairs)`` array whose squares one ``np.add.accumulate``
+    sums in place: its last row is the channel-by-channel running sum bit
+    for bit, where a pairwise ``np.add.reduce`` is not. Memory is two
+    chunks plus the result.
+    """
+    dist2 = np.empty(rows.size)
+    step = max(1, _DISTANCE_CHUNK // pts.shape[1])
+    for lo in range(0, rows.size, step):
+        diff = pts[cands[lo:lo + step]]
+        diff -= pts[rows[lo:lo + step]]
+        diff = np.multiply(diff, diff, out=diff).T
+        dist2[lo:lo + step] = np.add.accumulate(diff, axis=0, out=diff)[-1]
+    return dist2
+
+
 def _nearest_k(
     pts: np.ndarray, rows: np.ndarray, cands: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -124,25 +152,19 @@ def _nearest_k(
     ``rows`` and ``cands`` are flat, equally long arrays of point indices,
     each row given at least k candidates other than itself. A row given
     exactly k keeps them as they are; for the others the exact distance
-    is the Euclidean norm of the feature difference, summed channel by
-    channel, so identical differences give identical values. Memory is a
-    few arrays of the pair count; the feature rows of the pairs are never
-    materialised.
+    is the square root of :func:`_squared_distances`. Memory is two of its
+    chunks of ``_DISTANCE_CHUNK`` float64 values plus a few arrays of the
+    pair count.
     """
     few = np.bincount(rows, minlength=pts.shape[0])[rows] <= k
     if few.all():
         return rows, cands
     kept_rows, kept_cands = rows[few], cands[few]
     rows, cands = rows[~few], cands[~few]
-    dist2 = np.zeros(rows.size)
-    for ch in range(pts.shape[1]):
-        diff = pts[cands, ch] - pts[rows, ch]
-        dist2 += diff * diff
-    order = np.lexsort((cands, np.sqrt(dist2), rows))
+    dist = np.sqrt(_squared_distances(pts, rows, cands))
+    order = np.lexsort((cands, dist, rows))
     rows, cands = rows[order], cands[order]
-    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-    counts = np.diff(np.r_[starts, rows.size])
-    rank = np.arange(rows.size) - np.repeat(starts, counts)
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
     keep = rank < k
     return np.concatenate([kept_rows, rows[keep]]), np.concatenate([kept_cands, cands[keep]])
 
@@ -214,11 +236,14 @@ def _knn_neighbors_brute(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
     thread allocates each lane's block of
     ``_BRUTE_BLOCK // lanes`` float32 values and the block's boolean
     shortlist mask once, so the blocks in flight hold ``_BRUTE_BLOCK``
-    values (4 MB) in total, plus their group minima (an eighth of that)
-    and a few arrays of each block's shortlist length, which is about k
-    per row. Each block's relations are sorted by (row, neighbour) and the
-    blocks concatenated in block order, so the result is sorted too: the
-    same arrays at any lane count and block size.
+    values (4 MB) in total, plus their group minima (an eighth of that),
+    a few arrays of each block's shortlist length, which is about k per
+    row, and per lane two chunks of :func:`_squared_distances`. A block
+    issues a few dozen numpy calls, none per channel or per column group,
+    as lane pieces should (see :mod:`graphprop.lanes`). Each block's
+    relations are sorted by (row, neighbour) and the blocks concatenated
+    in block order, so the result is sorted too: the same arrays at any
+    lane count and block size.
     """
     n_obs, m = pts.shape
     # Distances do not change under translation; centring keeps the
@@ -269,8 +294,12 @@ def _knn_neighbors_brute(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
     cols = -2.0 * y.T
     col_sq = ((1.0 - c) * sq).astype(np.float32)
     # Group g holds the columns g, g + groups, g + 2 groups, ...; at least
-    # k + 1 groups leave k whose minimum is not the row's own NaN.
+    # k + 1 groups leave k whose minimum is not the row's own NaN. One
+    # reduce over the whole rounds of groups and one minimum with the
+    # ragged tail form a block's group minima.
     groups = max(k + 1, -(-n_obs // 8))
+    tail = n_obs % groups
+    whole = n_obs - tail
     lanes = min(lane_cpus(), _BRUTE_MAX_LANES, -(-n_obs // max(1, _BRUTE_BLOCK // n_obs)))
     rows_per_block = max(1, _BRUTE_BLOCK // (lanes * n_obs))
     starts = range(0, n_obs, rows_per_block)
@@ -287,11 +316,9 @@ def _knn_neighbors_brute(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
         # NaN fails every comparison, even with an infinite bound, and
         # partitions last.
         d2[local, local + start] = np.nan
-        least = group_min[:size]
-        np.copyto(least, d2[:, :groups])
-        for lo in range(groups, n_obs, groups):
-            part = d2[:, lo:lo + groups]
-            np.minimum(least[:, :part.shape[1]], part, out=least[:, :part.shape[1]])
+        least = np.minimum.reduce(d2[:, :whole].reshape(size, -1, groups), axis=1,
+                                  out=group_min[:size])
+        np.minimum(least[:, :tail], d2[:, whole:], out=least[:, :tail])
         least.partition(k - 1, axis=1)
         kth = least[:, k - 1].astype(np.float64)
         sq_rows = sq[start:stop]

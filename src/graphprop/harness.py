@@ -13,8 +13,9 @@ Each runner writes, under the configured output directory:
 * ``manifest.json``  config echo plus per-run notes; every runner lists in
   ``notes["warnings"]`` (per area for overlap-sim) each warning raised,
   with its category, message, method and sweep coordinates, and
-  complete, bound-report and overlap-sim each acquisition's
-  ``SolverStats`` in ``notes["solver_stats_per_acquisition"]``,
+  complete, bound-report and overlap-sim (per area) each acquisition's
+  excluded, mean-filled nodes in ``notes["excluded_per_acquisition"]``
+  and its ``SolverStats`` in ``notes["solver_stats_per_acquisition"]``,
 
 and any experiment-specific artifacts (completed tensors, bound reports).
 The CSV files are written only for runs with result rows, so not by
@@ -570,6 +571,7 @@ def run_overlap_sim(cfg: ExperimentConfig, *, write: bool = True):
             "crop_count": spec.crop_count,
             "achieved_frac": spec.achieved_frac,
             "never_observed": int(never.size),
+            "excluded_per_acquisition": [r.excluded_ids.tolist() for r in gp],
             "solver_stats_per_acquisition": [asdict(r.stats) for r in gp],
             "warnings": caught,
         }

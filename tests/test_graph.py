@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -242,6 +243,49 @@ def test_knn_brute_force_across_blocks(monkeypatch, block):
     blocked = knn_edges(FiberMatrix(points), omega, 4)
     assert edge_pairs(blocked) == edge_pairs(whole)
     assert edge_pairs(blocked) == brute_force_knn(points, 4)
+
+
+def channel_running_sum(pts, rows, cands):
+    """Squared distances summed one channel at a time, left to right."""
+    total = np.zeros(rows.size)
+    for ch in range(pts.shape[1]):
+        diff = pts[cands, ch] - pts[rows, ch]
+        total += diff * diff
+    return total
+
+
+@pytest.mark.parametrize("channels", [1, 7, 8, 9, 24, 100])
+def test_knn_brute_force_squared_distances_are_the_channel_running_sum(monkeypatch, channels):
+    # a pairwise sum over the channels (np.add.reduce) rounds differently
+    # from 8 channels on; a 1,000-value chunk splits the 3,000 pairs into
+    # chunks of every width here, the last one ragged
+    rng = np.random.default_rng(channels)
+    pts = rng.standard_normal((50, channels))
+    rows, cands = rng.integers(0, 50, (2, 3000))
+    want = channel_running_sum(pts, rows, cands)
+    for chunk in (graph._DISTANCE_CHUNK, 1000):
+        monkeypatch.setattr(graph, "_DISTANCE_CHUNK", chunk)
+        got = graph._squared_distances(pts, rows, cands)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("channels", [20, 40, 400])
+def test_knn_brute_force_nearest_k_memory_on_duplicates(channels):
+    # 300 copies of one fiber, each the candidate of every other (89,700
+    # pairs at distance zero): the differences go in chunks, never as one
+    # (channels, pairs) array, and the ties go to the smaller ids
+    pts = np.ones((300, channels))
+    rows, cands = np.nonzero(~np.eye(300, dtype=bool))
+    tracemalloc.start()
+    try:
+        got_rows, got_cands = graph._nearest_k(pts, rows, cands, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * graph._DISTANCE_CHUNK * 8 + 6 * rows.nbytes
+    want = np.array([[j for j in range(4) if j != i][:3] for i in range(300)])
+    assert np.array_equal(got_rows, np.repeat(np.arange(300), 3))
+    assert np.array_equal(got_cands, want.ravel())
 
 
 def lane_points(seed):

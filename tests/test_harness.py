@@ -314,9 +314,11 @@ def test_overlap_sim_zero_area_notes(tmp_path):
     # at area 0.3 every method completes both rasters, and the corners
     # cropped from both are flagged
     assert len(list((tmp_path / "out").glob("completed_*_area30.tenb"))) == 6
-    flagged = int(load_tensor(tmp_path / "out" / "never_observed_area30.tenb").values.sum())
-    assert flagged > 0 and notes["area=0.3"]["never_observed"] == flagged
-    # each area records the SolverStats of its graphprop() call, per acquisition
+    flag = matricize(load_tensor(tmp_path / "out" / "never_observed_area30.tenb"), 3)
+    never = np.flatnonzero(flag.values[:, 0]).tolist()
+    assert never and notes["area=0.3"]["never_observed"] == len(never)
+    # each area records the excluded nodes and SolverStats of its
+    # graphprop() call, per acquisition
     fibers = [matricize(raster, 3).values for raster in rasters]
     for area in (0.0, 0.3):
         omegas = [ObservationSet(400, np.flatnonzero(matricize(
@@ -325,8 +327,12 @@ def test_overlap_sim_zero_area_notes(tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             direct = graphprop([(f[om.observed], om) for f, om in zip(fibers, omegas)], 3)
+        assert notes[f"area={area}"]["excluded_per_acquisition"] == [
+            res.excluded_ids.tolist() for res in direct]
         assert notes[f"area={area}"]["solver_stats_per_acquisition"] == [
             dataclasses.asdict(res.stats) for res in direct]
+    # at area 0.3 each acquisition mean-fills the corners observed nowhere
+    assert notes["area=0.3"]["excluded_per_acquisition"] == [never, never]
 
 
 def test_overlap_sim_rows_and_artifacts(tmp_path):

@@ -8,8 +8,8 @@ Standard output gets one ``sha256  run/file`` line per output file:
 ``results.csv`` and ``summary.csv`` (the runs with result rows), every
 ``.tenb``, ``bound_report.json``, and ``manifest.json`` with the config
 echo's path keys dropped (the paths name the temporary directory); its
-notes hold the ``SolverStats`` of each ``complete``, ``bound-report`` and
-overlap-sim acquisition, and the excluded nodes of the first two.
+notes hold the ``SolverStats`` and excluded nodes of each ``complete``,
+``bound-report`` and overlap-sim acquisition.
 ``timings.csv`` is never hashed.
 
 The listing is meant to be compared, never checked in: the hashes follow
@@ -38,8 +38,10 @@ import numpy as np
 from graphprop import (
     DenseTensor,
     EdgeSet,
+    FiberMatrix,
     ObservationSet,
     matricize,
+    refold,
     save_edge_list,
     save_tensor,
     smooth_raster_pair,
@@ -82,6 +84,22 @@ def _corner_inputs(inputs: Path, name: str) -> dict:
     omegas = [ObservationSet(400, np.flatnonzero(matricize(
         DenseTensor.from_array(m[..., None]), 3).values)) for m in masks]
     return _complete_inputs(inputs, name, smooth_raster_pair(20, 20, 2, seed=0), omegas, k=3)
+
+
+def _tie_inputs(inputs: Path, name: str) -> dict:
+    """A ``complete`` config on a 32x32x20 pair whose fibers take three
+    levels per channel, 200 of them copies of others, so exact distance
+    ties and duplicates reach the brute-force search's exact selection and
+    its smaller-id tie-break."""
+    rng = np.random.default_rng(9)
+    tensors = []
+    for _ in range(2):
+        fibers = rng.integers(-1, 2, size=(32 * 32, 20)).astype(np.float64)
+        copies = rng.choice(32 * 32, size=(2, 200), replace=False)
+        fibers[copies[1]] = fibers[copies[0]]
+        tensors.append(refold(FiberMatrix(fibers), (32, 32, 20), 3))
+    omegas = sample_observation_sets(32 * 32, 0.4, 2, seed=10)
+    return _complete_inputs(inputs, name, tensors, omegas, k=5)
 
 
 def _complete_inputs(inputs: Path, name: str, tensors, omegas, **config) -> dict:
@@ -140,6 +158,8 @@ def configs(inputs: Path) -> dict[str, tuple[str, dict]]:
         # brute-force kNN on lanes, bound scalars at the largest size here
         "complete-48x48x20": ("complete", _synth_inputs(inputs, "brute", (48, 48, 20), 2, 0.4,
                                                         6, k=5)),
+        # brute-force kNN on quantised fibers with duplicates: exact ties
+        "complete-ties": ("complete", _tie_inputs(inputs, "ties")),
         "complete-L3-splu": ("complete", _synth_inputs(inputs, "three", (12, 12, 3), 3, 0.3,
                                                        8, k=4, solver={"method": "splu"})),
         "complete-corners": ("complete", _corner_inputs(inputs, "corners")),
