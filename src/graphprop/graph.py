@@ -15,11 +15,10 @@ features are scaled by a power of two first, so the edges are the same at
 any power-of-two scale of the input, up to feature sets whose own dynamic
 range in squared distance exceeds about 1e300.
 
-The brute-force row blocks run on lanes (:mod:`graphprop.lanes`): one per
-CPU that :func:`~graphprop.lanes.lane_cpus` grants, up to
-``_BRUTE_MAX_LANES``, with one ``_BRUTE_BLOCK`` of float32 distances in
-flight over all lanes. Each block's relations are sorted and the blocks
-joined in block order, so the arrays are the same at any lane count.
+A search starts no thread: the brute force runs its row blocks one after
+another, one ``_BRUTE_BLOCK`` of float32 distances at a time, on the
+thread that calls it. :func:`~graphprop.propagation.graphprop` runs the
+acquisitions' searches on lanes of its own (:mod:`graphprop.lanes`).
 
 Node ids are 0-based throughout the Python API; the text edge-list format
 uses 1-based ids.
@@ -27,7 +26,6 @@ uses 1-based ids.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -37,7 +35,6 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DataError, NonFiniteInput, TooFewObserved
-from .lanes import lane_cpus, run_lanes
 from .tensor import FiberMatrix
 
 # A kd-tree searches up to this many channels, the blocked brute force above.
@@ -47,14 +44,11 @@ from .tensor import FiberMatrix
 # 4-14 channels, but 107 ms against 66 ms on rank-10 Tucker fibers of 6 channels.
 KDTREE_MAX_CHANNELS = 16
 
-# Distance-matrix entries in flight on the brute-force path, over all its
-# lanes, in float32 (4 MB).
-_BRUTE_BLOCK = 1_000_000
-
-# Most brute-force lanes, so a lane's block keeps 250k entries or more:
-# on one thread 250k-entry blocks ran no slower than 1M, smaller ones up
-# to about twice as slow.
-_BRUTE_MAX_LANES = 4
+# Distance-matrix entries of one brute-force row block, in float32 (2 MB),
+# so two acquisition lanes of graphprop() hold 1,000,000 in flight. On one
+# thread 250k-entry blocks ran no slower than 1M, smaller ones up to about
+# twice as slow.
+_BRUTE_BLOCK = 500_000
 
 # Float64 feature differences per chunk of _squared_distances (512 KiB): a
 # brute-force block's shortlist, about k pairs per row, fits in one chunk at
@@ -229,21 +223,18 @@ def _knn_neighbors_brute(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
     shortlisted, and :func:`_nearest_k` picks k by exact float64 distance,
     then smaller id, so the float32 pass only narrows the candidates.
 
-    The row blocks are independent and run on lanes
-    (:func:`~graphprop.lanes.run_lanes`), one per CPU that
-    :func:`~graphprop.lanes.lane_cpus` grants but no more than
-    ``_BRUTE_MAX_LANES`` or the blocks one lane would make. The calling
-    thread allocates each lane's block of
-    ``_BRUTE_BLOCK // lanes`` float32 values and the block's boolean
-    shortlist mask once, so the blocks in flight hold ``_BRUTE_BLOCK``
-    values (4 MB) in total, plus their group minima (an eighth of that),
-    a few arrays of each block's shortlist length, which is about k per
-    row, and per lane two chunks of :func:`_squared_distances`. A block
-    issues a few dozen numpy calls, none per channel or per column group,
-    as lane pieces should (see :mod:`graphprop.lanes`). Each block's
-    relations are sorted by (row, neighbour) and the blocks concatenated
-    in block order, so the result is sorted too: the same arrays at any
-    lane count and block size.
+    The row blocks run one after another on the calling thread, through
+    one block of at most ``_BRUTE_BLOCK`` float32 values (2 MB; one row
+    when a row holds more), one boolean
+    shortlist mask of its shape and one buffer of its group minima (an
+    eighth of its size), allocated once; besides these a block holds a few
+    arrays of its shortlist length, which is about k per row, and two
+    chunks of :func:`_squared_distances`. A block issues a few dozen numpy
+    calls, none per channel or per column group, so a search keeps its
+    calls few on one of :func:`~graphprop.propagation.graphprop`'s lanes
+    (see :mod:`graphprop.lanes`). Each block's relations are sorted by
+    (row, neighbour) and the blocks concatenated in block order, so the
+    result is sorted too: the same arrays at any block size.
     """
     n_obs, m = pts.shape
     # Distances do not change under translation; centring keeps the
@@ -300,14 +291,12 @@ def _knn_neighbors_brute(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
     groups = max(k + 1, -(-n_obs // 8))
     tail = n_obs % groups
     whole = n_obs - tail
-    lanes = min(lane_cpus(), _BRUTE_MAX_LANES, -(-n_obs // max(1, _BRUTE_BLOCK // n_obs)))
-    rows_per_block = max(1, _BRUTE_BLOCK // (lanes * n_obs))
-    starts = range(0, n_obs, rows_per_block)
-    found = [None] * len(starts)
-
-    def select(b, lane):
-        block, mask, group_min = buffers[lane]
-        start = starts[b]
+    rows_per_block = max(1, _BRUTE_BLOCK // n_obs)
+    block = np.empty((rows_per_block, n_obs), dtype=np.float32)
+    mask = np.empty((rows_per_block, n_obs), dtype=bool)
+    group_min = np.empty((rows_per_block, groups), dtype=np.float32)
+    found = []
+    for start in range(0, n_obs, rows_per_block):
         stop = min(start + rows_per_block, n_obs)
         size = stop - start
         d2 = np.matmul(y[start:stop], cols, out=block[:size])
@@ -327,15 +316,7 @@ def _knn_neighbors_brute(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
         shortlist = np.less_equal(d2, bound[:, None], out=mask[:size])
         rows, cands = np.divmod(np.flatnonzero(shortlist), n_obs)
         rows, cands = _nearest_k(pts, rows + start, cands, k)
-        found[b] = np.sort(rows * n_obs + cands)
-
-    # The calling thread allocates every lane's buffers (see graphprop.lanes).
-    buffers = [(np.empty((rows_per_block, n_obs), dtype=np.float32),
-                np.empty((rows_per_block, n_obs), dtype=bool),
-                np.empty((rows_per_block, groups), dtype=np.float32))
-               for _ in range(lanes)]
-    with ThreadPoolExecutor(max(lanes - 1, 1)) as pool:
-        run_lanes(pool, lanes, len(starts), select)
+        found.append(np.sort(rows * n_obs + cands))
     return np.divmod(np.concatenate(found), n_obs)
 
 

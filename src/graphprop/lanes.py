@@ -1,36 +1,36 @@
 """Lanes: threads that share one call's independent pieces of work.
 
-Three sites run on lanes: the brute-force kNN row blocks
-(:mod:`graphprop.graph`), HaLRTC's per-mode shrinks
+Two sites run on lanes: HaLRTC's per-mode shrinks
 (:mod:`graphprop.baselines`), and :func:`~graphprop.propagation.graphprop`'s
-per-acquisition kNN searches and steady-state solves. Each site asks
-:func:`lane_cpus` for the CPUs it may fill and caps that by its own limits.
-:func:`run_lanes` then runs the pieces: the calling thread is lane 0 and
-pool threads the rest, and each lane claims the lowest unclaimed piece
-under a lock until none is left. Each piece writes only its own result,
-and the site combines the results in piece order, so its output is the
-same at any lane count; a failure raises the lowest failing piece's error.
+per-acquisition kNN searches, kd-tree and brute-force alike, and
+steady-state solves. Each site asks :func:`lane_cpus` for the CPUs it may
+fill and caps that by its own limits: ``graphprop()`` keeps calls below
+its work gate (``propagation.LANE_MIN_WORK``, nodes times channels) on
+one lane, where lanes would contend for the interpreter lock more than
+they share work. :func:`run_lanes` then runs the pieces: the calling
+thread is lane 0 and pool threads the rest, and each lane claims the
+lowest unclaimed piece under a lock until none is left. Each piece writes
+only its own result, and the site combines the results in piece order,
+so its output is the same at any lane count; a failure raises the lowest
+failing piece's error. No piece starts lanes of its own.
+
 Each site allocates the lanes' large buffers in the calling thread where
 it can: a buffer allocated in a pool thread comes from that thread's own
-malloc arena, which raised the peak resident set by 2-3 MiB on 96x96x24
-brute-force kNN inputs.
+malloc arena, which keeps the memory after the call. A brute-force kNN
+search is the exception: it allocates its block on its own acquisition
+lane, where the whole search runs. On ``perfbench``'s ``hyper-96`` (two
+96x96x24 acquisitions, 2 CPUs) that raised ``peak_rss_mb`` from 124.6 to
+130.4 MiB, the pool thread's arena holding the second search's working
+set, while the traced peak of one ``graphprop()`` call fell from 14.6 to
+13.5 MiB.
 
 A lane piece keeps its numpy calls few. Each call takes and hands back
 the interpreter lock, and lanes issuing many small calls queue on it:
 on 2 CPUs with one BLAS thread, a 3-call elementwise loop on 7x2772
-arrays ran at 0.60-0.74x the speed on two threads as on one. A 5,530x24
-brute-force kNN search on two lanes went from 73.3 to 60.0 ms with each
-lane's block doubled (about 5 MB more held) and up to 97.2 ms with it
-halved, so its blocks do their work in whole-array calls (one reduce for
-the group minima, one running sum for the exact distances) instead of
-loops over column groups or channels.
-
-One call has one lane budget: no lane starts lanes of its own. So
-``graphprop()`` runs its searches on the calling thread, one after
-another, whenever they take the brute-force path, whose row blocks have
-lanes already. ``graphprop()`` also keeps calls below its work gate
-(``propagation.LANE_MIN_WORK``, nodes times channels) on one lane, where
-lanes would contend for the interpreter lock more than they share work.
+arrays ran at 0.60-0.74x the speed on two threads as on one. So a
+brute-force kNN search's row blocks do their work in whole-array calls
+(one reduce for the group minima, one running sum for the exact
+distances) instead of loops over column groups or channels.
 
 No piece calls a layer function that perfbench's tracer wraps (the
 module attributes listed in ``perfbench/spans.py``): the tracer keeps one
@@ -58,8 +58,9 @@ def lane_cpus() -> int:
     one thread per call (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``,
     is 1). Every lane's piece is mostly BLAS and LAPACK calls, and lanes
     whose calls each start BLAS threads contend for the same CPUs. With
-    OpenBLAS's default threads on 2 CPUs, two brute-force kNN lanes took a
-    5,530x24 search from 75-90 ms to 100-128 ms, and two HaLRTC lanes took
+    OpenBLAS's default threads on 2 CPUs, two lanes over the row blocks of
+    one 5,530x24 brute-force kNN search took it from 75-90 ms to 100-128
+    ms, and two HaLRTC lanes took
     a rank-40 100x100x3x2 completion from 0.98-1.27 s to 1.11-1.29 s (five
     runs each)."""
     if os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS")) != "1":

@@ -45,7 +45,6 @@ from .errors import (
     UnreachableComponent,
 )
 from .graph import (
-    KDTREE_MAX_CHANNELS,
     ObservationSet,
     SparseGraph,
     _knn_observed,
@@ -347,14 +346,13 @@ def graphprop(acquisitions, k: int, *, method: str = "cg") -> list[CompletionRes
     after another on the calling thread, where perfbench's tracer times
     each call; on lanes it runs :func:`~graphprop.graph._knn_observed` on
     the observed rows and one :func:`solve_reachable`, the one solve, over
-    every acquisition. Above ``KDTREE_MAX_CHANNELS`` channels the searches
-    stay on one lane and each runs its own brute-force row-block lanes, so
-    no lane starts a pool of its own. Each acquisition takes the same
-    floating-point steps at any lane count, so the results are
-    byte-identical; the warnings come in the order one lane gives them
-    (each acquisition's :class:`UnreachableComponent`, then its
-    :class:`MaxItersExceeded`), and a failure raises the error of the
-    first failing acquisition.
+    every acquisition. Kd-tree and brute-force searches alike run on these
+    lanes, and no search starts a thread of its own: one level of lanes
+    per call. Each acquisition takes the same floating-point steps at any
+    lane count, so the results are byte-identical; the warnings come in
+    the order one lane gives them (each acquisition's
+    :class:`UnreachableComponent`, then its :class:`MaxItersExceeded`),
+    and a failure raises the error of the first failing acquisition.
 
     Nodes observed in no acquisition, which are the zero-degree nodes of
     the union graph, trigger a :class:`CoverageViolationWarning` once the
@@ -378,11 +376,9 @@ def graphprop(acquisitions, k: int, *, method: str = "cg") -> list[CompletionRes
             raise ValueError("acquisitions must share the channel count")
     count = len(acquisitions)
     lanes = min(lane_cpus(), count) if n * channels >= LANE_MIN_WORK else 1
-    # the brute-force path runs its own lanes: one level of lanes per call
-    search_lanes = lanes if channels <= KDTREE_MAX_CHANNELS else 1
 
     with ThreadPoolExecutor(max(lanes - 1, 1)) as pool:
-        if search_lanes == 1:
+        if lanes == 1:
             edge_sets = []
             for f, om in acquisitions:
                 features = np.zeros((n, channels), dtype=np.float64)
@@ -395,7 +391,7 @@ def graphprop(acquisitions, k: int, *, method: str = "cg") -> list[CompletionRes
                 f, om = acquisitions[i]
                 edge_sets[i] = _knn_observed(f, om, k)
 
-            run_lanes(pool, search_lanes, count, search)
+            run_lanes(pool, lanes, count, search)
         graph = build_graph(*edge_sets)
         del edge_sets[:]  # not held through the solves
         # every observed node has k >= 1 neighbours in its acquisition's kNN

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -241,7 +242,9 @@ def test_knn_brute_force_across_blocks(monkeypatch, block):
     whole = knn_edges(FiberMatrix(points), omega, 4)
     monkeypatch.setattr(graph, "_BRUTE_BLOCK", block)
     blocked = knn_edges(FiberMatrix(points), omega, 4)
-    assert edge_pairs(blocked) == edge_pairs(whole)
+    # the same arrays, row order and dtype included, at any block size
+    assert blocked.edges.dtype == whole.edges.dtype
+    assert np.array_equal(blocked.edges, whole.edges)
     assert edge_pairs(blocked) == brute_force_knn(points, 4)
 
 
@@ -288,7 +291,7 @@ def test_knn_brute_force_nearest_k_memory_on_duplicates(channels):
     assert np.array_equal(got_cands, want.ravel())
 
 
-def lane_points(seed):
+def tied_points(seed):
     """Integer-grid points, each given twice 45 rows apart, so exact
     distance ties (zero among the copies, equal lattice distances among the
     rest) straddle row blocks of every size below 45."""
@@ -297,73 +300,23 @@ def lane_points(seed):
     return np.concatenate([base, base])
 
 
-class CountingPool(ThreadPoolExecutor):
-    submits = 0
+def test_run_lanes_runs_each_piece_once():
+    # eight lanes, more than the CPUs, over 90 pieces with the interpreter
+    # switching threads as often as it can: a piece claimed twice would run
+    # twice, one never claimed would be missing
+    ran = []
 
-    def submit(self, *args, **kwargs):
-        CountingPool.submits += 1
-        return super().submit(*args, **kwargs)
+    def work(i, lane):
+        ran.append((i, sum(range(200))))  # some bytecode, so lanes switch mid-piece
 
-
-@pytest.mark.parametrize("seed", range(3))
-def test_knn_brute_force_lanes_give_identical_arrays(monkeypatch, seed):
-    # 500 entries per block in flight: 5, 2 and 1 rows per block at 1, 2
-    # and 3 lanes, so every lane count cuts the rows differently
-    points = lane_points(seed)
-    omega = all_observed(len(points))
-    monkeypatch.setattr(graph, "_BRUTE_BLOCK", 500)
-    monkeypatch.setattr(graph, "ThreadPoolExecutor", CountingPool)
-    for k in (1, 3, 5):
-        arrays = []
-        for lanes in (1, 2, 3):
-            monkeypatch.setattr(graph, "lane_cpus", lambda lanes=lanes: lanes)
-            CountingPool.submits = 0
-            arrays.append(knn_edges(FiberMatrix(points), omega, k).edges)
-            assert CountingPool.submits == lanes - 1
-        for other in arrays[1:]:
-            assert other.dtype == arrays[0].dtype and np.array_equal(other, arrays[0])
-        assert edge_pairs(EdgeSet(len(points), arrays[0])) == brute_force_knn(points, k)
-
-
-def test_knn_brute_force_lanes_claim_each_block_once(monkeypatch):
-    # eight lanes (cap lifted), more than the CPUs, over 90 one-row blocks
-    # with the interpreter switching threads as often as it can: a block
-    # claimed twice would select twice, one never claimed would be missing
-    points = lane_points(1)
-    omega = all_observed(len(points))
-    monkeypatch.setattr(graph, "lane_cpus", lambda: 1)
-    want = knn_edges(FiberMatrix(points), omega, 3).edges
-    selected = []
-
-    def counting(pts, rows, cands, k):
-        selected.append(rows[0])
-        return nearest_k(pts, rows, cands, k)
-
-    nearest_k = graph._nearest_k
-    monkeypatch.setattr(graph, "_nearest_k", counting)
-    monkeypatch.setattr(graph, "lane_cpus", lambda: 8)
-    monkeypatch.setattr(graph, "_BRUTE_MAX_LANES", 8)
-    monkeypatch.setattr(graph, "_BRUTE_BLOCK", 8 * len(points))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = knn_edges(FiberMatrix(points), omega, 3).edges
+        with ThreadPoolExecutor(7) as pool:
+            run_lanes(pool, 8, 90, work)
     finally:
         sys.setswitchinterval(interval)
-    assert sorted(selected) == list(range(len(points)))
-    assert np.array_equal(got, want)
-
-
-def test_knn_brute_force_lanes_capped(monkeypatch):
-    # sixteen CPUs and 90 blocks still make only _BRUTE_MAX_LANES lanes
-    points = lane_points(2)
-    monkeypatch.setattr(graph, "_BRUTE_BLOCK", len(points))
-    monkeypatch.setattr(graph, "lane_cpus", lambda: 16)
-    monkeypatch.setattr(graph, "ThreadPoolExecutor", CountingPool)
-    CountingPool.submits = 0
-    e = knn_edges(FiberMatrix(points), all_observed(len(points)), 3)
-    assert CountingPool.submits == graph._BRUTE_MAX_LANES - 1
-    assert edge_pairs(e) == brute_force_knn(points, 3)
+    assert sorted(i for i, _ in ran) == list(range(90))
 
 
 def test_run_lanes_raises_the_lowest_failing_pieces_error():
@@ -401,13 +354,27 @@ def test_knn_brute_force_lanes_only_on_single_threaded_blas(monkeypatch):
         assert lane_cpus() == want
 
 
-def test_knn_brute_force_one_block_starts_no_pool_thread(monkeypatch):
-    points = lane_points(0)
-    monkeypatch.setattr(graph, "lane_cpus", lambda: 3)
-    monkeypatch.setattr(graph, "ThreadPoolExecutor", CountingPool)
-    CountingPool.submits = 0
+@pytest.mark.parametrize("block", [None, 90], ids=["one-block", "one-row-blocks"])
+def test_knn_brute_force_starts_no_thread(monkeypatch, block):
+    # every row block runs on the calling thread, one block or many, even
+    # where the lane rule grants every CPU: graphprop() gives each
+    # acquisition's search its lane, and no search starts lanes of its own
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    if block is not None:
+        monkeypatch.setattr(graph, "_BRUTE_BLOCK", block)
+    points = tied_points(0)
+    caller, threads = threading.get_ident(), threading.active_count()
+    seen = []
+    nearest_k = graph._nearest_k
+
+    def recording(*args):
+        seen.append((threading.get_ident(), threading.active_count()))
+        return nearest_k(*args)
+
+    monkeypatch.setattr(graph, "_nearest_k", recording)
     e = knn_edges(FiberMatrix(points), all_observed(len(points)), 3)
-    assert len(points) ** 2 <= graph._BRUTE_BLOCK and CountingPool.submits == 0
+    assert seen == [(caller, threads)] * (1 if block is None else len(points))
+    assert threading.active_count() == threads
     assert edge_pairs(e) == brute_force_knn(points, 3)
 
 

@@ -482,33 +482,34 @@ def test_graphprop_lanes_give_identical_results(monkeypatch, method, instance):
         assert one_lane[0].excluded_ids.size  # the corners nobody observes
 
 
-def test_graphprop_brute_force_searches_keep_their_row_block_lanes(monkeypatch):
-    # above KDTREE_MAX_CHANNELS the searches run one after another on the
-    # calling thread, each with its own row-block lanes; only the solves
-    # take acquisition lanes, so no lane starts a pool
+def test_graphprop_brute_force_searches_run_on_acquisition_lanes(monkeypatch):
+    # above KDTREE_MAX_CHANNELS each acquisition's search takes its own
+    # lane, as a kd-tree search does: at 2 and 4 lanes the two searches are
+    # in flight at once on two threads, the calling one among them, the
+    # completions byte-identical and the solver stats equal to one lane's
     acquisitions = synthetic_acquisitions(2, channels=24)
-    rows = [f.shape[0] for f, _ in acquisitions]
-    block_submits, searches = [], []
+    assert acquisitions[0][0].shape[1] > KDTREE_MAX_CHANNELS
+    searches = []
+    meet = [lambda: None]  # on lanes, each search waits until both are in flight
     real = graph._knn_neighbors_brute
 
     def recording(pts, k):
         searches.append(threading.get_ident())
+        meet[0]()
         return real(pts, k)
 
     monkeypatch.setattr(graph, "_knn_neighbors_brute", recording)
-    monkeypatch.setattr(graph, "ThreadPoolExecutor", counting_pool(block_submits))
-    # one row per block, so every search has more blocks than lanes
-    monkeypatch.setattr(graph, "_BRUTE_BLOCK", max(rows))
-    one_lane, _ = graphprop_on_lanes(monkeypatch, 1, acquisitions, 4)
+    # one row per block, so every search runs many blocks on its lane
+    monkeypatch.setattr(graph, "_BRUTE_BLOCK", max(f.shape[0] for f, _ in acquisitions))
+    one_lane, submits = graphprop_on_lanes(monkeypatch, 1, acquisitions, 4)
+    caller = threading.get_ident()
+    assert searches == [caller, caller] and submits == []
     for lanes in (2, 4):
-        monkeypatch.setattr(graph, "lane_cpus", lambda lanes=lanes: lanes)
-        block_submits.clear()
         searches.clear()
+        meet[0] = threading.Barrier(2, timeout=10).wait
         results, submits = graphprop_on_lanes(monkeypatch, lanes, acquisitions, 4)
-        caller = threading.get_ident()
-        assert searches == [caller, caller]
-        assert block_submits == [caller] * (2 * (lanes - 1))
-        assert submits == [caller]  # the second acquisition's solve
+        assert len(set(searches)) == 2 and caller in searches
+        assert submits == [caller, caller]  # a pool lane per phase
         for got, want in zip(results, one_lane):
             assert got.completed.values.tobytes() == want.completed.values.tobytes()
             assert got.stats == want.stats

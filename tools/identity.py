@@ -23,7 +23,7 @@ the numpy and scipy versions. Two uses:
   ``diff`` the two listings.
 
 Every size stays below about 10,000 unknowns per solve: above that, CG's
-row dots and HaLRTC's norms follow the BLAS thread count.
+row dots follow the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -130,9 +130,10 @@ def _stranded_blogs(inputs: Path) -> dict:
 def configs(inputs: Path) -> dict[str, tuple[str, dict]]:
     """Run name to (kind, config), with the input files written under
     ``inputs``."""
-    if 48 * 48 * 7 < LANE_MIN_WORK or KDTREE_MAX_CHANNELS >= 20:
-        raise SystemExit("the 48x48x7 overlap-sim no longer passes the lane gate, or the "
-                         "20-channel complete no longer takes the brute-force kNN path")
+    if min(48 * 48 * 7, 48 * 48 * 20, 32 * 32 * 20) < LANE_MIN_WORK:
+        raise SystemExit("a 48x48x7, 48x48x20 or 32x32x20 run no longer passes the lane gate")
+    if KDTREE_MAX_CHANNELS >= 20:
+        raise SystemExit("the 20-channel completes no longer take the brute-force kNN path")
     return {
         # HaLRTC's mode shrinks on lanes
         "rank-sweep-30x30x3": ("rank-sweep", {"i1": 30, "i2": 30, "i3": 3, "k": 5,
@@ -155,10 +156,12 @@ def configs(inputs: Path) -> dict[str, tuple[str, dict]]:
         "blogs-stranded": ("blogs", _stranded_blogs(inputs)),
         "complete-10x10x2": ("complete", _synth_inputs(inputs, "small", (10, 10, 2), 2, 0.4,
                                                        4, k=3)),
-        # brute-force kNN on lanes, bound scalars at the largest size here
+        # past LANE_MIN_WORK: each acquisition's brute-force kNN search on a
+        # lane; bound scalars at the largest size here
         "complete-48x48x20": ("complete", _synth_inputs(inputs, "brute", (48, 48, 20), 2, 0.4,
                                                         6, k=5)),
-        # brute-force kNN on quantised fibers with duplicates: exact ties
+        # past LANE_MIN_WORK: brute-force kNN on acquisition lanes, on
+        # quantised fibers with duplicates (exact ties)
         "complete-ties": ("complete", _tie_inputs(inputs, "ties")),
         "complete-L3-splu": ("complete", _synth_inputs(inputs, "three", (12, 12, 3), 3, 0.3,
                                                        8, k=4, solver={"method": "splu"})),
