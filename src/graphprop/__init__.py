@@ -49,9 +49,11 @@ from .propagation import (
 from .tensor import (
     DenseTensor,
     FiberMatrix,
+    load_fibers,
     load_tensor,
     matricize,
     refold,
+    save_fibers,
     save_tensor,
 )
 

@@ -225,7 +225,7 @@ def gtvm_bound(g: SparseGraph, omega: ObservationSet, f0) -> GtvmBound:
         raise EmptyGraph("adjacency has no edges; largest eigenvalue is zero")
     observed, missing = _positive_degree_ids(g, omega)
     lam_max = g.lam_max
-    eta = _residual_norm(g, np.union1d(observed, missing), f0, lam_max)
+    eta = _residual_norm(g, np.flatnonzero(g.degrees > 0), f0, lam_max)
     q = 0.0
     if missing.size:
         blocks = partition_blocks(g, observed, missing)

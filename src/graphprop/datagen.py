@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InfeasibleFraction
-from .graph import EdgeSet, ObservationSet, build_graph
+from .graph import EdgeSet, ObservationSet, build_graph, complement
 from .tensor import DenseTensor
 
 # Tucker core entries ~ N(CORE_MEAN, CORE_STD**2); the channel scales of
@@ -136,12 +136,8 @@ def sample_observation_sets(n: int, missing_frac: float, lambda_count: int,
     n_missing = math.floor(missing_frac * n)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    all_ids = np.arange(n, dtype=np.int64)
-    out = []
-    for lam in range(lambda_count):
-        missing = np.sort(perm[lam * n_missing : (lam + 1) * n_missing])
-        out.append(ObservationSet(n, np.setdiff1d(all_ids, missing)))
-    return out
+    return [ObservationSet(n, complement(n, perm[lam * n_missing : (lam + 1) * n_missing]))
+            for lam in range(lambda_count)]
 
 
 @dataclass(frozen=True)

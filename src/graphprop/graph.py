@@ -1,10 +1,12 @@
 """kNN edge sets over observed fibers, edge-set unions, adjacency assembly
-(of one edge set or, in one pass, the union of several), and the
-observed/unknown block split.
+(of one edge set or, from one key sort, the union of several), the
+observed/unknown block split, and id-set complements (from a mask, no
+sort).
 
 An edge set lists node-id pairs in either orientation. Only
-:func:`build_graph` gives edges a canonical form: its one CSR pass
-symmetrises the pairs and collapses reversed and repeated ones.
+:func:`build_graph` gives edges a canonical form: one sort of the pair keys
+of both orientations symmetrises the pairs, collapses reversed and repeated
+ones and leaves the CSR arrays in order.
 
 kNN is exact: each observed fiber links to its k nearest by float64
 Euclidean distance, ties to the smaller node id. Up to
@@ -59,6 +61,18 @@ _DISTANCE_CHUNK = 1 << 16
 # Relative gap under which two kd-tree distances count as tied.
 _TIE_RTOL = 1e-12
 
+# The largest node count whose pair keys u * n + v (at most n**2 - 1) fit
+# int32: 46,340**2 < 2**31 <= 46,341**2.
+_INT32_KEY_NODES = 46_340
+
+
+def complement(n: int, ids) -> np.ndarray:
+    """The ids of ``range(n)`` not in ``ids``, in increasing order, read
+    from a boolean mask in O(n) (no sort)."""
+    kept = np.ones(n, dtype=bool)
+    kept[ids] = False
+    return np.flatnonzero(kept)
+
 
 @dataclass(frozen=True, eq=False)
 class ObservationSet:
@@ -83,7 +97,7 @@ class ObservationSet:
     @cached_property
     def missing(self) -> np.ndarray:
         """Complement ids, in increasing order."""
-        out = np.setdiff1d(np.arange(self.n, dtype=np.int64), self.observed)
+        out = complement(self.n, self.observed)
         out.setflags(write=False)
         return out
 
@@ -419,27 +433,40 @@ class SparseGraph:
 
 def build_graph(*edge_sets: EdgeSet) -> SparseGraph:
     """Assemble the unweighted adjacency of the union of one or more edge
-    sets over the same nodes in one ``csr_array`` pass: both orientations of
-    every row of every set are stacked as boolean ``True``, duplicates
-    summed (a logical or, so a reversed or repeated row is one edge, at one
-    byte per stacked pair), and the values then cast to float64 1.0. Index
-    arrays are int32 whenever the node ids fit (half the index memory of
-    int64).
+    sets over the same nodes from one key sort: both orientations of every
+    row of every set become the key ``u * n + v`` (int32 while ``n`` is at
+    most ``_INT32_KEY_NODES``, int64 above), one sort orders the keys by
+    row and then column, and dropping each key equal to its predecessor
+    collapses reversed and repeated rows into one edge. The sorted unique
+    keys are the CSR arrays as they stand, with no further pass over the
+    rows: ``indptr`` where each row's keys start, ``indices`` the keys
+    modulo ``n``, every value float64 1.0 and the degrees (float64) the
+    row lengths. Index arrays are int32 whenever the node ids and pair
+    count fit (half the index memory of int64).
 
     Given several sets it equals ``build_graph(union_edges(edge_sets))``
     bit for bit. Raises ``ValueError`` when no set is given or the node
     counts differ.
     """
     n = _shared_node_count(edge_sets)
-    index = np.int32 if n < 2**31 else np.int64
+    key = np.int32 if n <= _INT32_KEY_NODES else np.int64
     heads = [e.edges[:, 0] for e in edge_sets]
     tails = [e.edges[:, 1] for e in edge_sets]
-    rows = np.concatenate(heads + tails, dtype=index)
-    cols = np.concatenate(tails + heads, dtype=index)
-    adjacency = sp.csr_array(
-        (np.ones(rows.size, dtype=bool), (rows, cols)), shape=(n, n)
-    ).astype(np.float64)
-    return SparseGraph(n, adjacency, np.asarray(adjacency.sum(axis=1)).ravel())
+    keys = np.concatenate(heads + tails, dtype=key)
+    keys *= n
+    keys += np.concatenate(tails + heads, dtype=key)
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    index = np.int32 if max(n, keys.size) < 2**31 else np.int64
+    keys = keys[first]
+    del first
+    # Row r's keys are those in [r * n, (r + 1) * n).
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=key) * n).astype(index)
+    cols = np.remainder(keys, n, out=keys).astype(index, copy=False)
+    adjacency = sp.csr_array((np.ones(cols.size), cols, indptr), shape=(n, n))
+    adjacency.has_canonical_format = True  # sorted, no repeats: as built
+    return SparseGraph(n, adjacency, np.diff(indptr).astype(np.float64))
 
 
 @dataclass(frozen=True, eq=False)

@@ -54,7 +54,15 @@ from .errors import (
 from .graph import ObservationSet, build_graph, load_edge_list
 from .metrics import ErrorField, accuracy, mae, mpsnr, mse, rmse
 from .propagation import SOLVE_METHODS, graphprop, median_threshold, solve_steady_state
-from .tensor import DenseTensor, FiberMatrix, load_tensor, matricize, refold, save_tensor
+from .tensor import (
+    DenseTensor,
+    FiberMatrix,
+    load_fibers,
+    matricize,
+    refold,
+    save_fibers,
+    save_tensor,
+)
 
 log = logging.getLogger("graphprop")
 
@@ -414,23 +422,21 @@ def _propagate(cfg: ExperimentConfig, rows, omegas):
     return graphprop(list(zip(rows, omegas)), cfg.k, method=cfg.solver.method)
 
 
-def _load_tensors(paths, shape=None) -> list[DenseTensor]:
-    """The tensors stored at ``paths``; raises :class:`DataError` naming
-    the first file whose shape is not ``shape`` (default: the first
-    file's)."""
-    tensors = [load_tensor(p) for p in paths]
-    shape = shape or tensors[0].shape
-    for t, p in zip(tensors, paths):
-        if t.shape != shape:
-            raise DataError(f"{p}: shape {t.shape} does not match {shape}")
-    return tensors
+def _load_fibers(path, shape) -> np.ndarray:
+    """The last-mode fiber rows of the tensor stored at ``path``, a
+    read-only view of the file's payload (:func:`load_fibers`); raises
+    :class:`DataError` when its shape is not ``shape``."""
+    got, rows = load_fibers(path)
+    if got != shape:
+        raise DataError(f"{path}: shape {got} does not match {shape}")
+    return rows
 
 
 def _save_fibers(cfg: ExperimentConfig, artifacts: list, name: str, values, shape) -> None:
-    """Refold the fiber rows ``values`` to ``shape`` along its last mode,
-    save the tensor as ``name`` in the output directory and list it in
+    """Save the fiber rows ``values`` of a tensor of ``shape`` (along its
+    last mode) as ``name`` in the output directory and list it in
     ``artifacts``."""
-    save_tensor(refold(FiberMatrix(values), shape, len(shape)), _out_dir(cfg) / name)
+    save_fibers(values, shape, _out_dir(cfg) / name)
     artifacts.append(name)
 
 
@@ -537,18 +543,20 @@ def run_overlap_sim(cfg: ExperimentConfig, *, write: bool = True):
     the manifest notes, each tagged with its method.
     """
     if cfg.inputs:
-        rasters = _load_tensors(cfg.inputs)
-        if rasters[0].order != 3:
+        shape, first = load_fibers(cfg.inputs[0])
+        if len(shape) != 3:
             raise DataError(f"{cfg.inputs[0]}: rasters must be (height, width, bands) "
-                            f"tensors, got shape {rasters[0].shape}")
+                            f"tensors, got shape {shape}")
+        truth_fibers = [first, _load_fibers(cfg.inputs[1], shape)]
     else:
         rasters = smooth_raster_pair(
             cfg.height, cfg.width, cfg.bands,
             seed=_derived_seed(cfg.seed, _KIND_TAGS["overlap-sim"]),
         )
-    h, w, bands = rasters[0].shape
+        shape = rasters[0].shape
+        truth_fibers = [matricize(t, 3).values for t in rasters]
+    h, w, bands = shape
     n = h * w
-    truth_fibers = [matricize(t, 3).values for t in rasters]
 
     rows: list[ResultRow] = []
     notes: dict = {}
@@ -686,10 +694,17 @@ def load_observation_set(path, n: int) -> ObservationSet:
     if type(data["n"]) is not int or data["n"] != n:
         raise DataError(f"{path}: observation set is over {data['n']!r} nodes, tensor has {n}")
     ids = data["observed"]
-    if not isinstance(ids, list) or not all(type(i) is int and 1 <= i <= n for i in ids):
-        raise DataError(f"{path}: observed ids must be integers in 1..{n}")
+    not_ids = f"{path}: observed ids must be integers in 1..{n}"
+    if not isinstance(ids, list) or not set(map(type, ids)) <= {int}:
+        raise DataError(not_ids)
     try:
-        return ObservationSet(n, np.asarray(ids, dtype=np.int64) - 1)
+        ids = np.array(ids, dtype=np.int64)
+    except OverflowError:  # beyond int64, so beyond n too
+        raise DataError(not_ids) from None
+    if ids.size and (ids.min() < 1 or ids.max() > n):
+        raise DataError(not_ids)
+    try:
+        return ObservationSet(n, ids - 1)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -699,14 +714,12 @@ def save_observation_set(omega: ObservationSet, path) -> None:
     Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
 
 
-def _complete(cfg: ExperimentConfig, rows, omegas, truths=None):
-    """The ``graphprop`` stage on the acquisitions' observed ``rows``, its
-    manifest notes (nodes missing in every acquisition, which are the
-    zero-degree nodes of the union graph, ``never_observed``; each
+def _complete(cfg: ExperimentConfig, rows, omegas):
+    """The ``graphprop`` stage on the acquisitions' observed ``rows`` and
+    its manifest notes: nodes missing in every acquisition, which are the
+    zero-degree nodes of the union graph (``never_observed``); each
     acquisition's excluded, mean-filled nodes and ``SolverStats``; the
-    warnings) and, given truth fibers, one bound report per acquisition,
-    else ``None``. A measured error above an applicable bound raises
-    :class:`BoundViolation` here, so no file is written."""
+    warnings."""
     caught: list[dict] = []
     results, _ = _stage(caught, {"method": "graphprop"}, _propagate, cfg, rows, omegas)
     notes = {
@@ -715,8 +728,13 @@ def _complete(cfg: ExperimentConfig, rows, omegas, truths=None):
         "solver_stats_per_acquisition": [asdict(r.stats) for r in results],
         "warnings": caught,
     }
-    if truths is None:
-        return results, notes, None
+    return results, notes
+
+
+def _bound_reports(results, omegas, truths) -> list:
+    """One bound report per acquisition of :func:`_complete`'s ``results``
+    against its truth fibers. A measured error above an applicable bound
+    raises :class:`BoundViolation` here, so no file is written."""
     reports = []
     for om, f, res in zip(omegas, truths, results):
         report = evaluate_bounds(res.graph, om, f, res.completed)
@@ -725,7 +743,7 @@ def _complete(cfg: ExperimentConfig, rows, omegas, truths=None):
                 f"bound violated: measured {report.measured_error} > bound {report.bound}"
             )
         reports.append(report)
-    return results, notes, reports
+    return reports
 
 
 def run_complete(cfg: ExperimentConfig, *, write: bool = True):
@@ -735,20 +753,21 @@ def run_complete(cfg: ExperimentConfig, *, write: bool = True):
     returns the reports, otherwise ``None``; a violated bound raises
     :class:`BoundViolation` before any file is written, as in
     :func:`run_bound_report`."""
-    tensors = _load_tensors(cfg.inputs)
-    shape = tensors[0].shape
-    order = len(shape)
+    # One file's payload at a time: each input's observed rows are sliced
+    # as soon as it is read, so only they reach graphprop, and each truth
+    # file is read after the completion, as its acquisition's report needs it.
+    shape, first = load_fibers(cfg.inputs[0])
     n = int(np.prod(shape[:-1]))
     omegas = [load_observation_set(p, n) for p in cfg.observation_files]
-    # Only the observed rows are kept: each loaded tensor and its full
-    # fiber array are released as soon as they are sliced, before graphprop.
-    rows = []
-    for om in omegas:
-        rows.append(matricize(tensors.pop(0), order).values[om.observed])
-    truths = None
+    rows = [first[omegas[0].observed]]
+    del first
+    rows += [_load_fibers(p, shape)[om.observed] for p, om in zip(cfg.inputs[1:], omegas[1:])]
+    results, notes = _complete(cfg, rows, omegas)
+    del rows
+    reports = None
     if cfg.truth_files:
-        truths = [matricize(t, order).values for t in _load_tensors(cfg.truth_files, shape)]
-    results, notes, reports = _complete(cfg, rows, omegas, truths)
+        reports = _bound_reports(results, omegas,
+                                 (_load_fibers(p, shape) for p in cfg.truth_files))
     if write:
         artifacts: list[str] = []
         for i, res in enumerate(results, start=1):
@@ -765,7 +784,8 @@ def run_bound_report(cfg: ExperimentConfig, *, write: bool = True):
     tensors, omegas = _synth_instance(cfg, cfg.rank, cfg.missing_frac,
                                       _KIND_TAGS["bound-report"])
     fibers = [matricize(t, 3).values for t in tensors]
-    _, notes, reports = _complete(cfg, _observed_rows(fibers, omegas), omegas, fibers)
+    results, notes = _complete(cfg, _observed_rows(fibers, omegas), omegas)
+    reports = _bound_reports(results, omegas, fibers)
     if write:
         write_outputs(cfg, [], notes=notes, reports=reports)
     return reports

@@ -42,17 +42,22 @@ class ErrorField:
         arrays per acquisition, stacking the acquisitions' missing rows in
         input order; ``never_observed`` ids are excluded from every
         acquisition. Raises ``ValueError`` naming the acquisition (1-based)
-        whose truth and estimate differ in shape."""
+        whose truth and estimate differ in shape, or when a
+        ``never_observed`` id is not a node."""
         truth = [t.values if hasattr(t, "values") else np.asarray(t, float) for t in truth]
         estimates = [e.values if hasattr(e, "values") else np.asarray(e, float) for e in estimates]
         if not (len(truth) == len(estimates) == len(omegas)):
             raise ValueError("need one truth, estimate, and observation set per acquisition")
-        drop = np.asarray(sorted(never_observed), dtype=np.int64)
+        drop = np.asarray(never_observed, dtype=np.int64).ravel()
         blocks = []
         for i, (t, e, om) in enumerate(zip(truth, estimates, omegas), start=1):
             if t.shape != e.shape:
                 raise ValueError(f"acquisition {i}: truth is {t.shape}, estimate {e.shape}")
-            rows = np.setdiff1d(om.missing, drop)
+            if drop.size and (drop.min() < 0 or drop.max() >= om.n):
+                raise ValueError(f"never-observed ids must lie in [0, {om.n})")
+            kept = np.ones(om.n, dtype=bool)
+            kept[drop] = False
+            rows = om.missing[kept[om.missing]]
             blocks.append(t[rows] - e[rows])
         return cls(np.concatenate(blocks, axis=0))
 

@@ -14,6 +14,11 @@ file layout and HaLRTC's mode shrinks derive, and through them the
 harness's acquisition stack and its observed mask (refolded from
 concatenated fiber rows) and the overlap simulation's observation sets
 (matricized crop masks); the graph construction shares the enumeration.
+
+The binary file's payload is the last-mode fiber matrix, row by row, so
+:func:`load_fibers` and :func:`save_fibers` move fiber rows to and from a
+file with no refold; :func:`load_tensor` and :func:`save_tensor` wrap them
+for callers that want a :class:`DenseTensor`.
 """
 from __future__ import annotations
 
@@ -142,23 +147,38 @@ def refold(f: FiberMatrix, shape, mode: int) -> DenseTensor:
     return DenseTensor(shape, values)
 
 
-def save_tensor(t: DenseTensor, path) -> None:
-    """Write the binary container: one JSON header line, then raw
-    little-endian float64 in fiber-fastest order (the last index varies
-    fastest, then the first, second, ...)."""
+def save_fibers(values, shape, path) -> None:
+    """Write the binary container from the last-mode fiber rows ``values``
+    of a tensor of ``shape``: one JSON header line, then the rows as raw
+    little-endian float64, which is the file's fiber-fastest order (the
+    last index varies fastest, then the first, second, ...). ``ValueError``
+    when the rows do not hold ``shape`` or are not finite."""
+    shape = tuple(int(s) for s in shape)
+    if len(shape) < 1 or any(s < 1 for s in shape):
+        raise ValueError(f"tensor extents must be positive, got {shape}")
+    rows = FiberMatrix(values).values
+    if rows.shape != (math.prod(shape[:-1]), shape[-1]):
+        raise ValueError(f"fiber rows of shape {rows.shape} do not hold a tensor of {shape}")
     header = json.dumps(
-        {"shape": list(t.shape), "dtype": FORMAT_DTYPE, "layout": FORMAT_LAYOUT}
+        {"shape": list(shape), "dtype": FORMAT_DTYPE, "layout": FORMAT_LAYOUT}
     )
-    payload = np.transpose(t.values, fiber_axes(t.order, t.order)).astype("<f8", order="C")
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8"))
         fh.write(b"\n")
-        fh.write(payload)
+        fh.write(rows.astype("<f8", copy=False))
 
 
-def load_tensor(path) -> DenseTensor:
-    """Read a tensor written by :func:`save_tensor`, validating that the
-    header and payload agree."""
+def save_tensor(t: DenseTensor, path) -> None:
+    """Write ``t`` as :func:`save_fibers` writes its last-mode fibers."""
+    save_fibers(matricize(t, t.order).values, t.shape, path)
+
+
+def load_fibers(path) -> tuple[tuple[int, ...], np.ndarray]:
+    """Read a file written by :func:`save_fibers` or :func:`save_tensor`:
+    the tensor's shape and its last-mode fiber rows, an ``(n, channels)``
+    read-only view of the file's payload (nothing is copied). Raises
+    :class:`DataError` unless the header and payload agree and every value
+    is finite."""
     raw = Path(path).read_bytes()
     sep = raw.find(b"\n")
     if sep < 0:
@@ -189,6 +209,13 @@ def load_tensor(path) -> DenseTensor:
         )
     rows = np.frombuffer(payload, dtype="<f8").reshape(-1, shape[-1])
     try:
-        return refold(FiberMatrix(rows), shape, len(shape))
+        return shape, FiberMatrix(rows).values  # checks finiteness; still the view
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def load_tensor(path) -> DenseTensor:
+    """Read a tensor written by :func:`save_tensor`: :func:`load_fibers`
+    refolded."""
+    shape, rows = load_fibers(path)
+    return refold(FiberMatrix(rows), shape, len(shape))

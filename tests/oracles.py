@@ -5,12 +5,16 @@ machinery (see the ``graphprop.bounds`` module docstring) as dense arrays;
 the library computes its bound scalars from sparse blocks instead.
 ``scipy_jacobi_cg`` is the column-by-column reference for
 ``graphprop.propagation.jacobi_cg``, and ``canonical_adjacency`` the
-dedup-first reference for ``graphprop.build_graph``.
+dedup-first reference for ``graphprop.build_graph``. ``coo_graph`` and the
+``setdiff_*`` functions keep the constructions the library used before
+its key sort and mask complements, as references for those.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,6 +49,50 @@ def canonical_adjacency(*edge_sets: EdgeSet) -> sp.csr_array:
     rows = np.concatenate([lo, hi]).astype(np.int32)
     cols = np.concatenate([hi, lo]).astype(np.int32)
     return sp.csr_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
+
+
+def coo_graph(*edge_sets: EdgeSet) -> tuple[sp.csr_array, np.ndarray]:
+    """The union adjacency and degrees as scipy assembles them: both
+    orientations of every row stacked as boolean COO entries with int32
+    ids, summed into a CSR (a logical or), cast to float64, and the
+    degrees as row sums."""
+    n = edge_sets[0].n
+    heads = [e.edges[:, 0] for e in edge_sets]
+    tails = [e.edges[:, 1] for e in edge_sets]
+    rows = np.concatenate(heads + tails, dtype=np.int32)
+    cols = np.concatenate(tails + heads, dtype=np.int32)
+    adjacency = sp.csr_array(
+        (np.ones(rows.size, dtype=bool), (rows, cols)), shape=(n, n)
+    ).astype(np.float64)
+    return adjacency, np.asarray(adjacency.sum(axis=1)).ravel()
+
+
+def setdiff_complement(n: int, ids) -> np.ndarray:
+    """The ids of ``range(n)`` not in ``ids``, by ``np.setdiff1d``."""
+    return np.setdiff1d(np.arange(n, dtype=np.int64), ids)
+
+
+def setdiff_observation_sets(n: int, missing_frac: float, lambda_count: int,
+                             seed: int) -> list[ObservationSet]:
+    """``graphprop.sample_observation_sets`` with each observed set the
+    ``np.setdiff1d`` of its sorted missing ids."""
+    n_missing = math.floor(missing_frac * n)
+    perm = np.random.default_rng(seed).permutation(n)
+    return [ObservationSet(n, setdiff_complement(
+        n, np.sort(perm[lam * n_missing:(lam + 1) * n_missing])))
+        for lam in range(lambda_count)]
+
+
+def setdiff_error_rows(truth, estimates, omegas, never_observed=()) -> np.ndarray:
+    """``ErrorField.from_completions``' error array, each acquisition's
+    rows the ``np.setdiff1d`` of its missing ids and the sorted
+    never-observed ids."""
+    drop = np.asarray(sorted(never_observed), dtype=np.int64)
+    blocks = []
+    for t, e, om in zip(truth, estimates, omegas):
+        rows = np.setdiff1d(om.missing, drop)
+        blocks.append(t[rows] - e[rows])
+    return np.concatenate(blocks, axis=0)
 
 
 def gtvm_objective(g: SparseGraph, values: np.ndarray) -> float:

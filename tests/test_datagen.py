@@ -19,6 +19,7 @@ from graphprop import (
 )
 from graphprop.datagen import CORE_MEAN, CORE_STD
 from graphprop.errors import InfeasibleFraction
+from oracles import setdiff_observation_sets
 
 
 def test_determinism_bit_identical():
@@ -123,6 +124,16 @@ def test_observation_sets_disjoint_and_covering():
     assert len(missing[0]) == 40 and len(missing[1]) == 40
     assert not (missing[0] & missing[1])
     assert set(np.union1d(oms[0].observed, oms[1].observed)) == set(range(100))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_observation_sets_match_the_setdiff_construction(seed):
+    for n, frac, count in ((100, 0.3, 2), (97, 0.3, 3), (9216, 0.4, 2), (10, 0.0, 1)):
+        got = sample_observation_sets(n, frac, count, seed=seed)
+        want = setdiff_observation_sets(n, frac, count, seed)
+        for g, w in zip(got, want, strict=True):
+            assert g.observed.tobytes() == w.observed.tobytes()
+            assert g.missing.tobytes() == w.missing.tobytes()
 
 
 def test_observation_sets_infeasible_half():

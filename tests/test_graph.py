@@ -34,7 +34,13 @@ from graphprop import graph
 from graphprop.errors import DataError, NonFiniteInput, TooFewObserved
 from graphprop.harness import save_observation_set
 from graphprop.lanes import lane_cpus, run_lanes
-from oracles import canonical_adjacency, edge_degrees, edge_pairs
+from oracles import (
+    canonical_adjacency,
+    coo_graph,
+    edge_degrees,
+    edge_pairs,
+    setdiff_complement,
+)
 
 
 def exact_distance(a, b):
@@ -536,6 +542,46 @@ def test_build_graph_of_knn_pairs_matches_canonical_oracle(channels):
         g = build_graph(e)
         assert_same_adjacency(g.adjacency, canonical_adjacency(e))
         assert np.array_equal(g.degrees, edge_degrees(e))
+
+
+def _messy_edge_sets(rng, n: int, count: int) -> list[EdgeSet]:
+    """``count`` random edge sets over ``n`` nodes, each with repeated and
+    reversed rows, in random order, and the edge between the two highest
+    ids (the largest pair key)."""
+    sets = []
+    for _ in range(count):
+        size = int(rng.integers(1, 400))
+        pairs = rng.integers(0, n, size=(size, 2))
+        pairs = np.concatenate([pairs[pairs[:, 0] != pairs[:, 1]], [[n - 1, n - 2]]])
+        pairs = np.concatenate([pairs, pairs[: size // 3, ::-1], pairs[: size // 4]])
+        sets.append(EdgeSet(n, rng.permutation(pairs)))
+    return sets
+
+
+@pytest.mark.parametrize("n", [2, 7, 300, 46_340, 46_341])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_build_graph_matches_the_coo_construction(n, count):
+    # n = 46,340 is the last node count whose pair keys fit int32
+    sets = _messy_edge_sets(np.random.default_rng([n, count]), n, count)
+    g = build_graph(*sets)
+    adjacency, degrees = coo_graph(*sets)
+    for got, want in ((g.adjacency.indptr, adjacency.indptr),
+                      (g.adjacency.indices, adjacency.indices),
+                      (g.adjacency.data, adjacency.data), (g.degrees, degrees)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert g.adjacency.has_canonical_format
+
+
+def test_complements_match_setdiff():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 9, 9216):
+        for ids in (np.array([], dtype=np.int64), np.arange(n),
+                    rng.choice(n, n // 2, replace=False), rng.choice(n, n - 1, replace=False)):
+            want = setdiff_complement(n, ids)
+            missing = ObservationSet(n, ids).missing
+            assert missing.dtype == want.dtype and np.array_equal(missing, want)
+            assert np.array_equal(graph.complement(n, ids), want)
 
 
 def test_build_graph_rejects_mismatched_node_counts():

@@ -46,7 +46,7 @@ from graphprop.harness import (
     run_rank_sweep,
     save_observation_set,
 )
-from graphprop.tensor import FORMAT_DTYPE, FORMAT_LAYOUT
+from graphprop.tensor import FORMAT_DTYPE, FORMAT_LAYOUT, load_fibers
 
 
 def tiny_rank_cfg(out_dir, **extra):
@@ -516,6 +516,15 @@ def test_observation_set_file_roundtrip(tmp_path):
         load_observation_set(path, 3)
 
 
+@pytest.mark.parametrize("bad", [True, 1.5, 0, 7, 2**70, "2", None])
+def test_observation_set_file_rejects_ids_that_are_not_nodes(tmp_path, bad):
+    # 2**70 overflows int64: it must surface as DataError, not OverflowError
+    path = tmp_path / "om.json"
+    path.write_text(json.dumps({"n": 6, "observed": [1, bad, 3]}))
+    with pytest.raises(DataError, match=r"observed ids must be integers in 1\.\.6"):
+        load_observation_set(path, 6)
+
+
 def make_complete_inputs(tmp_path, seed=0, n_side=8, channels=2):
     rng = np.random.default_rng(seed)
     shape = (n_side, n_side, channels)
@@ -657,40 +666,39 @@ def test_run_complete_bound_report(tmp_path):
 
 
 def test_run_complete_releases_its_inputs_before_graphprop(tmp_path, monkeypatch):
-    """Only the observed rows reach graphprop(): every loaded tensor and
-    its full fiber array are gone by then."""
-    _, _, paths = make_complete_inputs(tmp_path, seed=3)
+    """Only the observed rows reach graphprop(): no loaded payload and no
+    view of a file's full fiber rows is alive by then, and the truth files
+    load after it."""
+    _, omegas, paths = make_complete_inputs(tmp_path, seed=3)
     refs = []
-    real_load, real_matricize, real_graphprop = (
-        harness.load_tensor, harness.matricize, harness.graphprop)
+    real_load, real_graphprop = harness.load_fibers, harness.graphprop
 
     def load(path):
-        t = real_load(path)
-        refs.append(weakref.ref(t))
-        return t
+        shape, rows = real_load(path)
+        view = rows
+        while view is not None:  # the rows, the payload array, its memoryview
+            refs.append(weakref.ref(view))
+            view = getattr(view, "base", None)
+        return shape, rows
 
-    def fibers(t, mode):
-        f = real_matricize(t, mode)
-        refs.extend([weakref.ref(f), weakref.ref(f.values)])
-        return f
+    seen = []
 
-    released = []
+    def propagate(acquisitions, *args, **kwargs):
+        seen.append(([ref() is None for ref in refs],
+                     [(rows.base is None, len(rows)) for rows, _ in acquisitions]))
+        return real_graphprop(acquisitions, *args, **kwargs)
 
-    def propagate(*args, **kwargs):
-        released.append([ref() is None for ref in refs])
-        return real_graphprop(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "load_tensor", load)
-    monkeypatch.setattr(harness, "matricize", fibers)
+    monkeypatch.setattr(harness, "load_fibers", load)
     monkeypatch.setattr(harness, "graphprop", propagate)
-    results, _ = run_complete(config_from_dict(
-        dict(kind="complete", k=4,
-             inputs=[str(paths[1][0]), str(paths[2][0])],
+    inputs = [str(paths[1][0]), str(paths[2][0])]
+    results, reports = run_complete(config_from_dict(
+        dict(kind="complete", k=4, inputs=inputs, truth_files=inputs,
              observation_files=[str(paths[1][1]), str(paths[2][1])],
              out_dir=str(tmp_path / "out"))
     ))
-    assert released == [[True] * 6]
-    assert len(results) == 2
+    assert seen == [([True] * 6, [(True, om.observed.size) for om in omegas])]
+    assert len(refs) == 12  # the truth files loaded after graphprop()
+    assert len(results) == len(reports) == 2
 
 
 def test_run_bound_report_file_matches_the_library(tmp_path):
@@ -1010,6 +1018,14 @@ REJECTED_INPUTS = {
     "tensor-huge-dtype": (
         lambda t: _complete_with(t, _write(t / "x.tenb", json.dumps(_SHAPE_HEADER).replace(
             f'"{FORMAT_DTYPE}"', _HUGE_INT) + "\n")), 3, "x.tenb"),
+    "tensor-truncated-payload": (
+        lambda t: _complete_with(t, _write(t / "x.tenb", json.dumps(_SHAPE_HEADER).encode()
+                                           + b"\n" + bytes(8 * 17))), 3,
+        "payload holds 136 bytes, header implies 144"),
+    "tensor-non-finite": (
+        lambda t: _complete_with(t, _write(t / "x.tenb", json.dumps(_SHAPE_HEADER).encode()
+                                           + b"\n" + np.full(18, np.inf).tobytes())), 3,
+        "values must be finite"),
     "tensor-unknown-layout": (
         lambda t: _complete_with(t, _header_file(t / "x.tenb", {**_SHAPE_HEADER,
                                                                 "layout": "rows"})),
@@ -1026,6 +1042,16 @@ REJECTED_INPUTS = {
     "sidecar-array-dtype": (lambda t: {"height": 4, "width": 5, "bands": 2, "dtype": ["f64"]},
                             3, "dtype must be one of"),
 }
+
+
+@pytest.mark.parametrize("case", [c for c in REJECTED_INPUTS if c.startswith("tensor-")])
+def test_load_fibers_rejects_bad_tensor_files(case, tmp_path):
+    # the tensor cases the CLI rejects with exit 3 fail in load_fibers itself
+    make, code, fragment = REJECTED_INPUTS[case]
+    assert code == 3
+    with pytest.raises(DataError, match="x.tenb") as raised:
+        load_fibers(make(tmp_path)["inputs"][0])
+    assert fragment in str(raised.value)
 
 
 @pytest.mark.parametrize("case", REJECTED_INPUTS)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from graphprop import ErrorField, ObservationSet, accuracy, mae, mpsnr, mse, rmse
 from graphprop.errors import EmptyEvaluationSet, NoMissingEntries, ZeroErrorBandWarning
+from oracles import setdiff_error_rows
 
 
 def brute_force_metrics(blocks, channels):
@@ -162,6 +163,25 @@ def test_excluded_ids_do_not_contribute():
         rel=1e-14,
     )
     assert base.errors.shape[0] == 3 and excl.errors.shape[0] == 2
+
+
+@pytest.mark.parametrize("never", [(), [4], [9, 0, 4, 7], np.arange(10)])
+def test_from_completions_matches_the_setdiff_rows(never):
+    rng = np.random.default_rng(6)
+    truth = [rng.standard_normal((10, 3)) for _ in range(2)]
+    est = [rng.standard_normal((10, 3)) for _ in range(2)]
+    omegas = [ObservationSet(10, [0, 2, 3, 8]), ObservationSet(10, [1, 4, 5, 6, 9])]
+    got = ErrorField.from_completions(truth, est, omegas, never_observed=never).errors
+    want = setdiff_error_rows(truth, est, omegas, never)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_from_completions_rejects_ids_that_are_not_nodes():
+    omegas = [ObservationSet(4, [0, 1])]
+    for never in ([4], [-1]):
+        with pytest.raises(ValueError, match="never-observed ids"):
+            ErrorField.from_completions([np.ones((4, 2))], [np.zeros((4, 2))], omegas,
+                                        never_observed=never)
 
 
 def test_from_completions_rejects_mismatched_shapes():

@@ -2,15 +2,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphprop import (
     DenseTensor,
     FiberMatrix,
+    load_fibers,
     load_tensor,
     matricize,
     refold,
+    save_fibers,
     save_tensor,
 )
 from graphprop.errors import DataError
@@ -129,6 +131,41 @@ def test_save_layout_is_fiber_fastest(tmp_path):
     save_tensor(t, path)
     raw = path.read_bytes()
     assert raw[raw.index(b"\n") + 1 :] == fiber_oracle(t, 4).astype("<f8").tobytes()
+
+
+@given(tensors())
+@example(DenseTensor.from_array(np.arange(5.0)))  # orders 1-4, each at least once
+@example(DenseTensor.from_array(np.arange(12.0).reshape(3, 4)))
+@example(DenseTensor.from_array(np.arange(24.0).reshape(2, 3, 4)))
+@example(DenseTensor.from_array(np.arange(36.0).reshape(2, 3, 2, 3)))
+@settings(max_examples=40, deadline=None)
+def test_save_fibers_writes_the_bytes_of_save_tensor(tmp_path_factory, t):
+    work = tmp_path_factory.mktemp("fibers")
+    save_tensor(t, work / "tensor.tenb")
+    rows = matricize(t, t.order).values
+    save_fibers(rows, t.shape, work / "fibers.tenb")
+    assert (work / "fibers.tenb").read_bytes() == (work / "tensor.tenb").read_bytes()
+    shape, back = load_fibers(work / "fibers.tenb")
+    assert shape == t.shape and back.tobytes() == rows.tobytes()
+
+
+def test_save_fibers_rejects_rows_that_do_not_hold_the_shape(tmp_path):
+    with pytest.raises(ValueError, match="do not hold"):
+        save_fibers(np.zeros((6, 2)), (2, 2, 2), tmp_path / "f.tenb")
+    with pytest.raises(ValueError, match="finite"):
+        save_fibers(np.full((4, 2), np.nan), (2, 2, 2), tmp_path / "f.tenb")
+    assert not (tmp_path / "f.tenb").exists()
+
+
+def test_load_fibers_rows_are_a_read_only_view(tmp_path):
+    t = DenseTensor.from_array(np.arange(24.0).reshape(2, 3, 4))
+    save_tensor(t, tmp_path / "t.tenb")
+    shape, rows = load_fibers(tmp_path / "t.tenb")
+    assert shape == (2, 3, 4) and rows.shape == (6, 4)
+    assert np.array_equal(rows, matricize(t, 3).values)
+    assert not rows.flags.writeable and not rows.flags.owndata
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 1.0
 
 
 def test_load_rejects_bad_payload(tmp_path):

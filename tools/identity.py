@@ -102,6 +102,15 @@ def _tie_inputs(inputs: Path, name: str) -> dict:
     return _complete_inputs(inputs, name, tensors, omegas, k=5)
 
 
+def _raster_files(inputs: Path) -> dict:
+    """An overlap-sim config that reads its raster pair, 16x18x3, from
+    tensor files written under ``inputs``."""
+    paths = [str(inputs / f"raster{i}.tenb") for i in (1, 2)]
+    for t, path in zip(smooth_raster_pair(16, 18, 3, seed=5), paths):
+        save_tensor(t, path)
+    return {"inputs": paths, "k": 3, "area_grid": [0.3]}
+
+
 def _complete_inputs(inputs: Path, name: str, tensors, omegas, **config) -> dict:
     """A ``complete`` config on ``tensors`` observed at ``omegas``, each
     tensor its own truth file, written under ``inputs``."""
@@ -151,6 +160,8 @@ def configs(inputs: Path) -> dict[str, tuple[str, dict]]:
         # past LANE_MIN_WORK: each acquisition's search and solve on a lane
         "overlap-sim-48x48x7": ("overlap-sim", {"height": 48, "width": 48, "bands": 7,
                                                 "k": 10, "area_grid": [0.4]}),
+        # the rasters read from tensor files
+        "overlap-sim-files": ("overlap-sim", _raster_files(inputs)),
         "blogs-two-block": ("blogs", {"two_block_size": 30, "label_fracs": [0.1, 0.2],
                                       "repeats": 1}),
         "blogs-stranded": ("blogs", _stranded_blogs(inputs)),
