@@ -82,7 +82,8 @@ def spectral_norm(matrix) -> float:
     its own Ritz pair and ARPACK is not called: ARPACK would restart from
     its internal random vector, whose state persists across calls, so the
     result would depend on earlier calls. A single column (ARPACK needs
-    two) uses the exact dense norm. Raises
+    two) has the norm ``sqrt(||M||_F^2)``, with the sum of squares' own
+    rounding allowance and the root rounded up. Raises
     :class:`SpectralNormNotConverged` when ARPACK does not converge.
 
     The result is reproducible at one BLAS thread count. ``m.data @
@@ -102,7 +103,12 @@ def spectral_norm(matrix) -> float:
     if fro2 == 0.0:
         return 0.0
     if cols == 1:
-        return float(np.linalg.norm(m.toarray()))
+        # The norm is the root of fro2, whose nnz rounded squares and
+        # nnz - 1 additions, in any order, err by at most nnz * eps / 2
+        # relative; (nnz + 2) eps also covers the product's own rounding,
+        # and the root's rounding goes up with nextafter.
+        top = np.nextafter(fro2 * (1.0 + (m.data.size + 2) * EPS), np.inf)
+        return float(np.nextafter(np.sqrt(top), np.inf))
 
     def rayleigh(vec):
         x = vec / np.linalg.norm(vec)

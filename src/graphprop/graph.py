@@ -19,8 +19,10 @@ range in squared distance exceeds about 1e300.
 
 A search starts no thread: the brute force runs its row blocks one after
 another, one ``_BRUTE_BLOCK`` of float32 distances at a time, on the
-thread that calls it. :func:`~graphprop.propagation.graphprop` runs the
-acquisitions' searches on lanes of its own (:mod:`graphprop.lanes`).
+thread that calls it, and gathers their shortlists into batches of about
+``_BRUTE_BATCH`` pairs, each given one exact float64 selection.
+:func:`~graphprop.propagation.graphprop` runs the acquisitions' searches
+on lanes of its own (:mod:`graphprop.lanes`).
 
 Node ids are 0-based throughout the Python API; the text edge-list format
 uses 1-based ids.
@@ -52,10 +54,21 @@ KDTREE_MAX_CHANNELS = 16
 # twice as slow.
 _BRUTE_BLOCK = 500_000
 
+# Shortlisted pairs of one brute-force exact selection: row blocks append
+# their shortlists to a pending batch, and one _nearest_k call and one sort
+# run once it holds this many pairs, and after the last block. A 5,530x24
+# search shortlists about 55,700 pairs in 62 blocks of 90 rows, so each of
+# perfbench's hyper-96 searches takes 4 passes at this budget. There
+# point_rel and peak_rss_mb (medians of 5 runs on 2 CPUs, one BLAS thread,
+# two acquisition lanes) read 9.31 ref and 129.9 MiB with a pass per
+# block, 8.68 and 130.6 at 4,096 pairs, 8.43 and 130.5 at 16,384, 8.74 and
+# 132.1 at 65,536 and 8.57 and 132.4 in one pass: a pool thread's malloc
+# arena keeps a larger batch's memory.
+_BRUTE_BATCH = 16_384
+
 # Float64 feature differences per chunk of _squared_distances (512 KiB): a
-# brute-force block's shortlist, about k pairs per row, fits in one chunk at
-# 24 channels, while a duplicate-heavy shortlist of any size holds two
-# chunks at a time.
+# brute-force batch of 16,384 pairs takes six chunks at 24 channels, and a
+# duplicate-heavy batch of any size holds two chunks at a time.
 _DISTANCE_CHUNK = 1 << 16
 
 # Relative gap under which two kd-tree distances count as tied.
@@ -239,16 +252,23 @@ def _knn_neighbors_brute(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
 
     The row blocks run one after another on the calling thread, through
     one block of at most ``_BRUTE_BLOCK`` float32 values (2 MB; one row
-    when a row holds more), one boolean
-    shortlist mask of its shape and one buffer of its group minima (an
-    eighth of its size), allocated once; besides these a block holds a few
-    arrays of its shortlist length, which is about k per row, and two
-    chunks of :func:`_squared_distances`. A block issues a few dozen numpy
-    calls, none per channel or per column group, so a search keeps its
-    calls few on one of :func:`~graphprop.propagation.graphprop`'s lanes
-    (see :mod:`graphprop.lanes`). Each block's relations are sorted by
-    (row, neighbour) and the blocks concatenated in block order, so the
-    result is sorted too: the same arrays at any block size.
+    when a row holds more), one boolean shortlist mask of its shape and one
+    buffer of its group minima (an eighth of its size), allocated once. A
+    block issues about thirty numpy calls, none per row, channel or column
+    group: the GEMM, the NaN diagonal, the group minima, the k-th bound,
+    the shortlist mask and its pair keys ``row * n_obs + candidate``,
+    which it appends to a pending batch. Once the batch holds
+    ``_BRUTE_BATCH`` pairs, and after the last block, one
+    :func:`_nearest_k` call and one sort of the kept keys select its
+    relations, so the batch holds at most the budget plus one block's
+    shortlist, which is about k pairs per row, besides two chunks of
+    :func:`_squared_distances`. Few calls per block and per pair keep a
+    search's calls few on one of
+    :func:`~graphprop.propagation.graphprop`'s lanes (see
+    :mod:`graphprop.lanes`). A row's pairs lie in one block and so in one
+    batch, its selection does not depend on which rows share the call, and
+    the batches run in row order, so their concatenation is sorted by
+    (row, neighbour): the same arrays at any block size and any budget.
     """
     n_obs, m = pts.shape
     # Distances do not change under translation; centring keeps the
@@ -309,16 +329,18 @@ def _knn_neighbors_brute(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
     block = np.empty((rows_per_block, n_obs), dtype=np.float32)
     mask = np.empty((rows_per_block, n_obs), dtype=bool)
     group_min = np.empty((rows_per_block, groups), dtype=np.float32)
-    found = []
+    flat = block.reshape(-1)
+    up = np.float32(np.inf)
+    found, pending, pending_pairs = [], [], 0
     for start in range(0, n_obs, rows_per_block):
         stop = min(start + rows_per_block, n_obs)
         size = stop - start
         d2 = np.matmul(y[start:stop], cols, out=block[:size])
         d2 += col_sq
-        local = np.arange(size)
-        # NaN fails every comparison, even with an infinite bound, and
+        # The diagonal, (i, start + i), is one stride of the flat block. NaN
+        # fails every comparison, even with an infinite bound, and
         # partitions last.
-        d2[local, local + start] = np.nan
+        flat[start:size * n_obs:n_obs + 1] = np.nan
         least = np.minimum.reduce(d2[:, :whole].reshape(size, -1, groups), axis=1,
                                   out=group_min[:size])
         np.minimum(least[:, :tail], d2[:, whole:], out=least[:, :tail])
@@ -326,11 +348,17 @@ def _knn_neighbors_brute(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
         kth = least[:, k - 1].astype(np.float64)
         sq_rows = sq[start:stop]
         bound = kth + 8.0 * c * (sq_rows + np.maximum(kth + sq_rows, 0.0)) + tau
-        bound = np.nextafter(bound.astype(np.float32), np.float32(np.inf))
+        bound = np.nextafter(bound.astype(np.float32), up)
         shortlist = np.less_equal(d2, bound[:, None], out=mask[:size])
-        rows, cands = np.divmod(np.flatnonzero(shortlist), n_obs)
-        rows, cands = _nearest_k(pts, rows + start, cands, k)
-        found.append(np.sort(rows * n_obs + cands))
+        keys = np.flatnonzero(shortlist)
+        keys += start * n_obs  # row * n_obs + candidate
+        pending.append(keys)
+        pending_pairs += keys.size
+        if pending_pairs >= _BRUTE_BATCH or stop == n_obs:
+            rows, cands = np.divmod(np.concatenate(pending), n_obs)
+            rows, cands = _nearest_k(pts, rows, cands, k)
+            found.append(np.sort(rows * n_obs + cands))
+            pending, pending_pairs = [], 0
     return np.divmod(np.concatenate(found), n_obs)
 
 

@@ -19,10 +19,12 @@ it can: a buffer allocated in a pool thread comes from that thread's own
 malloc arena, which keeps the memory after the call. A brute-force kNN
 search is the exception: it allocates its block on its own acquisition
 lane, where the whole search runs. On ``perfbench``'s ``hyper-96`` (two
-96x96x24 acquisitions, 2 CPUs) that raised ``peak_rss_mb`` from 124.6 to
-130.4 MiB, the pool thread's arena holding the second search's working
-set, while the traced peak of one ``graphprop()`` call fell from 14.6 to
-13.5 MiB.
+96x96x24 acquisitions, 2 CPUs), with the exact selections batched at
+``graph._BRUTE_BATCH`` pairs, ``peak_rss_mb`` read 129.9-131.5 MiB over
+five runs on two lanes against 121.8-124.1 MiB over three on one (under
+``taskset -c 0``), the pool thread's arena holding the second search's
+working set; the traced peak of one ``graphprop()`` call on such a pair
+is 13.8 MiB.
 
 A lane piece keeps its numpy calls few. Each call takes and hands back
 the interpreter lock, and lanes issuing many small calls queue on it:

@@ -1,5 +1,6 @@
 import functools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -255,6 +256,22 @@ def test_spectral_norm_matches_dense():
     m = rng.standard_normal((12, 7))
     dense = np.linalg.svd(m, compute_uv=False)[0]
     assert abs(spectral_norm(sp.csr_array(m)) - dense) <= 1e-8 * dense
+
+
+def test_spectral_norm_one_column_never_below_exact():
+    # a one-column matrix's norm is the root of its sum of squares; summed
+    # in floating point and rooted with no allowance it fell below the
+    # exact root about half the time, so compare with the exact rational
+    # sum: the result squared is at least it, and at most a few eps above
+    rng = np.random.default_rng(35)
+    for _ in range(2000):
+        rows = int(rng.integers(1, 60))
+        col = rng.standard_normal(rows) * 10.0 ** rng.integers(-3, 4, rows)
+        col[rng.random(rows) < 0.3] = 0.0
+        value = spectral_norm(sp.csr_array(col[:, None]))
+        exact = sum(Fraction(float(v)) ** 2 for v in col)
+        assert Fraction(value) ** 2 >= exact
+        assert value <= np.sqrt(float(exact)) * (1.0 + 1e-13)
 
 
 def test_graphprop_bound_holds_when_error_equals_psi():

@@ -237,9 +237,14 @@ def test_knn_brute_force_near_ties_below_float32_resolution(seed):
         assert edge_pairs(e) == brute_force_knn(points, k)
 
 
+@pytest.mark.parametrize("budget", [1, 10, graph._BRUTE_BATCH],
+                         ids=["pass-per-block", "budget-10", "default-budget"])
 @pytest.mark.parametrize("block", [1, 97, 400])
-def test_knn_brute_force_across_blocks(monkeypatch, block):
-    # row blocks of one row, of a few rows, and of ragged sizes
+def test_knn_brute_force_across_blocks(monkeypatch, block, budget):
+    # row blocks of one row, of a few rows, and of ragged sizes, each
+    # batch of exact selections one block (budget 1), a few one-row blocks
+    # but less than a four-row block's shortlist (11 to 24 pairs here), or
+    # the whole search
     rng = np.random.default_rng(block)
     points = np.concatenate([rng.standard_normal((60, 20)),
                              np.floor(rng.standard_normal((20, 20)) * 2.0)])
@@ -247,11 +252,33 @@ def test_knn_brute_force_across_blocks(monkeypatch, block):
     omega = all_observed(len(points))
     whole = knn_edges(FiberMatrix(points), omega, 4)
     monkeypatch.setattr(graph, "_BRUTE_BLOCK", block)
+    monkeypatch.setattr(graph, "_BRUTE_BATCH", budget)
     blocked = knn_edges(FiberMatrix(points), omega, 4)
-    # the same arrays, row order and dtype included, at any block size
+    # the same arrays, row order and dtype included, at any block size and
+    # budget
     assert blocked.edges.dtype == whole.edges.dtype
     assert np.array_equal(blocked.edges, whole.edges)
     assert edge_pairs(blocked) == brute_force_knn(points, 4)
+
+
+def test_knn_brute_force_batch_memory_on_duplicates(monkeypatch):
+    # 300 copies of one fiber in blocks of 10 rows, each row shortlisting
+    # the 299 others (2,990 pairs a block, 89,700 in all): the pending
+    # batch holds at most the budget plus one block's shortlist, so the
+    # exact selection never works on the whole search's pairs at once
+    points = np.ones((300, 20))
+    monkeypatch.setattr(graph, "_BRUTE_BLOCK", 3000)
+    monkeypatch.setattr(graph, "_BRUTE_BATCH", 4000)
+    tracemalloc.start()
+    try:
+        e = knn_edges(FiberMatrix(points), all_observed(300), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    batch_pairs = 4000 + 2990
+    assert peak <= 2 * graph._DISTANCE_CHUNK * 8 + 8 * 8 * batch_pairs + 8 * points.nbytes
+    want = np.array([[j for j in range(4) if j != i][:3] for i in range(300)])
+    assert np.array_equal(e.edges, np.column_stack([np.repeat(np.arange(300), 3), want.ravel()]))
 
 
 def channel_running_sum(pts, rows, cands):
@@ -362,24 +389,41 @@ def test_knn_brute_force_lanes_only_on_single_threaded_blas(monkeypatch):
 
 @pytest.mark.parametrize("block", [None, 90], ids=["one-block", "one-row-blocks"])
 def test_knn_brute_force_starts_no_thread(monkeypatch, block):
-    # every row block runs on the calling thread, one block or many, even
-    # where the lane rule grants every CPU: graphprop() gives each
-    # acquisition's search its lane, and no search starts lanes of its own
+    # every row block and every batch of exact selections runs on the
+    # calling thread, one block or many, even where the lane rule grants
+    # every CPU: graphprop() gives each acquisition's search its lane, and
+    # no search starts lanes of its own
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    budget = graph._BRUTE_BATCH
     if block is not None:
+        budget = 50
         monkeypatch.setattr(graph, "_BRUTE_BLOCK", block)
+        monkeypatch.setattr(graph, "_BRUTE_BATCH", budget)
     points = tied_points(0)
     caller, threads = threading.get_ident(), threading.active_count()
-    seen = []
+    seen, batches = [], []
     nearest_k = graph._nearest_k
 
-    def recording(*args):
+    def recording(pts, rows, cands, k):
         seen.append((threading.get_ident(), threading.active_count()))
-        return nearest_k(*args)
+        batches.append(rows)
+        return nearest_k(pts, rows, cands, k)
 
     monkeypatch.setattr(graph, "_nearest_k", recording)
     e = knn_edges(FiberMatrix(points), all_observed(len(points)), 3)
-    assert seen == [(caller, threads)] * (1 if block is None else len(points))
+    # one call per pass: a pass closes once its blocks shortlist the budget
+    # and at the last block, and a one-row block shortlists its row's pairs
+    per_block = (np.bincount(np.concatenate(batches)) if block is not None
+                 else [sum(map(len, batches))])
+    passes, pending = [], 0
+    for i, pairs in enumerate(per_block):
+        pending += pairs
+        if pending >= budget or i == len(per_block) - 1:
+            passes.append(pending)
+            pending = 0
+    assert [len(rows) for rows in batches] == passes
+    assert len(passes) > 1 or block is None
+    assert seen == [(caller, threads)] * len(passes)
     assert threading.active_count() == threads
     assert edge_pairs(e) == brute_force_knn(points, 3)
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -55,7 +56,7 @@ from graphprop.datagen import (
     partial_overlap_masks,
     sample_observation_sets,
 )
-from graphprop.graph import KDTREE_MAX_CHANNELS
+from graphprop import graph
 from graphprop.harness import save_observation_set
 from graphprop.propagation import LANE_MIN_WORK
 
@@ -141,8 +142,14 @@ def configs(inputs: Path) -> dict[str, tuple[str, dict]]:
     ``inputs``."""
     if min(48 * 48 * 7, 48 * 48 * 20, 32 * 32 * 20) < LANE_MIN_WORK:
         raise SystemExit("a 48x48x7, 48x48x20 or 32x32x20 run no longer passes the lane gate")
-    if KDTREE_MAX_CHANNELS >= 20:
+    if graph.KDTREE_MAX_CHANNELS >= 20:
         raise SystemExit("the 20-channel completes no longer take the brute-force kNN path")
+    # each of the 2,458 observed rows of a 64x64x20 acquisition shortlists
+    # at least k = 10 pairs, so the blocks before the last reach the budget
+    # (a tree without the budget runs one exact selection per block)
+    rows = 64 * 64 - math.floor(0.4 * 64 * 64)
+    if (rows - graph._BRUTE_BLOCK // rows) * 10 < getattr(graph, "_BRUTE_BATCH", 0):
+        raise SystemExit("the 64x64x20 searches no longer take more than one exact selection")
     return {
         # HaLRTC's mode shrinks on lanes
         "rank-sweep-30x30x3": ("rank-sweep", {"i1": 30, "i2": 30, "i3": 3, "k": 5,
@@ -171,6 +178,10 @@ def configs(inputs: Path) -> dict[str, tuple[str, dict]]:
         # lane; bound scalars at the largest size here
         "complete-48x48x20": ("complete", _synth_inputs(inputs, "brute", (48, 48, 20), 2, 0.4,
                                                         6, k=5)),
+        # past LANE_MIN_WORK: brute-force kNN on acquisition lanes, each
+        # search's exact selections in more than one batch
+        "complete-64x64x20": ("complete", _synth_inputs(inputs, "batches", (64, 64, 20), 2,
+                                                        0.4, 12, k=10)),
         # past LANE_MIN_WORK: brute-force kNN on acquisition lanes, on
         # quantised fibers with duplicates (exact ties)
         "complete-ties": ("complete", _tie_inputs(inputs, "ties")),
