@@ -52,6 +52,7 @@ from .tensor import (
     load_fibers,
     load_tensor,
     matricize,
+    node_ids,
     refold,
     save_fibers,
     save_tensor,

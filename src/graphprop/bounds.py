@@ -78,12 +78,12 @@ def spectral_norm(matrix) -> float:
     ``theta x`` and the difference; the residual's norm gets a relative
     ``cols * eps``.
 
-    A start vector that already meets the tolerance (G a multiple of I) is
-    its own Ritz pair and ARPACK is not called: ARPACK would restart from
-    its internal random vector, whose state persists across calls, so the
-    result would depend on earlier calls. A single column (ARPACK needs
-    two) has the norm ``sqrt(||M||_F^2)``, with the sum of squares' own
-    rounding allowance and the root rounded up. Raises
+    A start vector that already meets the tolerance is its own Ritz pair
+    and ARPACK is not called: a 1x1 Gram (one column) takes this route, as
+    G = cI does, where ARPACK would restart from its internal random vector,
+    whose state persists across calls. Only an empty shape or all-zero
+    entries give exactly 0.0; a nonzero matrix whose squares all underflow
+    (entries below about 1e-162) gets a safe but loose 2.2e-162. Raises
     :class:`SpectralNormNotConverged` when ARPACK does not converge.
 
     The result is reproducible at one BLAS thread count. ``m.data @
@@ -93,22 +93,13 @@ def spectral_norm(matrix) -> float:
     follow the thread count. The bound argument above holds in any
     summation order, so the result is an upper bound at any count.
     """
-    rows, cols = matrix.shape
-    if cols == 0 or rows == 0:
-        return 0.0
     m = matrix.tocsr()
+    if not m.data.any():  # all entries zero, or none
+        return 0.0
+    cols = m.shape[1]
     mt = m.T.tocsr()
     per_row = np.diff(m.indptr).max() + np.diff(mt.indptr).max()
     fro2 = float(m.data @ m.data)
-    if fro2 == 0.0:
-        return 0.0
-    if cols == 1:
-        # The norm is the root of fro2, whose nnz rounded squares and
-        # nnz - 1 additions, in any order, err by at most nnz * eps / 2
-        # relative; (nnz + 2) eps also covers the product's own rounding,
-        # and the root's rounding goes up with nextafter.
-        top = np.nextafter(fro2 * (1.0 + (m.data.size + 2) * EPS), np.inf)
-        return float(np.nextafter(np.sqrt(top), np.inf))
 
     def rayleigh(vec):
         x = vec / np.linalg.norm(vec)
@@ -195,11 +186,8 @@ def compute_psi(g: SparseGraph, omega: ObservationSet, f0) -> float:
 def compute_phi(g: SparseGraph, omega: ObservationSet) -> float:
     """Spectral norm of ``U = I + D_cc^-1 A_cc``."""
     blocks = partition_blocks(g, *_positive_degree_ids(g, omega))
-    n_mis = blocks.d_cc.size
-    if n_mis == 0:
-        return 0.0
     scaled = sp.diags_array(1.0 / blocks.d_cc, format="csr") @ blocks.a_cc
-    u = (sp.eye_array(n_mis, format="csr") + scaled).tocsr()
+    u = (sp.eye_array(blocks.d_cc.size, format="csr") + scaled).tocsr()
     return spectral_norm(u)
 
 
@@ -232,13 +220,11 @@ def gtvm_bound(g: SparseGraph, omega: ObservationSet, f0) -> GtvmBound:
     observed, missing = _positive_degree_ids(g, omega)
     lam_max = g.lam_max
     eta = _residual_norm(g, np.flatnonzero(g.degrees > 0), f0, lam_max)
-    q = 0.0
-    if missing.size:
-        blocks = partition_blocks(g, observed, missing)
-        a_oc = blocks.a_co.T.tocsr() / lam_max
-        a_cc = blocks.a_cc / lam_max
-        stacked = sp.vstack([a_oc, sp.eye_array(missing.size, format="csr") + a_cc]).tocsr()
-        q = spectral_norm(stacked)
+    blocks = partition_blocks(g, observed, missing)
+    a_oc = blocks.a_co.T.tocsr() / lam_max
+    a_cc = blocks.a_cc / lam_max
+    stacked = sp.vstack([a_oc, sp.eye_array(missing.size, format="csr") + a_cc]).tocsr()
+    q = spectral_norm(stacked)
     return GtvmBound(eta, q, graphprop_bound(2.0 * eta, q))
 
 

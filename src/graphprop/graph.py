@@ -178,8 +178,6 @@ def _nearest_k(
     pair count.
     """
     few = np.bincount(rows, minlength=pts.shape[0])[rows] <= k
-    if few.all():
-        return rows, cands
     kept_rows, kept_cands = rows[few], cands[few]
     rows, cands = rows[~few], cands[~few]
     dist = np.sqrt(_squared_distances(pts, rows, cands))

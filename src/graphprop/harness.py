@@ -59,6 +59,7 @@ from .tensor import (
     FiberMatrix,
     load_fibers,
     matricize,
+    node_ids,
     refold,
     save_fibers,
     save_tensor,
@@ -563,8 +564,7 @@ def run_overlap_sim(cfg: ExperimentConfig, *, write: bool = True):
     artifacts: list[str] = []
     for area in cfg.area_grid:
         spec = OverlapSpec(h, w, area)
-        crops = [DenseTensor.from_array(m[..., None]) for m in partial_overlap_masks(spec)]
-        omegas = [ObservationSet(n, np.flatnonzero(matricize(c, 3).values)) for c in crops]
+        omegas = [ObservationSet(n, node_ids(m)) for m in partial_overlap_masks(spec)]
         caught: list[dict] = []
         coords = dict(experiment="overlap-sim", seed=cfg.seed, area_frac=area)
 

@@ -11,9 +11,9 @@ order-m tensors along a new trailing mode therefore stacks their mode-m
 fiber matrices as consecutive row blocks. :func:`fiber_axes` is the one
 statement of this layout, from which ``matricize``, ``refold``, the binary
 file layout and HaLRTC's mode shrinks derive, and through them the
-harness's acquisition stack and its observed mask (refolded from
-concatenated fiber rows) and the overlap simulation's observation sets
-(matricized crop masks); the graph construction shares the enumeration.
+harness's acquisition stack, its observed mask (refolded from fiber rows)
+and the overlap simulation's observation sets (:func:`node_ids` of crop
+masks); the graph construction shares the enumeration.
 
 The binary file's payload is the last-mode fiber matrix, row by row, so
 :func:`load_fibers` and :func:`save_fibers` move fiber rows to and from a
@@ -116,6 +116,13 @@ def fiber_axes(order: int, mode: int) -> list[int]:
     _check_mode(order, mode)
     rest = [axis for axis in range(order) if axis != mode - 1]
     return rest[::-1] + [mode - 1]
+
+
+def node_ids(mask) -> np.ndarray:
+    """The ascending node ids (module docstring) of the True entries of a
+    boolean ``mask`` over a tensor's leading modes."""
+    order = np.ndim(mask) + 1
+    return np.flatnonzero(np.transpose(mask, fiber_axes(order, order)[:-1]))
 
 
 def matricize(t: DenseTensor, mode: int) -> FiberMatrix:

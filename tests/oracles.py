@@ -7,7 +7,8 @@ the library computes its bound scalars from sparse blocks instead.
 ``graphprop.propagation.jacobi_cg``, and ``canonical_adjacency`` the
 dedup-first reference for ``graphprop.build_graph``. ``coo_graph`` and the
 ``setdiff_*`` functions keep the constructions the library used before
-its key sort and mask complements, as references for those.
+its key sort and mask complements, and ``matricized_mask_ids`` the one
+before ``graphprop.node_ids``, as references for those.
 """
 from __future__ import annotations
 
@@ -20,7 +21,15 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from graphprop import BoundReport, EdgeSet, ObservationSet, SparseGraph, partition_blocks
+from graphprop import (
+    BoundReport,
+    DenseTensor,
+    EdgeSet,
+    ObservationSet,
+    SparseGraph,
+    matricize,
+    partition_blocks,
+)
 from graphprop import propagation
 
 
@@ -65,6 +74,12 @@ def coo_graph(*edge_sets: EdgeSet) -> tuple[sp.csr_array, np.ndarray]:
         (np.ones(rows.size, dtype=bool), (rows, cols)), shape=(n, n)
     ).astype(np.float64)
     return adjacency, np.asarray(adjacency.sum(axis=1)).ravel()
+
+
+def matricized_mask_ids(mask) -> np.ndarray:
+    """The node ids of a 2-D mask's True entries, read off the mask
+    wrapped as a one-band tensor and matricized."""
+    return np.flatnonzero(matricize(DenseTensor.from_array(mask[..., None]), 3).values)
 
 
 def setdiff_complement(n: int, ids) -> np.ndarray:

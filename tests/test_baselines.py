@@ -24,6 +24,7 @@ from graphprop import (
     gtvm_inpaint,
     halrtc_complete,
     matricize,
+    node_ids,
     partial_overlap_masks,
     sample_observation_sets,
     smooth_raster_pair,
@@ -163,8 +164,7 @@ def test_lam_max_computed_once_per_graph(monkeypatch):
     masks = partial_overlap_masks(OverlapSpec(16, 16, 0.3))
     assert not (masks[0] | masks[1]).all()
     overlap = ([matricize(t, 3).values for t in smooth_raster_pair(16, 16, 2, seed=2)],
-               [ObservationSet(256, np.flatnonzero(matricize(
-                   DenseTensor.from_array(m[..., None]), 3).values)) for m in masks])
+               [ObservationSet(256, node_ids(m)) for m in masks])
     real = bounds.spectral_norm
     for fibers, omegas in (synthetic, overlap):
         with warnings.catch_warnings():

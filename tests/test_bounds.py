@@ -129,6 +129,9 @@ def test_psi_matches_dense_p():
 def test_phi_identity_when_no_missing_edges():
     g = build_graph(EdgeSet(4, [(0, 2), (0, 3), (1, 2), (1, 3)]))
     assert abs(compute_phi(g, ObservationSet(4, [0, 1])) - 1.0) <= 1e-9
+    # every positive-degree node observed (node 4 has no edge): U is 0x0
+    g5 = build_graph(EdgeSet(5, [(0, 2), (0, 3), (1, 2), (1, 3)]))
+    assert compute_phi(g5, ObservationSet(5, [0, 1, 2, 3])) == 0.0
     with pytest.raises(ValueError):
         compute_phi(g, ObservationSet(5, [0, 1]))
 
@@ -272,6 +275,25 @@ def test_spectral_norm_one_column_never_below_exact():
         exact = sum(Fraction(float(v)) ** 2 for v in col)
         assert Fraction(value) ** 2 >= exact
         assert value <= np.sqrt(float(exact)) * (1.0 + 1e-13)
+
+
+@pytest.mark.parametrize("matrix, exact_square", [
+    (np.full((3, 1), 1e-170), 3 * Fraction(1e-170) ** 2),
+    (np.full((3, 3), 1e-170), (3 * Fraction(1e-170)) ** 2),
+    (1e-200 * np.eye(4), Fraction(1e-200) ** 2),
+], ids=["3x1", "3x3", "identity4"])
+def test_spectral_norm_never_below_exact_when_squares_underflow(matrix, exact_square):
+    # every square underflows to 0.0, so the sum of squares reads 0.0 for
+    # a nonzero matrix; the result must still be at or above the true norm
+    value = spectral_norm(sp.csr_array(matrix))
+    assert Fraction(value) ** 2 >= exact_square
+
+
+def test_spectral_norm_zero_on_stored_zeros_and_empty_shapes():
+    zeros = sp.csr_array((np.zeros(3), (np.arange(3), np.arange(3))), shape=(3, 3))
+    assert zeros.nnz == 3
+    for matrix in (zeros, sp.csr_array((0, 0)), sp.csr_array((5, 0)), sp.csr_array((0, 5))):
+        assert spectral_norm(matrix) == 0.0
 
 
 def test_graphprop_bound_holds_when_error_equals_psi():

@@ -20,6 +20,7 @@ from graphprop import (
     graphprop,
     load_tensor,
     matricize,
+    node_ids,
     partial_overlap_masks,
     refold,
     save_edge_list,
@@ -321,9 +322,8 @@ def test_overlap_sim_zero_area_notes(tmp_path):
     # graphprop() call, per acquisition
     fibers = [matricize(raster, 3).values for raster in rasters]
     for area in (0.0, 0.3):
-        omegas = [ObservationSet(400, np.flatnonzero(matricize(
-            DenseTensor.from_array(m[..., None]), 3).values))
-            for m in partial_overlap_masks(OverlapSpec(20, 20, area))]
+        omegas = [ObservationSet(400, node_ids(m))
+                  for m in partial_overlap_masks(OverlapSpec(20, 20, area))]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             direct = graphprop([(f[om.observed], om) for f, om in zip(fibers, omegas)], 3)
@@ -626,8 +626,7 @@ def test_run_complete_bound_holds_with_never_observed_corners(tmp_path):
     masks = partial_overlap_masks(OverlapSpec(20, 20, 0.3))
     inputs, observed = [], []
     for i, (t, m) in enumerate(zip(smooth_raster_pair(20, 20, 2, seed=0), masks), start=1):
-        om = ObservationSet(400, np.flatnonzero(matricize(
-            DenseTensor.from_array(m[..., None]), 3).values))
+        om = ObservationSet(400, node_ids(m))
         inputs.append(str(tmp_path / f"t{i}.tenb"))
         observed.append(str(tmp_path / f"om{i}.json"))
         save_tensor(t, inputs[-1])

@@ -11,11 +11,13 @@ from graphprop import (
     load_fibers,
     load_tensor,
     matricize,
+    node_ids,
     refold,
     save_fibers,
     save_tensor,
 )
 from graphprop.errors import DataError
+from oracles import matricized_mask_ids
 
 
 def fiber_oracle(t, mode):
@@ -206,3 +208,13 @@ def test_load_rejects_bad_header(tmp_path):
                      + b"\x00" * 16)
     with pytest.raises(DataError, match="positive integers"):
         load_tensor(path)
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (4, 6), (3, 1), (1, 1)])
+def test_node_ids_match_matricized_mask(shape):
+    rng = np.random.default_rng(sum(shape))
+    for mask in (rng.random(shape) < 0.5, np.ones(shape, dtype=bool),
+                 np.zeros(shape, dtype=bool)):
+        got = node_ids(mask)
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, matricized_mask_ids(mask))

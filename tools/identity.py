@@ -37,11 +37,10 @@ from pathlib import Path
 import numpy as np
 
 from graphprop import (
-    DenseTensor,
     EdgeSet,
     FiberMatrix,
     ObservationSet,
-    matricize,
+    node_ids,
     refold,
     save_edge_list,
     save_tensor,
@@ -82,8 +81,7 @@ def _corner_inputs(inputs: Path, name: str) -> dict:
     """A ``complete`` config on a 20x20x2 raster pair cropped from opposing
     corners, so the corners are observed in neither acquisition."""
     masks = partial_overlap_masks(OverlapSpec(20, 20, 0.3))
-    omegas = [ObservationSet(400, np.flatnonzero(matricize(
-        DenseTensor.from_array(m[..., None]), 3).values)) for m in masks]
+    omegas = [ObservationSet(400, node_ids(m)) for m in masks]
     return _complete_inputs(inputs, name, smooth_raster_pair(20, 20, 2, seed=0), omegas, k=3)
 
 
@@ -189,6 +187,12 @@ def configs(inputs: Path) -> dict[str, tuple[str, dict]]:
                                                        8, k=4, solver={"method": "splu"})),
         "complete-corners": ("complete", _corner_inputs(inputs, "corners")),
         "bound-report": ("bound-report", {"i1": 12, "i2": 12, "i3": 2, "k": 3}),
+        # one fiber missing per acquisition: a 1x1 U and a one-column GTVM stack
+        "bound-report-one-missing": ("bound-report", {"i1": 12, "i2": 12, "i3": 2, "k": 3,
+                                                      "missing_frac": 0.007}),
+        # nothing missing: a 0x0 U and a zero-width GTVM stack
+        "bound-report-all-observed": ("bound-report", {"i1": 12, "i2": 12, "i3": 2, "k": 3,
+                                                       "missing_frac": 0.0}),
     }
 
 
