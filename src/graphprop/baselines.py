@@ -23,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import scipy.sparse as sp
 
+from .bounds import frobenius_norm
 from .errors import AllMissing, EmptyGraph, SingularSystemWarning
 from .graph import ObservationSet, SparseGraph
 from .lanes import lane_cpus, run_lanes
@@ -102,16 +103,6 @@ def _shrink_mode(fibers: np.ndarray, threshold: float) -> np.ndarray:
         return np.zeros_like(fibers)
     v = v[:, keep]
     return fibers @ ((v * ((s[keep] - threshold) / s[keep])) @ v.T)
-
-
-def _norm(v: np.ndarray) -> float:
-    """The Euclidean norm of ``v``'s entries, their squares summed by one
-    ``np.einsum``, which does not follow the BLAS thread count:
-    ``np.linalg.norm`` is a BLAS ``dot``, whose last bits change with the
-    thread count above about 10,000 entries. A C-contiguous ``v`` is not
-    copied."""
-    flat = v.reshape(-1)
-    return float(np.sqrt(np.einsum("i,i->", flat, flat)))
 
 
 def halrtc_complete(t: DenseTensor, mask: np.ndarray) -> DenseTensor:
@@ -202,19 +193,19 @@ def halrtc_complete(t: DenseTensor, mask: np.ndarray) -> DenseTensor:
             x_new /= t.order
             np.putmask(x_new, mask, t.values)
             # x is spent once its norm is taken: x_new - x goes in its place.
-            x_norm = _norm(x)
-            change = _norm(np.subtract(x_new, x, out=x)) / max(x_norm, 1e-300)
+            x_norm = frobenius_norm(x)
+            change = frobenius_norm(np.subtract(x_new, x, out=x)) / max(x_norm, 1e-300)
             # Each surrogate becomes its gap m - x_new, then the dual step.
             gap = 0.0
             for m, y in zip(surrogates, duals):
                 np.subtract(m, x_new, out=m)
-                gap = max(gap, _norm(m))
+                gap = max(gap, frobenius_norm(m))
                 m *= rho
                 y -= m
             # The surrogates are spent; free them before the lanes run.
             del surrogates, m
             x = x_new
-            if change <= HALRTC_TOL and gap <= HALRTC_TOL * max(1.0, _norm(x)):
+            if change <= HALRTC_TOL and gap <= HALRTC_TOL * max(1.0, frobenius_norm(x)):
                 break
             rho = min(rho * HALRTC_RHO_GROWTH, HALRTC_RHO_CAP)
     return DenseTensor(t.shape, x)

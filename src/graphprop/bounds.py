@@ -41,9 +41,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EmptyGraph, SpectralNormNotConverged
-from .graph import ObservationSet, SparseGraph, partition_blocks
+from .graph import ObservationSet, SparseGraph, partition_blocks, peak_exponent
 
 EPS = np.finfo(np.float64).eps
+TINY = np.finfo(np.float64).tiny
 PHI_GUARD = 1e-9
 SPECTRAL_TOL = 1e-9
 
@@ -125,17 +126,35 @@ def spectral_norm(matrix) -> float:
 
 
 def frobenius_norm(values: np.ndarray) -> float:
-    """``||values||_F`` as the root of numpy's pairwise sum of the squares.
+    """``||values||_F``: the package's one Frobenius norm, safe at any scale.
 
-    ``np.linalg.norm`` sums the squares in a BLAS ``dot``, which OpenBLAS
-    splits over its threads on large inputs, so its last digits follow the
-    BLAS thread count (on a 1,383 x 20 array, 165.61585648472538 on one
-    thread and 165.6158564847254 on two). The pairwise sum takes the same
-    steps at any thread count. Any order of summing m nonnegative squares
-    errs by at most ``(m - 1) eps`` relative, the pairwise one by about
-    ``log2(m) eps``.
+    The squares are summed by one ``np.einsum``, with no temporary (a
+    C-contiguous ``values`` is not copied). ``np.linalg.norm`` sums them in
+    a BLAS ``dot``, which OpenBLAS splits over its threads above about
+    10,000 entries, so its last bits follow the BLAS thread count; the
+    einsum's do not.
+
+    A sum of squares that is infinite, or below ``TINY`` (float64's
+    smallest normal) while some entry is nonzero, is taken again over the
+    entries scaled by the power of two that brings the largest into
+    [0.5, 1) (:func:`~graphprop.graph.peak_exponent`), and its root is
+    scaled back. Both scales are exact, so the result is the norm at unit
+    scale times the scale, unless the norm itself lies outside float64's
+    normal range. Every other input takes the plain path. The threshold
+    keeps the ``(m / 2 + 1) eps`` relative error on the norm of m entries
+    that :func:`_residual_norm` allows, i.e. ``(m + 2) eps`` on the sum of
+    squares: rounding the squares and the sum costs at most ``(m / 2) eps``
+    relative, and an underflowing square errs by at most
+    ``2**-1075 = eps TINY / 2``, so at a sum of at least ``TINY`` the m
+    squares' underflow adds at most another ``(m / 2) eps``.
     """
-    return float(np.sqrt(np.sum(values * values)))
+    flat = values.reshape(-1)
+    total = np.einsum("i,i->", flat, flat)
+    if (total < TINY or total == np.inf) and flat.any():
+        e = peak_exponent(flat)
+        flat = np.ldexp(flat, -e)
+        return float(np.ldexp(np.sqrt(np.einsum("i,i->", flat, flat)), e))
+    return float(np.sqrt(total))
 
 
 def _positive_degree_ids(g: SparseGraph, omega: ObservationSet) -> tuple[np.ndarray, np.ndarray]:

@@ -13,9 +13,13 @@ Euclidean distance, ties to the smaller node id. Up to
 ``KDTREE_MAX_CHANNELS`` channels a kd-tree finds them; above, a blocked
 brute-force pass in float32 shortlists candidates within a rigorous
 rounding allowance and exact float64 distances select among them. The
-features are scaled by a power of two first, so the edges are the same at
-any power-of-two scale of the input, up to feature sets whose own dynamic
-range in squared distance exceeds about 1e300.
+features are scaled by a power of two first (:func:`peak_exponent`), so
+the edges are the same at any power-of-two scale of the input, up to
+feature sets whose own dynamic range in squared distance exceeds about
+1e300. The steady-state solves
+(:func:`~graphprop.propagation.solve_reachable`) and
+:func:`~graphprop.bounds.frobenius_norm` apply the same rule, so
+completions and bound scalars scale with the input too.
 
 A search starts no thread: the brute force runs its row blocks one after
 another, one ``_BRUTE_BLOCK`` of float32 distances at a time, on the
@@ -79,6 +83,28 @@ _TIE_RTOL = 1e-12
 _INT32_KEY_NODES = 46_340
 
 
+def peak_exponent(values: np.ndarray) -> int:
+    """The ``np.frexp`` exponent e of the largest ``|value|`` (0 when every
+    value is 0), so ``np.ldexp(values, -e)`` peaks in [0.5, 1). Scaling by
+    a power of two is exact barring underflow, so a computation that
+    commutes with such scales, run on the scaled values with its result
+    scaled back by ``2**e``, gives the same bits at any power-of-two scale
+    of the input, and its squares neither underflow nor overflow."""
+    return int(np.frexp(np.max(np.abs(values)))[1])
+
+
+def as_node_ids(ids) -> np.ndarray:
+    """``ids`` as an int64 array. Raises ``ValueError`` unless they have an
+    integer dtype: a boolean mask or float ids would otherwise be cast,
+    ``[True, False]`` to ids 1 and 0 and 1.9 to 1. An empty input is legal
+    whatever its dtype (numpy reads ``[]`` as float64)."""
+    arr = np.asarray(ids)
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"node ids must be integers, got dtype {arr.dtype} "
+                         "(for a mask, take its np.flatnonzero)")
+    return arr.astype(np.int64, copy=False)
+
+
 def complement(n: int, ids) -> np.ndarray:
     """The ids of ``range(n)`` not in ``ids``, in increasing order, read
     from a boolean mask in O(n) (no sort)."""
@@ -89,7 +115,9 @@ def complement(n: int, ids) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ObservationSet:
-    """Ids of the fully observed fibers of one acquisition."""
+    """Ids of the fully observed fibers of one acquisition, in any order
+    and of an integer dtype (:func:`as_node_ids`); kept sorted and
+    read-only."""
 
     n: int
     observed: np.ndarray
@@ -98,7 +126,7 @@ class ObservationSet:
         n = int(self.n)
         if n < 1:
             raise ValueError("node count must be positive")
-        ids = np.sort(np.asarray(self.observed, dtype=np.int64).ravel())
+        ids = np.sort(as_node_ids(self.observed).ravel())
         if ids.size and (ids[0] < 0 or ids[-1] >= n):
             raise ValueError(f"observed ids must lie in [0, {n})")
         if ids.size > 1 and np.any(np.diff(ids) == 0):
@@ -119,7 +147,8 @@ class ObservationSet:
 class EdgeSet:
     """Undirected edges without self-loops, as (u, v) rows in either
     orientation and in any order; a reversed or repeated row is the same
-    edge. The rows are a read-only copy of the input."""
+    edge. The rows are a read-only int64 copy of the input, which must
+    have an integer dtype (:func:`as_node_ids`)."""
 
     n: int
     edges: np.ndarray
@@ -128,7 +157,7 @@ class EdgeSet:
         n = int(self.n)
         if n < 1:
             raise ValueError("node count must be positive")
-        arr = np.array(self.edges, dtype=np.int64)
+        arr = as_node_ids(np.array(self.edges))
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
@@ -403,7 +432,7 @@ def _knn_observed(rows: np.ndarray, observed: ObservationSet, k: int) -> EdgeSet
     if not np.all(np.isfinite(rows)):
         raise NonFiniteInput("observed fiber features must be finite")
     # ldexp is exact and writes a new C-ordered array: the scaled copy
-    pts = np.ldexp(rows, -np.frexp(np.max(np.abs(rows)))[1], order="C")
+    pts = np.ldexp(rows, -peak_exponent(rows), order="C")
     if pts.shape[1] <= KDTREE_MAX_CHANNELS:
         src, dst = _knn_neighbors_tree(pts, k)
     else:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyEvaluationSet, NoMissingEntries, ZeroErrorBandWarning
+from .graph import as_node_ids
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,12 +44,12 @@ class ErrorField:
         input order; ``never_observed`` ids are excluded from every
         acquisition. Raises ``ValueError`` naming the acquisition (1-based)
         whose truth and estimate differ in shape, or when a
-        ``never_observed`` id is not a node."""
+        ``never_observed`` id is not a node (an integer in range)."""
         truth = [t.values if hasattr(t, "values") else np.asarray(t, float) for t in truth]
         estimates = [e.values if hasattr(e, "values") else np.asarray(e, float) for e in estimates]
         if not (len(truth) == len(estimates) == len(omegas)):
             raise ValueError("need one truth, estimate, and observation set per acquisition")
-        drop = np.asarray(never_observed, dtype=np.int64).ravel()
+        drop = as_node_ids(never_observed).ravel()
         blocks = []
         for i, (t, e, om) in enumerate(zip(truth, estimates, omegas), start=1):
             if t.shape != e.shape:
@@ -115,10 +116,11 @@ def mpsnr(e: ErrorField) -> float:
 
 
 def accuracy(predicted, truth, evaluated) -> float:
-    """Fraction of ``evaluated`` node ids whose predicted label matches."""
+    """Fraction of ``evaluated`` node ids (integers, see
+    :func:`~graphprop.graph.as_node_ids`) whose predicted label matches."""
     predicted = np.asarray(predicted)
     truth = np.asarray(truth)
-    ids = np.asarray(evaluated, dtype=np.int64)
+    ids = as_node_ids(evaluated)
     if ids.size == 0:
         raise EmptyEvaluationSet("no nodes to evaluate")
     if predicted.shape != truth.shape:

@@ -51,6 +51,7 @@ from .graph import (
     build_graph,
     knn_edges,
     partition_blocks,
+    peak_exponent,
     split_reachable,
 )
 from .lanes import lane_cpus, run_lanes
@@ -227,6 +228,17 @@ def solve_reachable(g: SparseGraph, acquisitions, system, method: str,
     component with edges (not zero-degree) are reported with ``stranded``.
     Observed rows are returned bit for bit.
 
+    The solves are scale-invariant: ``system`` gets the observed values
+    scaled by the power of two that brings their largest magnitude into
+    [0.5, 1) (:func:`~graphprop.graph.peak_exponent`), and the solution
+    and its residual norm are scaled back. Every step of the conjugate
+    gradient (its stopping norms included) and of the LU solve commutes
+    with that exact scale, so observed values times any power of two give
+    the completion times that power, bit for bit and in as many
+    iterations, barring underflow of the solved values themselves; without
+    the scale, the stopping norms' squares would underflow or overflow far
+    from unit scale.
+
     The calling thread checks each acquisition (:func:`check_observed`)
     and splits its missing nodes (:func:`~graphprop.graph.split_reachable`
     labels the graph's components before any lane reads them). The
@@ -250,14 +262,16 @@ def solve_reachable(g: SparseGraph, acquisitions, system, method: str,
         if not kept.size:
             solved[i] = np.empty((0, f_obs.shape[1])), SolverStats(method, 0, 0.0, True)
             return
-        matrix, rhs = system(kept, partition_blocks(g, omega.observed, kept), f_obs)
+        e = peak_exponent(f_obs)
+        matrix, rhs = system(kept, partition_blocks(g, omega.observed, kept), np.ldexp(f_obs, -e))
         if method == "cg":
             solution, iterations, converged = jacobi_cg(matrix, rhs)
         else:
             solution = spla.splu(matrix.tocsc()).solve(rhs)
             iterations, converged = 0, True
-        residual = frobenius_norm(matrix @ solution - rhs)
-        solved[i] = solution, SolverStats(method, iterations, residual, converged)
+        residual = float(np.ldexp(frobenius_norm(matrix @ solution - rhs), e))
+        solved[i] = (np.ldexp(solution, e, out=solution),
+                     SolverStats(method, iterations, residual, converged))
 
     try:
         run_lanes(pool, lanes, len(checked), solve)

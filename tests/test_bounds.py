@@ -1,6 +1,11 @@
 import functools
 import json
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +28,8 @@ from graphprop import (
     solve_steady_state,
     spectral_norm,
 )
+from graphprop import bounds
+from graphprop.bounds import EPS, frobenius_norm
 from graphprop.datagen import SynthSpec, generate_acquisitions, sample_observation_sets
 from graphprop.errors import EmptyGraph, SpectralNormNotConverged
 from graphprop.graph import partition_blocks
@@ -294,6 +301,108 @@ def test_spectral_norm_zero_on_stored_zeros_and_empty_shapes():
     assert zeros.nnz == 3
     for matrix in (zeros, sp.csr_array((0, 0)), sp.csr_array((5, 0)), sp.csr_array((0, 5))):
         assert spectral_norm(matrix) == 0.0
+
+
+def test_frobenius_norm_ignores_the_blas_thread_count():
+    # the norm keeps its bits at one and two BLAS threads, where
+    # np.linalg.norm's dot, split over the threads above about 10,000
+    # entries, gave 243.85818070047077 and 243.85818070047083 on the 60,000
+    # normal draws of seed 1; the (n, channels) case has the shape of a
+    # solve's residual
+    code = ("import numpy as np; from graphprop.bounds import frobenius_norm as norm\n"
+            "for seed in range(5):\n"
+            "    rng = np.random.default_rng(seed)\n"
+            "    v, rows = rng.standard_normal(60_000), rng.standard_normal((12_000, 7))\n"
+            "    print(norm(v).hex(), norm(v.reshape(20, 50, 60)).hex(), norm(rows).hex())")
+    src = str(Path(bounds.__file__).resolve().parents[1])
+    bits = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        bits.add(done.stdout)
+    assert len(bits) == 1
+    v = np.random.default_rng(0).standard_normal(60_000)
+    assert frobenius_norm(v) == pytest.approx(math.sqrt(math.fsum(v * v)), rel=1e-14)
+
+
+@pytest.mark.parametrize("exponent", [-560, -1000, 520, 1000])
+def test_frobenius_norm_scales_where_the_squares_underflow_or_overflow(exponent):
+    # at 2**-560 and below every square underflows, at 2**520 and above
+    # their sum overflows; the norm is summed again at unit scale, so it is
+    # the unit-scale norm times the scale and within a few eps of exact
+    # (it rounds to nearest, so it may lie on either side)
+    v = np.random.default_rng(37).standard_normal((40, 3))
+    scaled = np.ldexp(v, exponent)
+    value = frobenius_norm(scaled)
+    assert value == np.ldexp(frobenius_norm(v), exponent)
+    exact = sum(Fraction(float(x)) ** 2 for x in scaled.ravel())
+    assert abs(Fraction(value) ** 2 / exact - 1) <= (v.size + 2) * EPS
+
+
+@pytest.mark.parametrize("values, exact", [
+    (np.full(3, 1e-170), 3 * Fraction(1e-170) ** 2),
+    (np.full(3, 1e-155), 3 * Fraction(1e-155) ** 2),
+    (np.array([1e-200, 0.0, -1e-200]), 2 * Fraction(1e-200) ** 2),
+    (np.array([5e-324]), Fraction(5e-324) ** 2),
+    (np.full((2, 2), 1e300), 4 * Fraction(1e300) ** 2),
+    (np.array([1.0, 1e-170]), 1 + Fraction(1e-170) ** 2),
+], ids=["underflow", "subnormal-squares", "signed", "subnormal", "overflow", "mixed"])
+def test_frobenius_norm_within_a_few_eps_at_extreme_scales(values, exact):
+    # squares of 1e-155 are subnormal, nonzero and off by up to 1e-14
+    # relative, so a sum below float64's smallest normal is taken again too
+    value = frobenius_norm(values)
+    assert abs(Fraction(value) ** 2 / exact - 1) <= 4 * EPS
+
+
+def test_frobenius_norm_of_zeros_is_zero():
+    for values in (np.zeros(3), -np.zeros((2, 2)), np.zeros((0, 4))):
+        assert frobenius_norm(values) == 0.0
+
+
+@pytest.mark.parametrize("exponent", [-560, 520])
+def test_psi_never_below_exact_where_the_squares_underflow_or_overflow(exponent):
+    # psi against its exact rational value, the residual P F0 summed over
+    # Fractions: it must stay at or above it at scales where the plain sum
+    # of squares underflowed to 0 or overflowed
+    g, omega, f0 = random_instance(41)
+    f0 = np.ldexp(f0, exponent)
+    adjacency = g.adjacency.tocsr()
+    exact = Fraction(0)
+    for i in omega.missing:
+        lo, hi = adjacency.indptr[i], adjacency.indptr[i + 1]
+        for c in range(f0.shape[1]):
+            mean = sum(Fraction(float(w)) * Fraction(float(f0[j, c])) for j, w in
+                       zip(adjacency.indices[lo:hi], adjacency.data[lo:hi]))
+            exact += (Fraction(float(f0[i, c])) - mean / Fraction(float(g.degrees[i]))) ** 2
+    psi = compute_psi(g, omega, f0)
+    assert Fraction(psi) ** 2 >= exact
+    assert Fraction(psi) ** 2 <= exact * (1 + Fraction(1e-10))
+
+
+@pytest.mark.parametrize("exponent", [-560, 520])
+def test_bound_scalars_scale_with_the_signal(exponent):
+    # psi, GTVM's eta and the measured error are norms of the signal: at a
+    # power-of-two scale of the truth and of the observed values they are
+    # their unit-scale values times the scale, bit for bit (plain sums of
+    # squares give 5e-324, 5e-324 and 0.0 at 2**-560); phi and q do not
+    # depend on the signal
+    spec = SynthSpec(12, 12, 2, r=2, lambda_count=2, missing_frac=0.3, seed=4)
+    full = [matricize(t, 3).values for t in generate_acquisitions(spec)]
+    omegas = sample_observation_sets(spec.n, spec.missing_frac, 2, spec.seed)
+
+    def reports(e):
+        truth = [np.ldexp(f, e) for f in full]
+        results = graphprop([(f[om.observed], om) for f, om in zip(truth, omegas)], k=3)
+        return [evaluate_bounds(res.graph, om, f, res.completed)
+                for f, om, res in zip(truth, omegas, results)]
+
+    for unit, scaled in zip(reports(0), reports(exponent)):
+        for key in ("psi", "gtvm_eta", "measured_error"):
+            assert getattr(scaled, key) == np.ldexp(getattr(unit, key), exponent), key
+        assert (scaled.phi, scaled.gtvm_q) == (unit.phi, unit.gtvm_q)
 
 
 def test_graphprop_bound_holds_when_error_equals_psi():

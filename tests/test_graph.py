@@ -725,6 +725,29 @@ def test_observation_set_validation():
         ObservationSet(5, [5])
 
 
+@pytest.mark.parametrize("ids, edges", [
+    (np.array([True, False]), np.array([[True, False]])),
+    ([1.9, 2.2], [[0.0, 2.7]]),
+    (np.array([0.0, 1.0]), np.array([[0.0, 1.0]])),
+], ids=["bool", "float", "whole-float"])
+def test_id_arrays_must_hold_integers(ids, edges):
+    # a cast would read the mask [True, False] as ids [1, 0] and truncate
+    # 1.9 to 1, silently
+    with pytest.raises(ValueError, match="integers"):
+        ObservationSet(4, ids)
+    with pytest.raises(ValueError, match="integers"):
+        EdgeSet(4, edges)
+
+
+def test_empty_id_arrays_of_any_dtype():
+    assert ObservationSet(4, []).observed.dtype == np.int64
+    assert ObservationSet(4, np.array([], dtype=bool)).missing.tolist() == [0, 1, 2, 3]
+    for empty in ([], np.zeros((0, 2)), np.zeros((0, 2), dtype=bool)):
+        e = EdgeSet(4, empty)
+        assert e.edges.shape == (0, 2) and e.edges.dtype == np.int64
+    assert ObservationSet(4, np.array([3, 1], dtype=np.uint8)).observed.tolist() == [1, 3]
+
+
 def test_save_edge_list_bytes_ignore_orientation_and_repeats(tmp_path):
     canonical = EdgeSet(6, [(0, 1), (0, 5), (1, 2), (3, 4)])
     messy = EdgeSet(6, [(4, 3), (1, 0), (2, 1), (0, 1), (5, 0), (3, 4), (1, 2)])

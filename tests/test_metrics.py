@@ -195,6 +195,28 @@ def test_from_completions_rejects_mismatched_shapes():
             ErrorField.from_completions(truth, estimates, omegas)
 
 
+@pytest.mark.parametrize("ids", [np.array([True, False]), [1.9], np.array([1.0])],
+                         ids=["bool", "float", "whole-float"])
+def test_id_arrays_must_hold_integers(ids):
+    # cast, the mask [True, False] read as ids [1, 0] and 1.9 as 1
+    truth = [np.ones((4, 1))]
+    omegas = [ObservationSet(4, [0])]
+    with pytest.raises(ValueError, match="integers"):
+        ErrorField.from_completions(truth, truth, omegas, never_observed=ids)
+    with pytest.raises(ValueError, match="integers"):
+        accuracy(np.zeros(4), np.zeros(4), ids)
+
+
+def test_empty_never_observed_of_any_dtype():
+    truth = [np.arange(4.0)[:, None]]
+    estimate = [np.zeros((4, 1))]
+    omegas = [ObservationSet(4, [0])]
+    want = ErrorField.from_completions(truth, estimate, omegas).errors
+    for empty in ([], np.array([], dtype=bool), np.zeros(0)):
+        got = ErrorField.from_completions(truth, estimate, omegas, never_observed=empty)
+        assert np.array_equal(got.errors, want)
+
+
 def test_no_missing_entries_raised():
     empty = ErrorField(np.empty((0, 2)))
     for metric in (mse, rmse, mae):

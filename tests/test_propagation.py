@@ -685,6 +685,54 @@ def test_graphprop_desk_scale_low_rank_rmse():
     assert np.mean(values) < 0.40
 
 
+def scale_pair():
+    spec = SynthSpec(12, 12, 2, r=2, lambda_count=2, missing_frac=0.3, seed=4)
+    full = [matricize(t, 3).values for t in generate_acquisitions(spec)]
+    omegas = sample_observation_sets(spec.n, spec.missing_frac, 2, spec.seed)
+    return [(f[om.observed], om) for f, om in zip(full, omegas)]
+
+
+def solve_at_scale(solver, acquisitions, exponent):
+    scaled = [(np.ldexp(f, exponent), om) for f, om in acquisitions]
+    if solver == "graphprop-cg":
+        return [(res.completed.values, res.stats) for res in graphprop(scaled, 3)]
+    g = graphprop(acquisitions, 3)[0].graph
+    (f, om), _ = scaled
+    if solver == "gtvm":
+        return [(gtvm_inpaint(g, om, f).values, None)]
+    res = solve_steady_state(g, om, f, method="splu")
+    return [(res.completed.values, res.stats)]
+
+
+@pytest.mark.parametrize("exponent", [-560, 520, -1000])
+@pytest.mark.parametrize("solver", ["graphprop-cg", "gtvm", "splu"])
+def test_solves_scale_with_the_observed_values(solver, exponent):
+    # observed values times a power of two give the completion times that
+    # power, bit for bit and in as many iterations: unscaled, CG's stopping
+    # norms underflowed at 2**-560 (every solved row 0.0 after 0 iterations,
+    # reported as converged) and overflowed at 2**520 (the cap, then a
+    # non-finite completion); the direct solve has no such norm
+    acquisitions = scale_pair()
+    unit = solve_at_scale(solver, acquisitions, 0)
+    for (values, stats), (want, want_stats) in zip(
+            solve_at_scale(solver, acquisitions, exponent), unit):
+        assert values.tobytes() == np.ldexp(want, exponent).tobytes()
+        if stats is not None:
+            assert stats.iterations == want_stats.iterations and stats.converged
+
+
+@pytest.mark.parametrize("exponent", [-560, 520])
+@pytest.mark.parametrize("solver", ["graphprop-cg", "splu"])
+def test_residual_norms_scale_with_the_observed_values(solver, exponent):
+    # the residual norm is taken at unit scale and scaled back: unscaled,
+    # its squares underflowed to 5e-324 or overflowed to inf
+    acquisitions = scale_pair()
+    for (_, stats), (_, want) in zip(solve_at_scale(solver, acquisitions, exponent),
+                                     solve_at_scale(solver, acquisitions, 0)):
+        assert want.residual_norm > 0.0
+        assert stats.residual_norm == np.ldexp(want.residual_norm, exponent)
+
+
 def test_median_threshold_basic():
     g = build_graph(EdgeSet(4, [(0, 1), (1, 2), (2, 3)]))
     omega = ObservationSet(4, [0, 3])
